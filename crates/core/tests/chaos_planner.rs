@@ -2,8 +2,9 @@
 //!
 //! Separate test binary: an armed [`nptsn_chaos::FaultPlan`] is
 //! process-global, and cargo runs test binaries sequentially, so plans
-//! armed here cannot leak into the planner unit tests. Within this binary,
-//! `arm_scoped` serializes the tests.
+//! armed here cannot leak into the planner unit tests. Within this binary
+//! every test runs wholly under `arm_scoped` (with an empty plan until it
+//! arms its own), so no test's code runs while a sibling's plan is armed.
 
 use std::sync::Arc;
 
@@ -70,6 +71,8 @@ fn injected_nan_update_rolls_back_and_training_survives() {
 
 #[test]
 fn rollback_recovers_the_pre_update_policy_exactly() {
+    let _guard = arm_scoped(FaultPlan::new(0)); // no faults for the clean run
+
     // A clean one-epoch run pins what the parameters look like before the
     // second epoch's update...
     let cfg = PlannerConfig { max_epochs: 1, ..PlannerConfig::smoke_test() };
@@ -78,7 +81,7 @@ fn rollback_recovers_the_pre_update_policy_exactly() {
     // ...then a two-epoch run whose second update is poisoned must end on
     // exactly those parameters: the rollback restored the snapshot taken at
     // the top of epoch 1, which is the end of epoch 0.
-    let _guard = arm_scoped(FaultPlan::new(3).with_rule(SiteRule {
+    nptsn_chaos::arm(FaultPlan::new(3).with_rule(SiteRule {
         site: "planner.ppo_update".to_string(),
         kind: FaultKind::Error,
         every: 2,

@@ -3,8 +3,9 @@
 //! These live in their own test binary (not the unit-test module) because an
 //! armed [`nptsn_chaos::FaultPlan`] is process-global: cargo runs test
 //! binaries one at a time, so plans armed here can never leak into the
-//! checkpoint unit tests. Within this binary, `arm_scoped` serializes the
-//! tests that arm plans.
+//! checkpoint unit tests. Within this binary every test runs wholly under
+//! `arm_scoped` (with an empty plan until it arms its own), so no test's
+//! clean save or load runs while a sibling's plan is armed.
 
 use std::path::PathBuf;
 
@@ -20,14 +21,13 @@ fn temp_path(test: &str) -> PathBuf {
 fn corrupt_save_is_caught_by_the_crc_on_load() {
     let path = temp_path("corrupt-save");
     let p = Tensor::param(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-    {
-        let _guard = arm_scoped(
-            FaultPlan::new(42).with_rule(SiteRule::always("checkpoint.save", FaultKind::Corrupt)),
-        );
-        // The save itself "succeeds" — the corruption is silent, exactly
-        // like a flipped bit on the way to disk.
-        save_params_atomic(std::slice::from_ref(&p), &path).expect("corrupt save still writes");
-    }
+    let _guard = arm_scoped(
+        FaultPlan::new(42).with_rule(SiteRule::always("checkpoint.save", FaultKind::Corrupt)),
+    );
+    // The save itself "succeeds" — the corruption is silent, exactly like
+    // a flipped bit on the way to disk.
+    save_params_atomic(std::slice::from_ref(&p), &path).expect("corrupt save still writes");
+    nptsn_chaos::disarm();
     let target = Tensor::param(2, 2, vec![0.0; 4]);
     // Depending on where the deterministic flip lands, validation reports it
     // structurally (header fields) or via the CRC trailer (payload) — either
@@ -42,23 +42,23 @@ fn corrupt_save_is_caught_by_the_crc_on_load() {
 
 #[test]
 fn torn_save_keeps_the_previous_checkpoint_and_cleans_the_temp() {
+    let _guard = arm_scoped(FaultPlan::new(0)); // no faults for the clean save
     let path = temp_path("torn-save");
     let p = Tensor::param(1, 2, vec![5.0, 6.0]);
     save_params_atomic(std::slice::from_ref(&p), &path).expect("clean save");
     let before = std::fs::read(&path).expect("checkpoint exists");
 
     let q = Tensor::param(1, 2, vec![7.0, 8.0]);
-    {
-        let _guard = arm_scoped(
-            FaultPlan::new(1).with_rule(SiteRule::always("checkpoint.save", FaultKind::Error)),
-        );
-        match save_params_atomic(std::slice::from_ref(&q), &path) {
-            Err(CheckpointFileError::Io(e)) => {
-                assert!(e.to_string().contains("checkpoint.save"), "unexpected error: {e}")
-            }
-            other => panic!("expected injected i/o failure, got {other:?}"),
+    nptsn_chaos::arm(
+        FaultPlan::new(1).with_rule(SiteRule::always("checkpoint.save", FaultKind::Error)),
+    );
+    match save_params_atomic(std::slice::from_ref(&q), &path) {
+        Err(CheckpointFileError::Io(e)) => {
+            assert!(e.to_string().contains("checkpoint.save"), "unexpected error: {e}")
         }
+        other => panic!("expected injected i/o failure, got {other:?}"),
     }
+    nptsn_chaos::disarm();
     // The destination still holds the previous complete checkpoint, and the
     // torn temp file was cleaned up.
     assert_eq!(std::fs::read(&path).expect("still present"), before);
@@ -75,10 +75,11 @@ fn torn_save_keeps_the_previous_checkpoint_and_cleans_the_temp() {
 
 #[test]
 fn corrupt_load_is_caught_even_when_the_file_is_intact() {
+    let _guard = arm_scoped(FaultPlan::new(0)); // no faults for the clean save
     let path = temp_path("corrupt-load");
     let p = Tensor::param(1, 2, vec![5.0, 6.0]);
     save_params_atomic(std::slice::from_ref(&p), &path).expect("clean save");
-    let _guard = arm_scoped(
+    nptsn_chaos::arm(
         FaultPlan::new(9).with_rule(SiteRule::always("checkpoint.load", FaultKind::Corrupt)),
     );
     let target = Tensor::param(1, 2, vec![0.0; 2]);
@@ -92,10 +93,11 @@ fn corrupt_load_is_caught_even_when_the_file_is_intact() {
 
 #[test]
 fn injected_read_error_surfaces_as_io() {
+    let _guard = arm_scoped(FaultPlan::new(0)); // no faults for the clean save
     let path = temp_path("read-error");
     let p = Tensor::param(1, 1, vec![1.0]);
     save_params_atomic(std::slice::from_ref(&p), &path).expect("clean save");
-    let _guard = arm_scoped(
+    nptsn_chaos::arm(
         FaultPlan::new(2).with_rule(SiteRule::always("checkpoint.load", FaultKind::Error)),
     );
     match load_params(std::slice::from_ref(&p), &path) {

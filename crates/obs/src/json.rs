@@ -2,9 +2,10 @@
 //!
 //! `nptsn-format` deliberately ships serializers only; this parser exists
 //! so the trace exporters can be validated in-tree (round-trip tests, the
-//! `trace_check` tool in `scripts/verify.sh`) without external crates. It
-//! accepts standard JSON — objects, arrays, strings with escapes
-//! (including `\uXXXX`), numbers, booleans, null — and nothing more.
+//! `nptsn-cli` smoke tests) and so the router can read shard responses,
+//! all without external crates. It accepts standard JSON — objects,
+//! arrays, strings with escapes (including `\uXXXX`), numbers, booleans,
+//! null — and nothing more.
 
 use std::fmt;
 

@@ -77,14 +77,9 @@ fn ingest_one(
         };
         match response.status {
             200 => {
-                let text = response.text();
-                let kind = text
-                    .split("\"replay\":\"")
-                    .nth(1)
-                    .and_then(|rest| rest.split('"').next())
-                    .unwrap_or("unknown")
-                    .to_string();
-                return Some(kind);
+                let doc = nptsn_obs::json::parse(&response.text()).ok();
+                let kind = doc.as_ref().and_then(|doc| doc.get("replay")?.as_str());
+                return Some(kind.unwrap_or("unknown").to_string());
             }
             // A 400 is a verdict, not a transient: the record itself does
             // not decode. Nothing a retry could change.

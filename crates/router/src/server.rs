@@ -57,6 +57,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nptsn_format::json::Object;
+use nptsn_obs::json::{self, Value};
 use nptsn_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use nptsn_obs::{MergedSpan, ProcessTrace, TraceContext};
 use nptsn_serve::client::{BackoffConfig, Client, ClientResponse};
@@ -610,31 +611,28 @@ pub fn trace_for_job(id: u64) -> TraceContext {
     TraceContext::from_seed(key_hash(id) ^ 0x4e70_7473_6e54_7263)
 }
 
-/// Extracts `"key":<u64>` from a flat JSON body — enough to read the
-/// `/readyz` watermark without a parser.
-fn json_u64(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let start = text.find(&needle)? + needle.len();
-    let digits: String =
-        text[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+/// A non-negative integer field of a parsed JSON object.
+fn int_field(doc: &Value, key: &str) -> Option<u64> {
+    doc.get(key)?.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0).map(|n| n as u64)
 }
 
-/// Extracts `"key":"<string>"` from a flat JSON body.
-fn json_str<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let needle = format!("\"{key}\":\"");
-    let start = text.find(&needle)? + needle.len();
-    text[start..].split('"').next()
+/// Folds the id watermark (`next_id`) of a shard's `/readyz` body into
+/// the router's.
+fn fold_watermark(shared: &Shared, readyz: &Value) {
+    if let Some(next_id) = int_field(readyz, "next_id") {
+        shared.next_id.fetch_max(next_id, Ordering::SeqCst);
+    }
 }
 
 /// One `/readyz` probe: returns whether the shard answered `200`, and
-/// folds its id watermark into the router's.
+/// folds its id watermark into the router's. The `200` alone is the
+/// health signal; a body without a watermark just carries none.
 fn probe_shard(shared: &Arc<Shared>, shard: &Arc<Shard>) -> bool {
     let mut client = Client::new(shard.addr());
     match client.get("/readyz") {
         Ok(response) if response.status == 200 => {
-            if let Some(next_id) = json_u64(&response.text(), "next_id") {
-                shared.next_id.fetch_max(next_id, Ordering::SeqCst);
+            if let Ok(doc) = json::parse(&response.text()) {
+                fold_watermark(shared, &doc);
             }
             true
         }
@@ -654,15 +652,14 @@ fn handshake(shared: &Arc<Shared>, shard: &Arc<Shard>) -> bool {
     if response.status != 200 {
         return false;
     }
-    let text = response.text();
-    if let Some(reported) = json_str(&text, "shard") {
+    // A `200` that is not JSON did not come from one of our shards.
+    let Ok(doc) = json::parse(&response.text()) else { return false };
+    if let Some(reported) = doc.get("shard").and_then(Value::as_str) {
         if reported != shard.name {
             return false;
         }
     }
-    if let Some(next_id) = json_u64(&text, "next_id") {
-        shared.next_id.fetch_max(next_id, Ordering::SeqCst);
-    }
+    fold_watermark(shared, &doc);
     true
 }
 
@@ -811,8 +808,8 @@ fn promote_replicas(shared: &Arc<Shared>, dead: &str) -> u64 {
         let mut client = shared.forward_client(shard.addr(), key_hash(promoted) ^ 0x50726f6d);
         match client.post(&format!("/internal/promote?for={}", url_encode(dead)), &[]) {
             Ok(response) if response.status == 200 => {
-                let count = json_u64(&response.text(), "promoted").unwrap_or(0);
-                promoted += count;
+                let doc = json::parse(&response.text()).ok();
+                promoted += doc.and_then(|doc| int_field(&doc, "promoted")).unwrap_or(0);
             }
             _ => {
                 // A shard that cannot promote right now still holds its
@@ -1124,7 +1121,7 @@ fn merged_trace(shared: &Arc<Shared>, id: u64) -> Response {
             continue;
         }
         found = true;
-        let Ok(doc) = nptsn_obs::json::parse(&response.text()) else { continue };
+        let Ok(doc) = json::parse(&response.text()) else { continue };
         let recorder = doc
             .get("shard")
             .and_then(|v| v.as_str())
@@ -1202,7 +1199,7 @@ fn route_admin_add_shard(shared: &Arc<Shared>, request: &Request) -> Response {
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return Response::error(400, "body is not UTF-8");
     };
-    let Ok(doc) = nptsn_obs::json::parse(text) else {
+    let Ok(doc) = json::parse(text) else {
         return Response::error(400, "body is not valid JSON");
     };
     let Some(name) = doc.get("name").and_then(|v| v.as_str()).filter(|s| !s.is_empty())
@@ -1606,13 +1603,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_u64_reads_flat_bodies() {
-        assert_eq!(json_u64("{\"a\":3,\"next_id\":41}", "next_id"), Some(41));
-        assert_eq!(json_u64("{\"next_id\":\"x\"}", "next_id"), None);
-        assert_eq!(json_u64("{}", "next_id"), None);
-    }
-
-    #[test]
     fn forward_targets_round_trip_the_query() {
         let request = Request {
             method: "POST".to_string(),
@@ -1665,10 +1655,13 @@ mod tests {
     }
 
     #[test]
-    fn json_str_reads_flat_bodies() {
-        assert_eq!(json_str("{\"shard\":\"s1\",\"x\":2}", "shard"), Some("s1"));
-        assert_eq!(json_str("{\"shard\":\"\"}", "shard"), Some(""));
-        assert_eq!(json_str("{}", "shard"), None);
+    fn int_field_reads_non_negative_integers_only() {
+        let field = |text: &str| int_field(&json::parse(text).unwrap(), "next_id");
+        assert_eq!(field("{\"a\":3,\"next_id\":41}"), Some(41));
+        assert_eq!(field("{\"next_id\":\"x\"}"), None);
+        assert_eq!(field("{}"), None);
+        assert_eq!(field("{\"next_id\":-1}"), None);
+        assert_eq!(field("{\"next_id\":4.5}"), None);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! on a death — in every case without losing an acked job.
 
 use std::fs;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use nptsn_format::json::Object;
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::Client;
 use nptsn_serve::{ServeConfig, Server};
@@ -175,9 +178,31 @@ fn a_restarted_shard_rejoins_and_catches_up() {
     b.wait();
 }
 
+/// A stranger on a recycled port: answers every request `200` with a
+/// body that is not JSON.
+fn impostor() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the impostor");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            let _ = stream.read(&mut [0; 1024]);
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
+        }
+    });
+    addr
+}
+
 #[test]
 fn a_new_shard_joins_a_running_fleet_and_drains_its_share() {
-    let a_dir = temp_dir("join-a");
+    // The second name needs JSON escaping wherever it crosses the wire:
+    // in the announcement and in the newcomer's `/readyz` handshake.
+    for (n, newcomer) in ["s1", "s\"1\\"].into_iter().enumerate() {
+        scale_out(&format!("join-{n}"), newcomer);
+    }
+}
+
+fn scale_out(test: &str, newcomer: &str) {
+    let a_dir = temp_dir(&format!("{test}-a"));
     let a = shard(&a_dir, "s0");
     let router = fleet_router(
         vec![ShardSpec {
@@ -193,13 +218,21 @@ fn a_new_shard_joins_a_running_fleet_and_drains_its_share() {
     let bodies = wait_done(&mut client, &ids);
 
     // Scale out: a brand-new shard with an empty store joins live.
-    let b_dir = temp_dir("join-b");
-    let b = shard(&b_dir, "s1");
-    let announce = format!(
-        "{{\"name\":\"s1\",\"addr\":\"{}\",\"data_dir\":\"{}\"}}",
-        b.local_addr(),
-        b_dir.to_string_lossy()
-    );
+    let b_dir = temp_dir(&format!("{test}-b"));
+    let b = shard(&b_dir, newcomer);
+    let announce = |addr: SocketAddr| {
+        let mut body = Object::new();
+        body.str("name", newcomer);
+        body.str("addr", &addr.to_string());
+        body.str("data_dir", &b_dir.to_string_lossy());
+        body.finish()
+    };
+    // The handshake refuses a `200` that is not JSON: that answer did not
+    // come from one of our shards, and the ring stays as it was.
+    let refused = client.post("/admin/shards", announce(impostor()).as_bytes()).unwrap();
+    assert_eq!(refused.status, 502, "{}", refused.text());
+    assert_eq!(router.ring_generation(), 1, "a refused join moved the ring");
+    let announce = announce(b.local_addr());
     let joined = poll(15, "the join to be accepted", || {
         let response = client.post("/admin/shards", announce.as_bytes()).ok()?;
         (response.status == 200).then(|| response.text())
@@ -210,9 +243,9 @@ fn a_new_shard_joins_a_running_fleet_and_drains_its_share() {
     // The ring must actually hand the newcomer a share of the old batch
     // (deterministic placement — this cannot flake), and each of those
     // records must migrate over and serve byte-identically through the
-    // router, which now routes them to s1.
+    // router, which now routes them to the newcomer.
     let ring = router.ring();
-    let stolen = ids.iter().filter(|&&id| ring.place(id) == Some("s1")).count();
+    let stolen = ids.iter().filter(|&&id| ring.place(id) == Some(newcomer)).count();
     assert!(stolen > 0, "the newcomer stole no keys from a 16-job batch");
     for (&id, expected) in ids.iter().zip(&bodies) {
         poll(15, "a migrated job to serve", || {

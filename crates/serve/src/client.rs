@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP client for exercising the service — used by the
-//! end-to-end tests, the smoke test in `scripts/verify.sh` and the serving
-//! benchmark. One [`Client`] holds one keep-alive connection.
+//! end-to-end tests, the `nptsn-cli` smoke tests, the router and the
+//! serving benchmark. One [`Client`] holds one keep-alive connection.
 //!
 //! With [`Client::with_backoff`] the client also self-heals: transport
 //! errors and `503` backpressure answers are retried with capped, jittered
