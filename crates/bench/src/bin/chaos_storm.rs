@@ -59,6 +59,7 @@ use std::time::{Duration, Instant};
 
 use nptsn::{Planner, PlannerConfig, PlanningProblem};
 use nptsn_bench::fleet::{maybe_run_shard_child, spawn_named_shard, spawn_shard};
+use nptsn_bench::json_u64;
 use nptsn_chaos::{FaultKind, FaultPlan, SiteRule};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_rand::rngs::StdRng;
@@ -122,17 +123,6 @@ fn determinism_run(seed: u64) -> String {
     }
     nptsn_chaos::disarm();
     digest
-}
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
 }
 
 /// Submits `jobs` burn jobs and polls each to a terminal state; returns

@@ -29,6 +29,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use nptsn_bench::fleet::{maybe_run_shard_child, spawn_shard, ShardProc};
+use nptsn_bench::json_u64;
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::{BackoffConfig, Client};
 
@@ -36,17 +37,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nptsn-router-bench-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
 }
 
 fn retrying(addr: SocketAddr, seed: u64) -> Client {

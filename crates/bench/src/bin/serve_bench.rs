@@ -20,6 +20,7 @@
 
 use std::time::{Duration, Instant};
 
+use nptsn_bench::json_u64;
 use nptsn_serve::{Client, ServeConfig, Server};
 
 /// The `q`-quantile of a sorted sample set, in nanoseconds.
@@ -29,17 +30,6 @@ fn percentile_ns(sorted: &[Duration], q: f64) -> u128 {
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1].as_nanos()
-}
-
-fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
 }
 
 fn main() {

@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use nptsn::{Planner, PlannerConfig, PlanningProblem, Solution};
 use nptsn_baselines::{evaluate_original, NeuroPlanAgent, Trh};
+use nptsn_obs::json::{self, Value};
 use nptsn_scenarios::Scenario;
 use nptsn_sched::{FlowSet, ShortestPathRecovery};
 use nptsn_topo::ComponentLibrary;
@@ -200,6 +201,17 @@ pub fn bench_config(epochs: usize, steps: usize) -> PlannerConfig {
         workers: 4,
         ..PlannerConfig::default_paper()
     }
+}
+
+/// The integer at top-level `key` of a JSON response body (the service
+/// benches read job ids and live-shard counts with it).
+///
+/// # Panics
+///
+/// Panics when the body is not JSON or holds no number at `key`.
+pub fn json_u64(body: &str, key: &str) -> u64 {
+    let doc = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    doc.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("no {key} in {body}")) as u64
 }
 
 #[cfg(test)]

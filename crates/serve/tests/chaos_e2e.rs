@@ -11,21 +11,17 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use nptsn_chaos::{arm_scoped, FaultKind, FaultPlan, SiteRule};
+use nptsn_obs::json::{self, Value};
 use nptsn_serve::{BackoffConfig, Client, JobState, ServeConfig, Server};
 
 fn start(config: ServeConfig) -> Server {
     Server::bind(config).expect("bind an ephemeral port")
 }
 
+/// The integer at top-level `key` of a JSON response body.
 fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
+    let doc = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    doc.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("no {key} in {body}")) as u64
 }
 
 /// Satellite fix: server connections are bounded by socket timeouts and a

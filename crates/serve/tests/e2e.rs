@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 use nptsn::{FailureAnalyzer, Planner, PlannerConfig, Solution, Verdict};
 use nptsn_format::{parse_plan, parse_problem, write_plan};
 use nptsn_nn::{params_from_bytes, params_to_bytes, Module};
+use nptsn_obs::json::{self, Value};
 use nptsn_serve::{Client, ClientResponse, JobState, ServeConfig, Server};
 
 const DOC: &str = "\
@@ -38,16 +39,10 @@ fn start(workers: usize, queue_depth: usize) -> (Server, Client) {
     (server, client)
 }
 
-/// Pulls the number following `"key":` out of a flat JSON document.
+/// The integer at top-level `key` of a JSON response body.
 fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
+    let doc = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    doc.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("no {key} in {body}")) as u64
 }
 
 fn submit(client: &mut Client, path: &str, body: &[u8]) -> u64 {

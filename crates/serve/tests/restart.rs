@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 use nptsn::{Planner, PlannerConfig};
 use nptsn_format::parse_problem;
 use nptsn_nn::{params_to_bytes, Module};
+use nptsn_obs::json::{self, Value};
 use nptsn_serve::{Client, ServeConfig, Server};
 
 const DOC: &str = "\
@@ -40,15 +41,10 @@ fn bind(data_dir: &std::path::Path) -> (Server, Client) {
     (server, client)
 }
 
+/// The integer at top-level `key` of a JSON response body.
 fn json_u64(body: &str, key: &str) -> u64 {
-    let marker = format!("\"{key}\":");
-    let at = body.find(&marker).unwrap_or_else(|| panic!("no {key} in {body}"));
-    body[at + marker.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("non-numeric {key} in {body}"))
+    let doc = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    doc.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("no {key} in {body}")) as u64
 }
 
 fn poll_terminal(client: &mut Client, id: u64) -> String {

@@ -1,8 +1,10 @@
 //! The reverse-mode backward pass.
 
-use std::collections::HashSet;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use crate::kernels;
 use crate::ops::{Broadcast, Op};
 use crate::tensor::Tensor;
 
@@ -10,8 +12,12 @@ impl Tensor {
     /// Backpropagates from this scalar, accumulating gradients into every
     /// reachable tensor with `requires_grad`.
     ///
-    /// Gradients *accumulate*: call [`zero_grad`](Tensor::zero_grad) on the
-    /// parameters (or rebuild them) between independent backward passes.
+    /// Gradients *accumulate* in leaves: call
+    /// [`zero_grad`](Tensor::zero_grad) on the parameters (or rebuild them)
+    /// between independent backward passes. Only leaves keep a gradient:
+    /// each intermediate tensor's gradient is moved out as it is
+    /// propagated, so [`grad`](Tensor::grad) on a non-leaf (this loss
+    /// included) reads zeros afterwards.
     ///
     /// # Panics
     ///
@@ -38,22 +44,31 @@ impl Tensor {
         let mut visited = HashSet::new();
         topo_visit(self, &mut visited, &mut order);
         self.accumulate_grad(&[1.0]);
+        let mut transposes = HashMap::new();
         for t in order.iter().rev() {
-            let grad = t.node.grad.borrow().clone();
+            if matches!(t.node.op, Op::Leaf) {
+                continue;
+            }
+            // Every consumer of `t` comes earlier in this order, so its
+            // gradient is complete: move it out rather than copy it.
+            let grad = std::mem::take(&mut *t.node.grad.borrow_mut());
             if grad.is_empty() {
                 continue;
             }
-            propagate(t, &grad);
+            propagate(t, &grad, &mut transposes);
         }
     }
+}
+
+fn node_key(t: &Tensor) -> usize {
+    Rc::as_ptr(&t.node) as usize
 }
 
 fn topo_visit(t: &Tensor, visited: &mut HashSet<usize>, order: &mut Vec<Tensor>) {
     if !t.requires_grad() {
         return;
     }
-    let key = Rc::as_ptr(&t.node) as usize;
-    if !visited.insert(key) {
+    if !visited.insert(node_key(t)) {
         return;
     }
     for child in t.node.op.children() {
@@ -86,7 +101,42 @@ fn rhs_at(rhs: &[f32], i: usize, lhs_cols: usize, broadcast: Broadcast) -> f32 {
     }
 }
 
-fn propagate(t: &Tensor, grad: &[f32]) {
+/// `t`'s data transposed. A leaf's transpose is kept in `leaves` for the
+/// rest of the pass: every step graph of a PPO batch multiplies by the
+/// same weights, which are then transposed once per pass, not once per
+/// step.
+fn transposed<'c>(t: &Tensor, leaves: &'c mut HashMap<usize, Vec<f32>>) -> Cow<'c, [f32]> {
+    let (rows, cols) = t.shape();
+    let make = || kernels::transpose(&t.data(), rows, cols);
+    if matches!(t.node.op, Op::Leaf) {
+        Cow::Borrowed(leaves.entry(node_key(t)).or_insert_with(make))
+    } else {
+        Cow::Owned(make())
+    }
+}
+
+/// `da = g · bᵀ` for `g (m, n)`, given `bt = bᵀ (n, k)`: a kernel matmul.
+/// Every element sums `g[i][j] · b[p][j]` in ascending `j` from `+0.0`, as
+/// the textbook dot-product loop does, so the result is bitwise identical
+/// to it; skipping the zeros of `g` is exact for a finite `b` (see
+/// [`kernels::matmul`]).
+fn matmul_grad_a(g: &[f32], bt: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut da = vec![0.0f32; m * k];
+    kernels::matmul(g, bt, &mut da, m, n, k);
+    da
+}
+
+/// `db = aᵀ · g` for `g (m, n)`, given `at = aᵀ (k, m)`: a kernel matmul.
+/// Every element sums `a[i][p] · g[i][j]` in ascending `i` and skips the
+/// zeros of `a`, exactly as the textbook loop does, so the result is
+/// bitwise identical to it.
+fn matmul_grad_b(at: &[f32], g: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut db = vec![0.0f32; k * n];
+    kernels::matmul(at, g, &mut db, k, m, n);
+    db
+}
+
+fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>) {
     match &t.node.op {
         Op::Leaf => {}
         Op::Add(a, b, bc) => {
@@ -132,38 +182,10 @@ fn propagate(t: &Tensor, grad: &[f32]) {
             let (m, k) = a.shape();
             let n = b.cols();
             if a.requires_grad() {
-                // da = g @ b^T  -> (m, k)
-                let bd = b.data();
-                let mut da = vec![0.0f32; m * k];
-                for i in 0..m {
-                    for p in 0..k {
-                        let mut acc = 0.0;
-                        for j in 0..n {
-                            acc += grad[i * n + j] * bd[p * n + j];
-                        }
-                        da[i * k + p] = acc;
-                    }
-                }
-                drop(bd);
-                a.accumulate_grad(&da);
+                a.accumulate_grad(&matmul_grad_a(grad, &transposed(b, transposes), m, k, n));
             }
             if b.requires_grad() {
-                // db = a^T @ g -> (k, n)
-                let ad = a.data();
-                let mut db = vec![0.0f32; k * n];
-                for p in 0..k {
-                    for i in 0..m {
-                        let av = ad[i * k + p];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        for j in 0..n {
-                            db[p * n + j] += av * grad[i * n + j];
-                        }
-                    }
-                }
-                drop(ad);
-                b.accumulate_grad(&db);
+                b.accumulate_grad(&matmul_grad_b(&transposed(a, transposes), grad, m, k, n));
             }
         }
         Op::Scale(a, f) => {
@@ -322,8 +344,12 @@ fn propagate(t: &Tensor, grad: &[f32]) {
 
 #[cfg(test)]
 mod tests {
+    use super::{matmul_grad_a, matmul_grad_b};
+    use crate::kernels;
     use crate::numeric_gradient;
     use crate::tensor::Tensor;
+    use nptsn_rand::rngs::StdRng;
+    use nptsn_rand::{Rng, SeedableRng};
 
     /// Checks the analytic gradient of `build` (a scalar function of a
     /// single parameter tensor) against central differences.
@@ -469,5 +495,199 @@ mod tests {
         p.mul(&c).backward();
         assert_eq!(c.grad(), vec![0.0]);
         assert_eq!(p.grad(), vec![5.0]);
+    }
+
+    /// The textbook `da = g · bᵀ` loop, the reference `matmul_grad_a`
+    /// must match bitwise: one scalar dot product per element, ascending
+    /// `j`, no zero skipping.
+    fn reference_grad_a(g: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut da = vec![0.0f32; m * k];
+        for i in 0..m {
+            for p in 0..k {
+                let mut acc = 0.0;
+                for j in 0..n {
+                    acc += g[i * n + j] * b[p * n + j];
+                }
+                da[i * k + p] = acc;
+            }
+        }
+        da
+    }
+
+    /// The textbook `db = aᵀ · g` loop, the reference `matmul_grad_b`
+    /// must match bitwise: ascending `i`, zeros of `a` skipped.
+    fn reference_grad_b(a: &[f32], g: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut db = vec![0.0f32; k * n];
+        for p in 0..k {
+            for i in 0..m {
+                let av = a[i * k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    db[p * n + j] += av * g[i * n + j];
+                }
+            }
+        }
+        db
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Values spread over 2^-12..2^12 so that any change in summation
+    /// order moves low bits; `zeros` of them are `+0.0` or `-0.0`.
+    fn values(rng: &mut StdRng, len: usize, zeros: f32) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                if rng.gen_range(0.0f32..1.0) < zeros {
+                    if rng.gen_bool(0.5) {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                } else {
+                    let scale = 2f32.powi(rng.gen_range(-12i32..13));
+                    rng.gen_range(-1.0f32..1.0) * scale
+                }
+            })
+            .collect()
+    }
+
+    /// A symmetric-normalized adjacency with self-loops over `m` nodes:
+    /// the sparse `Â` a GCN multiplies by.
+    fn ahat_like(rng: &mut StdRng, m: usize) -> Vec<f32> {
+        let mut adj = vec![0.0f32; m * m];
+        for i in 0..m {
+            adj[i * m + i] = 1.0;
+            for j in 0..i {
+                if rng.gen_range(0.0f32..1.0) < 0.1 {
+                    adj[i * m + j] = 1.0;
+                    adj[j * m + i] = 1.0;
+                }
+            }
+        }
+        let deg: Vec<f32> = adj.chunks(m).map(|r| r.iter().sum()).collect();
+        for i in 0..m {
+            for j in 0..m {
+                adj[i * m + j] /= (deg[i] * deg[j]).sqrt();
+            }
+        }
+        adj
+    }
+
+    /// Dimensions on both sides of `kernels::LANES` (8) and the matmul's
+    /// `KC` panel width (64); `m` is the contraction of `db`, `n` of `da`.
+    const DIMS: [usize; 14] = [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 129, 150];
+
+    #[test]
+    fn matmul_grads_are_bitwise_the_textbook_loops() {
+        let mut rng = StdRng::seed_from_u64(0xbac_4a2d);
+        for case in 0..160 {
+            // Every fourth case is a single row: the MLP's (1, d) input.
+            // Every third multiplies by a square, sparse `Â` as the GCN does.
+            let m = if case % 4 == 0 { 1 } else { DIMS[rng.gen_range(0..DIMS.len())] };
+            let ahat = case % 3 == 0;
+            let k = if ahat { m } else { DIMS[rng.gen_range(0..DIMS.len())] };
+            let n = DIMS[rng.gen_range(0..DIMS.len())];
+            let a = if ahat {
+                ahat_like(&mut rng, m)
+            } else {
+                let zeros = rng.gen_range(0.0f32..0.9);
+                values(&mut rng, m * k, zeros)
+            };
+            let b_zeros = rng.gen_range(0.0f32..0.5);
+            let b = values(&mut rng, k * n, b_zeros);
+            // Relu-masked upstream gradients: about half zeros.
+            let g = values(&mut rng, m * n, 0.5);
+            let what = format!("case {case}: a ({m},{k}), b ({k},{n})");
+            let bt = kernels::transpose(&b, k, n);
+            let at = kernels::transpose(&a, m, k);
+            assert_eq!(
+                bits(&matmul_grad_a(&g, &bt, m, k, n)),
+                bits(&reference_grad_a(&g, &b, m, k, n)),
+                "da, {what}"
+            );
+            assert_eq!(
+                bits(&matmul_grad_b(&at, &g, m, k, n)),
+                bits(&reference_grad_b(&a, &g, m, k, n)),
+                "db, {what}"
+            );
+
+            // The same through `backward`, with each operand requiring
+            // grad alone and both together, as a leaf (transpose kept for
+            // the pass) or behind an exact `scale(1.0)` (transposed on the
+            // spot). loss = sum(a·b ⊙ g) hands the matmul the upstream
+            // gradient `+0 + g`, and each leaf receives `+0 + d`.
+            let upstream: Vec<f32> = g.iter().map(|&x| 0.0 + x).collect();
+            let accumulated = |d: Vec<f32>| -> Vec<f32> { d.iter().map(|&x| 0.0 + x).collect() };
+            let expect_a = accumulated(reference_grad_a(&upstream, &b, m, k, n));
+            let expect_b = accumulated(reference_grad_b(&a, &upstream, m, k, n));
+            for (a_grad, b_grad) in [(true, false), (false, true), (true, true)] {
+                for behind_op in [false, true] {
+                    let leaf = |trainable, rows, cols, data: &[f32]| {
+                        if trainable {
+                            Tensor::param(rows, cols, data.to_vec())
+                        } else {
+                            Tensor::from_vec(rows, cols, data.to_vec())
+                        }
+                    };
+                    let a_leaf = leaf(a_grad, m, k, &a);
+                    let b_leaf = leaf(b_grad, k, n, &b);
+                    let operand = |t: &Tensor| if behind_op { t.scale(1.0) } else { t.clone() };
+                    let weights = Tensor::from_vec(m, n, g.clone());
+                    let product = operand(&a_leaf).matmul(&operand(&b_leaf));
+                    product.mul(&weights).sum().backward();
+                    let what = format!("{what}, behind an op: {behind_op}");
+                    if a_grad {
+                        assert_eq!(bits(&a_leaf.grad()), bits(&expect_a), "a.grad, {what}");
+                    }
+                    if b_grad {
+                        assert_eq!(bits(&b_leaf.grad()), bits(&expect_b), "b.grad, {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_weight_is_transposed_once_and_stays_exact() {
+        // Eight single-row inputs times one weight leaf, as in a PPO batch
+        // of MLP steps: every input's gradient still matches the textbook
+        // loop against that weight.
+        let mut rng = StdRng::seed_from_u64(0x5a4e);
+        let (k, n) = (65, 129);
+        let b = values(&mut rng, k * n, 0.2);
+        let w = Tensor::param(k, n, b.clone());
+        let steps: Vec<(Tensor, Vec<f32>)> = (0..8)
+            .map(|_| (Tensor::param(1, k, values(&mut rng, k, 0.3)), values(&mut rng, n, 0.5)))
+            .collect();
+        let parts: Vec<Tensor> = steps
+            .iter()
+            .map(|(x, g)| x.matmul(&w).mul(&Tensor::from_vec(1, n, g.clone())).sum())
+            .collect();
+        Tensor::concat_cols(&parts).sum().backward();
+        for (i, (x, g)) in steps.iter().enumerate() {
+            let upstream: Vec<f32> = g.iter().map(|&v| 0.0 + v).collect();
+            let expect: Vec<f32> =
+                reference_grad_a(&upstream, &b, 1, k, n).iter().map(|&v| 0.0 + v).collect();
+            assert_eq!(bits(&x.grad()), bits(&expect), "step {i}");
+        }
+    }
+
+    #[test]
+    fn backward_keeps_leaf_gradients_and_drops_intermediate_ones() {
+        let p = Tensor::param(1, 2, vec![1.0, -2.0]);
+        let hidden = p.scale(3.0);
+        let loss = hidden.sum();
+        loss.backward();
+        assert_eq!(p.grad(), vec![3.0, 3.0]);
+        assert_eq!(hidden.grad(), vec![0.0, 0.0]);
+        assert_eq!(loss.grad(), vec![0.0]);
+        // A second pass over the same graph adds exactly one more
+        // contribution: nothing stale was left in the intermediates.
+        loss.backward();
+        assert_eq!(p.grad(), vec![6.0, 6.0]);
     }
 }

@@ -9,8 +9,9 @@
 //! still receives its partial products ascending in `p`, as separate
 //! multiply-then-add operations (rustc does not contract them into fused
 //! multiply-adds) — so results are bitwise identical to the naive
-//! reference loops they replace. The random-shape sweep in `ops.rs` pins
-//! that equivalence for the matmul; [`tests`] below pin the elementwise
+//! reference loops they replace. The random-shape sweeps in `ops.rs` and
+//! `autograd.rs` pin that equivalence for the matmul and for the two
+//! matmul gradients built on it; [`tests`] below pin the elementwise
 //! kernels and the scalar tails.
 
 /// Lane width of the explicitly unrolled inner loops. Eight `f32` lanes
@@ -38,10 +39,17 @@ pub fn axpy(out: &mut [f32], b: &[f32], a: f32) {
 ///
 /// Panel-blocked i/p/j kernel: `b` is processed in horizontal panels of
 /// `KC` rows so a panel stays cache-resident while every row of `a`
-/// streams over it. Zero entries of `a` are skipped (adjacency and mask
-/// matrices are mostly zeros) and each output element accumulates its
-/// partial products in ascending-`p` order, so the result is bitwise
-/// identical to the textbook triple loop.
+/// streams over it. Each output element accumulates its partial products
+/// in ascending-`p` order, so the result is bitwise identical to the
+/// textbook triple loop whose accumulator starts at `+0.0`.
+///
+/// Zero entries of `a` are skipped (adjacency, mask and relu-masked
+/// gradient matrices are mostly zeros). That is exact whenever `b` is
+/// finite: the skipped term `±0 · b[p][j]` is a zero, and adding a zero
+/// leaves the accumulator unchanged unless the accumulator is `-0.0`. It
+/// never is: it starts at `+0.0`, `+0 + -0` is `+0`, and a sum of two
+/// floats is `-0.0` only when both are. (A non-finite `b` would turn the
+/// skipped term into NaN.)
 pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -61,6 +69,20 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
             }
         }
     }
+}
+
+/// The `(cols, rows)` transpose of the row-major `(rows, cols)` matrix
+/// `x`: with it, the matmul gradients `g · bᵀ` and `aᵀ · g` are
+/// [`matmul`] calls.
+pub(crate) fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    debug_assert_eq!(x.len(), rows * cols);
+    let mut out = vec![0.0f32; rows * cols];
+    for (i, row) in x.chunks_exact(cols).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            out[j * rows + i] = v;
+        }
+    }
+    out
 }
 
 /// `x[i] = max(x[i], 0)` in place.
