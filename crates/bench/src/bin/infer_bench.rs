@@ -80,13 +80,7 @@ fn zonal_problem() -> PlanningProblem {
 /// The service's per-job planner configuration (`service_config` in
 /// nptsn-serve): one epoch, one step, the job's seed.
 fn job_config(seed: u64) -> PlannerConfig {
-    PlannerConfig {
-        max_epochs: 1,
-        steps_per_epoch: 1,
-        seed,
-        analyzer_workers: 1,
-        ..PlannerConfig::quick()
-    }
+    PlannerConfig { max_epochs: 1, steps_per_epoch: 1, seed, ..PlannerConfig::quick() }
 }
 
 /// One solo infer job exactly as the serve worker runs it without

@@ -105,7 +105,7 @@ fn bench_failure_analysis(filter: &str) {
 /// original tree-like ORION — where the very first injected failure is a
 /// counterexample — the saturated network survives every non-safe fault,
 /// so Algorithm 3 runs the full enumeration (~1 ms of NBF work per
-/// scenario), which is where analyzer parallelism pays off.
+/// scenario).
 fn saturated_orion() -> (PlanningProblem, Topology) {
     let scenario = orion();
     let flows = random_flows(&scenario.graph, 40, 0);
@@ -123,11 +123,11 @@ fn saturated_orion() -> (PlanningProblem, Topology) {
 }
 
 /// Machine-readable analyzer benchmark: median wall-clock and ns/scenario
-/// for a core-count-aware analyzer-worker sweep (powers of two up to the
-/// host's cores) on the saturated ORION workload, plus the
-/// shared-cache hit rate on a warm re-run. Writes `BENCH_analyzer.json`
-/// to the working directory (override the path with `NPTSN_BENCH_OUT`);
-/// `NPTSN_BENCH_SMOKE=1` shrinks the iteration counts to a plumbing check.
+/// of a cold analysis of the saturated ORION workload, plus the
+/// shared-cache hit rate and speedup on a warm re-run. Writes
+/// `BENCH_analyzer.json` to the working directory (override the path with
+/// `NPTSN_BENCH_OUT`); `NPTSN_BENCH_SMOKE=1` shrinks the iteration counts
+/// to a plumbing check.
 fn bench_analyzer_json(filter: &str) {
     if !"analyzer_json".contains(filter) {
         return;
@@ -139,23 +139,9 @@ fn bench_analyzer_json(filter: &str) {
     let reference = FailureAnalyzer::new().try_analyze(&strict, &topo).unwrap();
     let scenarios = reference.scenarios_checked.max(1);
 
-    // Sweep powers of two up to the host's core count, plus the exact
-    // core count when it isn't a power of two. Fan-out past the physical
-    // cores only measures scheduler noise, and a flat 1/2/4/8 sweep stops
-    // short of the interesting region on bigger hosts.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut sweep = vec![1usize];
-    while sweep.last().copied().unwrap_or(1) * 2 <= cores {
-        sweep.push(sweep.last().unwrap() * 2);
-    }
-    if sweep.last() != Some(&cores) {
-        sweep.push(cores);
-    }
-
-    let mut rows = Vec::new();
-    let mut base_median_ns = 0u128;
-    for workers in sweep {
-        let analyzer = FailureAnalyzer::new().with_workers(workers);
+    // Times `analyzer` over `iters` runs after `warmup` and returns the
+    // median in nanoseconds.
+    let median_ns = |analyzer: &FailureAnalyzer| {
         for _ in 0..warmup {
             black_box(analyzer.analyze(&strict, &topo));
         }
@@ -164,52 +150,36 @@ fn bench_analyzer_json(filter: &str) {
             let start = Instant::now();
             let verdict = black_box(analyzer.analyze(&strict, &topo));
             samples.push(start.elapsed());
-            assert_eq!(verdict, reference.verdict, "parallelism changed the verdict");
+            assert_eq!(verdict, reference.verdict, "the configuration changed the verdict");
         }
         samples.sort();
-        let median_ns = samples[samples.len() / 2].as_nanos();
-        if workers == 1 {
-            base_median_ns = median_ns;
-        }
-        let speedup = base_median_ns as f64 / median_ns.max(1) as f64;
-        println!(
-            "analyzer_json: {workers} worker(s)  median {:>10.3?}  \
-             {:>7.1} ns/scenario  speedup x{speedup:.2}",
-            Duration::from_nanos(median_ns as u64),
-            median_ns as f64 / scenarios as f64,
-        );
-        rows.push((workers, median_ns, speedup));
-    }
+        samples[samples.len() / 2].as_nanos()
+    };
+
+    let base_median_ns = median_ns(&FailureAnalyzer::new());
+    println!(
+        "analyzer_json: cold  median {:>10.3?}  {:>7.1} ns/scenario",
+        Duration::from_nanos(base_median_ns as u64),
+        base_median_ns as f64 / scenarios as f64,
+    );
 
     // Cache effectiveness: a cold run fills the shared cache, a warm run
     // answers from it; time the warm configuration separately.
     let cache = Arc::new(ScenarioCache::new());
-    let cached = FailureAnalyzer::new().with_workers(4).with_shared_cache(Arc::clone(&cache));
+    let cached = FailureAnalyzer::new().with_shared_cache(Arc::clone(&cache));
     let cold = cached.try_analyze(&strict, &topo).unwrap();
     let warm = cached.try_analyze(&strict, &topo).unwrap();
     let warm_total = (warm.cache_hits + warm.cache_misses).max(1);
     let warm_hit_rate = warm.cache_hits as f64 / warm_total as f64;
-    let mut warm_samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        black_box(cached.analyze(&strict, &topo));
-        warm_samples.push(start.elapsed());
-    }
-    warm_samples.sort();
-    let warm_median_ns = warm_samples[warm_samples.len() / 2].as_nanos();
+    let warm_median_ns = median_ns(&cached);
     println!(
-        "analyzer_json: warm cache (4 workers)  median {:>10.3?}  hit rate {:.3}",
+        "analyzer_json: warm cache  median {:>10.3?}  hit rate {:.3}",
         Duration::from_nanos(warm_median_ns as u64),
         warm_hit_rate,
     );
 
     // Hand-written JSON: the workspace is hermetic, no serde.
-    //
-    // `cpu_cores` contextualizes the worker sweep: thread fan-out cannot
-    // beat sequential on a single-core host, so readers (and CI) should
-    // judge `speedup_vs_sequential` against the core count and fall back
-    // to the cache speedup — which is core-count-independent — for the
-    // wall-clock win.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cached_speedup = base_median_ns as f64 / warm_median_ns.max(1) as f64;
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"failure_analysis_orion_saturated_40flows\",\n");
@@ -217,19 +187,11 @@ fn bench_analyzer_json(filter: &str) {
     json.push_str(&format!("  \"iters\": {iters},\n"));
     json.push_str(&format!("  \"cpu_cores\": {cores},\n"));
     json.push_str(&format!("  \"scenarios_checked\": {scenarios},\n"));
+    json.push_str(&format!("  \"speedup_cached_vs_sequential\": {cached_speedup:.1},\n"));
     json.push_str(&format!(
-        "  \"speedup_4workers_cached_vs_sequential\": {cached_speedup:.1},\n"
+        "  \"sequential\": {{\"median_ns\": {base_median_ns}, \"ns_per_scenario\": {:.1}}},\n",
+        base_median_ns as f64 / scenarios as f64,
     ));
-    json.push_str("  \"workers\": [\n");
-    for (i, (workers, median_ns, speedup)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {workers}, \"median_ns\": {median_ns}, \
-             \"ns_per_scenario\": {:.1}, \"speedup_vs_sequential\": {speedup:.3}}}{}\n",
-            *median_ns as f64 / scenarios as f64,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str(&format!(
         "  \"cache\": {{\"cold_hits\": {}, \"cold_misses\": {}, \"warm_hits\": {}, \
          \"warm_misses\": {}, \"warm_hit_rate\": {warm_hit_rate:.4}, \

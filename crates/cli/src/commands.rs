@@ -67,15 +67,14 @@ nptsn — RL-based network planning for in-vehicle TSSDN (DSN 2023 reproduction)
 
 USAGE:
     nptsn plan <problem.tssdn> [--epochs N] [--steps N] [--seed N] [--greedy]
-               [--analyzer-workers N] [--checkpoint <path>] [--resume]
+               [--checkpoint <path>] [--resume]
         Plan the network; prints the plan file for the best solution.
         --checkpoint writes the trained policy (NPTSNCK2, atomic rename)
         to <path> after every epoch and a per-epoch telemetry.jsonl next
         to it. --resume (requires --checkpoint) restores the policy from
         <path> before training — the crash-resume path: a run killed
         mid-training continues from its last completed epoch.
-    nptsn verify <problem.tssdn> <plan file> [--analyzer-workers N]
-                 [--analysis-budget N] [--json]
+    nptsn verify <problem.tssdn> <plan file> [--analysis-budget N] [--json]
         Check a plan's reliability guarantee with the failure analyzer.
         --json prints the full analysis report as machine-readable JSON
         (the same document the serve verify endpoint returns).
@@ -194,7 +193,6 @@ fn cmd_plan(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliErr
     let mut steps = 256usize;
     let mut seed = 0u64;
     let mut greedy = false;
-    let mut analyzer_workers = 1usize;
     let mut checkpoint: Option<PathBuf> = None;
     let mut resume = false;
     let mut trace = TraceOpts::default();
@@ -208,9 +206,6 @@ fn cmd_plan(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliErr
             "--steps" => steps = parse_flag(iter.next(), "--steps")?,
             "--seed" => seed = parse_flag(iter.next(), "--seed")?,
             "--greedy" => greedy = true,
-            "--analyzer-workers" => {
-                analyzer_workers = parse_workers(iter.next())?;
-            }
             "--checkpoint" => {
                 let value = iter
                     .next()
@@ -249,7 +244,6 @@ fn cmd_plan(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliErr
         max_epochs: epochs,
         steps_per_epoch: steps,
         seed,
-        analyzer_workers,
         // With `--checkpoint` the planner itself persists the policy at
         // every epoch boundary (atomic rename), so a killed run leaves a
         // valid checkpoint behind for `--resume`.
@@ -369,16 +363,6 @@ fn parse_flag<T: std::str::FromStr>(value: Option<&str>, flag: &str) -> Result<T
         .ok_or_else(|| CliError::msg(format!("{flag} needs a value")))?
         .parse()
         .map_err(|_| CliError::msg(format!("invalid value for {flag}")))
-}
-
-/// Parses `--analyzer-workers`, rejecting 0 (the analyzer would clamp it
-/// to 1 anyway, but a CLI user asking for zero threads made a mistake).
-fn parse_workers(value: Option<&str>) -> Result<usize, CliError> {
-    let n: usize = parse_flag(value, "--analyzer-workers")?;
-    if n == 0 {
-        return Err(CliError::msg("--analyzer-workers must be at least 1".into()));
-    }
-    Ok(n)
 }
 
 /// The shared observability surface of `plan`, `verify` and `serve`:
@@ -546,7 +530,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CliError> {
 
 fn cmd_verify(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliError> {
     let mut paths = Vec::new();
-    let mut analyzer_workers = 1usize;
     let mut json = false;
     let mut budget: Option<u64> = None;
     let mut trace = TraceOpts::default();
@@ -556,9 +539,6 @@ fn cmd_verify(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliE
             continue;
         }
         match arg {
-            "--analyzer-workers" => {
-                analyzer_workers = parse_workers(iter.next())?;
-            }
             "--json" => json = true,
             "--analysis-budget" => {
                 let n: u64 = parse_flag(iter.next(), "--analysis-budget")?;
@@ -575,9 +555,7 @@ fn cmd_verify(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliE
     }
     let [problem_path, plan_path] = paths.as_slice() else {
         return Err(CliError::msg(
-            "verify: expected <problem.tssdn> <plan file> [--analyzer-workers N] \
-             [--analysis-budget N] [--json]"
-                .into(),
+            "verify: expected <problem.tssdn> <plan file> [--analysis-budget N] [--json]".into(),
         ));
     };
     trace.activate()?;
@@ -589,7 +567,6 @@ fn cmd_verify(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliE
     // A fresh cache per run: its hit/miss counters tell how much scenario
     // work within this analysis was redundant.
     let analyzer = FailureAnalyzer::new()
-        .with_workers(analyzer_workers)
         .with_budget(budget.map_or(AnalysisBudget::UNBOUNDED, AnalysisBudget::scenarios))
         .with_shared_cache(Arc::new(ScenarioCache::new()));
     let report = analyzer
@@ -1043,24 +1020,19 @@ a b 500 128
     }
 
     #[test]
-    fn verify_accepts_analyzer_workers_flag() {
-        let problem_path = write_temp("vworkers.tssdn", DOC);
+    fn verify_prints_verdict_and_coverage() {
+        let problem_path = write_temp("vcoverage.tssdn", DOC);
         let plan_text = run_ok(&["plan", &problem_path, "--greedy"]);
-        let plan_path = write_temp("vworkers.plan", &plan_text);
-        // The parallel analyzer must return the same verdict text. (Only
-        // the cache hit/miss split may vary with thread interleaving, so
-        // the comparison stops at the verdict line.)
-        let seq = run_ok(&["verify", &problem_path, &plan_path]);
-        let par =
-            run_ok(&["verify", &problem_path, &plan_path, "--analyzer-workers", "4"]);
-        assert_eq!(seq.lines().next(), par.lines().next(), "{seq} vs {par}");
-        assert!(par.contains("RELIABLE"), "{par}");
-        assert!(seq.contains("cache:"), "{seq}");
-        assert!(seq.contains("checked"), "{seq}");
-        // Flag order should not matter.
+        let plan_path = write_temp("vcoverage.plan", &plan_text);
+        let text = run_ok(&["verify", &problem_path, &plan_path]);
+        assert!(text.contains("RELIABLE"), "{text}");
+        assert!(text.contains("cache:"), "{text}");
+        assert!(text.contains("checked"), "{text}");
+        // Flag order should not matter, and a budget the analysis does not
+        // reach changes nothing.
         let flipped =
-            run_ok(&["verify", "--analyzer-workers", "2", &problem_path, &plan_path]);
-        assert_eq!(seq.lines().next(), flipped.lines().next());
+            run_ok(&["verify", "--analysis-budget", "1000", &problem_path, &plan_path]);
+        assert_eq!(text, flipped);
     }
 
     #[test]
@@ -1261,17 +1233,6 @@ a b 500 128
         std::env::remove_var("NPTSN_CHAOS");
         nptsn_chaos::disarm();
         result.expect("a plan naming no live site must not break the run");
-    }
-
-    #[test]
-    fn analyzer_workers_rejects_zero_and_garbage() {
-        for bad in [&["plan", "x.tssdn", "--analyzer-workers", "0"][..],
-                    &["verify", "a", "b", "--analyzer-workers", "none"][..]] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            let mut out = Vec::new();
-            let err = run(&args, &mut out).unwrap_err();
-            assert!(err.to_string().contains("--analyzer-workers"), "{err}");
-        }
     }
 
     /// Tracing state is process-global; tests that record serialize here.

@@ -4,15 +4,15 @@
 //! This is the evidence artifact of the design flow (Fig. 1): after
 //! planning, the safety engineer needs to see — per failure scenario with
 //! probability ≥ R — that the recovery mechanism restores every flow and
-//! within what latency. The report enumerates the same switch-failure
-//! scenarios as the failure analyzer (Algorithm 3, including the nominal
-//! case) and runs each through the NBF and the frame-level simulator.
+//! within what latency. The report takes its scenarios from the failure
+//! analyzer's own enumeration (Algorithm 3, including the nominal case)
+//! and runs each through the NBF and the frame-level simulator.
 
 use std::fmt::Write as _;
 
-use nptsn::PlanningProblem;
+use nptsn::{FailureAnalyzer, PlanningProblem};
 use nptsn_sched::simulate;
-use nptsn_topo::{FailureScenario, NodeId, Topology};
+use nptsn_topo::{FailureScenario, Topology};
 
 /// One row of the failure-coverage report.
 #[derive(Debug, Clone)]
@@ -51,40 +51,27 @@ impl CoverageReport {
     }
 }
 
-/// Enumerates every switch-failure scenario with probability ≥ R (the
-/// non-safe faults of Algorithm 3, nominal case included) and records the
+/// Runs every switch-failure scenario with probability ≥ R (the non-safe
+/// faults of Algorithm 3, nominal case included, as
+/// [`FailureAnalyzer::non_safe_faults`] lists them) and records the
 /// recovery outcome and simulated latency for each.
+///
+/// # Panics
+///
+/// Panics if the topology is internally inconsistent (a selected switch
+/// without an ASIL) — impossible through the public `Topology` API.
 pub fn coverage_report(problem: &PlanningProblem, topology: &Topology) -> CoverageReport {
-    let r = problem.reliability_goal();
-    let switches: Vec<NodeId> = topology.selected_switches().to_vec();
-    let mut scenarios = vec![FailureScenario::none()];
-    // Grow subsets breadth-first while their probability stays >= R; the
-    // probability is monotone decreasing in the subset, so pruning is safe.
-    let mut frontier: Vec<Vec<NodeId>> = switches.iter().map(|&s| vec![s]).collect();
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for subset in frontier {
-            let scenario = FailureScenario::switches(subset.clone());
-            if topology.failure_probability(&scenario) < r {
-                continue;
-            }
-            // Extend only with switches after the last one to enumerate
-            // each subset once.
-            let last = *subset.last().expect("non-empty");
-            for &s in switches.iter().filter(|&&s| s > last) {
-                let mut bigger = subset.clone();
-                bigger.push(s);
-                next.push(bigger);
-            }
-            scenarios.push(scenario);
-        }
-        frontier = next;
-    }
-    scenarios[1..].sort_by(|a, b| {
+    let mut scenarios =
+        FailureAnalyzer::new().non_safe_faults(problem, topology).expect("inconsistent topology");
+    // Most probable first, so the nominal case leads; ties by order, then
+    // by switch ids.
+    scenarios.sort_by(|a, b| {
         topology
             .failure_probability(b)
             .partial_cmp(&topology.failure_probability(a))
             .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.failed_switches().len().cmp(&b.failed_switches().len()))
+            .then_with(|| a.failed_switches().cmp(b.failed_switches()))
     });
 
     let rows = scenarios

@@ -7,18 +7,16 @@
 //! * scenarios are [`ScenarioBits`] bitsets and survivors live in an
 //!   order-bucketed [`SupersetMemo`], so the superset-pruning test is a
 //!   few word operations instead of a linear element-wise scan;
-//! * the NBF invocations of each failure order can fan out across worker
-//!   threads ([`FailureAnalyzer::with_workers`]) with a deterministic
-//!   merge: the first counterexample in lexicographic enumeration order
-//!   wins and the budget is charged exactly as sequential enumeration
-//!   would, so verdicts and `scenarios_checked` are bit-identical;
 //! * NBF outcomes can be memoized across runs in a shared, bounded
 //!   [`ScenarioCache`] keyed by `(topology fingerprint, scenario)`
 //!   ([`FailureAnalyzer::with_shared_cache`]) — sound because the NBF is
 //!   stateless, and implicitly invalidated by topology mutation because
 //!   the fingerprint changes.
+//!
+//! The enumeration is one sequential loop on the calling thread. The
+//! planner's rollout workers, which each own an analyzer, are the only
+//! parallelism.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nptsn_sched::ErrorReport;
@@ -174,19 +172,16 @@ pub struct AnalysisReport {
 pub struct FailureAnalyzer {
     scope: NodeScope,
     budget: AnalysisBudget,
-    workers: usize,
     cache: Option<Arc<ScenarioCache>>,
 }
 
 impl FailureAnalyzer {
     /// An analyzer over switch failures only with an unbounded budget (the
-    /// default, sound without flow-level redundancy), sequential and
-    /// uncached.
+    /// default, sound without flow-level redundancy) and no cache.
     pub fn new() -> FailureAnalyzer {
         FailureAnalyzer {
             scope: NodeScope::SwitchesOnly,
             budget: AnalysisBudget::UNBOUNDED,
-            workers: 1,
             cache: None,
         }
     }
@@ -199,22 +194,6 @@ impl FailureAnalyzer {
     /// Returns this analyzer with the given work budget (builder-style).
     pub fn with_budget(mut self, budget: AnalysisBudget) -> FailureAnalyzer {
         self.budget = budget;
-        self
-    }
-
-    /// Returns this analyzer with NBF invocations fanned out over
-    /// `workers` threads (builder-style; values below 1 are clamped to 1,
-    /// which keeps everything on the calling thread).
-    ///
-    /// The parallel engine returns bit-identical verdicts and
-    /// `scenarios_checked` to sequential enumeration: within one failure
-    /// order the superset memo is frozen (distinct equal-order scenarios
-    /// are never subsets of each other), so the set of scenarios to check
-    /// is fixed up front; workers may race ahead of a counterexample, but
-    /// the merge picks the first one in lexicographic enumeration order
-    /// and charges the budget as if enumeration had stopped right there.
-    pub fn with_workers(mut self, workers: usize) -> FailureAnalyzer {
-        self.workers = workers.max(1);
         self
     }
 
@@ -235,11 +214,6 @@ impl FailureAnalyzer {
     /// The configured work budget.
     pub fn budget(&self) -> AnalysisBudget {
         self.budget
-    }
-
-    /// The configured worker-thread count (1 = sequential).
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// The shared NBF-outcome cache, when one is attached.
@@ -290,14 +264,115 @@ impl FailureAnalyzer {
         Ok(report)
     }
 
+    /// The non-safe faults of `topology` over this analyzer's node scope:
+    /// every failure scenario with probability ≥ `R`, the nominal (empty)
+    /// scenario included. This is the set Algorithm 3 enumerates before
+    /// superset pruning, built from the same candidate order, `maxord` and
+    /// probability test as [`try_analyze`](FailureAnalyzer::try_analyze),
+    /// and listed in its enumeration order: from `maxord` down to the
+    /// nominal case, each order lexicographic over the candidates sorted by
+    /// decreasing probability (ties by [`NodeId`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NptsnError::Topo`] if the topology is internally
+    /// inconsistent (e.g. a selected switch without an ASIL).
+    pub fn non_safe_faults(
+        &self,
+        problem: &PlanningProblem,
+        topology: &Topology,
+    ) -> Result<Vec<FailureScenario>, NptsnError> {
+        let candidates = Candidates::new(self.scope, problem, topology)?;
+        let mut faults = Vec::new();
+        let mut combo: Vec<usize> = (0..candidates.maxord).collect();
+        loop {
+            if !candidates.is_safe(&combo) {
+                faults.push(candidates.scenario(combo.iter().copied()));
+            }
+            if !next_scenario(&mut combo, candidates.nodes.len()) {
+                return Ok(faults);
+            }
+        }
+    }
+
     fn try_analyze_inner(
         &self,
         problem: &PlanningProblem,
         topology: &Topology,
     ) -> Result<AnalysisReport, NptsnError> {
-        let r = problem.reliability_goal();
-        // Candidate fault nodes with their failure probabilities, sorted by
-        // decreasing probability (line 1).
+        let candidates = Candidates::new(self.scope, problem, topology)?;
+        // Lines 2-14: check subsets from maxord down to the empty failure.
+        // The budget caps the number of scenario checks; safe faults and
+        // superset-pruned subsets are free (no recovery is attempted).
+        let limit = self.budget.limit().unwrap_or(u64::MAX);
+        let cache = self.cache.as_deref().map(|cache| (cache, topology.fingerprint()));
+        let mut report = AnalysisReport {
+            verdict: Verdict::Reliable,
+            scenarios_checked: 0,
+            exhausted: true,
+            cache_hits: 0,
+            cache_misses: 0,
+        };
+        let mut memo = SupersetMemo::new();
+        let mut bits = ScenarioBits::with_capacity(candidates.nodes.len());
+        let mut combo: Vec<usize> = (0..candidates.maxord).collect();
+        loop {
+            if !candidates.is_safe(&combo) {
+                bits.clear();
+                for &i in &combo {
+                    bits.insert(i);
+                }
+                if !memo.covers(&bits, combo.len()) {
+                    if report.scenarios_checked == limit {
+                        report.verdict = Verdict::Inconclusive { scenarios_checked: limit };
+                        report.exhausted = false;
+                        return Ok(report);
+                    }
+                    report.scenarios_checked += 1;
+                    let errors = evaluate_scenario(
+                        problem,
+                        topology,
+                        &candidates,
+                        cache,
+                        &bits,
+                        &mut report,
+                    );
+                    if !errors.is_empty() {
+                        let failure = candidates.scenario(bits.iter());
+                        report.verdict = Verdict::Unreliable { failure, errors };
+                        return Ok(report);
+                    }
+                    // `covers` reads only buckets of strictly higher order,
+                    // so recording a survivor now prunes exactly what
+                    // recording it after its order would.
+                    memo.insert(bits.clone(), combo.len());
+                }
+            }
+            if !next_scenario(&mut combo, candidates.nodes.len()) {
+                return Ok(report);
+            }
+        }
+    }
+}
+
+/// The fault candidates of Algorithm 3, line 1.
+struct Candidates {
+    /// Candidate fault nodes with their failure probabilities, sorted by
+    /// decreasing probability, ties by `NodeId`.
+    nodes: Vec<(NodeId, f64)>,
+    /// The largest `k` whose `k` most probable failures still have a
+    /// combined probability ≥ `R`: no fault of a higher order is non-safe.
+    maxord: usize,
+    /// The reliability goal `R`.
+    goal: f64,
+}
+
+impl Candidates {
+    fn new(
+        scope: NodeScope,
+        problem: &PlanningProblem,
+        topology: &Topology,
+    ) -> Result<Candidates, NptsnError> {
         let mut nodes: Vec<(NodeId, f64)> = Vec::new();
         for &s in topology.selected_switches() {
             let asil = topology.switch_asil(s).ok_or_else(|| {
@@ -305,7 +380,7 @@ impl FailureAnalyzer {
             })?;
             nodes.push((s, asil.failure_probability()));
         }
-        if self.scope == NodeScope::AllNodes {
+        if scope == NodeScope::AllNodes {
             let gc = topology.connection_graph();
             nodes.extend(
                 gc.end_stations().iter().map(|&e| (e, gc.end_station_asil(e).failure_probability())),
@@ -316,259 +391,55 @@ impl FailureAnalyzer {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.0.cmp(&b.0))
         });
-
-        // maxord: the largest k whose k most probable failures still have a
-        // combined probability >= R (line 1).
+        let goal = problem.reliability_goal();
         let mut maxord = 0;
         let mut product = 1.0;
         for &(_, p) in &nodes {
             product *= p;
-            if product >= r {
+            if product >= goal {
                 maxord += 1;
             } else {
                 break;
             }
         }
-
-        // Lines 2-14: check subsets from maxord down to the empty failure.
-        // The budget caps the number of scenario checks; safe faults and
-        // superset-pruned subsets are free (no recovery is attempted).
-        //
-        // Per order, enumeration proceeds in two phases. Phase A walks the
-        // combinations lexicographically and collects the *chargeable*
-        // scenarios — non-safe and not covered by a higher-order survivor.
-        // The memo is frozen during an order (equal-order scenarios never
-        // prune each other), so this set matches what sequential
-        // enumeration would inject. Phase B evaluates the NBF for the
-        // first `budget-remaining` of them, sequentially or across worker
-        // threads, and merges deterministically: the earliest
-        // counterexample wins and the budget is charged up to it.
-        let limit = self.budget.limit().unwrap_or(u64::MAX);
-        let fingerprint = self.cache.as_deref().map(|_| topology.fingerprint());
-        let cache_ctx: Option<(&ScenarioCache, u128)> =
-            self.cache.as_deref().zip(fingerprint);
-        let mut scenarios_checked: u64 = 0;
-        let mut cache_hits: u64 = 0;
-        let mut cache_misses: u64 = 0;
-        let mut memo = SupersetMemo::new();
-        let mut combo_buf: Vec<usize> = Vec::new();
-        let mut scratch = ScenarioBits::with_capacity(nodes.len());
-        let mut chargeable: Vec<ScenarioBits> = Vec::new();
-        for order in (0..=maxord).rev() {
-            // Phase A: the chargeable scenarios of this order, in
-            // lexicographic enumeration order. Pruned and safe scenarios
-            // never materialize a `FailureScenario` (no allocation).
-            chargeable.clear();
-            for_each_combination(nodes.len(), order, &mut combo_buf, &mut |indices| {
-                let probability: f64 = indices.iter().map(|&i| nodes[i].1).product();
-                if probability < r {
-                    return; // safe fault
-                }
-                scratch.clear();
-                for &i in indices {
-                    scratch.insert(i);
-                }
-                if memo.covers(&scratch, order) {
-                    return; // a superset already survived
-                }
-                chargeable.push(scratch.clone());
-            });
-
-            // Phase B: evaluate what the budget allows.
-            let allowed =
-                usize::try_from((limit - scenarios_checked).min(chargeable.len() as u64))
-                    .unwrap_or(chargeable.len());
-            let outcome = if self.workers > 1 && allowed >= 2 {
-                self.evaluate_parallel(problem, topology, &nodes, cache_ctx, &chargeable[..allowed])
-            } else {
-                evaluate_sequential(problem, topology, &nodes, cache_ctx, &chargeable[..allowed])
-            };
-            cache_hits += outcome.cache_hits;
-            cache_misses += outcome.cache_misses;
-            if let Some((position, errors)) = outcome.first_failure {
-                // Sequential enumeration would have injected exactly the
-                // scenarios up to and including the counterexample.
-                scenarios_checked += position as u64 + 1;
-                let failure = scenario_of(&nodes, &chargeable[position]);
-                return Ok(AnalysisReport {
-                    verdict: Verdict::Unreliable { failure, errors },
-                    scenarios_checked,
-                    exhausted: true,
-                    cache_hits,
-                    cache_misses,
-                });
-            }
-            scenarios_checked += allowed as u64;
-            if allowed < chargeable.len() {
-                return Ok(AnalysisReport {
-                    verdict: Verdict::Inconclusive { scenarios_checked },
-                    scenarios_checked,
-                    exhausted: false,
-                    cache_hits,
-                    cache_misses,
-                });
-            }
-            // Every scenario of this order survived: it can prune strict
-            // subsets in the lower orders still to come.
-            for bits in chargeable.drain(..) {
-                memo.insert(bits, order);
-            }
-        }
-        Ok(AnalysisReport {
-            verdict: Verdict::Reliable,
-            scenarios_checked,
-            exhausted: true,
-            cache_hits,
-            cache_misses,
-        })
+        Ok(Candidates { nodes, maxord, goal })
     }
 
-    /// Evaluates one order's chargeable scenarios across worker threads.
-    ///
-    /// Work is dealt round-robin (worker `w` takes indices `w`, `w + W`,
-    /// …); a shared atomic records the earliest counterexample index found
-    /// so far, letting workers skip scenarios that can no longer matter.
-    /// Every index below the final minimum is guaranteed to have been
-    /// evaluated (a skip requires a recorded failure at a smaller index),
-    /// so the merged first-failure position equals the sequential one.
-    fn evaluate_parallel(
-        &self,
-        problem: &PlanningProblem,
-        topology: &Topology,
-        nodes: &[(NodeId, f64)],
-        cache_ctx: Option<(&ScenarioCache, u128)>,
-        scenarios: &[ScenarioBits],
-    ) -> OrderOutcome {
-        let workers = self.workers.min(scenarios.len());
-        let first_fail = AtomicUsize::new(usize::MAX);
-        // Worker threads start without the caller's trace context; carry
-        // it across so their spans land in the same per-job timeline.
-        let trace = nptsn_obs::current_trace();
-        let per_worker: Vec<WorkerOutcome> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for w in 0..workers {
-                    let first_fail = &first_fail;
-                    handles.push(scope.spawn(move || {
-                        let _trace = nptsn_obs::with_trace(trace);
-                        let mut earliest: Option<(usize, ErrorReport)> = None;
-                        let mut hits = 0u64;
-                        let mut misses = 0u64;
-                        let mut index = w;
-                        while index < scenarios.len() {
-                            if index <= first_fail.load(Ordering::Relaxed) {
-                                let errors = evaluate_scenario(
-                                    problem,
-                                    topology,
-                                    nodes,
-                                    cache_ctx,
-                                    &scenarios[index],
-                                    &mut hits,
-                                    &mut misses,
-                                );
-                                if !errors.is_empty() {
-                                    first_fail.fetch_min(index, Ordering::Relaxed);
-                                    if earliest.as_ref().is_none_or(|(p, _)| index < *p) {
-                                        earliest = Some((index, errors));
-                                    }
-                                }
-                            }
-                            index += workers;
-                        }
-                        (earliest, hits, misses)
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            });
-
-        let mut merged = OrderOutcome::default();
-        for (earliest, hits, misses) in per_worker {
-            merged.cache_hits += hits;
-            merged.cache_misses += misses;
-            if let Some((index, errors)) = earliest {
-                if merged.first_failure.as_ref().is_none_or(|(p, _)| index < *p) {
-                    merged.first_failure = Some((index, errors));
-                }
-            }
-        }
-        merged
+    /// Whether the candidate-index combination is a safe fault
+    /// (probability < `R`), which Algorithm 3 never injects.
+    fn is_safe(&self, combo: &[usize]) -> bool {
+        combo.iter().map(|&i| self.nodes[i].1).product::<f64>() < self.goal
     }
-}
 
-/// One worker's share of a parallel order evaluation: the earliest
-/// counterexample it found (if any) plus its cache hit/miss counts.
-type WorkerOutcome = (Option<(usize, ErrorReport)>, u64, u64);
-
-/// The result of evaluating one failure order's chargeable scenarios.
-#[derive(Debug, Default)]
-struct OrderOutcome {
-    /// Position (within the chargeable slice) and error report of the
-    /// lexicographically first counterexample, if any.
-    first_failure: Option<(usize, ErrorReport)>,
-    cache_hits: u64,
-    cache_misses: u64,
-}
-
-/// Sequential Phase B: evaluate scenarios in order, stopping at the first
-/// counterexample exactly like the seed enumeration did.
-fn evaluate_sequential(
-    problem: &PlanningProblem,
-    topology: &Topology,
-    nodes: &[(NodeId, f64)],
-    cache_ctx: Option<(&ScenarioCache, u128)>,
-    scenarios: &[ScenarioBits],
-) -> OrderOutcome {
-    let mut outcome = OrderOutcome::default();
-    for (index, bits) in scenarios.iter().enumerate() {
-        let errors = evaluate_scenario(
-            problem,
-            topology,
-            nodes,
-            cache_ctx,
-            bits,
-            &mut outcome.cache_hits,
-            &mut outcome.cache_misses,
-        );
-        if !errors.is_empty() {
-            outcome.first_failure = Some((index, errors));
-            break;
-        }
+    /// Materializes the `FailureScenario` of candidate indices — only ever
+    /// called for scenarios that reach the NBF or a result.
+    fn scenario(&self, indices: impl Iterator<Item = usize>) -> FailureScenario {
+        FailureScenario::switches(indices.map(|i| self.nodes[i].0).collect())
     }
-    outcome
 }
 
 /// One scenario check: cache lookup first, NBF invocation on a miss.
 fn evaluate_scenario(
     problem: &PlanningProblem,
     topology: &Topology,
-    nodes: &[(NodeId, f64)],
-    cache_ctx: Option<(&ScenarioCache, u128)>,
+    candidates: &Candidates,
+    cache: Option<(&ScenarioCache, u128)>,
     bits: &ScenarioBits,
-    hits: &mut u64,
-    misses: &mut u64,
+    report: &mut AnalysisReport,
 ) -> ErrorReport {
-    if let Some((cache, fingerprint)) = cache_ctx {
+    if let Some((cache, fingerprint)) = cache {
         if let Some(errors) = cache.lookup(fingerprint, bits) {
-            *hits += 1;
+            report.cache_hits += 1;
             return errors;
         }
     }
-    let failure = scenario_of(nodes, bits);
+    let failure = candidates.scenario(bits.iter());
     let outcome = problem.nbf().recover(topology, &failure, problem.tas(), problem.flows());
-    if let Some((cache, fingerprint)) = cache_ctx {
-        *misses += 1;
+    if let Some((cache, fingerprint)) = cache {
+        report.cache_misses += 1;
         cache.insert(fingerprint, bits.clone(), outcome.errors.clone());
     }
     outcome.errors
-}
-
-/// Materializes the `FailureScenario` for a candidate-index bitset — only
-/// ever called for scenarios that actually reach the NBF or the verdict.
-fn scenario_of(nodes: &[(NodeId, f64)], bits: &ScenarioBits) -> FailureScenario {
-    FailureScenario::switches(bits.iter().map(|i| nodes[i].0).collect())
 }
 
 impl Default for FailureAnalyzer {
@@ -577,39 +448,26 @@ impl Default for FailureAnalyzer {
     }
 }
 
-/// Calls `f` with every `k`-element index combination of `0..n`, in
-/// lexicographic order. `indices` is the caller's scratch buffer, reused
-/// across orders so per-order enumeration allocates nothing.
-fn for_each_combination(
-    n: usize,
-    k: usize,
-    indices: &mut Vec<usize>,
-    f: &mut impl FnMut(&[usize]),
-) {
-    if k > n {
-        return;
-    }
-    indices.clear();
-    indices.extend(0..k);
-    loop {
-        f(indices);
-        // Advance to the next combination.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return;
+/// Steps `combo` to the next scenario in Algorithm 3's enumeration order
+/// over `n` candidates: the next combination of the same order in
+/// lexicographic order, else the first combination one order lower.
+/// Returns `false` after the nominal (empty) scenario.
+fn next_scenario(combo: &mut Vec<usize>, n: usize) -> bool {
+    let k = combo.len();
+    // The rightmost index that can still move right.
+    match (0..k).rev().find(|&i| combo[i] != i + n - k) {
+        Some(i) => {
+            combo[i] += 1;
+            for j in i + 1..k {
+                combo[j] = combo[j - 1] + 1;
             }
-            i -= 1;
-            if indices[i] != i + n - k {
-                break;
-            }
-            if i == 0 {
-                return;
-            }
+            true
         }
-        indices[i] += 1;
-        for j in i + 1..k {
-            indices[j] = indices[j - 1] + 1;
+        None if k == 0 => false,
+        None => {
+            combo.clear();
+            combo.extend(0..k - 1);
+            true
         }
     }
 }
@@ -621,22 +479,21 @@ mod tests {
     use nptsn_topo::{Asil, ComponentLibrary, ConnectionGraph};
     use std::sync::Arc;
 
-    fn combos(n: usize, k: usize) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        let mut buf = Vec::new();
-        for_each_combination(n, k, &mut buf, &mut |c| out.push(c.to_vec()));
-        out
-    }
-
     #[test]
-    fn combination_enumeration() {
-        assert_eq!(combos(3, 0), vec![Vec::<usize>::new()]);
-        assert_eq!(combos(3, 1), vec![vec![0], vec![1], vec![2]]);
-        assert_eq!(combos(4, 2).len(), 6);
-        assert_eq!(combos(4, 2)[0], vec![0, 1]);
-        assert_eq!(combos(4, 2)[5], vec![2, 3]);
-        assert_eq!(combos(2, 3), Vec::<Vec<usize>>::new());
-        assert_eq!(combos(3, 3), vec![vec![0, 1, 2]]);
+    fn scenario_enumeration_order() {
+        // From maxord = 2 over 3 candidates: lexicographic within an order,
+        // orders descending, the nominal scenario last.
+        let mut combo = vec![0, 1];
+        let mut seen = vec![combo.clone()];
+        while next_scenario(&mut combo, 3) {
+            seen.push(combo.clone());
+        }
+        let expected: [&[usize]; 7] = [&[0, 1], &[0, 2], &[1, 2], &[0], &[1], &[2], &[]];
+        assert_eq!(seen, expected);
+        let mut all = vec![0, 1, 2];
+        assert!(next_scenario(&mut all, 3), "a full combination steps down an order");
+        assert_eq!(all, vec![0, 1]);
+        assert!(!next_scenario(&mut Vec::new(), 0));
     }
 
     /// Theta network: a and b connected via two parallel switches.
@@ -898,75 +755,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_and_cache_accessors() {
+    fn cache_accessor() {
         let a = FailureAnalyzer::new();
-        assert_eq!(a.workers(), 1);
         assert!(a.cache().is_none());
-        let a = a.with_workers(0);
-        assert_eq!(a.workers(), 1, "worker counts clamp to 1");
         let cache = Arc::new(ScenarioCache::new());
-        let a = a.with_workers(4).with_shared_cache(Arc::clone(&cache));
-        assert_eq!(a.workers(), 4);
+        let a = a.with_shared_cache(Arc::clone(&cache));
         assert!(Arc::ptr_eq(a.cache().unwrap(), &cache));
-    }
-
-    /// Every (workers, cache) configuration must produce bit-identical
-    /// verdicts and scenario counts on the same inputs.
-    fn assert_all_configs_agree(problem: &PlanningProblem, topo: &Topology) {
-        let reference = FailureAnalyzer::new().try_analyze(problem, topo).unwrap();
-        for workers in [1, 2, 3, 8] {
-            for with_cache in [false, true] {
-                let mut analyzer = FailureAnalyzer::new().with_workers(workers);
-                if with_cache {
-                    analyzer = analyzer.with_shared_cache(Arc::new(ScenarioCache::new()));
-                }
-                // Twice on purpose: the second run hits the warm cache.
-                for round in 0..2 {
-                    let report = analyzer.try_analyze(problem, topo).unwrap();
-                    assert_eq!(
-                        report.verdict, reference.verdict,
-                        "workers={workers} cache={with_cache} round={round}"
-                    );
-                    assert_eq!(
-                        report.scenarios_checked, reference.scenarios_checked,
-                        "workers={workers} cache={with_cache} round={round}"
-                    );
-                    assert_eq!(report.exhausted, reference.exhausted);
-                    if !with_cache {
-                        assert_eq!((report.cache_hits, report.cache_misses), (0, 0));
-                    } else if round == 1 {
-                        assert!(
-                            report.cache_hits > 0,
-                            "a repeated analysis must hit the warm cache"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_and_cached_match_sequential_on_reliable_topology() {
-        let (problem, topo, ..) = theta_problem();
-        assert_all_configs_agree(&problem, &topo);
-    }
-
-    #[test]
-    fn parallel_and_cached_match_sequential_on_counterexamples() {
-        let (problem, topo, ..) = theta_problem();
-        let strict = PlanningProblem::new(
-            problem.connection_graph_arc(),
-            problem.library().clone(),
-            *problem.tas(),
-            problem.flows().clone(),
-            1e-9,
-            problem.nbf_arc(),
-        )
-        .unwrap();
-        assert_all_configs_agree(&strict, &topo);
-        // And on a nominally unschedulable (empty) network.
-        let empty = problem.connection_graph().empty_topology();
-        assert_all_configs_agree(&problem, &empty);
     }
 
     #[test]
@@ -987,38 +781,5 @@ mod tests {
         upgraded.upgrade_switch(upgraded.selected_switches()[0]).unwrap();
         let fresh = analyzer.try_analyze(&problem, &upgraded).unwrap();
         assert_eq!(fresh.cache_hits, 0, "different topology must not hit");
-    }
-
-    #[test]
-    fn budgeted_parallel_matches_budgeted_sequential() {
-        let (problem, topo, ..) = theta_problem();
-        let strict = PlanningProblem::new(
-            problem.connection_graph_arc(),
-            problem.library().clone(),
-            *problem.tas(),
-            problem.flows().clone(),
-            1e-9,
-            problem.nbf_arc(),
-        )
-        .unwrap();
-        let total = FailureAnalyzer::new()
-            .try_analyze(&strict, &topo)
-            .unwrap()
-            .scenarios_checked;
-        for budget in 0..=total + 1 {
-            let seq = FailureAnalyzer::new()
-                .with_budget(AnalysisBudget::scenarios(budget))
-                .try_analyze(&strict, &topo)
-                .unwrap();
-            let par = FailureAnalyzer::new()
-                .with_budget(AnalysisBudget::scenarios(budget))
-                .with_workers(4)
-                .with_shared_cache(Arc::new(ScenarioCache::new()))
-                .try_analyze(&strict, &topo)
-                .unwrap();
-            assert_eq!(par.verdict, seq.verdict, "budget={budget}");
-            assert_eq!(par.scenarios_checked, seq.scenarios_checked, "budget={budget}");
-            assert_eq!(par.exhausted, seq.exhausted, "budget={budget}");
-        }
     }
 }

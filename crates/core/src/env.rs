@@ -80,12 +80,12 @@ pub struct PlanningEnv {
 impl PlanningEnv {
     /// Creates the environment and performs the first reset.
     ///
-    /// The failure analyzer runs sequentially with a fresh per-environment
-    /// [`ScenarioCache`], so NBF outcomes are reused across the steps and
-    /// episode resets of this environment (every reset re-analyzes the
-    /// empty topology, and episodes revisit construction prefixes). Use
-    /// [`with_analyzer`](PlanningEnv::with_analyzer) to configure worker
-    /// threads or share a cache explicitly.
+    /// The failure analyzer gets a fresh per-environment [`ScenarioCache`],
+    /// so NBF outcomes are reused across the steps and episode resets of
+    /// this environment (every reset re-analyzes the empty topology, and
+    /// episodes revisit construction prefixes). Use
+    /// [`with_analyzer`](PlanningEnv::with_analyzer) to set a budget or
+    /// share a cache explicitly.
     pub fn new(
         problem: PlanningProblem,
         k_paths: usize,
@@ -106,8 +106,7 @@ impl PlanningEnv {
     }
 
     /// Creates the environment with an explicit failure analyzer — the
-    /// seam for worker-thread fan-out ([`FailureAnalyzer::with_workers`]),
-    /// budgets and cache sharing. Performs the first reset.
+    /// seam for budgets and cache sharing. Performs the first reset.
     pub fn with_analyzer(
         problem: PlanningProblem,
         k_paths: usize,
@@ -155,8 +154,8 @@ impl PlanningEnv {
     }
 
     /// Failure scenarios checked by this environment's analyzer since
-    /// construction (across steps and resets). Bit-identical for a given
-    /// seed regardless of analyzer worker/cache configuration.
+    /// construction (across steps and resets). Identical for a given seed
+    /// with and without a scenario cache.
     pub fn scenarios_checked(&self) -> u64 {
         self.scenarios_checked
     }
@@ -379,9 +378,10 @@ mod tests {
     fn custom_analyzer_is_honored() {
         let (problem, ..) = theta_problem();
         let mut rng = StdRng::seed_from_u64(7);
-        let analyzer = FailureAnalyzer::new().with_workers(2);
+        let budget = crate::analyzer::AnalysisBudget::scenarios(64);
+        let analyzer = FailureAnalyzer::new().with_budget(budget);
         let env = PlanningEnv::with_analyzer(problem, 6, 1e3, 64, analyzer, &mut rng);
-        assert_eq!(env.analyzer().workers(), 2);
+        assert_eq!(env.analyzer().budget(), budget);
         assert!(env.analyzer().cache().is_none());
     }
 

@@ -17,7 +17,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use crate::encode::Observation;
 use crate::env::PlanningEnv;
 use crate::model::PolicyNetwork;
-use crate::planner::{worker_analyzer, Planner};
+use crate::planner::Planner;
 use crate::solution::{keep_best, Solution};
 
 /// One request of a batched deployment run: which planner (problem +
@@ -132,12 +132,11 @@ pub fn plan_with_policy_batch(
                     state.lane.seed.wrapping_add(state.attempt as u64),
                 );
                 let built = catch_unwind(AssertUnwindSafe(|| {
-                    PlanningEnv::with_analyzer(
+                    PlanningEnv::new(
                         planner.problem.clone(),
                         planner.config.k_paths,
                         planner.config.reward_scaling,
                         planner.config.max_episode_steps,
-                        worker_analyzer(&planner.config),
                         &mut rng,
                     )
                 }));

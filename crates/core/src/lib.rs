@@ -13,8 +13,8 @@
 //!
 //! * [`FailureAnalyzer`] — the failure-injection check of Algorithm 3 with
 //!   the switch-only reduction (Eq. 6), bitset superset memoization
-//!   ([`SupersetMemo`]), optional worker-thread fan-out and a shared
-//!   NBF-outcome cache ([`ScenarioCache`]) — all verdict-preserving.
+//!   ([`SupersetMemo`]) and a shared NBF-outcome cache
+//!   ([`ScenarioCache`]) — both verdict-preserving.
 //! * [`Soag`] — the Survival-Oriented Action Generator of Algorithm 1:
 //!   a dynamic action space of switch upgrades and K shortest-path
 //!   additions targeting the last non-recoverable failure, with validity

@@ -5,26 +5,12 @@ use nptsn_rl::{ppo_update, sample_action, ActorCritic, Batch, PpoConfig, Rollout
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::SeedableRng;
 
-use std::sync::Arc;
-
-use crate::analyzer::FailureAnalyzer;
 use crate::config::PlannerConfig;
 use crate::encode::Observation;
 use crate::env::PlanningEnv;
 use crate::model::PolicyNetwork;
 use crate::problem::PlanningProblem;
-use crate::scenario_cache::ScenarioCache;
 use crate::solution::{keep_best, Solution};
-
-/// Builds the per-environment failure analyzer a rollout or deployment
-/// worker uses: `config.analyzer_workers` threads plus a fresh
-/// [`ScenarioCache`] so NBF outcomes are shared across the env's steps and
-/// episode resets (construction prefixes recur constantly during training).
-pub(crate) fn worker_analyzer(config: &PlannerConfig) -> FailureAnalyzer {
-    FailureAnalyzer::new()
-        .with_workers(config.analyzer_workers)
-        .with_shared_cache(Arc::new(ScenarioCache::new()))
-}
 
 /// Per-epoch training diagnostics.
 ///
@@ -57,9 +43,9 @@ pub struct EpochStats {
     /// error-handling policy in `DESIGN.md`).
     pub poisoned_workers: usize,
     /// Failure scenarios the analyzer checked across this epoch's rollouts.
-    /// Bit-identical across analyzer worker/cache configurations (cache
-    /// hits count as checked), so it participates in the determinism
-    /// guarantees like every other field.
+    /// Identical with and without the per-env scenario cache (cache hits
+    /// count as checked), so it participates in the determinism guarantees
+    /// like every other field.
     pub scenarios_checked: u64,
     /// 1 when this epoch's PPO update produced a non-finite loss or
     /// parameter and was rolled back to the pre-update snapshot (both Adam
@@ -156,12 +142,11 @@ impl Planner {
         let mut best: Option<Solution> = None;
         for attempt in 0..attempts {
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(attempt as u64));
-            let mut env = PlanningEnv::with_analyzer(
+            let mut env = PlanningEnv::new(
                 self.problem.clone(),
                 self.config.k_paths,
                 self.config.reward_scaling,
                 self.config.max_episode_steps,
-                worker_analyzer(&self.config),
                 &mut rng,
             );
             loop {
@@ -465,12 +450,11 @@ fn collect_rollout(
     import_params(&net.parameters(), snapshot);
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut env = PlanningEnv::with_analyzer(
+    let mut env = PlanningEnv::new(
         problem,
         config.k_paths,
         config.reward_scaling,
         config.max_episode_steps,
-        worker_analyzer(config),
         &mut rng,
     );
     let mut buffer = RolloutBuffer::new(config.discount, config.gae_lambda);
@@ -547,35 +531,6 @@ mod tests {
             Arc::new(ShortestPathRecovery::new()),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn worker_analyzer_reflects_config() {
-        let cfg = PlannerConfig { analyzer_workers: 3, ..PlannerConfig::smoke_test() };
-        let analyzer = worker_analyzer(&cfg);
-        assert_eq!(analyzer.workers(), 3);
-        assert!(analyzer.cache().is_some(), "rollout envs memoize NBF outcomes");
-    }
-
-    #[test]
-    fn analyzer_workers_do_not_change_training_results() {
-        // The parallel analyzer is verdict-identical, so the whole training
-        // run — every sampled action, reward and checkpoint byte — must be
-        // unchanged by the analyzer thread count.
-        let base = PlannerConfig { workers: 2, max_epochs: 2, ..PlannerConfig::smoke_test() };
-        let seq = Planner::new(theta_problem(), base.clone()).run();
-        let par = Planner::new(
-            theta_problem(),
-            PlannerConfig { analyzer_workers: 4, ..base },
-        )
-        .run();
-        assert_eq!(seq.reward_curve(), par.reward_curve());
-        assert_eq!(seq.epochs, par.epochs);
-        assert_eq!(seq.policy_checkpoint, par.policy_checkpoint);
-        assert_eq!(
-            seq.best.as_ref().map(|s| &s.topology),
-            par.best.as_ref().map(|s| &s.topology)
-        );
     }
 
     #[test]

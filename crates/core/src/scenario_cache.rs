@@ -202,9 +202,10 @@ struct CacheInner {
 /// configuration (node scope), since those determine the candidate-index
 /// space the scenario bitsets live in.
 ///
-/// Interior mutability (a [`Mutex`]) keeps the shared cache usable from
-/// the analyzer's worker threads; the critical sections are single lookups
-/// and inserts.
+/// Interior mutability goes through a [`Mutex`], not a `RefCell`, so the
+/// cache is `Sync` and an analyzer holding it behind an `Arc` can move into
+/// a rollout or serve worker thread; the critical sections are single
+/// lookups and inserts.
 #[derive(Debug)]
 pub struct ScenarioCache {
     inner: Mutex<CacheInner>,

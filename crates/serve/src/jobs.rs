@@ -109,8 +109,6 @@ pub struct PlanRequest {
     pub seed: u64,
     /// Use the greedy ablation planner instead of RL.
     pub greedy: bool,
-    /// Analyzer fan-out inside each rollout worker.
-    pub analyzer_workers: usize,
 }
 
 /// A validated verify request: run the failure analyzer on a submitted
@@ -121,8 +119,6 @@ pub struct VerifyRequest {
     pub parsed: ParsedProblem,
     /// The topology parsed from the uploaded plan file.
     pub topology: Topology,
-    /// Analyzer worker threads.
-    pub analyzer_workers: usize,
 }
 
 /// Where an infer job's `NPTSNCK2` policy bytes come from.
@@ -858,7 +854,7 @@ impl JobQueue {
             .iter()
             .map(|&i| {
                 let req = &jobs[i].1;
-                Planner::new(req.parsed.problem.clone(), service_config(1, 1, req.seed, 1))
+                Planner::new(req.parsed.problem.clone(), service_config(1, 1, req.seed))
             })
             .collect();
         let policy = planners[0].build_policy();
@@ -1549,7 +1545,7 @@ fn same_checkpoint(a: &CheckpointSource, b: &CheckpointSource) -> bool {
 /// fit. Two jobs with equal dims (and the same checkpoint) can share one
 /// restored policy in a batched forward.
 fn infer_dims(req: &InferRequest) -> (usize, usize, usize) {
-    Planner::new(req.parsed.problem.clone(), service_config(1, 1, req.seed, 1)).network_dims()
+    Planner::new(req.parsed.problem.clone(), service_config(1, 1, req.seed)).network_dims()
 }
 
 /// A `failed` entry for a record that could not be recovered.
@@ -1641,14 +1637,8 @@ fn run_with_deadline(
 /// architecture with the request's budget knobs. Inference rebuilds the
 /// same architecture, so checkpoints produced by service plan jobs always
 /// restore cleanly.
-fn service_config(epochs: usize, steps: usize, seed: u64, analyzer_workers: usize) -> PlannerConfig {
-    PlannerConfig {
-        max_epochs: epochs,
-        steps_per_epoch: steps,
-        seed,
-        analyzer_workers: analyzer_workers.max(1),
-        ..PlannerConfig::quick()
-    }
+fn service_config(epochs: usize, steps: usize, seed: u64) -> PlannerConfig {
+    PlannerConfig { max_epochs: epochs, steps_per_epoch: steps, seed, ..PlannerConfig::quick() }
 }
 
 fn plan_outcome(solution: Solution, checkpoint: Option<Vec<u8>>) -> JobOutcome {
@@ -1674,7 +1664,7 @@ fn execute(
     nptsn_chaos::point("serve.job").map_err(|e| e.to_string())?;
     match kind {
         JobKind::Plan(req) => {
-            let config = service_config(req.epochs, req.steps, req.seed, req.analyzer_workers);
+            let config = service_config(req.epochs, req.steps, req.seed);
             if req.greedy {
                 let best = GreedyPlanner::new(req.parsed.problem.clone(), config.k_paths)
                     .run(8, req.seed);
@@ -1699,9 +1689,8 @@ fn execute(
             }
         }
         JobKind::Verify(req) => {
-            let analyzer = FailureAnalyzer::new()
-                .with_workers(req.analyzer_workers)
-                .with_shared_cache(Arc::new(ScenarioCache::new()));
+            let analyzer =
+                FailureAnalyzer::new().with_shared_cache(Arc::new(ScenarioCache::new()));
             // Scenario/cache telemetry is recorded inside `try_analyze`.
             let report = analyzer
                 .try_analyze(&req.parsed.problem, &req.topology)
@@ -1725,7 +1714,7 @@ fn execute(
             let im = infer_metrics();
             im.solo_forwards.inc();
             im.batch_size.observe(1.0);
-            let config = service_config(1, 1, req.seed, 1);
+            let config = service_config(1, 1, req.seed);
             let planner = Planner::new(req.parsed.problem.clone(), config);
             let policy = planner.build_policy();
             nptsn_nn::params_from_bytes(&nptsn_nn::Module::parameters(&policy), &bytes)
@@ -2005,7 +1994,7 @@ mod tests {
         let parsed = nptsn_format::parse_problem(INFER_DOC).expect("valid problem");
 
         // A structurally valid checkpoint for this problem's architecture.
-        let planner = Planner::new(parsed.problem.clone(), service_config(1, 1, 0, 1));
+        let planner = Planner::new(parsed.problem.clone(), service_config(1, 1, 0));
         let policy = planner.build_policy();
         let bytes = nptsn_nn::params_to_bytes(&nptsn_nn::Module::parameters(&policy));
 
@@ -2014,7 +2003,7 @@ mod tests {
             .iter()
             .map(|&(attempts, seed)| {
                 let planner =
-                    Planner::new(parsed.problem.clone(), service_config(1, 1, seed, 1));
+                    Planner::new(parsed.problem.clone(), service_config(1, 1, seed));
                 let policy = planner.build_policy();
                 nptsn_nn::params_from_bytes(&nptsn_nn::Module::parameters(&policy), &bytes)
                     .expect("checkpoint restores");

@@ -89,15 +89,11 @@ pub enum JobSpec {
         seed: u64,
         /// Greedy ablation instead of RL.
         greedy: bool,
-        /// Analyzer fan-out per rollout worker.
-        analyzer_workers: u64,
     },
     /// A `POST /jobs/verify` submission (problem + plan in one body).
     Verify {
         /// The raw combined body.
         body: String,
-        /// Analyzer worker threads.
-        analyzer_workers: u64,
     },
     /// A `POST /jobs/infer` submission.
     Infer {
@@ -163,7 +159,7 @@ impl JobSpec {
     /// validation path shared by HTTP submission and crash recovery.
     pub fn validate(&self) -> Result<JobKind, SpecError> {
         match self {
-            JobSpec::Plan { problem, epochs, steps, seed, greedy, analyzer_workers } => {
+            JobSpec::Plan { problem, epochs, steps, seed, greedy } => {
                 let parsed = parse_problem(problem)
                     .map_err(|e| SpecError::Invalid(format!("invalid problem: {e}")))?;
                 Ok(JobKind::Plan(PlanRequest {
@@ -172,10 +168,9 @@ impl JobSpec {
                     steps: (*steps).max(1) as usize,
                     seed: *seed,
                     greedy: *greedy,
-                    analyzer_workers: *analyzer_workers as usize,
                 }))
             }
-            JobSpec::Verify { body, analyzer_workers } => {
+            JobSpec::Verify { body } => {
                 let Some((problem_text, plan_text)) = split_verify_body(body) else {
                     return Err(SpecError::Malformed(
                         "verify body has no [switches] section (problem + plan expected)"
@@ -186,11 +181,7 @@ impl JobSpec {
                     .map_err(|e| SpecError::Invalid(format!("invalid problem: {e}")))?;
                 let topology = parse_plan(&parsed, plan_text)
                     .map_err(|e| SpecError::Invalid(format!("invalid plan: {e}")))?;
-                Ok(JobKind::Verify(VerifyRequest {
-                    parsed,
-                    topology,
-                    analyzer_workers: *analyzer_workers as usize,
-                }))
+                Ok(JobKind::Verify(VerifyRequest { parsed, topology }))
             }
             JobSpec::Infer { problem, checkpoint, attempts, seed } => {
                 let parsed = parse_problem(problem)
@@ -335,21 +326,27 @@ fn state_from_tag(tag: u8) -> Result<JobState, String> {
     })
 }
 
+/// Plan and Verify specs end in the slot of the retired `analyzer_workers`
+/// count: written as 1, so servers that still read it run the job
+/// sequentially, and skipped on decode. `RECORD_VERSION` stays 1, so logs
+/// and replicas written before the count was retired replay.
+const RETIRED_SLOT: u64 = 1;
+
 fn encode_spec(enc: &mut Enc, spec: &JobSpec) {
     match spec {
-        JobSpec::Plan { problem, epochs, steps, seed, greedy, analyzer_workers } => {
+        JobSpec::Plan { problem, epochs, steps, seed, greedy } => {
             enc.u8(1);
             enc.str(problem);
             enc.u64(*epochs);
             enc.u64(*steps);
             enc.u64(*seed);
             enc.u8(*greedy as u8);
-            enc.u64(*analyzer_workers);
+            enc.u64(RETIRED_SLOT);
         }
-        JobSpec::Verify { body, analyzer_workers } => {
+        JobSpec::Verify { body } => {
             enc.u8(2);
             enc.str(body);
-            enc.u64(*analyzer_workers);
+            enc.u64(RETIRED_SLOT);
         }
         JobSpec::Infer { problem, checkpoint, attempts, seed } => {
             enc.u8(3);
@@ -376,15 +373,22 @@ fn encode_spec(enc: &mut Enc, spec: &JobSpec) {
 
 fn decode_spec(dec: &mut Dec<'_>) -> Result<JobSpec, String> {
     Ok(match dec.u8()? {
-        1 => JobSpec::Plan {
-            problem: dec.str()?,
-            epochs: dec.u64()?,
-            steps: dec.u64()?,
-            seed: dec.u64()?,
-            greedy: dec.bool()?,
-            analyzer_workers: dec.u64()?,
-        },
-        2 => JobSpec::Verify { body: dec.str()?, analyzer_workers: dec.u64()? },
+        1 => {
+            let spec = JobSpec::Plan {
+                problem: dec.str()?,
+                epochs: dec.u64()?,
+                steps: dec.u64()?,
+                seed: dec.u64()?,
+                greedy: dec.bool()?,
+            };
+            dec.u64()?; // RETIRED_SLOT
+            spec
+        }
+        2 => {
+            let spec = JobSpec::Verify { body: dec.str()? };
+            dec.u64()?; // RETIRED_SLOT
+            spec
+        }
         3 => JobSpec::Infer {
             problem: dec.str()?,
             checkpoint: match dec.u8()? {
@@ -583,14 +587,13 @@ mod tests {
                     steps: 64,
                     seed: 7,
                     greedy: true,
-                    analyzer_workers: 2,
                 }),
                 outcome: None,
                 error: None,
             },
             JobRecord {
                 state: JobState::Running,
-                spec: Some(JobSpec::Verify { body: "p\n[switches]\ns".to_string(), analyzer_workers: 1 }),
+                spec: Some(JobSpec::Verify { body: "p\n[switches]\ns".to_string() }),
                 outcome: None,
                 error: None,
             },
@@ -648,6 +651,53 @@ mod tests {
         let mut bytes = encode_record(JobState::Submitted, None, None, None);
         bytes.push(0);
         assert!(decode_record(&bytes).unwrap_err().contains("trailing"));
+    }
+
+    /// Submitted Plan and Verify records as servers encoded them while the
+    /// spec still carried `analyzer_workers` (here 4): the slot is skipped,
+    /// and both replay as the same job a current server would run.
+    #[test]
+    fn records_with_an_analyzer_worker_count_still_replay() {
+        const PROBLEM: &str =
+            "[nodes]\nes a\nes b\nsw s0\n[links]\na s0\nb s0\n[flows]\na b 500 128\n";
+        const PLAN: &str = "[switches]\ns0 D\n[plan-links]\na s0\nb s0\n";
+        // Version 1, Submitted, spec present, spec tag; then the fields
+        // in order, the worker count (4) last; no outcome, no error.
+        const LEGACY_PLAN: &[u8] = b"\x01\x00\x01\x01\
+            \x3e\x00\x00\x00\x00\x00\x00\x00[nodes]\nes a\nes b\nsw s0\n[links]\na s0\nb s0\n[flows]\na b 500 128\n\
+            \x03\x00\x00\x00\x00\x00\x00\x00\x40\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x01\
+            \x04\x00\x00\x00\x00\x00\x00\x00\x00\x00";
+        const LEGACY_VERIFY: &[u8] = b"\x01\x00\x01\x02\
+            \x65\x00\x00\x00\x00\x00\x00\x00[nodes]\nes a\nes b\nsw s0\n[links]\na s0\nb s0\n[flows]\na b 500 128\n[switches]\ns0 D\n[plan-links]\na s0\nb s0\n\
+            \x04\x00\x00\x00\x00\x00\x00\x00\x00\x00";
+
+        let plan = JobSpec::Plan {
+            problem: PROBLEM.to_string(),
+            epochs: 3,
+            steps: 64,
+            seed: 7,
+            greedy: true,
+        };
+        let verify = JobSpec::Verify { body: format!("{PROBLEM}{PLAN}") };
+        let mut decoded = Vec::new();
+        for (legacy, spec) in [(LEGACY_PLAN, &plan), (LEGACY_VERIFY, &verify)] {
+            let record = decode_record(legacy).unwrap();
+            assert_eq!(record.state, JobState::Submitted);
+            assert_eq!(record.spec.as_ref(), Some(spec));
+            assert_eq!((record.outcome, record.error), (None, None));
+            // Today's encoder writes the same bytes with the slot at 1.
+            let mut current = legacy.to_vec();
+            current[legacy.len() - 10] = 1;
+            assert_eq!(encode_record(JobState::Submitted, Some(spec), None, None), current);
+            decoded.push(record.spec.unwrap().validate());
+        }
+        let [Ok(JobKind::Plan(plan)), Ok(JobKind::Verify(verify))] = &decoded[..] else {
+            panic!("legacy records must validate: {decoded:?}");
+        };
+        assert_eq!((plan.epochs, plan.steps, plan.seed, plan.greedy), (3, 64, 7, true));
+        assert_eq!(plan.parsed.problem.flows().len(), 1);
+        let s0 = verify.parsed.nodes_by_name["s0"];
+        assert_eq!(verify.topology.switch_asil(s0), Some(nptsn_topo::Asil::D));
     }
 
     #[test]
@@ -709,10 +759,9 @@ mod tests {
             steps: 1,
             seed: 0,
             greedy: true,
-            analyzer_workers: 1,
         };
         assert!(matches!(bad.validate(), Err(SpecError::Invalid(_))));
-        let lone = JobSpec::Verify { body: "no plan here".to_string(), analyzer_workers: 1 };
+        let lone = JobSpec::Verify { body: "no plan here".to_string() };
         assert!(matches!(lone.validate(), Err(SpecError::Malformed(_))));
         let burn = JobSpec::Burn { millis: 3 };
         assert!(matches!(burn.validate(), Ok(JobKind::Burn { millis: 3 })));

@@ -1086,15 +1086,11 @@ fn submit_plan(shared: &Arc<Shared>, request: &Request) -> Response {
         Ok(v) => v,
         Err(r) => return r,
     };
-    let analyzer_workers = match query_number(request, "analyzer-workers", 1u64) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
     let greedy = matches!(request.query_param("greedy"), Some("1" | "true"));
     submit_spec(
         shared,
         request,
-        JobSpec::Plan { problem: text.to_string(), epochs, steps, seed, greedy, analyzer_workers },
+        JobSpec::Plan { problem: text.to_string(), epochs, steps, seed, greedy },
     )
 }
 
@@ -1105,11 +1101,7 @@ fn submit_verify(shared: &Arc<Shared>, request: &Request) -> Response {
     };
     // The body is the problem document followed by the plan file; the
     // spec's validation splits them at the first `[switches]` line.
-    let analyzer_workers = match query_number(request, "analyzer-workers", 1u64) {
-        Ok(v) => v,
-        Err(r) => return r,
-    };
-    submit_spec(shared, request, JobSpec::Verify { body: text.to_string(), analyzer_workers })
+    submit_spec(shared, request, JobSpec::Verify { body: text.to_string() })
 }
 
 fn submit_infer(shared: &Arc<Shared>, request: &Request) -> Response {

@@ -403,13 +403,8 @@ a b 1000 256
     // run in-process: restore the registered checkpoint, plan greedily.
     let reference = |doc: &str, attempts: usize, seed: u64| -> Option<Solution> {
         let parsed = parse_problem(doc).unwrap();
-        let config = PlannerConfig {
-            max_epochs: 1,
-            steps_per_epoch: 1,
-            seed,
-            analyzer_workers: 1,
-            ..PlannerConfig::quick()
-        };
+        let config =
+            PlannerConfig { max_epochs: 1, steps_per_epoch: 1, seed, ..PlannerConfig::quick() };
         let planner = Planner::new(parsed.problem.clone(), config);
         let policy = planner.build_policy();
         let bytes = params_to_bytes(
@@ -533,6 +528,14 @@ fn verify_endpoint_matches_direct_analysis() {
         Some(topology.network_cost(parsed.problem.library())),
     );
     assert_eq!(report, expected, "endpoint and CLI serializers diverged");
+
+    // The retired `analyzer-workers` parameter is ignored like any unknown
+    // query parameter: the job is accepted and reports the same body.
+    let id = submit(&mut client, "/jobs/verify?analyzer-workers=4", body.as_bytes());
+    let (status, _) = poll_until_done(&mut client, id);
+    assert_eq!(state_of(&status), "done", "{status}");
+    let ignored = client.get(&format!("/jobs/{id}/result")).unwrap().text();
+    assert_eq!(ignored, report);
 
     server.stop();
     server.wait();

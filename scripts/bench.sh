@@ -2,9 +2,9 @@
 # Benchmarks: builds the bench binaries offline in release mode and writes
 # machine-readable results to the repository root:
 #
-#   BENCH_analyzer.json — median ns/scenario for a core-count-aware
-#                         analyzer-worker sweep plus the shared-cache
-#                         hit rate
+#   BENCH_analyzer.json — median ns/scenario of a cold analysis plus the
+#                         shared-cache hit rate and speedup on a warm
+#                         re-run
 #   BENCH_serve.json    — HTTP request throughput and p50/p99 status-poll
 #                         latency of the nptsn-serve service
 #   BENCH_obs.json      — nptsn-obs tracing overhead on the analyzer

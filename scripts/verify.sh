@@ -19,7 +19,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
-# Smoke-run the benchmarks: exercises the parallel + cached analyzer and
+# Smoke-run the benchmarks: exercises the cold and cached analyzer and
 # the HTTP service end to end and checks the BENCH_*.json plumbing. This
 # includes the seeded chaos storm (chaos_storm --seed 42), which fails on
 # its own if a job is lost, anything hangs, a recovery path never fires,

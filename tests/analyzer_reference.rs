@@ -1,0 +1,250 @@
+//! Pins the failure analyzer to a textbook Algorithm 3.
+//!
+//! The reference below is the paper's enumeration written as plainly as
+//! possible: switch candidates sorted by decreasing failure probability,
+//! `maxord`, lexicographic combinations from `maxord` down, survivors kept
+//! as a list of scenarios with an element-wise subset scan, and a plain
+//! budget counter. No bitsets, no memo buckets, no cache. On seeded random
+//! problems and planning states, [`FailureAnalyzer`] must return the same
+//! verdict (counterexample scenario and error pairs included), the same
+//! `scenarios_checked` and the same `exhausted`: uncached, with one cache
+//! shared across several topologies of a problem (cold, then warm), and
+//! under every budget.
+
+use std::sync::Arc;
+
+use nptsn::{
+    AnalysisBudget, AnalysisReport, FailureAnalyzer, PlanningEnv, PlanningProblem, ScenarioCache,
+    Verdict,
+};
+use nptsn_rand::rngs::StdRng;
+use nptsn_rand::{Rng, RngCore, SeedableRng};
+use nptsn_sched::{FlowSet, FlowSpec, ShortestPathRecovery, TasConfig};
+use nptsn_topo::{ComponentLibrary, ConnectionGraph, FailureScenario, NodeId, Topology};
+
+/// A random dual-homed candidate mesh. Lenient goals leave most faults
+/// safe; strict ones raise `maxord` so that pruning engages.
+fn random_problem(rng: &mut StdRng, reliability_goal: f64) -> PlanningProblem {
+    let es = rng.gen_range(3usize..5);
+    let sw = rng.gen_range(2usize..6);
+    let nflows = rng.gen_range(1usize..5);
+    let mut gc = ConnectionGraph::new();
+    let stations: Vec<NodeId> = (0..es).map(|i| gc.add_end_station(format!("es{i}"))).collect();
+    let switches: Vec<NodeId> = (0..sw).map(|i| gc.add_switch(format!("sw{i}"))).collect();
+    for &e in &stations {
+        for &s in &switches {
+            gc.add_candidate_link(e, s, 1.0).unwrap();
+        }
+    }
+    for i in 0..switches.len() {
+        for j in i + 1..switches.len() {
+            gc.add_candidate_link(switches[i], switches[j], 1.0).unwrap();
+        }
+    }
+    let mut flows = Vec::new();
+    for _ in 0..nflows {
+        let s = stations[rng.gen_range(0..stations.len())];
+        let mut d = stations[rng.gen_range(0..stations.len())];
+        if d == s {
+            d = stations[(s.index() + 1) % stations.len()];
+        }
+        flows.push(FlowSpec::new(s, d, 500, 256));
+    }
+    PlanningProblem::new(
+        Arc::new(gc),
+        ComponentLibrary::automotive(),
+        TasConfig::default(),
+        FlowSet::new(flows).unwrap(),
+        reliability_goal,
+        Arc::new(ShortestPathRecovery::new()),
+    )
+    .unwrap()
+}
+
+/// A mid-construction topology reached by stepping the environment with
+/// random valid actions: the states the analyzer sees during training.
+fn random_topology(problem: &PlanningProblem, seed: u64, steps: usize) -> Topology {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut env = PlanningEnv::new(problem.clone(), 6, 1e3, 64, &mut rng);
+    for _ in 0..steps {
+        let valid: Vec<usize> = (0..env.action_count()).filter(|&i| env.mask()[i]).collect();
+        if valid.is_empty() {
+            break;
+        }
+        let idx = valid[rng.gen_range(0..valid.len())];
+        if env.step(idx, &mut rng).done {
+            break;
+        }
+    }
+    env.topology().clone()
+}
+
+/// Every `k`-element subset of `0..n`, ascending within, in lexicographic
+/// order.
+fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
+    if k == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for first in 0..n {
+        for rest in combinations(n - first - 1, k - 1) {
+            let mut combo = vec![first];
+            combo.extend(rest.iter().map(|&i| first + 1 + i));
+            out.push(combo);
+        }
+    }
+    out
+}
+
+/// The non-safe switch faults (probability ≥ R), nominal included, in the
+/// order Algorithm 3 visits them.
+fn non_safe_faults(problem: &PlanningProblem, topology: &Topology) -> Vec<FailureScenario> {
+    // Line 1: candidates by decreasing failure probability, ties by id,
+    // and maxord, the most failures whose joint probability reaches R.
+    let mut candidates: Vec<(NodeId, f64)> = topology
+        .selected_switches()
+        .iter()
+        .map(|&s| (s, topology.switch_asil(s).unwrap().failure_probability()))
+        .collect();
+    candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    let r = problem.reliability_goal();
+    let probability = |combo: &[usize]| combo.iter().map(|&i| candidates[i].1).product::<f64>();
+    let all: Vec<usize> = (0..candidates.len()).collect();
+    let maxord = (0..=candidates.len()).rev().find(|&k| probability(&all[..k]) >= r).unwrap();
+    // Lines 2-3: from maxord down, every combination that is not safe.
+    let mut faults = Vec::new();
+    for order in (0..=maxord).rev() {
+        for combo in combinations(candidates.len(), order) {
+            if probability(&combo) >= r {
+                let switches = combo.iter().map(|&i| candidates[i].0).collect();
+                faults.push(FailureScenario::switches(switches));
+            }
+        }
+    }
+    faults
+}
+
+/// Algorithm 3 with an optional scenario budget: the verdict,
+/// `scenarios_checked` and `exhausted`.
+fn reference(
+    problem: &PlanningProblem,
+    topology: &Topology,
+    budget: Option<u64>,
+) -> (Verdict, u64, bool) {
+    let mut survivors: Vec<FailureScenario> = Vec::new();
+    let mut checked = 0u64;
+    for failure in non_safe_faults(problem, topology) {
+        // A subset of a survived scenario survives too.
+        let covered = survivors.iter().any(|survivor| {
+            failure.failed_switches().iter().all(|s| survivor.failed_switches().contains(s))
+        });
+        if covered {
+            continue;
+        }
+        if budget == Some(checked) {
+            return (Verdict::Inconclusive { scenarios_checked: checked }, checked, false);
+        }
+        checked += 1;
+        let errors =
+            problem.nbf().recover(topology, &failure, problem.tas(), problem.flows()).errors;
+        if !errors.is_empty() {
+            return (Verdict::Unreliable { failure, errors }, checked, true);
+        }
+        survivors.push(failure);
+    }
+    (Verdict::Reliable, checked, true)
+}
+
+fn assert_agrees(expected: &(Verdict, u64, bool), report: &AnalysisReport, label: &str) {
+    let actual = (report.verdict.clone(), report.scenarios_checked, report.exhausted);
+    assert_eq!(&actual, expected, "{label}");
+}
+
+/// Checks `topologies` of one problem uncached, then through one shared
+/// cache cold and warm; returns how many of them are unreliable.
+fn assert_matches_reference(
+    problem: &PlanningProblem,
+    topologies: &[Topology],
+    case: u64,
+) -> usize {
+    let expected: Vec<_> = topologies.iter().map(|t| reference(problem, t, None)).collect();
+    let cached = FailureAnalyzer::new().with_shared_cache(Arc::new(ScenarioCache::new()));
+    for (i, topology) in topologies.iter().enumerate() {
+        let label = format!("case {case} topology {i}");
+        let faults = FailureAnalyzer::new().non_safe_faults(problem, topology).unwrap();
+        assert_eq!(faults, non_safe_faults(problem, topology), "{label}: non-safe faults");
+        let uncached = FailureAnalyzer::new().try_analyze(problem, topology).unwrap();
+        assert_agrees(&expected[i], &uncached, &format!("{label} uncached"));
+        assert_eq!((uncached.cache_hits, uncached.cache_misses), (0, 0), "{label}");
+        let cold = cached.try_analyze(problem, topology).unwrap();
+        assert_agrees(&expected[i], &cold, &format!("{label} cold cache"));
+    }
+    for (i, topology) in topologies.iter().enumerate() {
+        let warm = cached.try_analyze(problem, topology).unwrap();
+        let label = format!("case {case} topology {i} warm cache");
+        assert_agrees(&expected[i], &warm, &label);
+        assert_eq!(warm.cache_hits, warm.scenarios_checked, "{label}: every check hits");
+    }
+    expected.iter().filter(|e| matches!(e.0, Verdict::Unreliable { .. })).count()
+}
+
+#[test]
+fn analyzer_matches_textbook_algorithm_3() {
+    for case in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0xe9a0_0000 + case);
+        let goal = [1e-6, 1e-9, 1e-12][case as usize % 3];
+        let problem = random_problem(&mut rng, goal);
+        // Three planning states part-way through an episode, and one at
+        // its end, which is usually reliable and so exercises pruning.
+        let mut topologies: Vec<Topology> = (0..3)
+            .map(|_| random_topology(&problem, rng.next_u64(), rng.gen_range(0usize..10)))
+            .collect();
+        topologies.push(random_topology(&problem, rng.next_u64(), 64));
+        assert_matches_reference(&problem, &topologies, case);
+    }
+}
+
+/// Shallow states under the strictest goal are mostly unreliable, so the
+/// counterexample and its error pairs are compared, not just the verdict.
+#[test]
+fn counterexamples_match_textbook_algorithm_3() {
+    let mut unreliable = 0;
+    for case in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0xceed_0000 + case);
+        let problem = random_problem(&mut rng, 1e-12);
+        let topologies: Vec<Topology> = (0..2)
+            .map(|_| random_topology(&problem, rng.next_u64(), rng.gen_range(0usize..4)))
+            .collect();
+        unreliable += assert_matches_reference(&problem, &topologies, case);
+    }
+    assert!(unreliable > 0, "the sweep never exercised the Unreliable arm");
+}
+
+#[test]
+fn every_budget_matches_textbook_algorithm_3() {
+    for case in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(0x6b5d_0000 + case);
+        let goal = [1e-9, 1e-12][case as usize % 2];
+        let problem = random_problem(&mut rng, goal);
+        let partial = random_topology(&problem, rng.next_u64(), rng.gen_range(0usize..8));
+        let finished = random_topology(&problem, rng.next_u64(), 64);
+        for (state, topology) in [("partial", partial), ("finished", finished)] {
+            let total = reference(&problem, &topology, None).1;
+            let warm = FailureAnalyzer::new().with_shared_cache(Arc::new(ScenarioCache::new()));
+            warm.try_analyze(&problem, &topology).unwrap();
+            for budget in 0..=total + 1 {
+                let expected = reference(&problem, &topology, Some(budget));
+                for (name, analyzer) in
+                    [("uncached", FailureAnalyzer::new()), ("warm", warm.clone())]
+                {
+                    let report = analyzer
+                        .with_budget(AnalysisBudget::scenarios(budget))
+                        .try_analyze(&problem, &topology)
+                        .unwrap();
+                    let label = format!("case {case} {state} budget {budget} {name}");
+                    assert_agrees(&expected, &report, &label);
+                }
+            }
+        }
+    }
+}
