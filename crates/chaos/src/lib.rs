@@ -432,6 +432,9 @@ mod tests {
 
     #[test]
     fn disarmed_points_are_noops() {
+        // Hold the lock `arm_scoped` holds, so no concurrent test arms a
+        // plan in the middle of these assertions.
+        let _scope = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!is_armed());
         assert_eq!(point_raw("any.site"), None);
         assert!(point("any.site").is_ok());

@@ -16,6 +16,11 @@
 //! | `GET/DELETE /jobs/<id>` | forward to the ring owner of `<id>` |
 //! | `/checkpoints`, `/checkpoints/<name>` | reads from the first live shard; writes fan out to **every** live shard |
 //!
+//! The router runs on its shards' HTTP runtime ([`nptsn_serve::runtime`]),
+//! which answers `POST /shutdown` and `GET /debug/flight`, records the
+//! `nptsn_router_http_*` series and applies the default limits; this
+//! module keeps the routing and the health thread.
+//!
 //! The durability contract is inherited from the shards, not weakened by
 //! the extra hop: the router answers `202` only by relaying a shard's
 //! `202`, which the shard sends only after the job record is durable. A
@@ -48,12 +53,11 @@
 //! ring flip, with the dead-log replay demoted to a background safety net.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use nptsn_format::json::Object;
@@ -61,7 +65,8 @@ use nptsn_obs::json::{self, Value};
 use nptsn_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use nptsn_obs::{MergedSpan, ProcessTrace, TraceContext};
 use nptsn_serve::client::{BackoffConfig, Client, ClientResponse};
-use nptsn_serve::http::{read_request_deadline, HttpError, Request, Response};
+use nptsn_serve::http::{Request, Response};
+use nptsn_serve::runtime::{self, HttpServer, Limits, Listener, Service, ShutdownLatch};
 use nptsn_store::{ExportCursor, LogStore};
 
 use crate::replay;
@@ -102,17 +107,6 @@ pub struct RouterConfig {
     /// ([`BackoffConfig::deadline_ms`]) — one slow shard cannot pin a
     /// routed request beyond this.
     pub forward_deadline_ms: u64,
-    /// Largest accepted request body (mirrors the shard limit).
-    pub max_body_bytes: usize,
-    /// Per-read/write socket timeout on router connections.
-    pub io_timeout_ms: u64,
-    /// Total deadline on reading one request head.
-    pub header_deadline_ms: u64,
-    /// `Retry-After` hint on `503` answers, in seconds.
-    pub retry_after_secs: u32,
-    /// Flight-recorder ring capacity in entries (`0` uses the built-in
-    /// default). Armed unconditionally at bind, like the shards.
-    pub flight_capacity: usize,
 }
 
 impl Default for RouterConfig {
@@ -125,23 +119,17 @@ impl Default for RouterConfig {
             health_interval_ms: 100,
             health_failures: 3,
             forward_deadline_ms: 2_000,
-            max_body_bytes: 4 * 1024 * 1024,
-            io_timeout_ms: 30_000,
-            header_deadline_ms: 10_000,
-            retry_after_secs: 1,
-            flight_capacity: 0,
         }
     }
 }
 
 /// Router-local metrics (the cross-cutting `nptsn_router_*_total` series
-/// live in the process-wide telemetry so benchmarks and the CLI see them).
+/// live in the process-wide telemetry so benchmarks and the CLI see them;
+/// the runtime registers its per-request `nptsn_router_http_*` series here).
 #[derive(Debug)]
 pub struct RouterMetrics {
     /// The router's own registry; render it for `/metrics`.
     pub registry: Registry,
-    /// Requests received by the router (`nptsn_router_http_requests_total`).
-    pub http_requests: Arc<Counter>,
     /// Forwards that failed after retries (`nptsn_router_forward_errors_total`).
     pub forward_errors: Arc<Counter>,
     /// Submissions re-tried under a fresh id after a `409` id collision
@@ -168,8 +156,6 @@ impl RouterMetrics {
     /// Registers the router metric set on a fresh registry.
     pub fn new() -> RouterMetrics {
         let registry = Registry::new();
-        let http_requests =
-            registry.counter("nptsn_router_http_requests_total", "Requests received by the router");
         let forward_errors = registry
             .counter("nptsn_router_forward_errors_total", "Forwards that failed after retries");
         let submit_conflicts = registry.counter(
@@ -198,7 +184,6 @@ impl RouterMetrics {
         );
         RouterMetrics {
             registry,
-            http_requests,
             forward_errors,
             submit_conflicts,
             live_shards,
@@ -207,26 +192,6 @@ impl RouterMetrics {
             replay_seconds,
             scrape_errors,
         }
-    }
-
-    /// The full `/metrics` exposition: the router registry followed by the
-    /// process-wide telemetry (which carries `nptsn_router_forwards_total`,
-    /// `nptsn_router_failovers_total`, `nptsn_router_replayed_jobs_total`
-    /// and `nptsn_router_replay_retries_total`).
-    pub fn render(&self) -> String {
-        let mut text = self.registry.render();
-        text.push_str(&nptsn_obs::telemetry().registry.render());
-        text
-    }
-
-    /// The per-status-code response counter
-    /// (`nptsn_router_http_responses_total`).
-    pub fn response_counter(&self, code: u16) -> Arc<Counter> {
-        self.registry.counter_labeled(
-            "nptsn_router_http_responses_total",
-            &format!("code=\"{code}\""),
-            "Router responses by status code",
-        )
     }
 }
 
@@ -355,11 +320,9 @@ impl Shard {
     }
 }
 
-/// State shared between the acceptor, connection handlers and the health
-/// thread.
+/// State shared between the connection handlers and the health thread.
 pub(crate) struct Shared {
     pub(crate) config: RouterConfig,
-    pub(crate) local_addr: SocketAddr,
     /// The shard set. Grows on scale-out joins; never shrinks (a dead
     /// shard keeps its slot so it can rejoin). Read-mostly.
     pub(crate) shards: RwLock<Vec<Arc<Shard>>>,
@@ -381,24 +344,26 @@ pub(crate) struct Shared {
     /// Serializes membership transitions (death, rejoin, scale-out join)
     /// so two ring swaps can never interleave.
     pub(crate) membership: Mutex<()>,
-    pub(crate) shutdown: AtomicBool,
+    pub(crate) shutdown: Arc<ShutdownLatch>,
     pub(crate) metrics: Arc<RouterMetrics>,
-    done: Mutex<bool>,
-    done_cv: Condvar,
+}
+
+impl Service for Shared {
+    const SPAN: &'static str = "router.request";
+    const METRIC_PREFIX: &'static str = "nptsn_router";
+    const THREAD_PREFIX: &'static str = "nptsn-router";
+    // The shards' connection chaos sites do not fire on the router.
+    const CHAOS_SITES: bool = false;
+    // The router mints each job's trace id itself (`trace_for_job`).
+    const ADOPT_TRACE: bool = false;
+    const ROUTE: fn(&Arc<Shared>, &Request) -> Response = route;
+
+    fn registry(&self) -> &Registry {
+        &self.metrics.registry
+    }
 }
 
 impl Shared {
-    fn begin_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the acceptor so it observes the flag.
-        let _ = TcpStream::connect(self.local_addr);
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        self.done_cv.notify_all();
-    }
-
     pub(crate) fn current_ring(&self) -> Arc<Ring> {
         Arc::clone(&self.ring.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -463,11 +428,9 @@ impl Shared {
     }
 }
 
-/// The running router: a TCP acceptor plus the health/failover thread.
+/// The running router: the HTTP runtime plus the health/failover thread.
 pub struct Router {
-    shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
+    http: HttpServer<Shared>,
 }
 
 impl Router {
@@ -481,10 +444,6 @@ impl Router {
     /// `InvalidInput` when the shard list is empty or has duplicate names;
     /// otherwise whatever binding the listener returns.
     pub fn bind(config: RouterConfig) -> io::Result<Router> {
-        // Arm the flight recorder before anything can record: it is the
-        // always-on ring behind `/debug/flight` and the source of the
-        // router's own spans in merged per-job timelines.
-        nptsn_obs::flight_init(config.flight_capacity);
         if config.shards.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "no shards configured"));
         }
@@ -497,8 +456,7 @@ impl Router {
                 ));
             }
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
+        let listener = Listener::bind(&config.addr)?;
         let names: Vec<String> = config.shards.iter().map(|s| s.name.clone()).collect();
         let ring = Arc::new(Ring::build(&names, config.vnodes));
         let shards: Vec<Arc<Shard>> =
@@ -508,7 +466,6 @@ impl Router {
         metrics.ring_generation.set(1);
         let shared = Arc::new(Shared {
             config,
-            local_addr,
             shards: RwLock::new(shards),
             ring: Mutex::new(ring),
             ring_generation: AtomicU64::new(1),
@@ -516,10 +473,8 @@ impl Router {
             replaying: AtomicBool::new(false),
             migrating: AtomicU64::new(0),
             membership: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
+            shutdown: listener.shutdown_latch(),
             metrics,
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
         });
 
         // Seed the watermark before taking traffic so the first assigned
@@ -533,13 +488,6 @@ impl Router {
             }
         }
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("nptsn-router-acceptor".to_string())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn acceptor thread")
-        };
         let health = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -547,59 +495,45 @@ impl Router {
                 .spawn(move || health_loop(&shared))
                 .expect("spawn health thread")
         };
-        Ok(Router { shared, acceptor: Some(acceptor), health: Some(health) })
+        Ok(Router { http: listener.serve(shared, Limits::default(), vec![health]) })
     }
 
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.http.local_addr()
     }
 
     /// The router metrics (for embedding / tests).
     pub fn metrics(&self) -> Arc<RouterMetrics> {
-        Arc::clone(&self.shared.metrics)
+        Arc::clone(&self.http.service().metrics)
     }
 
     /// The current placement ring (for embedding / tests).
     pub fn ring(&self) -> Arc<Ring> {
-        self.shared.current_ring()
+        self.http.service().current_ring()
     }
 
     /// The id watermark — the highest job id assigned or observed.
     pub fn next_id_watermark(&self) -> u64 {
-        self.shared.next_id.load(Ordering::SeqCst)
+        self.http.service().next_id.load(Ordering::SeqCst)
     }
 
     /// The current ring generation — the membership version, bumped on
     /// every death, rejoin, or scale-out join.
     pub fn ring_generation(&self) -> u64 {
-        self.shared.ring_generation.load(Ordering::SeqCst)
+        self.http.service().ring_generation.load(Ordering::SeqCst)
     }
 
     /// Initiates shutdown, as `POST /shutdown` would. Shards are not
     /// touched — the router is a front tier, not a supervisor.
     pub fn stop(&self) {
-        self.shared.begin_shutdown();
+        self.http.stop();
     }
 
     /// Blocks until shutdown is requested, then joins the acceptor and
-    /// health threads.
-    pub fn wait(mut self) {
-        {
-            let mut done = self.shared.done.lock().unwrap_or_else(|e| e.into_inner());
-            while !*done {
-                done = self.shared.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        if let Some(health) = self.health.take() {
-            let _ = health.join();
-        }
-        // Park the flight ring on disk (when a dump dir is configured) so
-        // the router's final moments survive the shutdown.
-        nptsn_obs::flight_dump_auto("drain");
+    /// health threads and parks the flight ring on disk.
+    pub fn wait(self) {
+        self.http.wait();
     }
 }
 
@@ -671,9 +605,9 @@ fn handshake(shared: &Arc<Shared>, shard: &Arc<Shard>) -> bool {
 fn health_loop(shared: &Arc<Shared>) {
     let interval = Duration::from_millis(shared.config.health_interval_ms.max(2));
     let threshold = shared.config.health_failures.max(1);
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.shutdown.is_set() {
         for shard in shared.shards_snapshot() {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.shutdown.is_set() {
                 return;
             }
             match shard.state() {
@@ -712,7 +646,7 @@ fn health_loop(shared: &Arc<Shared>) {
         // budgets) sleeps in one piece.
         let step = interval.min(Duration::from_millis(5));
         let deadline = Instant::now() + interval;
-        while Instant::now() < deadline && !shared.shutdown.load(Ordering::SeqCst) {
+        while Instant::now() < deadline && !shared.shutdown.is_set() {
             std::thread::sleep(step);
         }
     }
@@ -893,7 +827,7 @@ fn drain_to(shared: &Arc<Shared>, target: &Arc<Shard>) -> u64 {
     let mut cursors: HashMap<String, ExportCursor> = HashMap::new();
     let mut moved_total = 0u64;
     for _pass in 0..5 {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.is_set() {
             break;
         }
         let ring = shared.current_ring();
@@ -919,91 +853,6 @@ fn drain_to(shared: &Arc<Shared>, target: &Arc<Shard>) -> u64 {
     moved_total
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let _ = std::thread::Builder::new()
-            .name("nptsn-router-conn".to_string())
-            .spawn(move || handle_connection(&shared, stream));
-    }
-}
-
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let io_timeout = (shared.config.io_timeout_ms > 0)
-        .then(|| Duration::from_millis(shared.config.io_timeout_ms));
-    if stream.set_read_timeout(io_timeout).is_err() || stream.set_write_timeout(io_timeout).is_err()
-    {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let started = Instant::now();
-        let header_deadline = (shared.config.header_deadline_ms > 0)
-            .then(|| started + Duration::from_millis(shared.config.header_deadline_ms));
-        let mut is_shutdown = false;
-        let response = match read_request_deadline(
-            &mut reader,
-            shared.config.max_body_bytes,
-            header_deadline,
-        ) {
-            Ok(request) => {
-                let _span = nptsn_obs::span("router.request");
-                shared.metrics.http_requests.inc();
-                is_shutdown = request.method == "POST" && request.path == "/shutdown";
-                let mut response = route(shared, &request);
-                response.close = response.close
-                    || request.wants_close()
-                    || shared.shutdown.load(Ordering::SeqCst);
-                response
-            }
-            Err(HttpError::Closed) => return,
-            Err(HttpError::BadRequest(message)) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(400, &message);
-                r.close = true;
-                r
-            }
-            Err(HttpError::PayloadTooLarge { declared, limit }) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(
-                    413,
-                    &format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-                );
-                r.close = true;
-                r
-            }
-            Err(HttpError::Timeout { mid_request: false }) => return,
-            Err(HttpError::Timeout { mid_request: true }) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(408, "request timed out");
-                r.close = true;
-                r
-            }
-            Err(HttpError::Io(_)) => return,
-        };
-        shared.metrics.response_counter(response.status).inc();
-        let write_ok = response.write_to(&mut writer).is_ok();
-        if is_shutdown {
-            shared.begin_shutdown();
-        }
-        if !write_ok || response.close {
-            return;
-        }
-    }
-}
-
-/// A `503` with the configured `Retry-After` hint.
-fn unavailable(shared: &Arc<Shared>, message: &str) -> Response {
-    Response::error(503, message)
-        .with_header("Retry-After", shared.config.retry_after_secs.to_string())
-}
-
 /// Dispatches one request.
 fn route(shared: &Arc<Shared>, request: &Request) -> Response {
     let path = request.path.as_str();
@@ -1011,11 +860,11 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
     match (method, path) {
         ("GET", "/healthz") => healthz(shared),
         ("GET", "/readyz") => {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return unavailable(shared, "router is shutting down");
+            if shared.shutdown.is_set() {
+                return Response::unavailable("router is shutting down");
             }
             if shared.live_count() == 0 {
-                return unavailable(shared, "no live shards");
+                return Response::unavailable("no live shards");
             }
             let mut obj = Object::new();
             obj.str("status", "ready");
@@ -1027,14 +876,6 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
         }
         ("POST", "/admin/shards") => route_admin_add_shard(shared, request),
         ("GET", "/metrics") => metrics_federated(shared),
-        ("GET", "/debug/flight") => Response::json(200, nptsn_obs::flight_json()),
-        ("POST", "/shutdown") => {
-            let mut obj = Object::new();
-            obj.str("status", "shutting down");
-            let mut r = Response::json(200, obj.finish());
-            r.close = true;
-            r
-        }
         ("POST", "/jobs/plan" | "/jobs/verify" | "/jobs/infer" | "/jobs/burn") => {
             route_submit(shared, request)
         }
@@ -1077,10 +918,8 @@ fn metrics_federated(shared: &Arc<Shared>) -> Response {
         scraped.iter().map(|(name, text)| (name.as_str(), text.as_str())).collect();
     // Render the local registry after the scrape loop so the scrape
     // errors this very request counted are already in the exposition.
-    let local = shared.metrics.render();
-    let mut r = Response::text(200, nptsn_obs::promtext::federate(&local, &shards));
-    r.content_type = "text/plain; version=0.0.4";
-    r
+    let local = runtime::exposition(&shared.metrics.registry);
+    runtime::metrics_response(nptsn_obs::promtext::federate(&local, &shards))
 }
 
 /// `GET /jobs/<id>/trace`: the fleet-wide timeline for one job as a
@@ -1247,7 +1086,7 @@ fn route_admin_add_shard(shared: &Arc<Shared>, request: &Request) -> Response {
 
     // Scale-out join of a brand-new shard.
     if nptsn_chaos::point("router.join").is_err() {
-        return unavailable(shared, "membership change rejected, retry");
+        return Response::unavailable("membership change rejected, retry");
     }
     let newcomer = Arc::new(Shard::new(&ShardSpec {
         name: name.to_string(),
@@ -1435,7 +1274,7 @@ fn forward_once(
 }
 
 /// Maps an upstream response onto the router's (static) content types.
-fn relay(shared: &Arc<Shared>, upstream: ClientResponse) -> Response {
+fn relay(upstream: ClientResponse) -> Response {
     let content_type = match upstream.header("content-type") {
         Some("application/json") => "application/json",
         Some(ct) if ct.starts_with("text/plain; version=0.0.4") => "text/plain; version=0.0.4",
@@ -1452,8 +1291,7 @@ fn relay(shared: &Arc<Shared>, upstream: ClientResponse) -> Response {
     if let Some(hint) = upstream.headers.iter().find(|(n, _)| n == "retry-after") {
         response = response.with_header("Retry-After", hint.1.clone());
     } else if upstream.status == 503 {
-        response =
-            response.with_header("Retry-After", shared.config.retry_after_secs.to_string());
+        response = response.retry_later();
     }
     response
 }
@@ -1468,7 +1306,7 @@ fn route_submit(shared: &Arc<Shared>, request: &Request) -> Response {
         let ring = shared.current_ring();
         let id = shared.next_id.fetch_add(1, Ordering::SeqCst) + 1;
         let Some(owner) = ring.place(id).and_then(|name| shared.routable_shard(name)) else {
-            return unavailable(shared, "no live shards");
+            return Response::unavailable("no live shards");
         };
         // Replication: name the key's ring successor so the owner mirrors
         // the accepted record there as a passive replica. The successor
@@ -1493,14 +1331,14 @@ fn route_submit(shared: &Arc<Shared>, request: &Request) -> Response {
                     }
                 }
             }
-            Ok(upstream) => return relay(shared, upstream),
+            Ok(upstream) => return relay(upstream),
             Err(_) => {
                 shared.metrics.forward_errors.inc();
-                return unavailable(shared, "shard unreachable, job not accepted");
+                return Response::unavailable("shard unreachable, job not accepted");
             }
         }
     }
-    unavailable(shared, "id watermark contention, retry")
+    Response::unavailable("id watermark contention, retry")
 }
 
 /// `GET`/`DELETE /jobs/<id>[...]`: forward to the ring owner of `<id>`.
@@ -1526,7 +1364,7 @@ fn route_job(shared: &Arc<Shared>, request: &Request) -> Response {
     loop {
         let ring = shared.current_ring();
         let Some(owner) = ring.place(id).and_then(|name| shared.routable_shard(name)) else {
-            return unavailable(shared, "no live shards");
+            return Response::unavailable("no live shards");
         };
         let in_transfer = shared.replaying.load(Ordering::SeqCst)
             || shared.migrating.load(Ordering::SeqCst) > 0;
@@ -1535,13 +1373,13 @@ fn route_job(shared: &Arc<Shared>, request: &Request) -> Response {
                 // The job may be mid-flight between shards (dead-log
                 // replay, rejoin catch-up, or a migration drain); a retry
                 // lands after the transfer settles.
-                return unavailable(shared, "job may be mid-transfer, retry");
+                return Response::unavailable("job may be mid-transfer, retry");
             }
-            Ok(upstream) => return relay(shared, upstream),
+            Ok(upstream) => return relay(upstream),
             Err(_) => {
                 shared.metrics.forward_errors.inc();
                 if Instant::now() + delay > deadline {
-                    return unavailable(shared, "shard unreachable");
+                    return Response::unavailable("shard unreachable");
                 }
                 std::thread::sleep(delay);
                 // Cap low: each retry re-resolves the ring, so the cap
@@ -1558,13 +1396,13 @@ fn route_job(shared: &Arc<Shared>, request: &Request) -> Response {
 /// identical fleet-wide because writes fan out to every live shard).
 fn forward_first_live(shared: &Arc<Shared>, request: &Request) -> Response {
     let Some(shard) = shared.shards_snapshot().into_iter().find(|s| s.is_routable()) else {
-        return unavailable(shared, "no live shards");
+        return Response::unavailable("no live shards");
     };
     match forward(shared, &shard, request, None, None, None) {
-        Ok(upstream) => relay(shared, upstream),
+        Ok(upstream) => relay(upstream),
         Err(_) => {
             shared.metrics.forward_errors.inc();
-            unavailable(shared, "shard unreachable")
+            Response::unavailable("shard unreachable")
         }
     }
 }
@@ -1585,16 +1423,16 @@ fn route_checkpoint(shared: &Arc<Shared>, request: &Request) -> Response {
         }
         match forward(shared, &shard, request, None, None, None) {
             Ok(upstream) if upstream.status < 300 => last = Some(upstream),
-            Ok(upstream) => return relay(shared, upstream),
+            Ok(upstream) => return relay(upstream),
             Err(_) => {
                 shared.metrics.forward_errors.inc();
-                return unavailable(shared, "checkpoint fan-out incomplete, retry");
+                return Response::unavailable("checkpoint fan-out incomplete, retry");
             }
         }
     }
     match last {
-        Some(upstream) => relay(shared, upstream),
-        None => unavailable(shared, "no live shards"),
+        Some(upstream) => relay(upstream),
+        None => Response::unavailable("no live shards"),
     }
 }
 

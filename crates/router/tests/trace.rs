@@ -1,9 +1,13 @@
 //! End-to-end fleet observability: the router mints one trace id per
 //! job, the owning shard's spans adopt it, the merged timeline shows
 //! both processes on their own rows, and a dead shard's timeline
-//! survives replay onto the survivor.
+//! survives replay onto the survivor. The router's own HTTP surface is
+//! pinned here too: its flight ring, its federated `/metrics`, and the
+//! per-code counts of requests it could not read.
 
 use std::fs;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -230,6 +234,56 @@ fn the_router_federates_shard_metrics_and_serves_its_flight_ring() {
     a.wait();
     b.stop();
     b.wait();
+}
+
+/// Sends `raw` on a fresh connection and reads until the router closes
+/// it: the whole response of a connection the router refuses to reuse.
+fn exchange_until_close(router: &Router, raw: &[u8]) -> String {
+    let mut stream = TcpStream::connect(router.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(raw).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("the router closes the connection");
+    response
+}
+
+#[test]
+fn the_router_answers_unreadable_requests_and_counts_them() {
+    let dir = temp_dir("unreadable");
+    let a = shard(&dir, "s0");
+    let router = fleet_router(vec![ShardSpec {
+        name: "s0".to_string(),
+        addr: a.local_addr(),
+        data_dir: Some(dir.clone()),
+    }]);
+
+    // A malformed request line: 400, and the connection closes.
+    let bad = exchange_until_close(&router, b"NOT-HTTP\r\n\r\n");
+    assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
+    assert!(bad.contains("Connection: close\r\n"), "{bad}");
+
+    // A declared body one byte over the 4 MiB limit: 413 before a single
+    // body byte is sent, and the connection closes.
+    let head = format!(
+        "POST /jobs/verify HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        4 * 1024 * 1024 + 1
+    );
+    let large = exchange_until_close(&router, head.as_bytes());
+    assert!(large.starts_with("HTTP/1.1 413"), "{large}");
+    assert!(large.contains("Connection: close\r\n"), "{large}");
+    assert!(large.contains("4194304-byte limit"), "{large}");
+
+    // Both answers are counted per code in the router's own series.
+    let metrics = Client::new(router.local_addr()).get("/metrics").unwrap().text();
+    for code in ["400", "413"] {
+        let series = format!("nptsn_router_http_responses_total{{code=\"{code}\"}} 1\n");
+        assert!(metrics.contains(&series), "no {series} in:\n{metrics}");
+    }
+
+    router.stop();
+    router.wait();
+    a.stop();
+    a.wait();
 }
 
 #[test]

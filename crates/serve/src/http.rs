@@ -17,6 +17,8 @@ use std::time::Instant;
 const MAX_LINE_BYTES: usize = 8 * 1024;
 /// Hard cap on the number of headers per request.
 const MAX_HEADERS: usize = 64;
+/// The `Retry-After` hint, in seconds, on every `503` the servers send.
+const RETRY_AFTER_SECS: u32 = 1;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -174,23 +176,19 @@ fn url_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Reads and parses one request from `stream`.
+/// Reads and parses one request from `stream`, with an optional total
+/// deadline on the request head (request line + headers). The deadline
+/// defends against slowloris peers that drip bytes slowly enough to reset
+/// the per-read socket timeout; body reads are bounded by the socket
+/// timeout alone.
 ///
 /// # Errors
 ///
 /// [`HttpError::Closed`] on clean EOF before any bytes (keep-alive end),
 /// [`HttpError::BadRequest`] for malformed or truncated requests,
 /// [`HttpError::PayloadTooLarge`] when the declared body exceeds
-/// `max_body`, [`HttpError::Timeout`] when a socket read times out, and
-/// [`HttpError::Io`] for socket failures.
-pub fn read_request(stream: &mut impl BufRead, max_body: usize) -> Result<Request, HttpError> {
-    read_request_deadline(stream, max_body, None)
-}
-
-/// [`read_request`] with a total deadline on the request head (request
-/// line + headers). The deadline defends against slowloris peers that
-/// drip bytes slowly enough to reset the per-read socket timeout; body
-/// reads are bounded by the socket timeout alone.
+/// `max_body`, [`HttpError::Timeout`] when a socket read times out or the
+/// deadline passes, and [`HttpError::Io`] for socket failures.
 pub fn read_request_deadline(
     stream: &mut impl BufRead,
     max_body: usize,
@@ -341,6 +339,17 @@ impl Response {
         Response::json(status, obj.finish())
     }
 
+    /// A `503` error envelope with the `Retry-After` hint: backpressure or
+    /// a transient outage, which a retry may get past.
+    pub fn unavailable(message: &str) -> Response {
+        Response::error(503, message).retry_later()
+    }
+
+    /// Returns this response with the `Retry-After` hint attached.
+    pub fn retry_later(self) -> Response {
+        self.with_header("Retry-After", RETRY_AFTER_SECS.to_string())
+    }
+
     /// Returns this response with an extra header attached.
     pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Response {
         self.extra_headers.push((name.to_string(), value.into()));
@@ -373,7 +382,7 @@ mod tests {
     use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+        read_request_deadline(&mut BufReader::new(raw.as_bytes()), 1024, None)
     }
 
     #[test]
@@ -487,16 +496,17 @@ mod tests {
     #[test]
     fn stall_after_the_request_line_is_a_mid_request_timeout() {
         // Idle stall before any byte: quiet close, no 408.
-        let err = read_request(&mut StallAfter { data: b"" }, 1024).unwrap_err();
+        let err = read_request_deadline(&mut StallAfter { data: b"" }, 1024, None).unwrap_err();
         assert!(matches!(err, HttpError::Timeout { mid_request: false }), "{err}");
         // Stall once the request line is in: maps to 408.
-        let err = read_request(&mut StallAfter { data: b"GET / HTTP/1.1\r\n" }, 1024)
+        let err = read_request_deadline(&mut StallAfter { data: b"GET / HTTP/1.1\r\n" }, 1024, None)
             .unwrap_err();
         assert!(matches!(err, HttpError::Timeout { mid_request: true }), "{err}");
         // Stall inside the declared body: still mid-request.
-        let err = read_request(
+        let err = read_request_deadline(
             &mut StallAfter { data: b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\nhi" },
             1024,
+            None,
         )
         .unwrap_err();
         assert!(matches!(err, HttpError::Timeout { mid_request: true }), "{err}");

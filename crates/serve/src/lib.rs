@@ -17,7 +17,9 @@
 //! Everything is built on `std` alone — `std::net::TcpListener`, threads,
 //! atomics — in keeping with the workspace's zero-dependency policy. The
 //! HTTP layer ([`http`]) is a deliberate subset: `Content-Length` bodies,
-//! keep-alive, hard limits on lines/headers/body size, nothing else.
+//! keep-alive, hard limits on lines/headers/body size, nothing else. The
+//! server [`runtime`] on top of it is shared with the `nptsn-router`
+//! front tier, so both hops of a routed request run the same loop.
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@ pub mod http;
 pub mod jobs;
 pub mod persist;
 pub mod registry;
+pub mod runtime;
 pub mod server;
 
 /// The Prometheus-text metrics registry. The implementation moved to

@@ -1,5 +1,6 @@
-//! The TCP server: accepts connections, routes requests to the job queue,
-//! exposes `/healthz` and `/metrics`, and coordinates graceful shutdown.
+//! The planning service: its routes, job queue and worker pool, served on
+//! the shared HTTP runtime ([`crate::runtime`]), which also answers
+//! `POST /shutdown` and `GET /debug/flight`.
 //!
 //! # Endpoints
 //!
@@ -38,25 +39,23 @@
 //! the jobs the crash interrupted. `POST /jobs/infer?checkpoint=<name>`
 //! plans from a registered checkpoint without re-uploading it.
 
-use std::io::{BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::net::SocketAddr;
+use std::sync::Arc;
+use std::time::Duration;
 
 use nptsn_format::json::Object;
 use nptsn_nn::checkpoint_shapes;
 use nptsn_store::{LogStore, MemStore, Storage, StoreError};
 
-use crate::http::{read_request_deadline, HttpError, Request, Response};
+use crate::http::{Request, Response};
 use crate::jobs::{
     CancelOutcome, IngestError, IngestOutcome, JobOutcome, JobQueue, JobState, RetentionConfig,
     SubmitError,
 };
-use crate::metrics::{Counter, Gauge, Histogram, Registry};
+use crate::metrics::{Counter, Gauge, Registry};
 use crate::persist::{CheckpointRef, JobSpec, SpecError};
 use crate::registry::valid_name;
+use crate::runtime::{self, HttpServer, Limits, Listener, Service, ShutdownLatch};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -69,8 +68,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Maximum accepted request body, in bytes.
     pub max_body_bytes: usize,
-    /// The `Retry-After` hint (seconds) sent with backpressure responses.
-    pub retry_after_secs: u32,
     /// Per-connection socket read/write timeout in milliseconds (`0`
     /// disables). Bounds every individual socket operation so a stalled
     /// or vanished peer can never pin a connection thread forever.
@@ -104,22 +101,18 @@ pub struct ServeConfig {
     /// The shard name this process answers to in a routed fleet, reported
     /// by `GET /readyz`. Purely informational — routing is by address.
     pub shard_name: Option<String>,
-    /// Flight-recorder ring capacity in entries (`0` uses the built-in
-    /// default). The ring is armed unconditionally at bind — it is the
-    /// always-on last-moments record behind `GET /debug/flight`.
-    pub flight_capacity: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
+        let limits = Limits::default();
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_depth: 16,
-            max_body_bytes: 4 * 1024 * 1024,
-            retry_after_secs: 1,
-            io_timeout_ms: 30_000,
-            header_deadline_ms: 10_000,
+            max_body_bytes: limits.max_body_bytes,
+            io_timeout_ms: limits.io_timeout_ms,
+            header_deadline_ms: limits.header_deadline_ms,
             job_deadline_ms: 0,
             data_dir: None,
             job_retention: 1024,
@@ -127,21 +120,17 @@ impl Default for ServeConfig {
             infer_batch_max: 8,
             infer_batch_window_us: 200,
             shard_name: None,
-            flight_capacity: 0,
         }
     }
 }
 
 /// Every metric the service records, with pre-registered handles so the
-/// hot paths never touch the registry lock.
+/// hot paths never touch the registry lock. The runtime registers its
+/// per-request `nptsn_http_*` series here at bind.
 #[derive(Debug)]
 pub struct ServeMetrics {
     /// The registry backing `/metrics`.
     pub registry: Registry,
-    /// Requests read off the wire.
-    pub http_requests: Arc<Counter>,
-    /// End-to-end request handling latency.
-    pub http_request_seconds: Arc<Histogram>,
     /// Jobs accepted into the queue.
     pub jobs_submitted: Arc<Counter>,
     /// Jobs that finished with a result.
@@ -164,13 +153,6 @@ impl ServeMetrics {
     /// Registers the full metric set on a fresh registry.
     pub fn new() -> ServeMetrics {
         let registry = Registry::new();
-        let http_requests =
-            registry.counter("nptsn_http_requests_total", "HTTP requests received");
-        let http_request_seconds = registry.histogram(
-            "nptsn_http_request_seconds",
-            "HTTP request handling latency",
-            &Histogram::latency_bounds(),
-        );
         let jobs_submitted =
             registry.counter("nptsn_jobs_submitted_total", "Jobs accepted into the queue");
         let jobs_completed =
@@ -185,8 +167,6 @@ impl ServeMetrics {
         let jobs_running = registry.gauge("nptsn_jobs_running", "Jobs currently executing");
         ServeMetrics {
             registry,
-            http_requests,
-            http_request_seconds,
             jobs_submitted,
             jobs_completed,
             jobs_failed,
@@ -197,25 +177,6 @@ impl ServeMetrics {
             jobs_running,
         }
     }
-
-    /// The full `/metrics` exposition: the server's own registry followed
-    /// by the process-wide planner/analyzer telemetry from `nptsn-obs`.
-    /// The planner and analyzer report there directly, so plan/verify work
-    /// shows up whether it ran through a job, the CLI, or an embedding.
-    pub fn render(&self) -> String {
-        let mut text = self.registry.render();
-        text.push_str(&nptsn_obs::telemetry().registry.render());
-        text
-    }
-
-    /// The per-status-code response counter (`nptsn_http_responses_total`).
-    pub fn response_counter(&self, code: u16) -> Arc<Counter> {
-        self.registry.counter_labeled(
-            "nptsn_http_responses_total",
-            &format!("code=\"{code}\""),
-            "HTTP responses by status code",
-        )
-    }
 }
 
 impl Default for ServeMetrics {
@@ -224,39 +185,35 @@ impl Default for ServeMetrics {
     }
 }
 
-/// State shared between the acceptor, connection handlers and workers.
+/// State shared between the connection handlers and workers.
 struct Shared {
     config: ServeConfig,
-    local_addr: SocketAddr,
     queue: Arc<JobQueue>,
     metrics: Arc<ServeMetrics>,
-    shutdown: AtomicBool,
-    done: Mutex<bool>,
-    done_cv: Condvar,
+    shutdown: Arc<ShutdownLatch>,
 }
 
-impl Shared {
-    /// Initiates shutdown exactly once: stop accepting jobs, wake the
-    /// acceptor, release `wait()`.
-    fn begin_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
+impl Service for Shared {
+    const SPAN: &'static str = "http.request";
+    const METRIC_PREFIX: &'static str = "nptsn";
+    const THREAD_PREFIX: &'static str = "nptsn-serve";
+    const CHAOS_SITES: bool = true;
+    const ADOPT_TRACE: bool = true;
+    const ROUTE: fn(&Arc<Shared>, &Request) -> Response = route;
+
+    fn registry(&self) -> &Registry {
+        &self.metrics.registry
+    }
+
+    /// Stops accepting jobs; the workers drain what was accepted and exit.
+    fn on_shutdown(&self) {
         self.queue.close();
-        // Wake the acceptor so it observes the flag; errors are fine (the
-        // listener may already be gone).
-        let _ = TcpStream::connect(self.local_addr);
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        *done = true;
-        self.done_cv.notify_all();
     }
 }
 
-/// The running service: a TCP acceptor plus the worker pool.
+/// The running service: the HTTP runtime plus the worker pool.
 pub struct Server {
-    shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    http: HttpServer<Shared>,
 }
 
 impl Server {
@@ -267,11 +224,7 @@ impl Server {
     /// terminal jobs reload with their results, interrupted jobs are
     /// re-enqueued (counted in `nptsn_jobs_recovered_total`).
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
-        // Arm the flight recorder before anything can record: it is the
-        // always-on ring behind `/debug/flight` and the panic/drain dumps.
-        nptsn_obs::flight_init(config.flight_capacity);
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
+        let listener = Listener::bind(&config.addr)?;
         let metrics = Arc::new(ServeMetrics::new());
         let store: Arc<dyn Storage> = match &config.data_dir {
             Some(dir) => Arc::new(LogStore::open(dir).map_err(store_io_error)?),
@@ -302,15 +255,13 @@ impl Server {
                 ),
             );
         }
-        let shared = Arc::new(Shared {
-            config,
-            local_addr,
-            queue,
-            metrics,
-            shutdown: AtomicBool::new(false),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        });
+        let limits = Limits {
+            max_body_bytes: config.max_body_bytes,
+            io_timeout_ms: config.io_timeout_ms,
+            header_deadline_ms: config.header_deadline_ms,
+        };
+        let shutdown = listener.shutdown_latch();
+        let shared = Arc::new(Shared { config, queue, metrics, shutdown });
 
         let job_deadline = (shared.config.job_deadline_ms > 0)
             .then(|| Duration::from_millis(shared.config.job_deadline_ms));
@@ -324,59 +275,37 @@ impl Server {
             })
             .collect();
 
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("nptsn-serve-acceptor".to_string())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn acceptor thread")
-        };
-
-        Ok(Server { shared, acceptor: Some(acceptor), workers })
+        Ok(Server { http: listener.serve(shared, limits, workers) })
     }
 
     /// The bound address (with the resolved port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.http.local_addr()
     }
 
     /// The service metrics (for embedding / tests).
     pub fn metrics(&self) -> Arc<ServeMetrics> {
-        Arc::clone(&self.shared.metrics)
+        Arc::clone(&self.http.service().metrics)
     }
 
     /// The job queue (for embedding / tests — e.g. inspecting results
     /// after a drain, when the acceptor is already gone).
     pub fn queue(&self) -> Arc<JobQueue> {
-        Arc::clone(&self.shared.queue)
+        Arc::clone(&self.http.service().queue)
     }
 
     /// Initiates shutdown from the embedding process, as `POST /shutdown`
     /// would.
     pub fn stop(&self) {
-        self.shared.begin_shutdown();
+        self.http.stop();
     }
 
     /// Blocks until shutdown is requested (via `POST /shutdown` or
     /// [`Server::stop`]), then drains the queue and joins every thread.
     /// Every job accepted before the shutdown has its result recorded
     /// before this returns.
-    pub fn wait(mut self) {
-        {
-            let mut done = self.shared.done.lock().unwrap_or_else(|e| e.into_inner());
-            while !*done {
-                done = self.shared.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        // Last act before the process exits: park the flight ring on disk
-        // so "what were the final moments" survives the shutdown.
-        nptsn_obs::flight_dump_auto("drain");
+    pub fn wait(self) {
+        self.http.wait();
     }
 }
 
@@ -386,129 +315,6 @@ fn store_io_error(e: StoreError) -> std::io::Error {
         StoreError::Io(inner) => inner,
         StoreError::Corrupt(message) => {
             std::io::Error::new(std::io::ErrorKind::InvalidData, message)
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        // Chaos: a faulted accept drops the connection before a handler
-        // exists — the client sees a reset and must retry.
-        if nptsn_chaos::point("serve.accept").is_err() {
-            drop(stream);
-            continue;
-        }
-        let shared = Arc::clone(shared);
-        // Connection handlers are detached: they end when the client
-        // closes or after the first response once shutdown begins.
-        let _ = std::thread::Builder::new()
-            .name("nptsn-serve-conn".to_string())
-            .spawn(move || handle_connection(&shared, stream));
-    }
-}
-
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    // Socket timeouts first: every read and write on this connection is
-    // individually bounded, so a stalled peer can never pin this thread.
-    // (Both halves share the underlying socket, so setting them once on
-    // the original stream covers the clone too.)
-    let io_timeout =
-        (shared.config.io_timeout_ms > 0).then(|| Duration::from_millis(shared.config.io_timeout_ms));
-    if stream.set_read_timeout(io_timeout).is_err() || stream.set_write_timeout(io_timeout).is_err()
-    {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let started = Instant::now();
-        let header_deadline = (shared.config.header_deadline_ms > 0)
-            .then(|| started + Duration::from_millis(shared.config.header_deadline_ms));
-        let mut is_shutdown = false;
-        let response = match read_request_deadline(
-            &mut reader,
-            shared.config.max_body_bytes,
-            header_deadline,
-        ) {
-            Ok(request) => {
-                // Adopt the caller's trace context (router-minted) before
-                // opening the request span, so this span and everything the
-                // request causes — including the job, which carries the
-                // context through the queue — share one fleet-wide trace id.
-                let _trace = nptsn_obs::with_trace(
-                    request.header("x-nptsn-trace").and_then(nptsn_obs::TraceContext::parse),
-                );
-                let _span = nptsn_obs::span("http.request");
-                shared.metrics.http_requests.inc();
-                is_shutdown = request.method == "POST" && request.path == "/shutdown";
-                let mut response = route(shared, &request);
-                if nptsn_obs::enabled() {
-                    nptsn_obs::event(
-                        nptsn_obs::Level::Debug,
-                        "http.request",
-                        &format!("{} {} -> {}", request.method, request.path, response.status),
-                    );
-                }
-                response.close = response.close
-                    || request.wants_close()
-                    || shared.shutdown.load(Ordering::SeqCst);
-                response
-            }
-            Err(HttpError::Closed) => return,
-            Err(HttpError::BadRequest(message)) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(400, &message);
-                r.close = true;
-                r
-            }
-            Err(HttpError::PayloadTooLarge { declared, limit }) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(
-                    413,
-                    &format!("body of {declared} bytes exceeds the {limit}-byte limit"),
-                );
-                // The unread body is still on the wire; the connection
-                // cannot be reused.
-                r.close = true;
-                r
-            }
-            // An idle keep-alive connection timing out is the normal end
-            // of a session — close quietly, exactly like a client EOF.
-            Err(HttpError::Timeout { mid_request: false }) => return,
-            Err(HttpError::Timeout { mid_request: true }) => {
-                shared.metrics.http_requests.inc();
-                let mut r = Response::error(408, "request timed out");
-                // Part of a request is still on the wire; the connection
-                // cannot be reused.
-                r.close = true;
-                r
-            }
-            Err(HttpError::Io(_)) => return,
-        };
-        shared
-            .metrics
-            .http_request_seconds
-            .observe(started.elapsed().as_secs_f64());
-        shared.metrics.response_counter(response.status).inc();
-        // Chaos: a faulted write drops the connection with the response
-        // unsent — the client sees the connection die mid-exchange.
-        if nptsn_chaos::point("serve.conn.write").is_err() {
-            return;
-        }
-        let write_ok = response.write_to(&mut writer).is_ok();
-        // Shutdown is initiated only after the 200 is on the wire: wait()
-        // (and thus process exit) races this handler thread, so flushing
-        // first is what lets the requester actually see the confirmation.
-        if is_shutdown {
-            shared.begin_shutdown();
-        }
-        if !write_ok || response.close {
-            return;
         }
     }
 }
@@ -542,19 +348,7 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
         }
         ("GET", "/readyz") => readyz(shared),
         ("GET", "/metrics") => {
-            // Prometheus text exposition format version 0.0.4.
-            let mut r = Response::text(200, shared.metrics.render());
-            r.content_type = "text/plain; version=0.0.4";
-            r
-        }
-        // The actual begin_shutdown() call happens in handle_connection
-        // *after* this response is flushed — see the ordering note there.
-        ("POST", "/shutdown") => {
-            let mut obj = Object::new();
-            obj.str("status", "shutting down");
-            let mut r = Response::json(200, obj.finish());
-            r.close = true;
-            r
+            runtime::metrics_response(runtime::exposition(&shared.metrics.registry))
         }
         ("POST", "/jobs/plan") => submit_plan(shared, request),
         ("POST", "/jobs/verify") => submit_verify(shared, request),
@@ -567,9 +361,6 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
             submit_spec(shared, request, JobSpec::Burn { millis })
         }
         ("GET", "/checkpoints") => list_checkpoints(shared),
-        // The flight recorder: the last few thousand spans/events this
-        // process recorded, always on, for post-hoc "what just happened".
-        ("GET", "/debug/flight") => Response::json(200, nptsn_obs::flight_json()),
         _ if path.starts_with("/checkpoints/") => route_checkpoint(shared, request),
         ("POST", "/internal/promote") => route_promote(shared, request),
         _ if path.starts_with("/internal/replay/") => route_replay(shared, request),
@@ -579,7 +370,7 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
 }
 
 /// `GET /readyz`: readiness, distinct from `/healthz` liveness. By
-/// construction the listener only exists after store recovery completed
+/// construction the acceptor only starts after store recovery completed
 /// and the worker pool is up ([`Server::bind`] does both before binding
 /// returns), so a 200 here means the shard can accept *and execute* jobs;
 /// once shutdown begins it answers 503 so a router stops placing work
@@ -587,12 +378,10 @@ fn route(shared: &Arc<Shared>, request: &Request) -> Response {
 /// queue occupancy, the id watermark, persist-error and store occupancy
 /// counters.
 fn readyz(shared: &Arc<Shared>) -> Response {
-    if shared.shutdown.load(Ordering::SeqCst) {
+    if shared.shutdown.is_set() {
         let mut obj = Object::new();
         obj.str("status", "draining");
-        let mut r = Response::json(503, obj.finish());
-        r = r.with_header("Retry-After", shared.config.retry_after_secs.to_string());
-        return r;
+        return Response::json(503, obj.finish()).retry_later();
     }
     // Get-or-create returns the same counter the persist path increments.
     let persist_errors = nptsn_obs::telemetry()
@@ -660,15 +449,7 @@ fn route_replay(shared: &Arc<Shared>, request: &Request) -> Response {
                 );
                 Response::json(200, obj.finish())
             }
-            Err(IngestError::Malformed(e)) => {
-                Response::error(400, &format!("record does not decode: {e}"))
-            }
-            Err(IngestError::ShuttingDown) => Response::error(503, "service is shutting down")
-                .with_header("Retry-After", shared.config.retry_after_secs.to_string()),
-            Err(IngestError::Storage) => {
-                Response::error(503, "job store unavailable, retry later")
-                    .with_header("Retry-After", shared.config.retry_after_secs.to_string())
-            }
+            Err(e) => ingest_failure(e, "record"),
         };
     }
     match shared.queue.ingest_record(id, &request.body) {
@@ -698,13 +479,17 @@ fn route_replay(shared: &Arc<Shared>, request: &Request) -> Response {
             );
             Response::json(200, obj.finish())
         }
-        Err(IngestError::Malformed(e)) => {
-            Response::error(400, &format!("record does not decode: {e}"))
-        }
-        Err(IngestError::ShuttingDown) => Response::error(503, "service is shutting down")
-            .with_header("Retry-After", shared.config.retry_after_secs.to_string()),
-        Err(IngestError::Storage) => Response::error(503, "job store unavailable, retry later")
-            .with_header("Retry-After", shared.config.retry_after_secs.to_string()),
+        Err(e) => ingest_failure(e, "record"),
+    }
+}
+
+/// The answer to a failed ingest: `400` when the `what` bytes do not
+/// decode, a retriable `503` when the shard cannot take them now.
+fn ingest_failure(error: IngestError, what: &str) -> Response {
+    match error {
+        IngestError::Malformed(e) => Response::error(400, &format!("{what} does not decode: {e}")),
+        IngestError::ShuttingDown => Response::unavailable("service is shutting down"),
+        IngestError::Storage => Response::unavailable("job store unavailable, retry later"),
     }
 }
 
@@ -750,13 +535,7 @@ fn route_trace_ingest(shared: &Arc<Shared>, request: &Request) -> Response {
             obj.str("trace", "ingested");
             Response::json(200, obj.finish())
         }
-        Err(IngestError::Malformed(e)) => {
-            Response::error(400, &format!("trace record does not decode: {e}"))
-        }
-        Err(IngestError::ShuttingDown) => Response::error(503, "service is shutting down")
-            .with_header("Retry-After", shared.config.retry_after_secs.to_string()),
-        Err(IngestError::Storage) => Response::error(503, "job store unavailable, retry later")
-            .with_header("Retry-After", shared.config.retry_after_secs.to_string()),
+        Err(e) => ingest_failure(e, "trace record"),
     }
 }
 
@@ -996,8 +775,7 @@ fn submit_result(shared: &Arc<Shared>, result: Result<u64, SubmitError>) -> Resp
                 SubmitError::Storage => "job store unavailable, retry later",
                 SubmitError::Duplicate => unreachable!("handled above"),
             };
-            Response::error(503, message)
-                .with_header("Retry-After", shared.config.retry_after_secs.to_string())
+            Response::unavailable(message)
         }
     }
 }
@@ -1179,12 +957,9 @@ mod tests {
     fn test_shared() -> Arc<Shared> {
         Arc::new(Shared {
             config: ServeConfig::default(),
-            local_addr: "127.0.0.1:1".parse().unwrap(),
             queue: Arc::new(JobQueue::new(2)),
             metrics: Arc::new(ServeMetrics::new()),
-            shutdown: AtomicBool::new(false),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
+            shutdown: Arc::default(),
         })
     }
 
@@ -1322,18 +1097,18 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_responds_then_closes_the_queue() {
+    fn the_shutdown_hook_closes_the_queue() {
         let shared = test_shared();
-        // route() only builds the confirmation; handle_connection triggers
-        // begin_shutdown after the response is flushed.
-        let response = route(&shared, &request("POST", "/shutdown"));
-        assert_eq!(response.status, 200);
-        assert!(response.close);
         assert_eq!(route(&shared, &request("POST", "/jobs/burn")).status, 202);
 
-        shared.begin_shutdown();
+        // The runtime calls this once the `POST /shutdown` answer is out.
+        shared.on_shutdown();
         let refused = route(&shared, &request("POST", "/jobs/burn"));
         assert_eq!(refused.status, 503);
+        assert!(refused
+            .extra_headers
+            .iter()
+            .any(|(name, value)| name == "Retry-After" && value == "1"));
     }
 
     #[test]
@@ -1348,7 +1123,7 @@ mod tests {
         assert!(body.contains("\"persist_errors\":"), "{body}");
         assert_eq!(route(&shared, &request("POST", "/readyz")).status, 405);
 
-        shared.shutdown.store(true, Ordering::SeqCst);
+        assert!(shared.shutdown.trip());
         let draining = route(&shared, &request("GET", "/readyz"));
         assert_eq!(draining.status, 503);
         let body = String::from_utf8(draining.body).unwrap();
@@ -1382,16 +1157,6 @@ mod tests {
             r.headers.push(("x-nptsn-job-id".into(), bad.into()));
             assert_eq!(route(&shared, &r).status, 400, "{bad}");
         }
-    }
-
-    #[test]
-    fn debug_flight_answers_with_the_ring() {
-        let shared = test_shared();
-        let response = route(&shared, &request("GET", "/debug/flight"));
-        assert_eq!(response.status, 200);
-        let body = String::from_utf8(response.body).unwrap();
-        assert!(body.contains("\"capacity\":"), "{body}");
-        assert!(body.contains("\"entries\":["), "{body}");
     }
 
     #[test]
