@@ -43,8 +43,10 @@
 //! ```
 //!
 //! The component library defaults to Table I (`automotive`); a
-//! `[library]` section with `combine_rounds = N` expands it with combined
-//! switches.
+//! `[library]` section with `combine_rounds = N` (at most
+//! [`MAX_COMBINE_ROUNDS`]) expands it with combined switches. The `[tas]`
+//! values must be positive and `base_period_us` divisible by `slots`; link
+//! lengths must be finite and non-negative.
 //!
 //! # Plan files
 //!
@@ -66,4 +68,4 @@ mod planfile;
 mod problem;
 
 pub use planfile::{parse_plan, write_plan};
-pub use problem::{parse_problem, ParsedProblem};
+pub use problem::{parse_problem, ParsedProblem, MAX_COMBINE_ROUNDS};

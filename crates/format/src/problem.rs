@@ -10,6 +10,11 @@ use nptsn_sched::{
 };
 use nptsn_topo::{ComponentLibrary, ConnectionGraph, NodeId};
 
+/// The most `combine_rounds` a `[library]` section may ask for. Each round
+/// combines every model of the last round with every library switch, so
+/// the model count grows geometrically; the scenarios use 0–2.
+pub const MAX_COMBINE_ROUNDS: usize = 4;
+
 /// A parsed problem plus the name table needed to print human-readable
 /// reports and to parse plan files.
 #[derive(Debug, Clone)]
@@ -25,8 +30,10 @@ pub struct ParsedProblem {
 /// # Errors
 ///
 /// Returns a message pinpointing the offending line for syntax errors,
-/// unknown sections/keys/nodes, duplicate definitions, and for any
-/// inconsistency rejected by [`PlanningProblem::new`].
+/// unknown sections/keys/nodes, duplicate definitions, zero TAS values, a
+/// base period not divisible into the slots, more than
+/// [`MAX_COMBINE_ROUNDS`] combination rounds, negative or non-finite link
+/// lengths, and for any inconsistency rejected by [`PlanningProblem::new`].
 ///
 /// # Examples
 ///
@@ -59,6 +66,9 @@ pub fn parse_problem(text: &str) -> Result<ParsedProblem, String> {
     let mut nbf_name = "shortest-path".to_string();
     let mut max_es_degree: Option<usize> = None;
     let mut max_sw_degree: Option<usize> = None;
+    // The line of the last `base_period_us` or `slots` key: where a base
+    // period that the slots do not divide is reported.
+    let mut tas_line = 0;
 
     let mut section = String::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -89,17 +99,34 @@ pub fn parse_problem(text: &str) -> Result<ParsedProblem, String> {
                 let parse_u64 = |v: &str| {
                     v.parse::<u64>().map_err(|_| at(&format!("invalid integer '{v}'")))
                 };
+                let parse_positive = |v: &str| match parse_u64(v)? {
+                    0 => Err(at(&format!("{key} must be positive"))),
+                    n => Ok(n),
+                };
                 match (section.as_str(), key) {
-                    ("tas", "base_period_us") => base_period_us = parse_u64(value)?,
-                    ("tas", "slots") => slots = parse_u64(value)? as usize,
-                    ("tas", "bandwidth_mbps") => bandwidth_mbps = parse_u64(value)?,
+                    ("tas", "base_period_us") => {
+                        base_period_us = parse_positive(value)?;
+                        tas_line = lineno + 1;
+                    }
+                    ("tas", "slots") => {
+                        slots = usize::try_from(parse_positive(value)?)
+                            .map_err(|_| at("too many slots"))?;
+                        tas_line = lineno + 1;
+                    }
+                    ("tas", "bandwidth_mbps") => bandwidth_mbps = parse_positive(value)?,
                     ("reliability", "goal") => {
                         goal = value
                             .parse::<f64>()
                             .map_err(|_| at(&format!("invalid number '{value}'")))?;
                     }
                     ("library", "combine_rounds") => {
-                        combine_rounds = parse_u64(value)? as usize;
+                        let rounds = parse_u64(value)?;
+                        if rounds > MAX_COMBINE_ROUNDS as u64 {
+                            return Err(at(&format!(
+                                "combine_rounds must be at most {MAX_COMBINE_ROUNDS}"
+                            )));
+                        }
+                        combine_rounds = rounds as usize;
                     }
                     ("nbf", "mechanism") => nbf_name = value.to_string(),
                     ("constraints", "max_end_station_degree") => {
@@ -193,7 +220,8 @@ pub fn parse_problem(text: &str) -> Result<ParsedProblem, String> {
         other => return Err(format!("unknown NBF mechanism '{other}'")),
     };
     let flows = FlowSet::new(flows).map_err(|e| e.to_string())?;
-    let tas = TasConfig::new(base_period_us, slots, bandwidth_mbps);
+    let tas = TasConfig::try_new(base_period_us, slots, bandwidth_mbps)
+        .map_err(|e| format!("line {tas_line}: {e}"))?;
     let problem = PlanningProblem::new(Arc::new(gc), library, tas, flows, goal, nbf)?;
     Ok(ParsedProblem { problem, nodes_by_name })
 }
@@ -296,6 +324,54 @@ b a 250 128
         let doc = format!("{GOOD}\n[constraints]\nmax_end_station_degree = 3\n");
         let parsed = parse_problem(&doc).unwrap();
         assert_eq!(parsed.problem.connection_graph().max_end_station_degree(), 3);
+    }
+
+    /// The error for `doc` names `line` and contains `needle`.
+    fn rejects_at(doc: &str, line: usize, needle: &str) {
+        let err = parse_problem(doc).unwrap_err();
+        assert!(err.starts_with(&format!("line {line}:")), "{err}");
+        assert!(err.contains(needle), "{err}");
+    }
+
+    #[test]
+    fn zero_slots_rejected() {
+        rejects_at(&format!("[tas]\nslots = 0\n{GOOD}"), 2, "slots must be positive");
+    }
+
+    #[test]
+    fn zero_base_period_rejected() {
+        rejects_at(&format!("[tas]\nbase_period_us = 0\n{GOOD}"), 2, "must be positive");
+    }
+
+    #[test]
+    fn zero_bandwidth_rejected() {
+        rejects_at(&format!("[tas]\nbandwidth_mbps = 0\n{GOOD}"), 2, "must be positive");
+    }
+
+    #[test]
+    fn base_period_not_divisible_into_slots_rejected() {
+        // GOOD's own [tas] section sets slots = 20 on its line 4; the
+        // appended section's `slots = 3` on line 27 is the last word.
+        let doc = format!("{GOOD}[tas]\nslots = 3\n");
+        rejects_at(&doc, 27, "not divisible into 3 slots");
+        // Divisible once the base period changes too, in either order.
+        assert!(parse_problem(&format!("{GOOD}[tas]\nslots = 3\nbase_period_us = 600\n")).is_ok());
+    }
+
+    #[test]
+    fn combine_rounds_are_capped() {
+        let doc = format!("{GOOD}\n[library]\ncombine_rounds = {MAX_COMBINE_ROUNDS}\n");
+        assert!(parse_problem(&doc).is_ok());
+        let doc = format!("{GOOD}[library]\ncombine_rounds = 40\n");
+        rejects_at(&doc, 27, "at most");
+    }
+
+    #[test]
+    fn non_finite_and_negative_lengths_rejected() {
+        for length in ["NaN", "inf", "-inf", "-5"] {
+            let doc = format!("[nodes]\nes a\nsw s\n[links]\na s {length}\n");
+            rejects_at(&doc, 5, "finite and non-negative");
+        }
     }
 
     #[test]

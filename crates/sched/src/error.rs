@@ -38,6 +38,10 @@ pub enum SchedError {
     ZeroPeriod,
     /// An empty flow set (network planning needs at least one flow).
     NoFlows,
+    /// TAS parameters that do not form a cycle of uniform slots: a zero
+    /// slot count, base period or bandwidth, or a base period not
+    /// divisible into the slots.
+    InvalidTas(String),
     /// A flow state refers to a slot outside the TAS cycle or a path edge
     /// missing from the topology; produced by validation only.
     InvalidState(String),
@@ -63,6 +67,7 @@ impl fmt::Display for SchedError {
             }
             SchedError::ZeroPeriod => f.write_str("flow period must be positive"),
             SchedError::NoFlows => f.write_str("flow set is empty"),
+            SchedError::InvalidTas(msg) => write!(f, "invalid TAS configuration: {msg}"),
             SchedError::InvalidState(msg) => write!(f, "invalid flow state: {msg}"),
         }
     }
@@ -97,6 +102,7 @@ mod tests {
             SchedError::DegenerateFlow(NodeId::default_for_tests()),
             SchedError::ZeroPeriod,
             SchedError::NoFlows,
+            SchedError::InvalidTas("x".into()),
             SchedError::InvalidState("x".into()),
         ];
         for e in errors {

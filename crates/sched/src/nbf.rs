@@ -1,6 +1,6 @@
 //! Stateless Network Behavior Functions (NBF) — the recovery abstraction.
 
-use nptsn_topo::{dijkstra_shortest_path, k_shortest_paths, FailureScenario, Topology};
+use nptsn_topo::{dijkstra_shortest_path, shortest_paths, FailureScenario, Topology};
 
 use crate::flow::{ErrorReport, FlowSet};
 use crate::schedule::schedule_flow_on_path;
@@ -64,7 +64,9 @@ pub trait NetworkBehavior: Send + Sync {
 ///
 /// Flows are processed in flow-id order. For each flow, up to
 /// `path_attempts` shortest residual paths (by cable length, via Yen's
-/// algorithm) are tried; the first that schedules wins. Unrecoverable flows
+/// algorithm) are tried in order; the first that schedules wins. A path is
+/// computed only when the one before it did not schedule, so a flow that
+/// fits its shortest path costs one Dijkstra search. Unrecoverable flows
 /// are reported in `ER` and the remaining flows still get scheduled —
 /// recovery degrades per flow, not wholesale.
 ///
@@ -136,16 +138,10 @@ impl NetworkBehavior for ShortestPathRecovery {
         let mut state = FlowState::unassigned(flows.len());
         let mut errors = ErrorReport::empty();
         for (flow, spec) in flows.iter() {
-            let candidates = if self.path_attempts == 1 {
-                dijkstra_shortest_path(&adj, spec.source(), spec.destination())
-                    .into_iter()
-                    .collect()
-            } else {
-                k_shortest_paths(&adj, spec.source(), spec.destination(), self.path_attempts)
-            };
+            let candidates = shortest_paths(&adj, spec.source(), spec.destination());
             let mut recovered = false;
-            for path in &candidates {
-                match schedule_flow_on_path(&mut table, gc, tas, flow, spec, path) {
+            for path in candidates.take(self.path_attempts) {
+                match schedule_flow_on_path(&mut table, gc, tas, flow, spec, &path) {
                     Ok(Some(assignment)) => {
                         state.assign(flow, assignment);
                         recovered = true;

@@ -35,17 +35,45 @@ impl TasConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `slots` is zero, `base_period_us` is zero, or the base
-    /// period is not divisible into `slots` equal slots.
+    /// Panics when `slots`, `base_period_us` or `bandwidth_mbps` is zero, or
+    /// the base period is not divisible into `slots` equal slots. Use
+    /// [`TasConfig::try_new`] for values read from outside the program.
     pub fn new(base_period_us: u64, slots: usize, bandwidth_mbps: u64) -> TasConfig {
-        assert!(slots > 0, "at least one slot is required");
-        assert!(base_period_us > 0, "base period must be positive");
-        assert!(bandwidth_mbps > 0, "bandwidth must be positive");
-        assert!(
-            base_period_us.is_multiple_of(slots as u64),
-            "base period {base_period_us} us is not divisible into {slots} slots"
-        );
-        TasConfig { base_period_us, slots, bandwidth_mbps }
+        TasConfig::try_new(base_period_us, slots, bandwidth_mbps).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible counterpart of [`TasConfig::new`].
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::InvalidTas`] when `slots`, `base_period_us` or
+    /// `bandwidth_mbps` is zero, or the base period is not divisible into
+    /// `slots` equal slots.
+    ///
+    /// ```
+    /// use nptsn_sched::TasConfig;
+    ///
+    /// assert!(TasConfig::try_new(500, 20, 1000).is_ok());
+    /// // 500 us cannot be cut into 3 equal whole-microsecond slots.
+    /// assert!(TasConfig::try_new(500, 3, 1000).is_err());
+    /// ```
+    pub fn try_new(base_period_us: u64, slots: usize, bandwidth_mbps: u64) -> Result<TasConfig> {
+        let invalid = |msg: String| Err(SchedError::InvalidTas(msg));
+        if slots == 0 {
+            return invalid("at least one slot is required".to_string());
+        }
+        if base_period_us == 0 {
+            return invalid("base period must be positive".to_string());
+        }
+        if bandwidth_mbps == 0 {
+            return invalid("bandwidth must be positive".to_string());
+        }
+        if !base_period_us.is_multiple_of(slots as u64) {
+            return invalid(format!(
+                "base period {base_period_us} us is not divisible into {slots} slots"
+            ));
+        }
+        Ok(TasConfig { base_period_us, slots, bandwidth_mbps })
     }
 
     /// The base period `B` in microseconds.
@@ -155,6 +183,19 @@ mod tests {
     #[should_panic(expected = "divisible")]
     fn non_uniform_slots_panic() {
         let _ = TasConfig::new(500, 7, 1000);
+    }
+
+    #[test]
+    fn try_new_rejects_what_new_panics_on() {
+        let invalid = [(500, 0, 1000), (0, 20, 1000), (500, 20, 0), (500, 3, 1000)];
+        for (base, slots, bandwidth) in invalid {
+            let result = TasConfig::try_new(base, slots, bandwidth);
+            assert!(
+                matches!(result, Err(SchedError::InvalidTas(_))),
+                "{base} us / {slots} slots / {bandwidth} Mbit/s"
+            );
+        }
+        assert_eq!(TasConfig::try_new(500, 20, 1000), Ok(TasConfig::default()));
     }
 
     #[test]

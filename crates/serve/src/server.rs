@@ -1033,6 +1033,19 @@ mod tests {
     }
 
     #[test]
+    fn verify_submission_with_a_bad_tas_section_is_unprocessable() {
+        let shared = test_shared();
+        let mut bad = request("POST", "/jobs/verify");
+        bad.body = b"[tas]\nslots = 3\n[nodes]\nes a\nes b\nsw s0\n[links]\na s0\nb s0\n\
+            [flows]\na b 500 128\n[switches]\ns0 D\n[plan-links]\na s0\nb s0\n"
+            .to_vec();
+        let response = route(&shared, &bad);
+        assert_eq!(response.status, 422);
+        let body = String::from_utf8(response.body).unwrap();
+        assert!(body.contains("invalid problem: line 2:"), "{body}");
+    }
+
+    #[test]
     fn infer_submission_validates_the_checkpoint() {
         let shared = test_shared();
         let mut no_header = request("POST", "/jobs/infer");

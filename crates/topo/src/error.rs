@@ -30,6 +30,16 @@ pub enum TopoError {
     SelfLoop(NodeId),
     /// Attempted to add a link that already exists.
     DuplicateLink(NodeId, NodeId),
+    /// A candidate link's length is negative, infinite or NaN; the path
+    /// searches need finite, non-negative lengths.
+    InvalidLength {
+        /// One endpoint of the link.
+        u: NodeId,
+        /// The other endpoint.
+        v: NodeId,
+        /// The rejected length.
+        length: f64,
+    },
     /// The operation requires a switch but the node is an end station.
     NotASwitch(NodeId),
     /// The switch has not been added to the topology.
@@ -67,6 +77,10 @@ impl fmt::Display for TopoError {
             }
             TopoError::SelfLoop(n) => write!(f, "self-loop at node {n} is not allowed"),
             TopoError::DuplicateLink(u, v) => write!(f, "link ({u}, {v}) already exists"),
+            TopoError::InvalidLength { u, v, length } => write!(
+                f,
+                "link ({u}, {v}) has length {length}; lengths must be finite and non-negative"
+            ),
             TopoError::NotASwitch(n) => write!(f, "node {n} is not a switch"),
             TopoError::SwitchNotSelected(n) => {
                 write!(f, "switch {n} has not been added to the topology")
@@ -107,6 +121,7 @@ mod tests {
             TopoError::UnknownLink(NodeId(0), NodeId(1)),
             TopoError::SelfLoop(NodeId(2)),
             TopoError::DuplicateLink(NodeId(0), NodeId(1)),
+            TopoError::InvalidLength { u: NodeId(0), v: NodeId(1), length: f64::NAN },
             TopoError::NotASwitch(NodeId(3)),
             TopoError::SwitchNotSelected(NodeId(4)),
             TopoError::SwitchAlreadySelected(NodeId(4)),

@@ -166,11 +166,15 @@ impl ConnectionGraph {
     /// # Errors
     ///
     /// Returns [`TopoError::SelfLoop`] when `u == v`,
-    /// [`TopoError::UnknownNode`] for out-of-range ids and
+    /// [`TopoError::InvalidLength`] when `length` is negative, infinite or
+    /// NaN, [`TopoError::UnknownNode`] for out-of-range ids and
     /// [`TopoError::DuplicateLink`] when the link already exists.
     pub fn add_candidate_link(&mut self, u: NodeId, v: NodeId, length: f64) -> Result<LinkId> {
         if u == v {
             return Err(TopoError::SelfLoop(u));
+        }
+        if !(length.is_finite() && length >= 0.0) {
+            return Err(TopoError::InvalidLength { u, v, length });
         }
         self.check_node(u)?;
         self.check_node(v)?;
@@ -362,6 +366,18 @@ mod tests {
         let (mut gc, a, b, s) = tiny();
         assert_eq!(gc.add_candidate_link(s, a, 1.0), Err(TopoError::DuplicateLink(s, a)));
         assert_eq!(gc.add_candidate_link(b, b, 1.0), Err(TopoError::SelfLoop(b)));
+    }
+
+    #[test]
+    fn non_finite_and_negative_lengths_rejected() {
+        let (mut gc, a, b, _) = tiny();
+        let s1 = gc.add_switch("s1");
+        for length in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0] {
+            let result = gc.add_candidate_link(a, s1, length);
+            assert!(matches!(result, Err(TopoError::InvalidLength { .. })), "length {length}");
+        }
+        assert_eq!(gc.candidate_link_count(), 2);
+        assert!(gc.add_candidate_link(b, s1, 0.0).is_ok());
     }
 
     #[test]

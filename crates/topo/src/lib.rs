@@ -54,7 +54,8 @@ pub use failure::FailureScenario;
 pub use graph::{ConnectionGraph, LinkId, NodeId, NodeKind};
 pub use library::{ComponentLibrary, SwitchModel};
 pub use paths::{
-    bfs_distances, dijkstra_shortest_path, k_shortest_paths, node_disjoint_paths, Path,
+    bfs_distances, dijkstra_shortest_path, k_shortest_paths, node_disjoint_paths, shortest_paths,
+    Path, ShortestPaths,
 };
 pub use topology::Topology;
 

@@ -181,17 +181,17 @@ pub fn bfs_distances(adj: &Adjacency, source: NodeId) -> Vec<Option<usize>> {
 /// Dijkstra shortest path from `source` to `target` by total link length;
 /// `None` when unreachable. Ties break deterministically by node index.
 pub fn dijkstra_shortest_path(adj: &Adjacency, source: NodeId, target: NodeId) -> Option<Path> {
-    dijkstra_filtered(adj, source, target, &|_| true, &|_, _| true)
+    dijkstra_filtered(adj, source, target, |_| true, |_, _| true)
 }
 
 /// Dijkstra restricted to nodes passing `node_ok` and edges passing
-/// `edge_ok(from, link)`. The source and target are always allowed.
+/// `edge_ok(from, to)`. The source and target are always allowed.
 pub(crate) fn dijkstra_filtered(
     adj: &Adjacency,
     source: NodeId,
     target: NodeId,
-    node_ok: &dyn Fn(NodeId) -> bool,
-    edge_ok: &dyn Fn(NodeId, LinkId) -> bool,
+    node_ok: impl Fn(NodeId) -> bool,
+    edge_ok: impl Fn(NodeId, NodeId) -> bool,
 ) -> Option<Path> {
     let n = adj.len();
     if source.index() >= n || target.index() >= n {
@@ -212,16 +212,17 @@ pub(crate) fn dijkstra_filtered(
         if u == target.index() {
             break;
         }
-        for &(v, link, w) in &adj[u] {
+        for &(v, _, w) in &adj[u] {
             if v != target && v != source && !node_ok(v) {
                 continue;
             }
-            if !edge_ok(NodeId(u), link) {
+            if !edge_ok(NodeId(u), v) {
                 continue;
             }
             let nd = d + w;
-            // Strict improvement, or equal distance with a smaller
-            // predecessor for determinism.
+            // Only a strict improvement replaces a distance, so among
+            // equally long routes to `v` the first one relaxed keeps its
+            // predecessor.
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
                 prev[v.index()] = Some(NodeId(u));
@@ -244,7 +245,9 @@ pub(crate) fn dijkstra_filtered(
 }
 
 /// Yen's algorithm: up to `k` loopless shortest paths from `source` to
-/// `target`, ordered by increasing length (ties broken by node sequence).
+/// `target`, in order of non-decreasing length. This is
+/// `shortest_paths(adj, source, target).take(k).collect()`; see
+/// [`shortest_paths`] for the order among paths of equal length.
 ///
 /// Used by the SOAG (Algorithm 1, line 5) to propose path-addition actions.
 /// Returns fewer than `k` paths when the graph does not contain that many.
@@ -274,46 +277,120 @@ pub(crate) fn dijkstra_filtered(
 /// assert!(paths[3].hop_count() >= paths[0].hop_count());
 /// ```
 pub fn k_shortest_paths(adj: &Adjacency, source: NodeId, target: NodeId, k: usize) -> Vec<Path> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let Some(first) = dijkstra_shortest_path(adj, source, target) else {
-        return Vec::new();
-    };
-    let mut result = vec![first];
-    // Candidate set: (cost, path). Kept sorted on extraction.
-    let mut candidates: Vec<(f64, Path)> = Vec::new();
+    shortest_paths(adj, source, target).take(k).collect()
+}
 
-    while result.len() < k {
-        let last = result.last().expect("result is non-empty").clone();
+/// Yen's algorithm as a resumable iterator over the loopless paths from
+/// `source` to `target`, in order of non-decreasing length.
+///
+/// The first `next()` is [`dijkstra_shortest_path`]. Each later `next()`
+/// runs one Yen round from the path yielded last: a spur search from every
+/// node of that path adds its candidates, and the best candidate is
+/// yielded. The iterator keeps its paths and candidates between calls, so
+/// a caller that stops after `n` paths pays for `n` rounds and no path is
+/// computed twice. It ends when no candidate is left.
+///
+/// Equal-length paths are not ordered by node sequence overall. A round
+/// yields the candidate with the smallest (length, node sequence) among
+/// those found so far; a later round can still find a path of the same
+/// length with a smaller node sequence, and that path comes after.
+///
+/// Link lengths in `adj` must be finite and non-negative, as
+/// [`crate::ConnectionGraph::add_candidate_link`] enforces.
+///
+/// # Examples
+///
+/// ```
+/// use nptsn_topo::{
+///     dijkstra_shortest_path, k_shortest_paths, shortest_paths, Asil, ConnectionGraph,
+/// };
+///
+/// let mut gc = ConnectionGraph::new();
+/// let a = gc.add_end_station("a");
+/// let b = gc.add_end_station("b");
+/// let s0 = gc.add_switch("s0");
+/// let s1 = gc.add_switch("s1");
+/// for (u, v) in [(a, s0), (a, s1), (s0, b), (s1, b), (s0, s1)] {
+///     gc.add_candidate_link(u, v, 1.0).unwrap();
+/// }
+/// let mut topo = gc.empty_topology();
+/// topo.add_switch(s0, Asil::A).unwrap();
+/// topo.add_switch(s1, Asil::A).unwrap();
+/// for (u, v) in [(a, s0), (a, s1), (s0, b), (s1, b), (s0, s1)] {
+///     topo.add_link(u, v).unwrap();
+/// }
+/// let adj = topo.adjacency();
+/// let mut paths = shortest_paths(&adj, a, b);
+/// // The first path costs one Dijkstra search.
+/// assert_eq!(paths.next(), dijkstra_shortest_path(&adj, a, b));
+/// // Resuming continues Yen's enumeration where it stopped.
+/// let rest: Vec<_> = paths.collect();
+/// assert_eq!(rest, k_shortest_paths(&adj, a, b, 4)[1..]);
+/// ```
+pub fn shortest_paths(adj: &Adjacency, source: NodeId, target: NodeId) -> ShortestPaths<'_> {
+    ShortestPaths {
+        adj,
+        source,
+        target,
+        result: Vec::new(),
+        candidates: Vec::new(),
+        banned_next: Vec::new(),
+        banned: Vec::new(),
+        exhausted: false,
+    }
+}
+
+/// The iterator returned by [`shortest_paths`].
+#[derive(Debug)]
+pub struct ShortestPaths<'a> {
+    adj: &'a Adjacency,
+    source: NodeId,
+    target: NodeId,
+    /// The paths yielded so far, in order (Yen's list A).
+    result: Vec<Path>,
+    /// Found but not yet yielded paths with their lengths (Yen's set B).
+    candidates: Vec<(f64, Path)>,
+    /// During a spur search: whether the step from the spur node to a node
+    /// is banned. All `false` between searches; sized by the first round.
+    banned_next: Vec<bool>,
+    /// The nodes set in `banned_next`, to clear it after the search.
+    banned: Vec<NodeId>,
+    /// No further path exists.
+    exhausted: bool,
+}
+
+impl ShortestPaths<'_> {
+    /// One Yen round from the last path yielded: spur searches from each of
+    /// its nodes, then the best candidate, removed from the candidate set.
+    fn next_round(&mut self) -> Option<Path> {
+        let ShortestPaths { adj, target, result, candidates, banned_next, banned, .. } = self;
+        let last = result.last().expect("a round follows a yielded path");
+        banned_next.resize(adj.len(), false);
         for i in 0..last.hop_count() {
             let spur_node = last.nodes()[i];
-            let root: Vec<NodeId> = last.nodes()[..=i].to_vec();
+            let root = &last.nodes()[..=i];
 
             // Edges removed: for every known path sharing this root, the
-            // edge it takes out of the spur node.
-            let mut banned_edges: Vec<(NodeId, NodeId)> = Vec::new();
-            for p in result.iter().map(|p| p as &Path).chain(candidates.iter().map(|(_, p)| p)) {
-                if p.nodes().len() > i + 1 && p.nodes()[..=i] == root[..] {
-                    banned_edges.push((p.nodes()[i], p.nodes()[i + 1]));
+            // edge it takes out of the spur node. All of them leave the spur
+            // node, so marking their far ends bans exactly those edges.
+            for p in result.iter().chain(candidates.iter().map(|(_, p)| p)) {
+                if p.nodes().len() > i + 1 && p.nodes()[..=i] == *root {
+                    let next = p.nodes()[i + 1];
+                    banned_next[next.index()] = true;
+                    banned.push(next);
                 }
             }
             // Nodes removed: the root except the spur node itself.
-            let banned_nodes: Vec<NodeId> = root[..i].to_vec();
+            let banned_nodes = &root[..i];
 
             let node_ok = |n: NodeId| !banned_nodes.contains(&n);
-            let edge_ok = |from: NodeId, link: LinkId| {
-                !banned_edges.iter().any(|&(u, v)| {
-                    from == u
-                        && adj[u.index()]
-                            .iter()
-                            .any(|&(nb, l, _)| l == link && nb == v)
-                })
-            };
-            if let Some(spur) =
-                dijkstra_filtered(adj, spur_node, target, &node_ok, &edge_ok)
-            {
-                let mut nodes = root[..i].to_vec();
+            let edge_ok = |from: NodeId, to: NodeId| from != spur_node || !banned_next[to.index()];
+            let spur = dijkstra_filtered(adj, spur_node, *target, node_ok, edge_ok);
+            for n in banned.drain(..) {
+                banned_next[n.index()] = false;
+            }
+            if let Some(spur) = spur {
+                let mut nodes = banned_nodes.to_vec();
                 nodes.extend_from_slice(spur.nodes());
                 // The concatenation can revisit a root node through the spur
                 // path only if the spur path loops back, which banned_nodes
@@ -332,7 +409,7 @@ pub fn k_shortest_paths(adj: &Adjacency, source: NodeId, target: NodeId, k: usiz
             }
         }
         if candidates.is_empty() {
-            break;
+            return None;
         }
         // Extract the best candidate deterministically.
         candidates.sort_by(|(ca, pa), (cb, pb)| {
@@ -340,10 +417,33 @@ pub fn k_shortest_paths(adj: &Adjacency, source: NodeId, target: NodeId, k: usiz
                 .unwrap_or(Ordering::Equal)
                 .then_with(|| pa.nodes().cmp(pb.nodes()))
         });
-        let (_, best) = candidates.remove(0);
-        result.push(best);
+        Some(candidates.remove(0).1)
     }
-    result
+}
+
+impl Iterator for ShortestPaths<'_> {
+    type Item = Path;
+
+    fn next(&mut self) -> Option<Path> {
+        if self.exhausted {
+            return None;
+        }
+        let path = if self.result.is_empty() {
+            dijkstra_shortest_path(self.adj, self.source, self.target)
+        } else {
+            self.next_round()
+        };
+        match path {
+            Some(path) => {
+                self.result.push(path.clone());
+                Some(path)
+            }
+            None => {
+                self.exhausted = true;
+                None
+            }
+        }
+    }
 }
 
 /// Greedily finds up to `count` mutually node-disjoint paths (sharing only
@@ -362,7 +462,7 @@ pub fn node_disjoint_paths(
     let mut paths = Vec::with_capacity(count);
     for _ in 0..count {
         let node_ok = |n: NodeId| !used[n.index()];
-        let path = dijkstra_filtered(adj, source, target, &node_ok, &|_, _| true)?;
+        let path = dijkstra_filtered(adj, source, target, node_ok, |_, _| true)?;
         for &n in path.nodes() {
             if n != source && n != target {
                 used[n.index()] = true;
