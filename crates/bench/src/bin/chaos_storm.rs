@@ -810,6 +810,7 @@ fn main() {
     json.push_str("  \"benchmark\": \"chaos_storm\",\n");
     json.push_str(&format!("  \"seed\": {seed},\n"));
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
+    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
     json.push_str(&format!("  \"determinism\": {determinism},\n"));
     json.push_str(&format!("  \"jobs_per_phase\": {jobs},\n"));
     json.push_str(&format!("  \"clean_jobs_per_s\": {clean_jobs_per_s:.1},\n"));

@@ -15,7 +15,9 @@
 //!   worst case for replay order). At RF1 that waits for death detection
 //!   plus the dead-log replay onto the survivor; at RF2 the survivor
 //!   already holds every record as a passive replica, so promotion makes
-//!   the whole range serveable at the moment of the ring swap.
+//!   the whole range serveable at the moment of the ring swap. The RF1
+//!   rounds are the fleet's one failover number: kill → served through
+//!   the dead-log replay.
 //!
 //! Every round still demands zero acked loss: after the measurement all
 //! acked jobs must reach `done` through the router.
@@ -243,6 +245,7 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"membership\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
+    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
     json.push_str(&format!("  \"rounds\": {rounds},\n"));
     json.push_str(&format!("  \"jobs_per_round\": {jobs},\n"));
     json.push_str(&format!("  \"rejoin_backlog_jobs\": {backlog},\n"));

@@ -179,13 +179,12 @@ fn bench_analyzer_json(filter: &str) {
     );
 
     // Hand-written JSON: the workspace is hermetic, no serde.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let cached_speedup = base_median_ns as f64 / warm_median_ns.max(1) as f64;
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"failure_analysis_orion_saturated_40flows\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
     json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str(&format!("  \"cpu_cores\": {cores},\n"));
+    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
     json.push_str(&format!("  \"scenarios_checked\": {scenarios},\n"));
     json.push_str(&format!("  \"speedup_cached_vs_sequential\": {cached_speedup:.1},\n"));
     json.push_str(&format!(

@@ -1,24 +1,16 @@
-//! Router benchmark: routed-path overhead and failover latency against a
-//! real multi-process shard fleet.
+//! Router benchmark: routed-path overhead against a real multi-process
+//! shard fleet.
 //!
-//! Measures the two numbers that decide whether the front tier is worth
-//! running:
-//!
-//! 1. **routed overhead** — submit-to-drain throughput of durable no-op
-//!    jobs through the router over its two-shard fleet, against the same
-//!    load submitted directly to a single shard. The router adds a hop;
-//!    the second shard adds capacity — the gate is that the routed path
-//!    gives up at most 25% of direct throughput.
-//! 2. **failover latency** — over several rounds: `kill -9` one shard
-//!    mid-work and time from the kill to the first job from the dead
-//!    shard's log reaching a terminal state through the router (detect →
-//!    rebalance → replay → execute). Every round also asserts the zero-
-//!    loss contract: every acked job terminal, none lost.
+//! Submit-to-drain throughput of durable no-op jobs through the router
+//! over its two-shard fleet, against the same load submitted directly to a
+//! single shard. The router adds a hop; the second shard adds capacity —
+//! the gate is that the routed path gives up at most 25% of direct
+//! throughput. Failover latency is `membership_bench`'s: its replication
+//! factor 1 rounds time the kill → served event of a dead-log replay.
 //!
 //! Writes `BENCH_router.json` to the working directory (override with
 //! `NPTSN_BENCH_OUT`); `NPTSN_BENCH_SMOKE=1` shrinks the counts to a
-//! plumbing check. Exits non-zero if the overhead gate or the zero-loss
-//! gate fails.
+//! plumbing check. Exits non-zero if the overhead gate fails.
 //!
 //! ```text
 //! cargo run --release -p nptsn-bench --bin router_bench
@@ -112,93 +104,10 @@ fn shutdown_fleet(router: Router, mut shards: Vec<ShardProc>) {
     }
 }
 
-/// One failover round: 2 shards + router, queue work, `kill -9` the shard
-/// owning the most queued jobs, and time kill → first dead-shard job
-/// terminal through the router. Returns (latency, replayed jobs acked and
-/// verified terminal).
-fn failover_round(round: usize, jobs: usize) -> Duration {
-    let a_dir = temp_dir(&format!("fo{round}-a"));
-    let b_dir = temp_dir(&format!("fo{round}-b"));
-    let shard_a = spawn_shard(Some(&a_dir), 1, 1024);
-    let shard_b = spawn_shard(Some(&b_dir), 1, 1024);
-    let router = Router::bind(RouterConfig {
-        shards: vec![
-            ShardSpec { name: "s0".into(), addr: shard_a.addr, data_dir: Some(a_dir.clone()) },
-            ShardSpec { name: "s1".into(), addr: shard_b.addr, data_dir: Some(b_dir.clone()) },
-        ],
-        health_interval_ms: 25,
-        health_failures: 2,
-        forward_deadline_ms: 1_000,
-        ..RouterConfig::default()
-    })
-    .expect("bind router");
-    let mut client = retrying(router.local_addr(), round as u64);
-
-    // Slow-ish burns so the victim dies with queued and running work.
-    let ids: Vec<u64> = (0..jobs)
-        .map(|n| {
-            let accepted = client.post("/jobs/burn?millis=30", &[]).expect("submit");
-            assert_eq!(accepted.status, 202, "job {n}: {}", accepted.text());
-            json_u64(&accepted.text(), "id")
-        })
-        .collect();
-    let ring = router.ring();
-    let on_a: Vec<u64> =
-        ids.iter().copied().filter(|&id| ring.place(id) == Some("s0")).collect();
-    assert!(!on_a.is_empty(), "no job landed on the victim shard");
-
-    let mut shards = vec![shard_a, shard_b];
-    shards[0].kill9();
-    let killed_at = Instant::now();
-
-    // First dead-shard job terminal through the router = the failover is
-    // end-to-end live again for that key range.
-    let probe = on_a[0];
-    let first_replayed = loop {
-        let status = client.get(&format!("/jobs/{probe}")).expect("poll replayed");
-        if status.status == 200 && status.text().contains("\"state\":\"done\"") {
-            break killed_at.elapsed();
-        }
-        assert!(
-            killed_at.elapsed() < Duration::from_secs(60),
-            "job {probe} not replayed in time: {} {}",
-            status.status,
-            status.text()
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    };
-
-    // Zero acked loss: every job of the round, either shard, terminal.
-    for &id in &ids {
-        loop {
-            let status = client.get(&format!("/jobs/{id}")).expect("poll");
-            if status.status == 200 && status.text().contains("\"state\":\"done\"") {
-                break;
-            }
-            assert!(
-                killed_at.elapsed() < Duration::from_secs(120),
-                "acked job {id} lost after failover"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-    shutdown_fleet(router, shards);
-    first_replayed
-}
-
-fn percentile_ms(sorted: &[Duration], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1].as_secs_f64() * 1_000.0
-}
-
 fn main() {
     maybe_run_shard_child();
     let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
-    let (load_jobs, threads, rounds, round_jobs) =
-        if smoke { (64usize, 4usize, 2usize, 16usize) } else { (256, 4, 5, 24) };
+    let (load_jobs, threads) = if smoke { (64usize, 4usize) } else { (256, 4) };
 
     // 1. Direct baseline: one durable shard, no router.
     let direct_dir = temp_dir("direct");
@@ -229,29 +138,15 @@ fn main() {
         "router_bench: routed {routed_jps:.0} jobs/s over 2 shards (overhead {overhead_pct:.1}%)"
     );
 
-    // 3. Failover rounds: kill -9 → first replayed job terminal.
-    let mut latencies: Vec<Duration> =
-        (0..rounds).map(|round| failover_round(round, round_jobs)).collect();
-    latencies.sort();
-    let p50 = percentile_ms(&latencies, 0.50);
-    let p99 = percentile_ms(&latencies, 0.99);
-    println!(
-        "router_bench: failover→first-replayed-job p50 {p50:.0}ms p99 {p99:.0}ms ({rounds} rounds, zero acked loss)"
-    );
-
     // Hand-written JSON: the workspace is hermetic, no serde.
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"router\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
+    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
     json.push_str(&format!(
         "  \"throughput\": {{\"jobs\": {load_jobs}, \"threads\": {threads}, \
          \"direct_jobs_per_sec\": {direct_jps:.1}, \"routed_jobs_per_sec\": {routed_jps:.1}, \
-         \"routed_overhead_pct\": {overhead_pct:.1}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"failover\": {{\"rounds\": {rounds}, \"jobs_per_round\": {round_jobs}, \
-         \"first_replayed_ms_p50\": {p50:.1}, \"first_replayed_ms_p99\": {p99:.1}, \
-         \"acked_jobs_lost\": 0}}\n"
+         \"routed_overhead_pct\": {overhead_pct:.1}}}\n"
     ));
     json.push_str("}\n");
     let out_path =
@@ -260,8 +155,7 @@ fn main() {
     println!("router_bench: wrote {out_path}");
 
     // The acceptance gate: the routed path may give up at most 25% of
-    // direct single-shard throughput. (Loss of any acked job panics in
-    // the rounds above, so reaching this point is the zero-loss gate.)
+    // direct single-shard throughput.
     if overhead_pct > 25.0 {
         eprintln!("router_bench: GATE FAILED — routed overhead {overhead_pct:.1}% > 25%");
         std::process::exit(1);

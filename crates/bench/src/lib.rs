@@ -214,6 +214,12 @@ pub fn json_u64(body: &str, key: &str) -> u64 {
     doc.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("no {key} in {body}")) as u64
 }
 
+/// The cores this process may run on — every committed `BENCH_*.json`
+/// records it, so a number is only compared on a matching host.
+pub fn cpu_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

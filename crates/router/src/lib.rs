@@ -17,7 +17,11 @@
 //! re-admission handshake, re-enters the ring at a bumped generation and
 //! receives a catch-up transfer of the records it missed; a brand-new
 //! shard can join a running fleet the same way, with a background
-//! migration drain moving its ≤1/N of existing records over. With
+//! migration drain moving its ≤1/N of existing records over. Replay,
+//! catch-up and migration are one transfer ([`replay`]): a shard log
+//! shipped from an export cursor, each record placed against the current
+//! ring, through one ingest retry loop. While any transfer runs, a routed
+//! `404` answers `503 Retry-After`. With
 //! [`server::RouterConfig::replication_factor`] 2, every accepted
 //! submission is mirrored to its ring successor as a passive replica, so
 //! a death promotes local records instantly instead of pausing for the

@@ -56,7 +56,7 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -67,9 +67,9 @@ use nptsn_obs::{MergedSpan, ProcessTrace, TraceContext};
 use nptsn_serve::client::{BackoffConfig, Client, ClientResponse};
 use nptsn_serve::http::{Request, Response};
 use nptsn_serve::runtime::{self, HttpServer, Limits, Listener, Service, ShutdownLatch};
-use nptsn_store::{ExportCursor, LogStore};
+use nptsn_store::ExportCursor;
 
-use crate::replay;
+use crate::replay::{self, Mode, ReplayReport};
 use crate::ring::{key_hash, Ring};
 
 /// One shard of the serve fleet, as configured at router start.
@@ -334,12 +334,11 @@ pub(crate) struct Shared {
     pub(crate) ring_generation: AtomicU64,
     /// The highest job id assigned or observed anywhere in the fleet.
     pub(crate) next_id: AtomicU64,
-    /// Set while a dead shard's log is being replayed — a `404` for a job
-    /// in flight between shards answers `503 Retry-After` instead.
-    pub(crate) replaying: AtomicBool,
-    /// Catch-up / migration drains in flight. While positive, a `404`
-    /// from a shard answers `503 Retry-After` — the record may still be
-    /// on its way to its new owner.
+    /// Dead-shard replays in flight ([`InFlight`]).
+    pub(crate) replaying: AtomicU64,
+    /// Catch-up / migration drains in flight. While either count is
+    /// positive, a `404` from a shard answers `503 Retry-After` — the
+    /// record may still be on its way to its new owner.
     pub(crate) migrating: AtomicU64,
     /// Serializes membership transitions (death, rejoin, scale-out join)
     /// so two ring swaps can never interleave.
@@ -470,7 +469,7 @@ impl Router {
             ring: Mutex::new(ring),
             ring_generation: AtomicU64::new(1),
             next_id: AtomicU64::new(0),
-            replaying: AtomicBool::new(false),
+            replaying: AtomicU64::new(0),
             migrating: AtomicU64::new(0),
             membership: Mutex::new(()),
             shutdown: listener.shutdown_latch(),
@@ -690,34 +689,61 @@ fn declare_dead(shared: &Arc<Shared>, shard: &Arc<Shard>) {
     if shard.data_dir().is_none() {
         return;
     }
+    let in_flight = InFlight::begin(shared, Mode::Replay);
     if !replicated {
         // Classic inline replay: the health loop blocks until every
         // record from the dead log is re-ingested on a survivor.
-        shared.replaying.store(true, Ordering::SeqCst);
         let report = replay::replay_dead_shard(shared, shard);
-        shared.replaying.store(false, Ordering::SeqCst);
+        drop(in_flight);
         log_replay(&shard.name, &report);
         return;
     }
     // Promotion already restored service; the replay now only backstops
     // replicas that were lost (e.g. a mirror that never landed), so it
     // runs off the hot path. Idempotent ingest makes the overlap safe.
-    shared.replaying.store(true, Ordering::SeqCst);
+    // The shield went up before the spawn and comes down when the thread
+    // (or, if none could start, its dropped closure) drops the guard.
     let background_shared = Arc::clone(shared);
     let background_shard = Arc::clone(shard);
-    let spawned = std::thread::Builder::new()
+    let _ = std::thread::Builder::new()
         .name("nptsn-router-replay".to_string())
         .spawn(move || {
             let report = replay::replay_dead_shard(&background_shared, &background_shard);
-            background_shared.replaying.store(false, Ordering::SeqCst);
+            drop(in_flight);
             log_replay(&background_shard.name, &report);
         });
-    if spawned.is_err() {
-        shared.replaying.store(false, Ordering::SeqCst);
+}
+
+/// One transfer in flight, counted under its mode from `begin` to drop —
+/// the whole transfer, every pass of a drain included. Counting, not a
+/// flag: two deaths close together run two background replays, and the
+/// routed-`404` shield must hold until the last one ends.
+struct InFlight {
+    shared: Arc<Shared>,
+    mode: Mode,
+}
+
+impl InFlight {
+    fn begin(shared: &Arc<Shared>, mode: Mode) -> InFlight {
+        InFlight::count(shared, mode).fetch_add(1, Ordering::SeqCst);
+        InFlight { shared: Arc::clone(shared), mode }
+    }
+
+    fn count(shared: &Shared, mode: Mode) -> &AtomicU64 {
+        match mode {
+            Mode::Replay => &shared.replaying,
+            Mode::Migrate => &shared.migrating,
+        }
     }
 }
 
-fn log_replay(name: &str, report: &replay::ReplayReport) {
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        InFlight::count(&self.shared, self.mode).fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+fn log_replay(name: &str, report: &ReplayReport) {
     if nptsn_obs::enabled() {
         nptsn_obs::event(
             nptsn_obs::Level::Info,
@@ -816,40 +842,39 @@ fn attempt_rejoin(shared: &Arc<Shared>, shard: &Arc<Shard>) -> bool {
 }
 
 /// Transfers to `target` every record the current ring places there but
-/// some other shard still holds. Runs in passes: the first pass walks
+/// some other shard still holds. Runs in passes: the first pass ships
 /// each donor's full live export, later passes only the delta after the
-/// previous pass's cursor ([`LogStore::export_live_since`]), until a pass
-/// moves nothing. Donor logs are read-only; ingest on the target is
-/// idempotent, so overlap with concurrent writes is safe and convergence
-/// is guaranteed by the cursor monotonically chasing the log tail.
+/// previous pass's cursor, until a pass moves nothing (at most 5). Donor
+/// logs are read-only; ingest on the target is idempotent, so overlap
+/// with concurrent writes is safe and convergence is guaranteed by the
+/// cursor monotonically chasing the log tail. Returns the number of job
+/// records moved (what `nptsn_router_migrated_jobs_total` counts).
 fn drain_to(shared: &Arc<Shared>, target: &Arc<Shard>) -> u64 {
-    shared.migrating.fetch_add(1, Ordering::SeqCst);
+    let _in_flight = InFlight::begin(shared, Mode::Migrate);
     let mut cursors: HashMap<String, ExportCursor> = HashMap::new();
     let mut moved_total = 0u64;
     for _pass in 0..5 {
         if shared.shutdown.is_set() {
             break;
         }
-        let ring = shared.current_ring();
-        let mut moved_this_pass = 0u64;
+        let mut pass = ReplayReport::default();
         for donor in shared.shards_snapshot() {
             if donor.name == target.name || !donor.is_routable() {
                 continue;
             }
             let Some(dir) = donor.data_dir() else { continue };
             let cursor = cursors.get(&donor.name).copied();
-            let Ok((records, next)) = LogStore::export_live_since(&dir, cursor) else {
-                continue;
-            };
-            cursors.insert(donor.name.clone(), next);
-            moved_this_pass += replay::transfer_owned(shared, target, &ring, &records);
+            let only_to = Some(target.name.as_str());
+            let shipped = replay::ship(shared, &dir, cursor, only_to, Mode::Migrate, &mut pass);
+            if let Ok(next) = shipped {
+                cursors.insert(donor.name.clone(), next);
+            }
         }
-        moved_total += moved_this_pass;
-        if moved_this_pass == 0 {
+        moved_total += pass.replayed;
+        if pass.replayed == 0 {
             break;
         }
     }
-    shared.migrating.fetch_sub(1, Ordering::SeqCst);
     moved_total
 }
 
@@ -1019,7 +1044,7 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     obj.int("live_shards", shared.live_count() as u64);
     obj.int("ring_shards", shared.current_ring().len() as u64);
     obj.int("ring_generation", shared.ring_generation.load(Ordering::SeqCst));
-    obj.bool("replaying", shared.replaying.load(Ordering::SeqCst));
+    obj.bool("replaying", shared.replaying.load(Ordering::SeqCst) > 0);
     obj.bool("migrating", shared.migrating.load(Ordering::SeqCst) > 0);
     obj.raw("shards", &format!("[{}]", shards.join(",")));
     Response::json(200, obj.finish())
@@ -1366,8 +1391,8 @@ fn route_job(shared: &Arc<Shared>, request: &Request) -> Response {
         let Some(owner) = ring.place(id).and_then(|name| shared.routable_shard(name)) else {
             return Response::unavailable("no live shards");
         };
-        let in_transfer = shared.replaying.load(Ordering::SeqCst)
-            || shared.migrating.load(Ordering::SeqCst) > 0;
+        let in_transfer =
+            shared.replaying.load(Ordering::SeqCst) + shared.migrating.load(Ordering::SeqCst) > 0;
         match forward_once(shared, &owner, request, Some(trace)) {
             Ok(upstream) if upstream.status == 404 && in_transfer => {
                 // The job may be mid-flight between shards (dead-log
@@ -1531,6 +1556,49 @@ mod tests {
         assert_eq!(trace_for_job(7), trace_for_job(7));
         assert_ne!(trace_for_job(7).trace_id, trace_for_job(8).trace_id);
         assert_ne!(trace_for_job(7).trace_id, 0);
+    }
+
+    /// With replication, two deaths close together run two dead-shard
+    /// replays at once on background threads. The routed-`404` shield
+    /// must hold until the last of them ends, not drop when the first
+    /// one does.
+    #[test]
+    fn the_404_shield_holds_until_the_last_of_two_replays_ends() {
+        let shard = nptsn_serve::Server::bind(nptsn_serve::ServeConfig {
+            workers: 1,
+            shard_name: Some("s0".to_string()),
+            ..nptsn_serve::ServeConfig::default()
+        })
+        .expect("bind shard");
+        let router = Router::bind(RouterConfig {
+            shards: vec![ShardSpec {
+                name: "s0".to_string(),
+                addr: shard.local_addr(),
+                data_dir: None,
+            }],
+            ..RouterConfig::default()
+        })
+        .expect("bind router");
+        let shared = router.http.service();
+        let mut client = Client::new(router.local_addr());
+        let mut status = || client.get("/jobs/424242").expect("routed read").status;
+        assert_eq!(status(), 404, "an unknown id is a 404 with no transfer running");
+
+        let first = InFlight::begin(shared, Mode::Replay);
+        let second = InFlight::begin(shared, Mode::Replay);
+        assert_eq!(status(), 503);
+        drop(first);
+        assert_eq!(status(), 503, "the second replay is still moving records");
+        let migration = InFlight::begin(shared, Mode::Migrate);
+        drop(second);
+        assert_eq!(status(), 503, "a migration drain shields reads too");
+        drop(migration);
+        assert_eq!(status(), 404);
+
+        router.stop();
+        router.wait();
+        shard.stop();
+        shard.wait();
     }
 
     #[test]

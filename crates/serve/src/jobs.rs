@@ -23,7 +23,10 @@
 //! request text and re-enqueued (idempotently: re-running an interrupted
 //! job is always safe because nothing was acknowledged for it), and
 //! records that no longer validate are recorded `failed` instead of being
-//! silently dropped.
+//! silently dropped. A record replayed from another shard's log
+//! ([`JobQueue::ingest_record`]) or promoted from a passive replica
+//! ([`JobQueue::promote`]) takes the same decision: one gate turns a
+//! decoded record into a job, whichever way the record arrived.
 //!
 //! Terminal jobs are bounded by a [`RetentionConfig`]: beyond the count
 //! cap (and optionally a TTL) the oldest are evicted from memory *and*
@@ -46,8 +49,8 @@ use nptsn_topo::Topology;
 use crate::metrics::{Counter, Histogram};
 use crate::persist::{
     decode_next_id, decode_record, decode_trace, encode_next_id, encode_record, encode_trace,
-    job_id_from_key, job_key, replica_id_from_key, replica_key, trace_key, JobSpec, TraceRecord,
-    TraceSpan, JOB_PREFIX, NEXT_ID_KEY, REPLICA_PREFIX,
+    job_id_from_key, job_key, replica_id_from_key, replica_key, trace_key, JobRecord, JobSpec,
+    TraceRecord, TraceSpan, JOB_PREFIX, NEXT_ID_KEY, REPLICA_PREFIX,
 };
 use crate::registry::CheckpointRegistry;
 use crate::server::ServeMetrics;
@@ -277,6 +280,51 @@ struct JobEntry {
 }
 
 impl JobEntry {
+    /// A job waiting in the queue for a worker.
+    fn queued(
+        kind: JobKind,
+        spec: Option<JobSpec>,
+        trace: Option<nptsn_obs::TraceContext>,
+    ) -> JobEntry {
+        JobEntry {
+            kind_name: kind.name(),
+            pending: Some(kind),
+            spec,
+            state: JobState::Submitted,
+            cancel: Arc::new(AtomicBool::new(false)),
+            progress: Arc::new(Progress::default()),
+            outcome: None,
+            error: None,
+            finished_at: None,
+            trace,
+        }
+    }
+
+    /// A job installed already terminal: a persisted result, or a record
+    /// that could not be recovered (`failed`, with the reason).
+    fn finished(
+        spec: Option<JobSpec>,
+        state: JobState,
+        outcome: Option<JobOutcome>,
+        error: Option<String>,
+    ) -> JobEntry {
+        JobEntry {
+            kind_name: spec.as_ref().map_or("unknown", JobSpec::kind_name),
+            pending: None,
+            spec,
+            state,
+            cancel: Arc::new(AtomicBool::new(false)),
+            progress: Arc::new(Progress::default()),
+            outcome,
+            error,
+            // TTL restarts at install: `Instant` does not survive the
+            // process, and a fresh window errs toward keeping results
+            // readable.
+            finished_at: Some(Instant::now()),
+            trace: None,
+        }
+    }
+
     fn persisted_record(&self) -> Vec<u8> {
         encode_record(self.state, self.spec.as_ref(), self.outcome.as_ref(), self.error.as_deref())
     }
@@ -508,82 +556,37 @@ impl JobQueue {
                 let entry = match decode_record(&bytes) {
                     Err(e) => {
                         report.failed_to_recover += 1;
-                        recovered_failure(None, format!("unrecoverable job record: {e}"))
-                    }
-                    Ok(record) if record.state.is_terminal() => {
-                        // A terminal record trumps a stale replica marker
-                        // (promotion ran the job here, or the marker's
-                        // delete never landed): keep the result, drop the
-                        // marker.
-                        if passive_markers.remove(&id).is_some() {
-                            let _ = queue.store.delete(&replica_key(id));
-                        }
-                        report.terminal_loaded += 1;
-                        JobEntry {
-                            kind_name: record
-                                .spec
-                                .as_ref()
-                                .map_or("unknown", JobSpec::kind_name),
-                            pending: None,
-                            spec: record.spec,
-                            state: record.state,
-                            cancel: Arc::new(AtomicBool::new(false)),
-                            progress: Arc::new(Progress::default()),
-                            outcome: record.outcome,
-                            error: record.error,
-                            // TTL restarts at recovery: `Instant` does not
-                            // survive the process, and a fresh window errs
-                            // toward keeping results readable.
-                            finished_at: Some(Instant::now()),
-                            trace: None,
-                        }
+                        let message = format!("unrecoverable job record: {e}");
+                        JobEntry::finished(None, JobState::Failed, None, Some(message))
                     }
                     Ok(record) => {
-                        // A marked non-terminal record is a passive replica:
-                        // hold it (durably unchanged) for its primary. The
-                        // id still advances the watermark — it was assigned
-                        // fleet-wide.
                         if let Some(primary) = passive_markers.remove(&id) {
-                            state.passive.insert(id, primary);
-                            state.next_id = state.next_id.max(id);
-                            report.passive_held += 1;
-                            continue;
-                        }
-                        match record.spec {
-                            None => {
-                                report.failed_to_recover += 1;
-                                recovered_failure(
-                                    None,
-                                    "interrupted by a restart with no replayable spec"
-                                        .to_string(),
-                                )
+                            // A marked non-terminal record is a passive
+                            // replica: hold it (durably unchanged) for its
+                            // primary. The id still advances the watermark
+                            // — it was assigned fleet-wide.
+                            if !record.state.is_terminal() {
+                                state.passive.insert(id, primary);
+                                state.next_id = state.next_id.max(id);
+                                report.passive_held += 1;
+                                continue;
                             }
-                            Some(spec) => match spec.validate() {
-                                Ok(kind) => {
-                                    report.requeued += 1;
-                                    state.queue.push_back(id);
-                                    JobEntry {
-                                        kind_name: kind.name(),
-                                        pending: Some(kind),
-                                        spec: Some(spec),
-                                        state: JobState::Submitted,
-                                        cancel: Arc::new(AtomicBool::new(false)),
-                                        progress: Arc::new(Progress::default()),
-                                        outcome: None,
-                                        error: None,
-                                        finished_at: None,
-                                        trace: None,
-                                    }
-                                }
-                                Err(e) => {
-                                    report.failed_to_recover += 1;
-                                    recovered_failure(
-                                        Some(spec),
-                                        format!("spec no longer validates after restart: {e}"),
-                                    )
-                                }
-                            },
+                            // A terminal record trumps a stale replica
+                            // marker (promotion ran the job here, or the
+                            // marker's delete never landed): keep the
+                            // result, drop the marker.
+                            let _ = queue.store.delete(&replica_key(id));
                         }
+                        let (entry, rebuilt) = rebuild(record, Via::Restart);
+                        match rebuilt {
+                            IngestOutcome::Terminal => report.terminal_loaded += 1,
+                            IngestOutcome::Requeued => {
+                                report.requeued += 1;
+                                state.queue.push_back(id);
+                            }
+                            _ => report.failed_to_recover += 1,
+                        }
+                        entry
                     }
                 };
                 // Re-persist the post-recovery state (running → submitted,
@@ -1003,23 +1006,9 @@ impl JobQueue {
             return Err(SubmitError::Storage);
         }
         state.next_id = watermark;
-        state.jobs.insert(
-            id,
-            JobEntry {
-                kind_name: kind.name(),
-                pending: Some(kind),
-                spec,
-                state: JobState::Submitted,
-                cancel: Arc::new(AtomicBool::new(false)),
-                progress: Arc::new(Progress::default()),
-                outcome: None,
-                error: None,
-                finished_at: None,
-                // Adopted from the HTTP thread (which installed the
-                // X-Nptsn-Trace context before dispatching).
-                trace: nptsn_obs::current_trace(),
-            },
-        );
+        // The trace is adopted from the HTTP thread (which installed the
+        // X-Nptsn-Trace context before dispatching).
+        state.jobs.insert(id, JobEntry::queued(kind, spec, nptsn_obs::current_trace()));
         state.queue.push_back(id);
         self.enforce_retention(state);
         Ok(())
@@ -1060,56 +1049,7 @@ impl JobQueue {
         if id == 0 || state.jobs.contains_key(&id) {
             return Ok(IngestOutcome::AlreadyKnown);
         }
-        let (entry, outcome) = if record.state.is_terminal() {
-            (
-                JobEntry {
-                    kind_name: record.spec.as_ref().map_or("unknown", JobSpec::kind_name),
-                    pending: None,
-                    spec: record.spec,
-                    state: record.state,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    progress: Arc::new(Progress::default()),
-                    outcome: record.outcome,
-                    error: record.error,
-                    finished_at: Some(Instant::now()),
-                    trace: None,
-                },
-                IngestOutcome::Terminal,
-            )
-        } else {
-            match record.spec {
-                None => (
-                    recovered_failure(None, "replayed with no replayable spec".to_string()),
-                    IngestOutcome::RecordedFailed,
-                ),
-                Some(spec) => match spec.validate() {
-                    Ok(kind) => (
-                        JobEntry {
-                            kind_name: kind.name(),
-                            pending: Some(kind),
-                            spec: Some(spec),
-                            state: JobState::Submitted,
-                            cancel: Arc::new(AtomicBool::new(false)),
-                            progress: Arc::new(Progress::default()),
-                            outcome: None,
-                            error: None,
-                            finished_at: None,
-                            // The router re-stamps a replayed job's trace
-                            // header, so the re-run keeps its trace id.
-                            trace: nptsn_obs::current_trace(),
-                        },
-                        IngestOutcome::Requeued,
-                    ),
-                    Err(e) => (
-                        recovered_failure(
-                            Some(spec),
-                            format!("spec no longer validates after replay: {e}"),
-                        ),
-                        IngestOutcome::RecordedFailed,
-                    ),
-                },
-            }
-        };
+        let (entry, outcome) = rebuild(record, Via::Replay);
         // Same durability ordering as submission: watermark, then record,
         // then memory — and no ack (Ok) until both writes stuck.
         let watermark = state.next_id.max(id);
@@ -1548,19 +1488,47 @@ fn infer_dims(req: &InferRequest) -> (usize, usize, usize) {
     Planner::new(req.parsed.problem.clone(), service_config(1, 1, req.seed)).network_dims()
 }
 
-/// A `failed` entry for a record that could not be recovered.
-fn recovered_failure(spec: Option<JobSpec>, message: String) -> JobEntry {
-    JobEntry {
-        kind_name: spec.as_ref().map_or("unknown", JobSpec::kind_name),
-        pending: None,
-        spec,
-        state: JobState::Failed,
-        cancel: Arc::new(AtomicBool::new(false)),
-        progress: Arc::new(Progress::default()),
-        outcome: None,
-        error: Some(message),
-        finished_at: Some(Instant::now()),
-        trace: None,
+/// How a record reached [`rebuild`]; its recovered-failure errors say so.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    /// Crash recovery in [`JobQueue::open`].
+    Restart,
+    /// Ingest from another shard's log, or a promotion.
+    Replay,
+}
+
+/// The one gate from a decoded job record to the entry it becomes here,
+/// shared by crash recovery ([`JobQueue::open`]) and ingest
+/// ([`JobQueue::ingest_record`], promotion). A terminal record installs
+/// as it was ([`IngestOutcome::Terminal`]). A non-terminal one
+/// re-validates its spec through [`JobSpec::validate`] and queues
+/// ([`IngestOutcome::Requeued`]), adopting the current trace context: a
+/// router re-stamps a replayed job's trace header, so the re-run keeps
+/// its trace id, and recovery runs with none installed. A record with no
+/// spec, or one that no longer validates, is recorded `failed`
+/// ([`IngestOutcome::RecordedFailed`]), never silently dropped.
+fn rebuild(record: JobRecord, via: Via) -> (JobEntry, IngestOutcome) {
+    if record.state.is_terminal() {
+        let entry = JobEntry::finished(record.spec, record.state, record.outcome, record.error);
+        return (entry, IngestOutcome::Terminal);
+    }
+    let (no_spec, after) = match via {
+        Via::Restart => ("interrupted by a restart with no replayable spec", "restart"),
+        Via::Replay => ("replayed with no replayable spec", "replay"),
+    };
+    let failed = |spec, message| {
+        let entry = JobEntry::finished(spec, JobState::Failed, None, Some(message));
+        (entry, IngestOutcome::RecordedFailed)
+    };
+    let Some(spec) = record.spec else {
+        return failed(None, no_spec.to_string());
+    };
+    match spec.validate() {
+        Ok(kind) => {
+            let entry = JobEntry::queued(kind, Some(spec), nptsn_obs::current_trace());
+            (entry, IngestOutcome::Requeued)
+        }
+        Err(e) => failed(Some(spec), format!("spec no longer validates after {after}: {e}")),
     }
 }
 
@@ -2164,6 +2132,77 @@ mod tests {
             Err(IngestError::Malformed(_))
         ));
         assert!(live.snapshot(999).is_none());
+    }
+
+    /// Crash recovery and replay ingest share one record-to-job gate: for
+    /// every record shape, `open` over a store holding the record and
+    /// `ingest_record` into an empty queue build the same job, count it
+    /// under the same branch, and persist a terminal record byte for byte.
+    #[test]
+    fn recovery_and_ingest_rebuild_every_record_shape_alike() {
+        let burn = Some(JobSpec::Burn { millis: 1 });
+        let stale = Some(JobSpec::Plan {
+            problem: "[nonsense".to_string(),
+            epochs: 1,
+            steps: 1,
+            seed: 0,
+            greedy: true,
+        });
+        let verify = Some(JobOutcome::Verify { json: "{}".to_string(), reliable: true });
+        let shapes = [
+            (JobState::Done, burn.clone(), Some(JobOutcome::Burn), None),
+            (JobState::Done, None, verify, None),
+            (JobState::Failed, burn.clone(), None, Some("boom")),
+            (JobState::Failed, stale.clone(), None, Some("spec rotted")),
+            (JobState::Cancelled, burn.clone(), Some(JobOutcome::Burn), None),
+            (JobState::Cancelled, None, None, Some("cancelled")),
+            (JobState::Submitted, burn.clone(), None, None),
+            (JobState::Running, burn, None, None),
+            (JobState::Submitted, stale.clone(), None, None),
+            (JobState::Running, stale, None, None),
+            (JobState::Submitted, None, None, None),
+            (JobState::Running, None, None, None),
+        ];
+        let id = 7;
+        let trace = nptsn_obs::TraceContext::from_seed(11);
+        for (state, spec, outcome, error) in shapes {
+            let shape = format!("{state:?} {spec:?} {outcome:?} {error:?}");
+            let bytes = encode_record(state, spec.as_ref(), outcome.as_ref(), error);
+            let store: Arc<dyn Storage> = Arc::new(MemStore::new());
+            store.put(&job_key(id), &bytes).unwrap();
+            let (recovered, report) =
+                JobQueue::open(4, store, RetentionConfig::default()).unwrap();
+            let ingested = JobQueue::new(4);
+            let ingest = {
+                let _trace = nptsn_obs::with_trace(Some(trace));
+                ingested.ingest_record(id, &bytes).unwrap()
+            };
+
+            let (a, b) = (recovered.snapshot(id).unwrap(), ingested.snapshot(id).unwrap());
+            assert_eq!(
+                (a.state, a.kind, &a.outcome, a.error.is_some()),
+                (b.state, b.kind, &b.outcome, b.error.is_some()),
+                "{shape}"
+            );
+            let counted = match ingest {
+                IngestOutcome::Terminal => report.terminal_loaded,
+                IngestOutcome::Requeued => report.requeued,
+                IngestOutcome::RecordedFailed => report.failed_to_recover,
+                other => panic!("{shape}: ingest answered {other:?}"),
+            };
+            assert_eq!(counted, 1, "{shape}: {report:?}");
+            assert_eq!(ingest == IngestOutcome::Terminal, state.is_terminal(), "{shape}");
+            if state.is_terminal() {
+                for queue in [&recovered, &ingested] {
+                    assert_eq!(queue.store().get(&job_key(id)).unwrap().unwrap(), bytes, "{shape}");
+                }
+            }
+            // A requeued job adopts the installed trace: recovery has none,
+            // a replay carries the router's.
+            let expected = (ingest == IngestOutcome::Requeued).then_some(trace);
+            assert_eq!(recovered.lock().jobs[&id].trace, None, "{shape}");
+            assert_eq!(ingested.lock().jobs[&id].trace, expected, "{shape}");
+        }
     }
 
     #[test]

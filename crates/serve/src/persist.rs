@@ -73,6 +73,9 @@ pub fn trace_id_from_key(key: &str) -> Option<JobId> {
 
 const RECORD_VERSION: u8 = 1;
 const TRACE_RECORD_VERSION: u8 = 1;
+/// The fewest bytes one encoded [`TraceSpan`] takes: an empty name's
+/// length prefix and four `u64`s.
+const MIN_TRACE_SPAN_BYTES: usize = 40;
 
 /// A submission in replayable form. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
@@ -538,7 +541,9 @@ pub fn decode_trace(bytes: &[u8]) -> Result<TraceRecord, String> {
     let hi = dec.u64()?;
     let shard = dec.str()?;
     let count = dec.u64()? as usize;
-    let mut spans = Vec::with_capacity(count.min(4096));
+    // Reserve only what the bytes left can hold: a forged count must not
+    // buy an allocation the record does not back.
+    let mut spans = Vec::with_capacity(count.min((bytes.len() - dec.at) / MIN_TRACE_SPAN_BYTES));
     for _ in 0..count {
         spans.push(TraceSpan {
             name: dec.str()?,

@@ -297,88 +297,33 @@ impl LogStore {
         &self.dir
     }
 
-    /// Reads the live `(key, value)` set out of the segment log in `dir`
-    /// **without opening the store**: no torn tail is truncated, no
-    /// abandoned `.tmp` file is removed, no segment is created or
-    /// re-stamped — the directory's bytes are exactly as untouched after
-    /// the call as before it.
+    /// Reads the live `(key, value)` records appended to the segment log
+    /// in `dir` **after** `cursor`, **without opening the store**, and
+    /// returns them with the cursor to hand back next call. `None` reads
+    /// the whole log. No torn tail is truncated, no abandoned `.tmp` file
+    /// is removed, no segment is created or re-stamped — the directory's
+    /// bytes are exactly as untouched after the call as before it, so it
+    /// is safe against a live store (its appends land after the cursor
+    /// and are picked up next call).
     ///
     /// The same frame-trust and override rules as [`LogStore::open`]
-    /// apply (shared via one parser), so the export observes precisely
+    /// apply (shared via one parser), so a full export observes precisely
     /// the state a reopen would recover: segments replay in id order,
     /// later records override earlier ones, tombstones delete, and each
     /// segment's replay ends at its first untrustworthy frame.
     ///
-    /// This is the substrate for dead-shard replay: a router (or any
-    /// other process) can drain the durable record set of a `kill -9`'d
-    /// serve process while leaving the directory pristine for forensics
-    /// or a later restart of the original owner.
-    pub fn export_live(dir: impl AsRef<Path>) -> Result<Vec<(String, Vec<u8>)>, StoreError> {
-        let _span = nptsn_obs::span("store.export");
-        let dir = dir.as_ref();
-        let mut segment_ids = Vec::new();
-        for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(id) = name
-                .strip_prefix("segment-")
-                .and_then(|rest| rest.strip_suffix(".log"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
-                segment_ids.push(id);
-            }
-        }
-        segment_ids.sort_unstable();
-
-        let mut live: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-        for &id in &segment_ids {
-            let path = segment_path(dir, id);
-            let bytes = fs::read(&path)?;
-            if bytes.is_empty() {
-                continue; // creation interrupted before the header: empty
-            }
-            if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-                if MAGIC.starts_with(&bytes[..bytes.len().min(MAGIC.len())]) {
-                    continue; // torn header: segment holds no records
-                }
-                return Err(StoreError::Corrupt(format!(
-                    "{} does not start with the segment magic",
-                    path.display()
-                )));
-            }
-            let mut offset = MAGIC.len();
-            while offset < bytes.len() {
-                let Some(frame) = trust_frame(&bytes, offset) else {
-                    break; // first untrustworthy frame ends this segment
-                };
-                match frame.op {
-                    OP_PUT => {
-                        live.insert(frame.key.to_string(), frame.value.to_vec());
-                    }
-                    _ => {
-                        live.remove(frame.key);
-                    }
-                }
-                offset += frame.frame_len;
-            }
-        }
-        Ok(live.into_iter().collect())
-    }
-
-    /// Incremental [`LogStore::export_live`]: reads only the records
-    /// appended **after** `cursor`, returning them with a new cursor for
-    /// the next call. Like `export_live` this never mutates the
-    /// directory, so it is safe against a live store (its appends land
-    /// after the cursor and are picked up next call).
+    /// This is the substrate of every record transfer between shards: a
+    /// router drains the durable record set of a `kill -9`'d serve
+    /// process from `None` while leaving the directory pristine for
+    /// forensics or a later restart of the original owner, and chases a
+    /// live donor's tail from one cursor to the next.
     ///
     /// The cursor names a byte position in a specific segment. A cursor
     /// that no longer resolves — its segment was compacted away, or its
     /// offset runs past the segment (a torn tail truncated behind it) —
     /// degrades to a **full export**, never to silent data loss: the
     /// caller re-reads everything and relies on idempotent downstream
-    /// ingest, which is exactly the replay contract. `None` is the
-    /// explicit full-export cursor for a first call.
+    /// ingest, which is exactly the replay contract.
     ///
     /// A key *deleted* after the cursor is simply absent from the delta
     /// (the suffix scan drops it); callers that must observe deletions
@@ -576,7 +521,7 @@ struct Frame<'a> {
 /// bytes at `offset`. `None` means the frame cannot be trusted — a torn
 /// tail, a CRC mismatch, or a malformed payload — and must end its
 /// segment's replay. Shared by [`replay_segment`] and
-/// [`LogStore::export_live`] so the two readers cannot drift.
+/// [`LogStore::export_live_since`] so the two readers cannot drift.
 fn trust_frame(bytes: &[u8], offset: usize) -> Option<Frame<'_>> {
     let remaining = bytes.len() - offset;
     if remaining < FRAME_HEADER {

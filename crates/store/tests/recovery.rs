@@ -9,11 +9,13 @@
 //! runs wholly under `arm_scoped` (with an empty plan when it injects no
 //! fault): no test's writes run while a sibling's plan is armed.
 
+use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use nptsn_chaos::{arm_scoped, FaultKind, FaultPlan, SiteRule};
+use nptsn_rand::{rngs::StdRng, Rng, SeedableRng};
 use nptsn_store::{LogConfig, LogStore, Storage};
 
 fn temp_dir(test: &str) -> PathBuf {
@@ -225,7 +227,7 @@ fn export_live_reads_without_mutating_the_directory() {
     fs::write(dir.join("segment-0000000007.log.tmp"), b"abandoned").unwrap();
     let len_before = fs::metadata(segment0(&dir)).unwrap().len();
 
-    let live = LogStore::export_live(&dir).unwrap();
+    let live = LogStore::export_live_since(&dir, None).unwrap().0;
     assert_eq!(
         live,
         vec![("a".to_string(), b"alpha-2".to_vec()), ("c".to_string(), b"gamma".to_vec())]
@@ -262,7 +264,7 @@ fn export_live_spans_segments_and_respects_override_order() {
         store.delete("k1").unwrap();
     }
     assert!(fs::read_dir(&dir).unwrap().count() > 1, "rotation never happened");
-    let live = LogStore::export_live(&dir).unwrap();
+    let live = LogStore::export_live_since(&dir, None).unwrap().0;
     assert_eq!(
         live,
         vec![
@@ -273,9 +275,125 @@ fn export_live_spans_segments_and_respects_override_order() {
     // Export of a directory with no segments at all is empty, not an error.
     let empty = temp_dir("export-multiseg-empty");
     fs::create_dir_all(&empty).unwrap();
-    assert!(LogStore::export_live(&empty).unwrap().is_empty());
+    assert!(LogStore::export_live_since(&empty, None).unwrap().0.is_empty());
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&empty);
+}
+
+/// Every file in `dir`, by name.
+fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            (entry.file_name().to_string_lossy().into_owned(), fs::read(entry.path()).unwrap())
+        })
+        .collect()
+}
+
+/// Every transfer between shards rests on one claim: a full export of a
+/// store directory is exactly the key/value set a reopen recovers, and
+/// reading it changes no byte of the directory. Seeded put/delete
+/// histories over many rotated segments, each then damaged one way a
+/// crash or bit rot would; put-only histories also chain exports from
+/// cursors taken at random points while the store was being written.
+#[test]
+fn a_full_export_is_exactly_what_a_reopen_recovers() {
+    let _guard = arm_scoped(FaultPlan::new(0)); // serialize only; no faults
+    let config = LogConfig { segment_bytes: 128, sync_writes: false, auto_compact_bytes: 0 };
+    for case in 0..60u64 {
+        let seed = 0x4558_504f_5254 ^ case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dir = temp_dir(&format!("export-pin-{case}"));
+        let put_only = case % 3 == 0;
+        let mut chained: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let mut cursor = None;
+        {
+            let store = LogStore::open_with(&dir, config.clone()).unwrap();
+            for op in 0..rng.gen_range(20..80u32) {
+                let key = format!("k{}", rng.gen_range(0..12u32));
+                if !put_only && rng.gen_range(0..4u32) == 0 {
+                    store.delete(&key).unwrap();
+                } else {
+                    let value = format!("{op}-{}", "v".repeat(rng.gen_range(0..24usize)));
+                    store.put(&key, value.as_bytes()).unwrap();
+                }
+                if put_only && rng.gen_range(0..5u32) == 0 {
+                    let (delta, next) = LogStore::export_live_since(&dir, cursor).unwrap();
+                    chained.extend(delta);
+                    cursor = Some(next);
+                }
+            }
+        }
+        let segments: Vec<String> =
+            dir_bytes(&dir).into_keys().filter(|name| name.ends_with(".log")).collect();
+        assert!(segments.len() > 2, "seed {seed:#x}: rotation never happened");
+        if put_only {
+            let (delta, _) = LogStore::export_live_since(&dir, cursor).unwrap();
+            chained.extend(delta);
+            let (full, _) = LogStore::export_live_since(&dir, None).unwrap();
+            assert_eq!(chained.into_iter().collect::<Vec<_>>(), full, "seed {seed:#x}");
+        }
+
+        // One mutation, as a crash or bit rot would leave it.
+        let victim = dir.join(&segments[rng.gen_range(0..segments.len())]);
+        let newest = dir.join(segments.last().unwrap());
+        let mut bytes = fs::read(&victim).unwrap();
+        match rng.gen_range(0..5u32) {
+            0 => {
+                bytes.truncate(rng.gen_range(0..=bytes.len()));
+                fs::write(&victim, &bytes).unwrap();
+            }
+            1 if !bytes.is_empty() => {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] ^= rng.gen_range(1..=255u32) as u8;
+                fs::write(&victim, &bytes).unwrap();
+            }
+            2 => {
+                let garbage: Vec<u8> =
+                    (0..rng.gen_range(1..40u32)).map(|_| rng.gen_range(0..=255u32) as u8).collect();
+                bytes.extend(garbage);
+                fs::write(&victim, &bytes).unwrap();
+            }
+            3 => {
+                let torn = fs::read(&newest).unwrap()[..rng.gen_range(1..8usize)].to_vec();
+                fs::write(&newest, torn).unwrap();
+            }
+            _ => fs::write(dir.join("segment-9999999999.log.tmp"), &bytes).unwrap(),
+        }
+
+        let before = dir_bytes(&dir);
+        let exported = LogStore::export_live_since(&dir, None);
+        assert_eq!(dir_bytes(&dir), before, "seed {seed:#x}: the export changed the directory");
+        let copy = temp_dir(&format!("export-pin-{case}-copy"));
+        fs::create_dir_all(&copy).unwrap();
+        for (name, bytes) in &before {
+            fs::write(copy.join(name), bytes).unwrap();
+        }
+        match (exported, LogStore::open(&copy)) {
+            (Ok((records, _)), Ok(store)) => {
+                let recovered: Vec<(String, Vec<u8>)> = store
+                    .keys_with_prefix("")
+                    .unwrap()
+                    .into_iter()
+                    .map(|key| {
+                        let value = store.get(&key).unwrap().unwrap();
+                        (key, value)
+                    })
+                    .collect();
+                assert_eq!(records, recovered, "seed {seed:#x}");
+            }
+            // Foreign bytes where a magic should be: both refuse.
+            (Err(_), Err(_)) => {}
+            (exported, reopened) => panic!(
+                "seed {seed:#x}: export {:?} but reopen {:?}",
+                exported.map(|(records, _)| records.len()),
+                reopened.map(|store| store.recovery())
+            ),
+        }
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&copy);
+    }
 }
 
 #[test]

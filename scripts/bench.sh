@@ -37,17 +37,15 @@
 #                         batch-1)
 #   BENCH_router.json   — sharded front tier: submit-to-drain throughput
 #                         routed over a two-shard fleet vs direct to a
-#                         single shard, and kill -9 failover latency to
-#                         the first replayed job (p50/p99 over several
-#                         rounds; the binary itself fails if routed
-#                         overhead exceeds 25% or any acked job is lost)
+#                         single shard (the binary itself fails if routed
+#                         overhead exceeds 25%)
 #   BENCH_membership.json — elastic membership (DESIGN.md §16): the
 #                         rejoin catch-up round trip of a restarted
 #                         shard, and kill-to-served failover p50/p99 at
-#                         replication factor 1 (dead-log replay) vs 2
-#                         (replica promotion; the binary itself fails if
-#                         the RF2 p99 reaches 50 ms or any acked job is
-#                         lost)
+#                         replication factor 1 (dead-log replay: the
+#                         fleet's one failover number) vs 2 (replica
+#                         promotion; the binary itself fails if the RF2
+#                         p99 reaches 50 ms or any acked job is lost)
 #
 # Usage: scripts/bench.sh [--smoke]
 #   --smoke   shrink iteration counts to a fast plumbing check (used by
@@ -89,7 +87,7 @@ NPTSN_BENCH_OUT="${NPTSN_CHAOS_BENCH_OUT:-$chaos_out}" ./target/release/chaos_st
 NPTSN_BENCH_OUT="${NPTSN_STORE_BENCH_OUT:-$store_out}" ./target/release/store_bench
 NPTSN_BENCH_OUT="${NPTSN_INFER_BENCH_OUT:-$infer_out}" ./target/release/infer_bench
 # The router bench spawns its shard fleet as child processes of itself
-# (kill -9 failover needs real processes) and gates routed overhead <=25%.
+# and gates routed overhead <=25%.
 NPTSN_BENCH_OUT="${NPTSN_ROUTER_BENCH_OUT:-$router_out}" ./target/release/router_bench
 # The membership bench spawns its fleets the same way and gates the
 # pause-free-failover promise: RF2 kill-to-served p99 under 50 ms.
