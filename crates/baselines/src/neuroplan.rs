@@ -38,8 +38,10 @@ pub struct NeuroPlanReport {
 /// upgrades, with no survival-oriented pruning and no dynamic action
 /// encoding.
 ///
-/// Kept single-threaded: the baseline exists for solution-quality
-/// comparison, not speed.
+/// Its rollout is kept single-threaded: the baseline exists for
+/// solution-quality comparison, not speed. The PPO update runs on
+/// [`PlannerConfig::update_threads`] threads, as the planner's does, with
+/// the same results as on one.
 pub struct NeuroPlanAgent {
     problem: PlanningProblem,
     config: PlannerConfig,
@@ -249,7 +251,11 @@ impl NeuroPlanAgent {
             };
             reward_curve.push(mean);
             let batch = buffer.drain();
-            let _ = ppo_update(&net, &mut actor_opt, &mut critic_opt, &batch, &ppo);
+            let replica = || {
+                PolicyNetwork::new(&self.config, n, feature_count, action_count, self.config.seed)
+            };
+            let threads = self.config.update_threads();
+            let _ = ppo_update(&net, replica, threads, &mut actor_opt, &mut critic_opt, &batch, &ppo);
         }
 
         NeuroPlanReport { best, reward_curve, dead_ends }

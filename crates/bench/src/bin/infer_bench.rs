@@ -333,6 +333,7 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"infer_batch\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
+    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
     json.push_str("  \"job_path\": {\n");
     json.push_str("    \"problem\": \"zonal theta (2 es, 2 sw)\",\n");
     json.push_str("    \"results_equal_solo\": true,\n");

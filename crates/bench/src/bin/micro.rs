@@ -270,6 +270,25 @@ fn bench_ppo(filter: &str) {
         actor: nptsn_nn::Mlp,
         critic: nptsn_nn::Mlp,
     }
+    impl Tiny {
+        fn new() -> Tiny {
+            let mut rng = StdRng::seed_from_u64(0);
+            Tiny {
+                actor: nptsn_nn::Mlp::new(
+                    &mut rng,
+                    &[8, 64, 64, 4],
+                    nptsn_nn::Activation::Tanh,
+                    nptsn_nn::Activation::Identity,
+                ),
+                critic: nptsn_nn::Mlp::new(
+                    &mut rng,
+                    &[8, 64, 64, 1],
+                    nptsn_nn::Activation::Tanh,
+                    nptsn_nn::Activation::Identity,
+                ),
+            }
+        }
+    }
     impl ActorCritic<Vec<f32>> for Tiny {
         fn evaluate(&self, obs: &Vec<f32>, mask: &[bool]) -> (Tensor, Tensor) {
             let x = Tensor::from_vec(1, obs.len(), obs.clone());
@@ -279,21 +298,14 @@ fn bench_ppo(filter: &str) {
             )
         }
     }
-    let mut rng = StdRng::seed_from_u64(0);
-    let model = Tiny {
-        actor: nptsn_nn::Mlp::new(
-            &mut rng,
-            &[8, 64, 64, 4],
-            nptsn_nn::Activation::Tanh,
-            nptsn_nn::Activation::Identity,
-        ),
-        critic: nptsn_nn::Mlp::new(
-            &mut rng,
-            &[8, 64, 64, 1],
-            nptsn_nn::Activation::Tanh,
-            nptsn_nn::Activation::Identity,
-        ),
-    };
+    impl Module for Tiny {
+        fn parameters(&self) -> Vec<Tensor> {
+            let mut p = self.actor.parameters();
+            p.extend(self.critic.parameters());
+            p
+        }
+    }
+    let model = Tiny::new();
     let mut buf = RolloutBuffer::new(0.99, 0.97);
     for i in 0..64 {
         buf.store(vec![0.1 * (i % 8) as f32; 8], i % 4, vec![true; 4], -0.1, 0.0, -1.4);
@@ -301,11 +313,13 @@ fn bench_ppo(filter: &str) {
     }
     let batch = buf.drain();
     let cfg = PpoConfig { train_pi_iters: 4, train_v_iters: 4, ..PpoConfig::default() };
-    bench(filter, "ppo_update_64steps", 2, 20, || {
-        let mut a = nptsn_nn::Adam::new(model.actor.parameters(), 3e-4);
-        let mut v = nptsn_nn::Adam::new(model.critic.parameters(), 1e-3);
-        black_box(ppo_update(&model, &mut a, &mut v, &batch, &cfg));
-    });
+    for (name, workers) in [("ppo_update_64steps", 1), ("ppo_update_64steps/2_workers", 2)] {
+        bench(filter, name, 2, 20, || {
+            let mut a = nptsn_nn::Adam::new(model.actor.parameters(), 3e-4);
+            let mut v = nptsn_nn::Adam::new(model.critic.parameters(), 1e-3);
+            black_box(ppo_update(&model, Tiny::new, workers, &mut a, &mut v, &batch, &cfg));
+        });
+    }
 }
 
 fn bench_epochs(filter: &str) {

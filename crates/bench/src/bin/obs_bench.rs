@@ -273,6 +273,7 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"tracing_overhead_orion_saturated\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
+    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
     json.push_str(&format!("  \"iters\": {iters},\n"));
     json.push_str(&format!(
         "  \"span_ns\": {{\"disabled\": {span_disabled_ns:.3}, \"enabled\": {span_enabled_ns:.3}}},\n"

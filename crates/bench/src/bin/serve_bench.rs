@@ -114,6 +114,7 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"serve_http\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
+    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
     json.push_str("  \"workers\": 2,\n");
     json.push_str(&format!(
         "  \"status_poll\": {{\"requests\": {polls}, \"p50_ns\": {poll_p50}, \

@@ -119,6 +119,7 @@ fn main() {
     let mut json = String::from("{\n");
     json.push_str("  \"benchmark\": \"store_segment_log\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
+    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
     json.push_str("  \"value_bytes\": 256,\n");
     json.push_str(&format!("  \"append_unsynced_puts_per_sec\": {unsynced:.0},\n"));
     json.push_str(&format!("  \"append_synced_puts_per_sec\": {synced:.0},\n"));

@@ -87,7 +87,7 @@ pub use greedy::{verify_topology, GreedyPlanner};
 pub use infer::{plan_with_policy_batch, InferLane};
 pub use model::PolicyNetwork;
 pub use planner::{EpochStats, Planner, PlannerReport};
-pub use problem::PlanningProblem;
+pub use problem::{check_schedule_table, PlanningProblem, MAX_SCHEDULE_CELLS};
 pub use scenario_cache::{CacheStats, ScenarioBits, ScenarioCache, SupersetMemo};
 pub use soag::{Action, ActionSet, Soag};
 pub use solution::{asil_label, Solution};

@@ -81,7 +81,10 @@ impl PlannerReport {
 /// replica of the policy (parameters synchronized at every epoch boundary)
 /// and its own environment — the thread-based equivalent of the paper's
 /// 8-way MPI parallelization. Gradients are computed once over the merged
-/// batch, which equals averaging the per-worker gradient estimators.
+/// batch, which equals averaging the per-worker gradient estimators; the
+/// PPO update then runs its step graphs on the same number of threads, up
+/// to the core count, bit-identical to a sequential update (see
+/// [`PlannerConfig::update_threads`]).
 pub struct Planner {
     pub(crate) problem: PlanningProblem,
     pub(crate) config: PlannerConfig,
@@ -313,7 +316,13 @@ impl Planner {
                 nptsn_rl::PpoStats::default()
             } else {
                 let _ppo_span = nptsn_obs::span("planner.ppo_update");
-                ppo_update(&master, &mut actor_opt, &mut critic_opt, &batch, &ppo)
+                // The update's helpers build their replicas as rollout
+                // workers do: same seed so shapes match, values imported.
+                let replica = || {
+                    PolicyNetwork::new(&self.config, n, feature_count, action_count, self.config.seed)
+                };
+                let threads = self.config.update_threads();
+                ppo_update(&master, replica, threads, &mut actor_opt, &mut critic_opt, &batch, &ppo)
             };
             // Chaos site `planner.ppo_update`: a firing rule poisons this
             // epoch's update exactly like a NaN gradient would, so storms

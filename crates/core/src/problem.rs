@@ -6,6 +6,33 @@ use std::sync::Arc;
 use nptsn_sched::{FlowSet, NetworkBehavior, TasConfig};
 use nptsn_topo::{ComponentLibrary, ConnectionGraph};
 
+/// The most schedule-table cells a problem may need: 2 directions × the
+/// candidate links of `Gc` × the TAS slots. Every NBF call allocates a
+/// table of that many `Option<FlowId>` cells, 16 bytes each, so the cap
+/// bounds that allocation at 16 MiB. At ORION's 200 candidate links it
+/// admits up to 2 621 slots per base period; the paper uses 20.
+pub const MAX_SCHEDULE_CELLS: u64 = 1 << 20;
+
+/// Checks that a schedule table for `gc` under `tas` stays within
+/// [`MAX_SCHEDULE_CELLS`]: the check [`PlanningProblem::new`] makes where
+/// the graph and the TAS first meet.
+///
+/// # Errors
+///
+/// Returns a message with the cell count, links and slots when the table
+/// would be larger.
+pub fn check_schedule_table(gc: &ConnectionGraph, tas: &TasConfig) -> Result<(), String> {
+    let (links, slots) = (gc.candidate_link_count() as u64, tas.slots() as u64);
+    match links.checked_mul(2).and_then(|rows| rows.checked_mul(slots)) {
+        Some(cells) if cells <= MAX_SCHEDULE_CELLS => Ok(()),
+        cells => Err(format!(
+            "{links} candidate links x {slots} slots need {} schedule-table cells, \
+             more than the {MAX_SCHEDULE_CELLS} allowed",
+            cells.map_or_else(|| "over 2^64".to_string(), |c| c.to_string())
+        )),
+    }
+}
+
 /// A complete TSSDN network planning problem (Section II-C): the graph of
 /// possible connections `Gc`, the component library, the TAS base period
 /// `B`, the flow specifications `FS`, the reliability goal `R` and the
@@ -31,8 +58,10 @@ impl PlanningProblem {
     ///
     /// Returns a message when the inputs are inconsistent: a flow endpoint
     /// that is not an end station of `gc`, a non-positive reliability goal,
-    /// or a candidate graph whose degree bound exceeds the largest switch
-    /// in the library (no feasible switch would exist, Section II-C).
+    /// a candidate graph whose degree bound exceeds the largest switch
+    /// in the library (no feasible switch would exist, Section II-C), or a
+    /// schedule table over [`MAX_SCHEDULE_CELLS`] (see
+    /// [`check_schedule_table`]).
     pub fn new(
         gc: Arc<ConnectionGraph>,
         library: ComponentLibrary,
@@ -60,6 +89,7 @@ impl PlanningProblem {
                 }
             }
         }
+        check_schedule_table(&gc, &tas)?;
         let graph_fingerprint = fingerprint_graph(&gc);
         Ok(PlanningProblem { gc, library, tas, flows, reliability_goal, nbf, graph_fingerprint })
     }
@@ -193,6 +223,26 @@ mod tests {
         assert_eq!(p.reliability_goal(), 1e-6);
         assert_eq!(p.nbf().name(), "shortest-path");
         assert!(format!("{p:?}").contains("shortest-path"));
+    }
+
+    #[test]
+    fn schedule_tables_over_the_cell_cap_are_rejected() {
+        let (gc, flows) = base();
+        let build = |slots: usize| {
+            PlanningProblem::new(
+                Arc::clone(&gc),
+                ComponentLibrary::automotive(),
+                TasConfig::new(slots as u64, slots, 1000),
+                flows.clone(),
+                1e-6,
+                Arc::new(ShortestPathRecovery::new()),
+            )
+        };
+        // 2 candidate links: 4 directed rows of `slots` cells each.
+        let widest = (MAX_SCHEDULE_CELLS / 4) as usize;
+        assert!(build(widest).is_ok());
+        let err = build(widest + 1).unwrap_err();
+        assert!(err.contains("2 candidate links") && err.contains("schedule-table"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use nptsn::PlanningProblem;
+use nptsn::{check_schedule_table, PlanningProblem};
 use nptsn_sched::{
     FlowSet, FlowSpec, IncrementalRecovery, LoadBalancedRecovery, NetworkBehavior,
     RedundantRecovery, ShortestPathRecovery, Stateless, TasConfig,
@@ -31,7 +31,9 @@ pub struct ParsedProblem {
 ///
 /// Returns a message pinpointing the offending line for syntax errors,
 /// unknown sections/keys/nodes, duplicate definitions, zero TAS values, a
-/// base period not divisible into the slots, more than
+/// base period not divisible into the slots, a slot whose capacity in
+/// bytes exceeds `u32`, more slots than the schedule table may hold for
+/// the candidate links ([`nptsn::MAX_SCHEDULE_CELLS`]), more than
 /// [`MAX_COMBINE_ROUNDS`] combination rounds, negative or non-finite link
 /// lengths, and for any inconsistency rejected by [`PlanningProblem::new`].
 ///
@@ -66,9 +68,12 @@ pub fn parse_problem(text: &str) -> Result<ParsedProblem, String> {
     let mut nbf_name = "shortest-path".to_string();
     let mut max_es_degree: Option<usize> = None;
     let mut max_sw_degree: Option<usize> = None;
-    // The line of the last `base_period_us` or `slots` key: where a base
-    // period that the slots do not divide is reported.
+    // The line of the last `[tas]` key: where a base period that the slots
+    // do not divide, or a slot too wide for its capacity, is reported.
     let mut tas_line = 0;
+    // The line of the `slots` key: where a schedule table too large for
+    // the candidate links is reported.
+    let mut slots_line = 0;
 
     let mut section = String::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -112,8 +117,12 @@ pub fn parse_problem(text: &str) -> Result<ParsedProblem, String> {
                         slots = usize::try_from(parse_positive(value)?)
                             .map_err(|_| at("too many slots"))?;
                         tas_line = lineno + 1;
+                        slots_line = lineno + 1;
                     }
-                    ("tas", "bandwidth_mbps") => bandwidth_mbps = parse_positive(value)?,
+                    ("tas", "bandwidth_mbps") => {
+                        bandwidth_mbps = parse_positive(value)?;
+                        tas_line = lineno + 1;
+                    }
                     ("reliability", "goal") => {
                         goal = value
                             .parse::<f64>()
@@ -222,6 +231,12 @@ pub fn parse_problem(text: &str) -> Result<ParsedProblem, String> {
     let flows = FlowSet::new(flows).map_err(|e| e.to_string())?;
     let tas = TasConfig::try_new(base_period_us, slots, bandwidth_mbps)
         .map_err(|e| format!("line {tas_line}: {e}"))?;
+    // The default 20 slots can overflow only with tens of thousands of
+    // links, and then no line is to blame.
+    check_schedule_table(&gc, &tas).map_err(|e| match slots_line {
+        0 => e,
+        line => format!("line {line}: {e}"),
+    })?;
     let problem = PlanningProblem::new(Arc::new(gc), library, tas, flows, goal, nbf)?;
     Ok(ParsedProblem { problem, nodes_by_name })
 }
@@ -356,6 +371,23 @@ b a 250 128
         rejects_at(&doc, 27, "not divisible into 3 slots");
         // Divisible once the base period changes too, in either order.
         assert!(parse_problem(&format!("{GOOD}[tas]\nslots = 3\nbase_period_us = 600\n")).is_ok());
+    }
+
+    #[test]
+    fn slot_capacity_beyond_u32_rejected() {
+        // 25 us slots at 10^10 Mbit/s would carry 3.1e10 bytes each.
+        let doc = format!("{GOOD}[tas]\nbandwidth_mbps = 10000000000\n");
+        rejects_at(&doc, 27, "bytes");
+    }
+
+    #[test]
+    fn schedule_table_over_the_cell_cap_rejected() {
+        // GOOD's 5 candidate links need 2 x 5 cells per slot: a million
+        // slots is 10 million cells, 100 000 slots exactly a million.
+        let doc = format!("{GOOD}[tas]\nbase_period_us = 1000000\nslots = 1000000\n");
+        rejects_at(&doc, 28, "schedule-table cells");
+        let doc = format!("{GOOD}[tas]\nbase_period_us = 1000000\nslots = 100000\n");
+        assert!(parse_problem(&doc).is_ok());
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Seeded mutational fuzzing of the `.tssdn` problem parser and the plan
 //! parser.
 //!
-//! `examples/data/quickstart.tssdn` (alone, and with the optional
-//! `[library]`, `[constraints]` and `[nbf]` sections appended) and a plan
-//! that `write_plan` produces for it are mutated — byte flips, truncation,
-//! swapped or duplicated sections, and numbers replaced by zero, huge,
-//! negative, `NaN`, infinite or non-numeric values — and every case is
-//! parsed: a mutated problem
-//! with `parse_problem` (and, when it parses, the plan against it), a
-//! mutated plan with `parse_plan` against the original problem. The
-//! contract:
+//! `examples/data/quickstart.tssdn` (alone, with the optional
+//! `[library]`, `[constraints]` and `[nbf]` sections appended, or with a
+//! `[tas]` section of huge sizes appended) and a plan that `write_plan`
+//! produces for it are mutated — byte flips, truncation, swapped or
+//! duplicated sections, and numbers replaced by zero, huge, negative,
+//! `NaN`, infinite or non-numeric values — and every case is parsed: a
+//! mutated problem with `parse_problem` (and, when it parses, the plan
+//! against it), a mutated plan with `parse_plan` against the original
+//! problem. The contract:
 //!
 //! * every case returns `Ok` or `Err`, never panics;
-//! * no case allocates a block larger than [`ALLOCATION_BOUND`].
+//! * no case allocates a block larger than [`ALLOCATION_BOUND`];
+//! * a problem that parses has a schedule table within
+//!   [`MAX_SCHEDULE_CELLS`] and a slot capacity that fits in a `u32`, so
+//!   the scheduler can hold whatever the parser accepts.
 //!
 //! Its own test binary: it installs a global allocator that records the
 //! largest single allocation, which other tests in the process would
@@ -23,6 +26,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use nptsn::MAX_SCHEDULE_CELLS;
 use nptsn_format::{parse_plan, parse_problem, write_plan, ParsedProblem};
 use nptsn_rand::{rngs::StdRng, Rng, SeedableRng};
 use nptsn_topo::Asil;
@@ -84,8 +88,18 @@ max_switch_degree = 8
 mechanism = shortest-path
 ";
 
+/// A `[tas]` section that asks for a million slots of a million
+/// microseconds at 10^10 Mbit/s: a 6.4 GB schedule table per NBF call at
+/// ORION's size, and a slot capacity far beyond `u32`.
+const HUGE_TAS: &str = "\
+[tas]
+base_period_us = 1000000
+slots = 1000000
+bandwidth_mbps = 10000000000
+";
+
 /// Values a number is replaced with.
-const VALUES: [&str; 16] = [
+const VALUES: [&str; 19] = [
     "0",
     "-0",
     "-1",
@@ -96,6 +110,9 @@ const VALUES: [&str; 16] = [
     "inf",
     "-inf",
     "1e308",
+    "100000",
+    "1000000",
+    "10000000000",
     "4294967296",
     "18446744073709551615",
     "18446744073709551616",
@@ -209,6 +226,9 @@ fn parsers_survive_mutated_documents_within_their_allocation_bound() {
     let original = parse_problem(PROBLEM).expect("the quickstart problem parses");
     let extended = format!("{PROBLEM}{OPTIONAL_SECTIONS}");
     parse_problem(&extended).expect("the quickstart problem with every section parses");
+    let huge = format!("{PROBLEM}{HUGE_TAS}");
+    parse_problem(&huge).expect_err("a million slots of 10^10 Mbit/s are rejected");
+    let seeds = [PROBLEM, &extended, &huge];
     let plan = plan_for(&original);
     parse_plan(&original, &plan).expect("the written plan parses");
     let mut parsed = [0u64; 2];
@@ -217,7 +237,7 @@ fn parsers_survive_mutated_documents_within_their_allocation_bound() {
         let mut rng = StdRng::seed_from_u64(seed);
         let mutate_problem = rng.gen_range(0..2u32) == 0;
         let (problem, plan) = if mutate_problem {
-            let base = if rng.gen_range(0..2u32) == 0 { PROBLEM } else { &extended };
+            let base = seeds[rng.gen_range(0..seeds.len())];
             (mutate(&mut rng, base), plan.clone())
         } else {
             (PROBLEM.to_string(), mutate(&mut rng, &plan))
@@ -227,7 +247,14 @@ fn parsers_survive_mutated_documents_within_their_allocation_bound() {
             if !mutate_problem {
                 return Ok(parse_plan(&original, &plan).is_ok());
             }
-            parse_problem(&problem).map(|p| parse_plan(&p, &plan).is_ok())
+            parse_problem(&problem).map(|p| {
+                let (gc, tas) = (p.problem.connection_graph(), p.problem.tas());
+                let cells = 2 * gc.candidate_link_count() as u64 * tas.slots() as u64;
+                assert!(cells <= MAX_SCHEDULE_CELLS, "{cells} schedule-table cells");
+                let bits = u128::from(tas.bandwidth_mbps()) * u128::from(tas.slot_duration_us());
+                assert_eq!(u128::from(tas.slot_capacity_bytes()), bits / 8);
+                parse_plan(&p, &plan).is_ok()
+            })
         }));
         let largest = LARGEST.load(Ordering::Relaxed);
         let shown = if mutate_problem { &problem } else { &plan };

@@ -67,34 +67,12 @@ impl Adam {
 
     /// Applies one Adam update using the currently accumulated gradients.
     pub fn step(&mut self) {
-        self.step_with_grads(None);
-    }
-
-    /// Applies one Adam update using externally supplied gradients instead
-    /// of the accumulated ones — the hook used for distributed gradient
-    /// averaging across rollout workers (Section IV-C parallelization).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the gradient list's shape does not match the parameters.
-    pub fn step_with(&mut self, grads: &[Vec<f32>]) {
-        assert_eq!(grads.len(), self.params.len(), "one gradient per parameter");
-        self.step_with_grads(Some(grads));
-    }
-
-    fn step_with_grads(&mut self, grads: Option<&[Vec<f32>]>) {
         let _span = nptsn_obs::span("adam.step");
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         for (i, p) in self.params.iter().enumerate() {
-            let grad = match grads {
-                Some(gs) => {
-                    assert_eq!(gs[i].len(), p.len(), "gradient {i} has the wrong length");
-                    gs[i].clone()
-                }
-                None => p.grad(),
-            };
+            let grad = p.grad();
             let (m, v) = (&mut self.m[i], &mut self.v[i]);
             let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
             p.update_data(|j, x| {
@@ -134,15 +112,6 @@ mod tests {
         w.scale(3.0).mean().backward(); // grad = 3
         adam.step();
         assert!((w.item() + 0.01).abs() < 1e-4, "moved {}", w.item());
-    }
-
-    #[test]
-    fn external_gradients_drive_the_step() {
-        let w = Tensor::param(1, 1, vec![0.0]);
-        let mut adam = Adam::new(vec![w.clone()], 0.01);
-        // No backward at all; supply the averaged gradient directly.
-        adam.step_with(&[vec![1.0]]);
-        assert!(w.item() < 0.0);
     }
 
     #[test]

@@ -353,6 +353,17 @@ impl Drop for SpanGuard {
     }
 }
 
+/// The name of the innermost span open on this thread, while tracing is
+/// enabled. A helper thread working for its caller opens a span of the
+/// same name, so that per-thread attribution (a planner's update phase,
+/// say) covers the helper's work too.
+pub fn current_span() -> Option<&'static str> {
+    if !enabled() {
+        return None;
+    }
+    CTX.try_with(|c| c.borrow().stack.last().map(|open| open.name)).ok().flatten()
+}
+
 /// Records a leveled log event if `level` is at or below the configured
 /// [`log_level`] and either tracing is enabled or the flight recorder is
 /// armed (flight entries keep the name and level, not the message).

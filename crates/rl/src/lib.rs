@@ -16,7 +16,9 @@
 //! * [`ppo_update`] — the clipped-surrogate actor update (Eq. 5) with KL
 //!   early stopping plus the mean-squared-error critic update, each running
 //!   through its own Adam optimizer exactly as in Algorithm 2 (lines
-//!   19–21: the shared GCN receives gradients from both heads).
+//!   19–21: the shared GCN receives gradients from both heads). Each
+//!   iteration's step graphs run on several threads, and the gradients
+//!   fold back bit-identical to one sequential backward.
 //!
 //! # Examples
 //!
@@ -32,6 +34,15 @@
 //!     actor: Mlp,
 //!     critic: Mlp,
 //! }
+//! impl Bandit {
+//!     fn new(seed: u64) -> Bandit {
+//!         let mut rng = StdRng::seed_from_u64(seed);
+//!         Bandit {
+//!             actor: Mlp::new(&mut rng, &[1, 16, 2], Activation::Tanh, Activation::Identity),
+//!             critic: Mlp::new(&mut rng, &[1, 16, 1], Activation::Tanh, Activation::Identity),
+//!         }
+//!     }
+//! }
 //! impl ActorCritic<()> for Bandit {
 //!     fn evaluate(&self, _obs: &(), mask: &[bool]) -> (Tensor, Tensor) {
 //!         let x = Tensor::from_vec(1, 1, vec![1.0]);
@@ -40,12 +51,16 @@
 //!         (nptsn_rl::masked_log_probs(&logits, mask), value)
 //!     }
 //! }
+//! impl Module for Bandit {
+//!     fn parameters(&self) -> Vec<Tensor> {
+//!         let mut p = self.actor.parameters();
+//!         p.extend(self.critic.parameters());
+//!         p
+//!     }
+//! }
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
-//! let model = Bandit {
-//!     actor: Mlp::new(&mut rng, &[1, 16, 2], Activation::Tanh, Activation::Identity),
-//!     critic: Mlp::new(&mut rng, &[1, 16, 1], Activation::Tanh, Activation::Identity),
-//! };
+//! let model = Bandit::new(0);
 //! let mut pi_opt = Adam::new(model.actor.parameters(), 3e-3);
 //! let mut v_opt = Adam::new(model.critic.parameters(), 1e-2);
 //! let cfg = PpoConfig::default();
@@ -61,7 +76,8 @@
 //!         buf.finish_path(0.0); // one-step episodes
 //!     }
 //!     let batch = buf.drain();
-//!     ppo_update(&model, &mut pi_opt, &mut v_opt, &batch, &cfg);
+//!     // Two threads: the caller and one helper on its own replica.
+//!     ppo_update(&model, || Bandit::new(0), 2, &mut pi_opt, &mut v_opt, &batch, &cfg);
 //! }
 //! // The policy should now clearly prefer arm 1.
 //! let (logps, _) = model.evaluate(&(), &[true, true]);
@@ -85,7 +101,10 @@ use nptsn_tensor::Tensor;
 /// `evaluate` must return the *masked* log-probability row `(1, actions)`
 /// (use [`masked_log_probs`]) and the value estimate `(1, 1)`; both must be
 /// differentiable back to the model parameters so [`ppo_update`] can train
-/// through them.
+/// through them. Every leaf with a gradient that they reach must be one of
+/// the model's [`Module::parameters`](nptsn_nn::Module::parameters), and
+/// two observations' graphs may share no other node that carries a
+/// gradient, so that each step's backward can run on its own thread.
 pub trait ActorCritic<O> {
     /// Computes the masked policy log-probabilities and the value for one
     /// observation.

@@ -35,8 +35,9 @@ impl TasConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `slots`, `base_period_us` or `bandwidth_mbps` is zero, or
-    /// the base period is not divisible into `slots` equal slots. Use
+    /// Panics when `slots`, `base_period_us` or `bandwidth_mbps` is zero,
+    /// the base period is not divisible into `slots` equal slots, or a
+    /// slot's capacity in bytes does not fit in a `u32`. Use
     /// [`TasConfig::try_new`] for values read from outside the program.
     pub fn new(base_period_us: u64, slots: usize, bandwidth_mbps: u64) -> TasConfig {
         TasConfig::try_new(base_period_us, slots, bandwidth_mbps).unwrap_or_else(|e| panic!("{e}"))
@@ -47,8 +48,9 @@ impl TasConfig {
     /// # Errors
     ///
     /// [`SchedError::InvalidTas`] when `slots`, `base_period_us` or
-    /// `bandwidth_mbps` is zero, or the base period is not divisible into
-    /// `slots` equal slots.
+    /// `bandwidth_mbps` is zero, the base period is not divisible into
+    /// `slots` equal slots, or a slot's capacity in bytes
+    /// (`bandwidth_mbps × slot duration / 8`) does not fit in a `u32`.
     ///
     /// ```
     /// use nptsn_sched::TasConfig;
@@ -56,6 +58,8 @@ impl TasConfig {
     /// assert!(TasConfig::try_new(500, 20, 1000).is_ok());
     /// // 500 us cannot be cut into 3 equal whole-microsecond slots.
     /// assert!(TasConfig::try_new(500, 3, 1000).is_err());
+    /// // 25 us slots at 10^10 Mbit/s would carry 3.1e10 bytes each.
+    /// assert!(TasConfig::try_new(500, 20, 10_000_000_000).is_err());
     /// ```
     pub fn try_new(base_period_us: u64, slots: usize, bandwidth_mbps: u64) -> Result<TasConfig> {
         let invalid = |msg: String| Err(SchedError::InvalidTas(msg));
@@ -71,6 +75,14 @@ impl TasConfig {
         if !base_period_us.is_multiple_of(slots as u64) {
             return invalid(format!(
                 "base period {base_period_us} us is not divisible into {slots} slots"
+            ));
+        }
+        let slot_us = base_period_us / slots as u64;
+        let capacity = bandwidth_mbps.checked_mul(slot_us).map(|bits| bits / 8);
+        if capacity.and_then(|bytes| u32::try_from(bytes).ok()).is_none() {
+            return invalid(format!(
+                "a {slot_us} us slot at {bandwidth_mbps} Mbit/s carries more than {} bytes",
+                u32::MAX
             ));
         }
         Ok(TasConfig { base_period_us, slots, bandwidth_mbps })
@@ -99,7 +111,8 @@ impl TasConfig {
 
     /// Bytes a single slot can carry at the configured bandwidth.
     pub fn slot_capacity_bytes(&self) -> u32 {
-        // bandwidth [Mbit/s] * duration [us] = bits; / 8 = bytes.
+        // bandwidth [Mbit/s] * duration [us] = bits; / 8 = bytes. `try_new`
+        // checked that this neither overflows nor exceeds `u32`.
         (self.bandwidth_mbps * self.slot_duration_us() / 8) as u32
     }
 
@@ -196,6 +209,21 @@ mod tests {
             );
         }
         assert_eq!(TasConfig::try_new(500, 20, 1000), Ok(TasConfig::default()));
+    }
+
+    #[test]
+    fn try_new_rejects_a_slot_capacity_beyond_u32() {
+        // 25 us slots: 3.1e10 bytes at 10^10 Mbit/s, which the old cast
+        // truncated to 1.19e9 in release builds.
+        let too_wide = TasConfig::try_new(500, 20, 10_000_000_000);
+        assert!(matches!(too_wide, Err(SchedError::InvalidTas(m)) if m.contains("bytes")));
+        // bandwidth × slot duration overflows u64 itself.
+        assert!(TasConfig::try_new(1_000_000, 1, u64::MAX / 2).is_err());
+        // An 8 us slot carries `bandwidth_mbps` bytes: u32::MAX is the
+        // widest that fits.
+        let tas = TasConfig::try_new(8, 1, u64::from(u32::MAX)).unwrap();
+        assert_eq!(tas.slot_capacity_bytes(), u32::MAX);
+        assert!(TasConfig::try_new(8, 1, u64::from(u32::MAX) + 1).is_err());
     }
 
     #[test]

@@ -1046,6 +1046,28 @@ mod tests {
     }
 
     #[test]
+    fn verify_submission_with_tas_sizes_the_scheduler_cannot_hold_is_unprocessable() {
+        let shared = test_shared();
+        let rest = "[nodes]\nes a\nes b\nsw s0\n[links]\na s0\nb s0\n\
+            [flows]\na b 500 128\n[switches]\ns0 D\n[plan-links]\na s0\nb s0\n";
+        // A 64 MB schedule table per NBF call for 2 links, and a slot
+        // capacity of 3.1e10 bytes: both refused before anything queues.
+        let tas = [
+            ("[tas]\nbase_period_us = 1000000\nslots = 1000000\n", "line 3:"),
+            ("[tas]\nbandwidth_mbps = 10000000000\n", "line 2:"),
+        ];
+        for (section, line) in tas {
+            let mut bad = request("POST", "/jobs/verify");
+            bad.body = format!("{section}{rest}").into_bytes();
+            let response = route(&shared, &bad);
+            assert_eq!(response.status, 422);
+            let body = String::from_utf8(response.body).unwrap();
+            assert!(body.contains(&format!("invalid problem: {line}")), "{body}");
+        }
+        assert_eq!(shared.metrics.jobs_submitted.get(), 0);
+    }
+
+    #[test]
     fn infer_submission_validates_the_checkpoint() {
         let shared = test_shared();
         let mut no_header = request("POST", "/jobs/infer");

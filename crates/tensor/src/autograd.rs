@@ -19,6 +19,9 @@ impl Tensor {
     /// propagated, so [`grad`](Tensor::grad) on a non-leaf (this loss
     /// included) reads zeros afterwards.
     ///
+    /// This is a [`BackwardPass`] seeded with `[1.0]` whose sink adds each
+    /// leaf contribution in place ([`Tensor::accumulate`]).
+    ///
     /// # Panics
     ///
     /// Panics when the tensor is not `(1, 1)` or does not require
@@ -36,16 +39,110 @@ impl Tensor {
     /// ```
     pub fn backward(&self) {
         assert_eq!(self.shape(), (1, 1), "backward starts from a scalar loss");
-        assert!(
-            self.requires_grad(),
-            "backward requires a graph with at least one parameter"
-        );
-        let mut order = Vec::new();
-        let mut visited = HashSet::new();
-        topo_visit(self, &mut visited, &mut order);
-        self.accumulate_grad(&[1.0]);
-        let mut transposes = HashMap::new();
-        for t in order.iter().rev() {
+        BackwardPass::new().seeded(self, &[1.0], &mut |leaf, delta| leaf.accumulate(&delta));
+    }
+}
+
+/// One contribution to a leaf's gradient, as a [`BackwardPass`] hands it
+/// to its sink. [`Tensor::accumulate`] adds either form into the leaf with
+/// the same result.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Delta<'a> {
+    /// The contribution, shaped like the leaf.
+    Dense(Cow<'a, [f32]>),
+    /// The gradient `xᵀ · g` of a `(k, n)` weight in a single-row product
+    /// `x · w`, still as its factors: the row `x` (`k` values) and the
+    /// upstream gradient `g` (`n` values). A `k`-fold smaller message than
+    /// the product, which [`Tensor::accumulate`] forms with the kernel
+    /// `backward` uses.
+    Outer(Cow<'a, [f32]>, Cow<'a, [f32]>),
+}
+
+impl Delta<'_> {
+    /// The same contribution, owning its data.
+    pub fn into_owned(self) -> Delta<'static> {
+        match self {
+            Delta::Dense(d) => Delta::Dense(Cow::Owned(d.into_owned())),
+            Delta::Outer(x, g) => Delta::Outer(Cow::Owned(x.into_owned()), Cow::Owned(g.into_owned())),
+        }
+    }
+}
+
+/// A backward pass that can start from several roots in turn, each seeded
+/// with the gradient of a downstream loss with respect to it, and that
+/// hands every contribution to a leaf to a sink instead of adding it.
+///
+/// This is how one loss over many independent step graphs can be
+/// backpropagated a step at a time, on different threads. When a loss
+/// reaches the step graphs `x_0 .. x_{n−1}` only through
+/// `concat_cols(x_0 .. x_{n−1})` and the steps share no non-leaf node,
+/// [`Tensor::backward`] visits the last step's nodes first and each step's
+/// nodes in that step's own reverse topological order. Seeding `x_s` with
+/// its column of the concatenation's gradient, for `s` from `n − 1` down
+/// to 0, hands each leaf exactly the contributions `backward` adds to it,
+/// computed by the same kernels on the same operands, in the same order.
+///
+/// A leaf's transpose is made once and reused for the life of the pass,
+/// as `backward` does within its one root, so leaf values must not change
+/// while a pass is alive.
+///
+/// # Examples
+///
+/// ```
+/// use nptsn_tensor::{BackwardPass, Delta, Tensor};
+///
+/// let w = Tensor::param(1, 2, vec![1.0, 2.0]);
+/// let step = w.scale(3.0).sum();
+/// let mut contributions = Vec::new();
+/// BackwardPass::new().seeded(&step, &[0.5], &mut |leaf, delta| {
+///     assert!(leaf.same_node(&w));
+///     contributions.push(delta.into_owned());
+/// });
+/// assert_eq!(contributions, vec![Delta::Dense(vec![1.5, 1.5].into())]);
+/// assert_eq!(w.grad(), vec![0.0, 0.0], "the sink, not the leaf, got it");
+/// w.accumulate(&contributions[0]);
+/// assert_eq!(w.grad(), vec![1.5, 1.5]);
+/// ```
+#[derive(Default)]
+pub struct BackwardPass {
+    /// Leaf transposes by node, each beside a handle that keeps its node
+    /// (and so its address) alive for the pass.
+    transposes: HashMap<usize, (Tensor, Vec<f32>)>,
+    /// One root's nodes in DFS post-order, and the set of them: emptied
+    /// after every root, kept for their capacity.
+    order: Vec<Tensor>,
+    visited: HashSet<usize>,
+}
+
+impl BackwardPass {
+    /// An empty pass.
+    pub fn new() -> BackwardPass {
+        BackwardPass::default()
+    }
+
+    /// Backpropagates `seed`, shaped like `root`, through `root`'s graph.
+    /// Intermediate gradients accumulate and move out as in
+    /// [`Tensor::backward`]; each contribution to a leaf with
+    /// `requires_grad` goes to `sink`, in the order `backward` would add
+    /// it. The seed itself is added to `root` as `backward` adds a
+    /// consumer's gradient: from `+0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `seed.len() != root.len()` or `root` does not require
+    /// gradients.
+    pub fn seeded(
+        &mut self,
+        root: &Tensor,
+        seed: &[f32],
+        sink: &mut dyn FnMut(&Tensor, Delta<'_>),
+    ) {
+        assert_eq!(seed.len(), root.len(), "the seed must match the root's shape");
+        assert!(root.requires_grad(), "backward requires a graph with at least one parameter");
+        topo_visit(root, &mut self.visited, &mut self.order);
+        self.visited.clear();
+        give(root, Cow::Borrowed(seed), sink);
+        for t in self.order.iter().rev() {
             if matches!(t.node.op, Op::Leaf) {
                 continue;
             }
@@ -55,8 +152,19 @@ impl Tensor {
             if grad.is_empty() {
                 continue;
             }
-            propagate(t, &grad, &mut transposes);
+            propagate(t, &grad, &mut self.transposes, sink);
         }
+        self.order.clear();
+    }
+}
+
+/// Hands `delta` to `sink` when `t` is a leaf; otherwise adds it into
+/// `t`'s gradient, which the pass propagates when it reaches `t`.
+fn give(t: &Tensor, delta: Cow<'_, [f32]>, sink: &mut dyn FnMut(&Tensor, Delta<'_>)) {
+    if matches!(t.node.op, Op::Leaf) {
+        sink(t, Delta::Dense(delta));
+    } else {
+        t.accumulate_grad(&delta);
     }
 }
 
@@ -105,11 +213,14 @@ fn rhs_at(rhs: &[f32], i: usize, lhs_cols: usize, broadcast: Broadcast) -> f32 {
 /// rest of the pass: every step graph of a PPO batch multiplies by the
 /// same weights, which are then transposed once per pass, not once per
 /// step.
-fn transposed<'c>(t: &Tensor, leaves: &'c mut HashMap<usize, Vec<f32>>) -> Cow<'c, [f32]> {
+fn transposed<'c>(
+    t: &Tensor,
+    leaves: &'c mut HashMap<usize, (Tensor, Vec<f32>)>,
+) -> Cow<'c, [f32]> {
     let (rows, cols) = t.shape();
     let make = || kernels::transpose(&t.data(), rows, cols);
     if matches!(t.node.op, Op::Leaf) {
-        Cow::Borrowed(leaves.entry(node_key(t)).or_insert_with(make))
+        Cow::Borrowed(&leaves.entry(node_key(t)).or_insert_with(|| (t.clone(), make())).1)
     } else {
         Cow::Owned(make())
     }
@@ -136,27 +247,32 @@ fn matmul_grad_b(at: &[f32], g: &[f32], m: usize, k: usize, n: usize) -> Vec<f32
     db
 }
 
-fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>) {
+fn propagate(
+    t: &Tensor,
+    grad: &[f32],
+    transposes: &mut HashMap<usize, (Tensor, Vec<f32>)>,
+    sink: &mut dyn FnMut(&Tensor, Delta<'_>),
+) {
     match &t.node.op {
         Op::Leaf => {}
         Op::Add(a, b, bc) => {
             if a.requires_grad() {
-                a.accumulate_grad(grad);
+                give(a, Cow::Borrowed(grad), sink);
             }
             if b.requires_grad() {
-                b.accumulate_grad(&reduce_broadcast(grad, a.cols(), *bc));
+                give(b, Cow::Owned(reduce_broadcast(grad, a.cols(), *bc)), sink);
             }
         }
         Op::Sub(a, b, bc) => {
             if a.requires_grad() {
-                a.accumulate_grad(grad);
+                give(a, Cow::Borrowed(grad), sink);
             }
             if b.requires_grad() {
                 let mut r = reduce_broadcast(grad, a.cols(), *bc);
                 for g in &mut r {
                     *g = -*g;
                 }
-                b.accumulate_grad(&r);
+                give(b, Cow::Owned(r), sink);
             }
         }
         Op::Mul(a, b, bc) => {
@@ -168,41 +284,47 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                     .map(|(i, &g)| g * rhs_at(&bd, i, a.cols(), *bc))
                     .collect();
                 drop(bd);
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
             if b.requires_grad() {
                 let ad = a.data();
                 let scaled: Vec<f32> =
                     grad.iter().zip(ad.iter()).map(|(&g, &x)| g * x).collect();
                 drop(ad);
-                b.accumulate_grad(&reduce_broadcast(&scaled, a.cols(), *bc));
+                give(b, Cow::Owned(reduce_broadcast(&scaled, a.cols(), *bc)), sink);
             }
         }
         Op::MatMul(a, b) => {
             let (m, k) = a.shape();
             let n = b.cols();
             if a.requires_grad() {
-                a.accumulate_grad(&matmul_grad_a(grad, &transposed(b, transposes), m, k, n));
+                give(a, Cow::Owned(matmul_grad_a(grad, &transposed(b, transposes), m, k, n)), sink);
             }
             if b.requires_grad() {
-                b.accumulate_grad(&matmul_grad_b(&transposed(a, transposes), grad, m, k, n));
+                if m == 1 && matches!(b.node.op, Op::Leaf) {
+                    // `aᵀ` of a single row is the row itself.
+                    sink(b, Delta::Outer(Cow::Borrowed(&a.data()), Cow::Borrowed(grad)));
+                } else {
+                    let db = matmul_grad_b(&transposed(a, transposes), grad, m, k, n);
+                    give(b, Cow::Owned(db), sink);
+                }
             }
         }
         Op::Scale(a, f) => {
             if a.requires_grad() {
                 let da: Vec<f32> = grad.iter().map(|&g| g * f).collect();
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::AddScalar(a) => {
             if a.requires_grad() {
-                a.accumulate_grad(grad);
+                give(a, Cow::Borrowed(grad), sink);
             }
         }
         Op::Neg(a) => {
             if a.requires_grad() {
                 let da: Vec<f32> = grad.iter().map(|&g| -g).collect();
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::Relu(a) => {
@@ -214,7 +336,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                     .map(|(&g, &x)| if x > 0.0 { g } else { 0.0 })
                     .collect();
                 drop(ad);
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::Tanh(a) => {
@@ -223,7 +345,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                 let da: Vec<f32> =
                     grad.iter().zip(y.iter()).map(|(&g, &y)| g * (1.0 - y * y)).collect();
                 drop(y);
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::Sigmoid(a) => {
@@ -232,7 +354,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                 let da: Vec<f32> =
                     grad.iter().zip(y.iter()).map(|(&g, &y)| g * y * (1.0 - y)).collect();
                 drop(y);
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::Exp(a) => {
@@ -240,17 +362,17 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                 let y = t.node.data.borrow();
                 let da: Vec<f32> = grad.iter().zip(y.iter()).map(|(&g, &y)| g * y).collect();
                 drop(y);
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::Sum(a) => {
             if a.requires_grad() {
-                a.accumulate_grad(&vec![grad[0]; a.len()]);
+                give(a, Cow::Owned(vec![grad[0]; a.len()]), sink);
             }
         }
         Op::Mean(a) => {
             if a.requires_grad() {
-                a.accumulate_grad(&vec![grad[0] / a.len() as f32; a.len()]);
+                give(a, Cow::Owned(vec![grad[0] / a.len() as f32; a.len()]), sink);
             }
         }
         Op::MeanRows(a) => {
@@ -262,7 +384,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                         da[i * n + j] = g / m as f32;
                     }
                 }
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::LogSoftmaxRows(a) => {
@@ -278,7 +400,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                     }
                 }
                 drop(y);
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::GatherCols(a, indices) => {
@@ -288,7 +410,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                 for (i, &j) in indices.iter().enumerate() {
                     da[i * n + j] = grad[i];
                 }
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::ConcatCols(parts) => {
@@ -302,7 +424,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                     for i in 0..m {
                         dp.extend_from_slice(&grad[i * total + offset..i * total + offset + c]);
                     }
-                    p.accumulate_grad(&dp);
+                    give(p, Cow::Owned(dp), sink);
                 }
                 offset += c;
             }
@@ -316,7 +438,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                     .map(|(&g, &x)| if x >= *lo && x <= *hi { g } else { 0.0 })
                     .collect();
                 drop(ad);
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
         }
         Op::Minimum(a, b) => {
@@ -328,7 +450,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                     .zip(ad.iter().zip(bd.iter()))
                     .map(|(&g, (&x, &y))| if x <= y { g } else { 0.0 })
                     .collect();
-                a.accumulate_grad(&da);
+                give(a, Cow::Owned(da), sink);
             }
             if b.requires_grad() {
                 let db: Vec<f32> = grad
@@ -336,7 +458,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
                     .zip(ad.iter().zip(bd.iter()))
                     .map(|(&g, (&x, &y))| if y < x { g } else { 0.0 })
                     .collect();
-                b.accumulate_grad(&db);
+                give(b, Cow::Owned(db), sink);
             }
         }
     }
@@ -344,7 +466,7 @@ fn propagate(t: &Tensor, grad: &[f32], transposes: &mut HashMap<usize, Vec<f32>>
 
 #[cfg(test)]
 mod tests {
-    use super::{matmul_grad_a, matmul_grad_b};
+    use super::{matmul_grad_a, matmul_grad_b, BackwardPass, Delta};
     use crate::kernels;
     use crate::numeric_gradient;
     use crate::tensor::Tensor;
@@ -674,6 +796,44 @@ mod tests {
                 reference_grad_a(&upstream, &b, 1, k, n).iter().map(|&v| 0.0 + v).collect();
             assert_eq!(bits(&x.grad()), bits(&expect), "step {i}");
         }
+    }
+
+    #[test]
+    fn seeded_passes_from_the_last_step_replay_backward() {
+        // Single-row steps `tanh(x_s · w + b)` under one loss through
+        // `concat_cols`, as in a PPO batch: `w` takes factor
+        // contributions, `b` dense ones.
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (k, n, steps) = (9, 5, 6);
+        // Zero inputs exercise the kernel's skip, signed-zero seeds the
+        // accumulators' `+0.0` start.
+        let (w0, b0) = (values(&mut rng, k * n, 0.1), values(&mut rng, n, 0.1));
+        let xs: Vec<Vec<f32>> = (0..steps).map(|_| values(&mut rng, k, 0.3)).collect();
+        let weights = Tensor::from_vec(1, steps, values(&mut rng, steps, 0.3));
+        let build = |w: &Tensor, b: &Tensor| -> Vec<Tensor> {
+            let step = |x: &Vec<f32>| Tensor::from_vec(1, k, x.clone()).matmul(w).add(b);
+            xs.iter().map(|x| step(x).tanh().sum()).collect()
+        };
+        let (w, b) = (Tensor::param(k, n, w0.clone()), Tensor::param(1, n, b0.clone()));
+        Tensor::concat_cols(&build(&w, &b)).mul(&weights).sum().backward();
+
+        let (w2, b2) = (Tensor::param(k, n, w0), Tensor::param(1, n, b0));
+        let parts = build(&w2, &b2);
+        let values_of = |t: &Tensor| t.item();
+        let gathered = Tensor::param(1, steps, parts.iter().map(values_of).collect());
+        gathered.mul(&weights).sum().backward();
+        let seeds = gathered.grad();
+        let mut pass = BackwardPass::new();
+        let mut outer = 0;
+        for (part, &seed) in parts.iter().zip(&seeds).rev() {
+            pass.seeded(part, &[seed], &mut |leaf, delta| {
+                outer += usize::from(matches!(delta, Delta::Outer(..)));
+                leaf.accumulate(&delta);
+            });
+        }
+        assert_eq!(outer, steps, "one factor contribution per step, to w");
+        assert_eq!(bits(&w2.grad()), bits(&w.grad()));
+        assert_eq!(bits(&b2.grad()), bits(&b.grad()));
     }
 
     #[test]

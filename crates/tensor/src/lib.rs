@@ -12,8 +12,10 @@
 //! scalar accumulates gradients into every reachable parameter.
 //!
 //! The engine is deliberately eager and single-threaded; training code that
-//! wants data parallelism runs one graph per thread and merges parameter
-//! values (see `nptsn-rl`).
+//! wants data parallelism runs one graph per thread on a replica of the
+//! parameters, backpropagates each with a seeded [`BackwardPass`], and adds
+//! the leaf contributions into the master parameters in the order
+//! [`Tensor::backward`] would (see `nptsn-rl`).
 //!
 //! # Examples
 //!
@@ -37,6 +39,7 @@ pub mod kernels;
 mod ops;
 mod tensor;
 
+pub use autograd::{BackwardPass, Delta};
 pub use tensor::Tensor;
 
 /// Numerically estimates the gradient of `f` at `x` with central

@@ -5,6 +5,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::ops::Op;
+use crate::{kernels, Delta};
 
 /// A 2-D `f32` tensor that is also a node of a dynamically built
 /// computation graph.
@@ -196,7 +197,36 @@ impl Tensor {
         }
     }
 
+    /// Whether `self` and `other` are handles to the same graph node.
+    pub fn same_node(&self, other: &Tensor) -> bool {
+        Rc::ptr_eq(&self.node, &other.node)
+    }
+
+    /// Adds a contribution into the accumulated gradient, starting from
+    /// `+0.0` when none has accumulated yet: exactly what
+    /// [`backward`](Tensor::backward) does with each contribution to a
+    /// leaf. A [`BackwardPass`](crate::BackwardPass) sink replays a pass's
+    /// contributions through it. A [`Delta::Outer`] is multiplied out by
+    /// the kernel the backward's matmul gradient uses, on the same
+    /// operands, so both forms add the same values.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the contribution's size differs from the element count.
+    pub fn accumulate(&self, delta: &Delta<'_>) {
+        match delta {
+            Delta::Dense(d) => self.accumulate_grad(d),
+            Delta::Outer(x, g) => {
+                let (k, n) = (x.len(), g.len());
+                let mut product = vec![0.0f32; k * n];
+                kernels::matmul(x, g, &mut product, k, 1, n);
+                self.accumulate_grad(&product);
+            }
+        }
+    }
+
     pub(crate) fn accumulate_grad(&self, delta: &[f32]) {
+        assert_eq!(delta.len(), self.len(), "gradient length must match the shape");
         let mut g = self.node.grad.borrow_mut();
         if g.is_empty() {
             g.resize(self.len(), 0.0);
