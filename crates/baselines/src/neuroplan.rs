@@ -40,7 +40,7 @@ pub struct NeuroPlanReport {
 ///
 /// Its rollout is kept single-threaded: the baseline exists for
 /// solution-quality comparison, not speed. The PPO update runs on
-/// [`PlannerConfig::update_threads`] threads, as the planner's does, with
+/// [`PlannerConfig::threads`] threads, as the planner's does, with
 /// the same results as on one.
 pub struct NeuroPlanAgent {
     problem: PlanningProblem,
@@ -183,7 +183,7 @@ impl NeuroPlanAgent {
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(17));
 
         let mut best: Option<Solution> = None;
-        let mut reward_curve = Vec::with_capacity(self.config.max_epochs);
+        let mut reward_curve = Vec::new();
         let mut dead_ends = 0;
 
         for _epoch in 0..self.config.max_epochs {
@@ -254,7 +254,7 @@ impl NeuroPlanAgent {
             let replica = || {
                 PolicyNetwork::new(&self.config, n, feature_count, action_count, self.config.seed)
             };
-            let threads = self.config.update_threads();
+            let threads = self.config.threads();
             let _ = ppo_update(&net, replica, threads, &mut actor_opt, &mut critic_opt, &batch, &ppo);
         }
 

@@ -59,6 +59,7 @@ pub fn encode_observation(
     topology: &Topology,
     actions: &ActionSet,
 ) -> Observation {
+    let _span = nptsn_obs::span("encode.observation");
     let gc = problem.connection_graph();
     let n = gc.node_count();
     let es = gc.end_stations();

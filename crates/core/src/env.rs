@@ -224,6 +224,7 @@ impl PlanningEnv {
     ///
     /// Panics when `index` is masked out or out of range.
     pub fn step(&mut self, index: usize, rng: &mut impl Rng) -> StepOutcome {
+        let _span = nptsn_obs::span("env.step");
         let action = self
             .actions
             .valid_action(index)

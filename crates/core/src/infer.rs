@@ -3,12 +3,13 @@
 //! single [`PolicyNetwork::evaluate_many`] call.
 //!
 //! Each lane replays the exact semantics of
-//! [`Planner::plan_with_policy`] — same per-attempt RNG stream, same
-//! environment construction, same greedy action selection — so a lane's
-//! result is bitwise independent of who else shares its batch (pinned by
-//! this crate's `batched_plan` tests). Lanes are isolated: a panic or
-//! injected fault (chaos site `infer.batch`) fails one lane while its
-//! batch-mates run to completion.
+//! [`Planner::plan_with_policy`] — it starts every attempt's RNG stream
+//! and environment through the same function as the solo path, and picks
+//! actions the same greedy way — so a lane's result is bitwise
+//! independent of who else shares its batch (pinned by this module's
+//! tests). The lanes run in lockstep on the calling thread. Lanes are
+//! isolated: a panic or injected fault (chaos site `infer.batch`) fails
+//! one lane while its batch-mates run to completion.
 
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::SeedableRng;
@@ -127,21 +128,12 @@ pub fn plan_with_policy_batch(
                     state.outcome = Some(Ok(state.best.take()));
                     break;
                 }
-                let planner = state.lane.planner;
-                let mut rng = StdRng::seed_from_u64(
-                    state.lane.seed.wrapping_add(state.attempt as u64),
-                );
-                let built = catch_unwind(AssertUnwindSafe(|| {
-                    PlanningEnv::new(
-                        planner.problem.clone(),
-                        planner.config.k_paths,
-                        planner.config.reward_scaling,
-                        planner.config.max_episode_steps,
-                        &mut rng,
-                    )
+                let lane = state.lane;
+                let started = catch_unwind(AssertUnwindSafe(|| {
+                    lane.planner.start_attempt(lane.seed, state.attempt)
                 }));
-                let env = match built {
-                    Ok(env) => env,
+                let (rng, env) = match started {
+                    Ok(started) => started,
                     Err(payload) => {
                         state.outcome = Some(Err(panic_message(payload)));
                         break;

@@ -1,5 +1,7 @@
 //! The NPTSN training loop: Algorithm 2 with parallel rollout workers.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use nptsn_nn::{export_params, import_params, Adam, Module};
 use nptsn_rl::{ppo_update, sample_action, ActorCritic, Batch, PpoConfig, RolloutBuffer};
 use nptsn_rand::rngs::StdRng;
@@ -84,7 +86,8 @@ impl PlannerReport {
 /// batch, which equals averaging the per-worker gradient estimators; the
 /// PPO update then runs its step graphs on the same number of threads, up
 /// to the core count, bit-identical to a sequential update (see
-/// [`PlannerConfig::update_threads`]).
+/// [`PlannerConfig::threads`]). A re-plan with a trained policy
+/// ([`Planner::plan_with_policy`]) runs its attempts on those threads too.
 pub struct Planner {
     pub(crate) problem: PlanningProblem,
     pub(crate) config: PlannerConfig,
@@ -136,39 +139,140 @@ impl Planner {
     /// re-planning after a specification change, without re-training. The
     /// SOAG still randomizes which error pair it targets, so `attempts`
     /// with different seeds explore different construction orders.
+    ///
+    /// # Threads
+    ///
+    /// The attempts run on [`PlannerConfig::threads`] threads, and on no
+    /// more threads than there are attempts. Each thread claims the next
+    /// attempt index from a shared counter until none is left. The caller
+    /// runs its attempts on `policy`; each helper builds a replica of this
+    /// planner's architecture on its own thread (tensors are `Rc`) and
+    /// loads `policy`'s parameters into it, so `policy` must have this
+    /// planner's architecture, as [`Planner::build_policy`] builds it.
+    /// Attempt `i` draws from its own RNG stream (`seed + i`) in its own
+    /// environment with its own scenario cache, so its plan does not depend
+    /// on the thread that ran it. The plans fold in attempt order, and an
+    /// equal-cost tie goes to the earliest attempt, so the result is the
+    /// same as one thread running attempts `0..attempts` in turn, for any
+    /// thread count and any schedule.
+    ///
+    /// Helpers run under the caller's trace context and inside a span
+    /// named like the caller's innermost open span.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an attempt panics, on the caller or on a helper. The
+    /// other threads finish the attempts left before the panic reaches the
+    /// caller.
     pub fn plan_with_policy(
         &self,
         policy: &PolicyNetwork,
         attempts: usize,
         seed: u64,
     ) -> Option<Solution> {
-        let mut best: Option<Solution> = None;
-        for attempt in 0..attempts {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(attempt as u64));
-            let mut env = PlanningEnv::new(
-                self.problem.clone(),
-                self.config.k_paths,
-                self.config.reward_scaling,
-                self.config.max_episode_steps,
-                &mut rng,
-            );
-            loop {
-                let mask = env.mask().to_vec();
-                if mask.iter().all(|&m| !m) {
-                    break;
-                }
-                let (logps, _) = policy.evaluate(env.observation(), &mask);
-                let (action, _) = nptsn_rl::best_action(&logps.to_vec());
-                let outcome = env.step(action, &mut rng);
-                if let Some(sol) = outcome.solution {
-                    keep_best(&mut best, sol);
-                }
-                if outcome.done {
-                    break;
+        self.plan_on_threads(policy, attempts, seed, self.config.threads())
+    }
+
+    /// [`Planner::plan_with_policy`] on up to `threads` threads.
+    pub(crate) fn plan_on_threads(
+        &self,
+        policy: &PolicyNetwork,
+        attempts: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Option<Solution> {
+        let threads = threads.clamp(1, attempts.max(1));
+        // Hands out attempt indices only; the plans come back through the
+        // joins, so `Relaxed` suffices.
+        let next = AtomicUsize::new(0);
+        // Every attempt that found a plan, tagged with its index.
+        let run = |policy: &PolicyNetwork| -> Vec<(usize, Solution)> {
+            std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
+                .take_while(|&attempt| attempt < attempts)
+                .filter_map(|attempt| Some((attempt, self.attempt(policy, seed, attempt)?)))
+                .collect()
+        };
+        let snapshot = if threads > 1 { export_params(&policy.parameters()) } else { Vec::new() };
+        let phase = nptsn_obs::current_span();
+        let trace = nptsn_obs::current_trace();
+        let mut found = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _trace = nptsn_obs::with_trace(trace);
+                        let found = {
+                            let _phase = phase.map(nptsn_obs::span);
+                            run(&self.replica(&snapshot))
+                        };
+                        // The scope's join does not wait for TLS destructors.
+                        nptsn_obs::flush_thread();
+                        found
+                    })
+                })
+                .collect();
+            let mut found = run(policy);
+            for helper in helpers {
+                match helper.join() {
+                    Ok(theirs) => found.extend(theirs),
+                    Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
+            found
+        });
+        found.sort_unstable_by_key(|&(attempt, _)| attempt);
+        let mut best = None;
+        for (_, solution) in found {
+            keep_best(&mut best, solution);
         }
         best
+    }
+
+    /// Attempt `attempt` of a [`Planner::plan_with_policy`] call with base
+    /// `seed`: its RNG stream and its freshly reset environment. The solo
+    /// and the batched ([`crate::plan_with_policy_batch`]) deployment paths
+    /// both start their attempts here.
+    pub(crate) fn start_attempt(&self, seed: u64, attempt: usize) -> (StdRng, PlanningEnv) {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(attempt as u64));
+        let env = self.env(&mut rng);
+        (rng, env)
+    }
+
+    /// One greedy episode: the policy's most probable valid action at every
+    /// step, until the episode ends or no action is valid. Returns the plan
+    /// it verified, if any; a plan always ends an episode.
+    fn attempt(&self, policy: &PolicyNetwork, seed: u64, attempt: usize) -> Option<Solution> {
+        let (mut rng, mut env) = self.start_attempt(seed, attempt);
+        while env.mask().iter().any(|&m| m) {
+            let (logps, _) = policy.evaluate(env.observation(), env.mask());
+            let (action, _) = nptsn_rl::best_action(&logps.to_vec());
+            let outcome = env.step(action, &mut rng);
+            if outcome.done {
+                return outcome.solution;
+            }
+        }
+        None
+    }
+
+    /// A fresh environment for this planner's problem and configuration.
+    fn env(&self, rng: &mut StdRng) -> PlanningEnv {
+        PlanningEnv::new(
+            self.problem.clone(),
+            self.config.k_paths,
+            self.config.reward_scaling,
+            self.config.max_episode_steps,
+            rng,
+        )
+    }
+
+    /// A network of this planner's architecture built on the calling thread,
+    /// holding `values` (an [`export_params`] snapshot). Tensors are `Rc`,
+    /// so every thread that evaluates the policy builds its own: the
+    /// rollout workers, the PPO update's helpers and the re-planning
+    /// helpers.
+    fn replica(&self, values: &[Vec<f32>]) -> PolicyNetwork {
+        let replica = self.build_policy();
+        import_params(&replica.parameters(), values);
+        replica
     }
 
     /// Runs the full training loop, invoking `progress` after every epoch.
@@ -219,10 +323,7 @@ impl Planner {
         mut progress: impl FnMut(&EpochStats) -> bool,
     ) -> Result<PlannerReport, String> {
         let _run_span = nptsn_obs::span("planner.run");
-        let (n, feature_count, action_count) = self.network_dims();
-
-        let master =
-            PolicyNetwork::new(&self.config, n, feature_count, action_count, self.config.seed);
+        let master = self.build_policy();
         if let Some(bytes) = resume {
             nptsn_nn::params_from_bytes(&master.parameters(), bytes)
                 .map_err(|e| format!("resume checkpoint: {e}"))?;
@@ -240,7 +341,7 @@ impl Planner {
         };
 
         let mut best: Option<Solution> = None;
-        let mut epochs = Vec::with_capacity(self.config.max_epochs);
+        let mut epochs = Vec::new();
 
         for epoch in 0..self.config.max_epochs {
             let _epoch_span = nptsn_obs::span("planner.epoch");
@@ -258,21 +359,14 @@ impl Planner {
                 let mut handles = Vec::with_capacity(workers);
                 for worker in 0..workers {
                     let snapshot = &snapshot;
-                    let problem = self.problem.clone();
-                    let config = &self.config;
                     handles.push(scope.spawn(move || {
                         let _trace = nptsn_obs::with_trace(trace);
                         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            collect_rollout(
-                                problem,
-                                config,
+                            self.collect_rollout(
                                 snapshot,
-                                n,
-                                feature_count,
-                                action_count,
                                 steps_per_worker,
                                 // Distinct stream per (epoch, worker).
-                                config.seed.wrapping_add(
+                                self.config.seed.wrapping_add(
                                     1 + epoch as u64 * workers as u64 + worker as u64,
                                 ),
                             )
@@ -316,12 +410,10 @@ impl Planner {
                 nptsn_rl::PpoStats::default()
             } else {
                 let _ppo_span = nptsn_obs::span("planner.ppo_update");
-                // The update's helpers build their replicas as rollout
-                // workers do: same seed so shapes match, values imported.
-                let replica = || {
-                    PolicyNetwork::new(&self.config, n, feature_count, action_count, self.config.seed)
-                };
-                let threads = self.config.update_threads();
+                // The update loads the master's values into its helpers'
+                // replicas at every iteration.
+                let replica = || self.replica(&snapshot);
+                let threads = self.config.threads();
                 ppo_update(&master, replica, threads, &mut actor_opt, &mut critic_opt, &batch, &ppo)
             };
             // Chaos site `planner.ppo_update`: a firing rule poisons this
@@ -434,83 +526,66 @@ struct WorkerResult {
     scenarios_checked: u64,
 }
 
-/// Collects `steps` environment steps with a frozen policy replica
-/// (Algorithm 2 lines 3–18, one worker's share).
-#[allow(clippy::too_many_arguments)]
-fn collect_rollout(
-    problem: PlanningProblem,
-    config: &PlannerConfig,
-    snapshot: &[Vec<f32>],
-    n: usize,
-    feature_count: usize,
-    action_count: usize,
-    steps: usize,
-    seed: u64,
-) -> WorkerResult {
-    let _rollout_span = nptsn_obs::span("planner.rollout");
-    // Chaos site `planner.rollout`: the worker runs under `catch_unwind`,
-    // so both `panic` and `error` rules surface the same way a buggy NBF
-    // would — this worker poisoned, the epoch continuing without it.
-    if let Err(e) = nptsn_chaos::point("planner.rollout") {
-        panic!("{e}");
-    }
-    // Same seed as the master so shapes match; values overwritten.
-    let net = PolicyNetwork::new(config, n, feature_count, action_count, config.seed);
-    import_params(&net.parameters(), snapshot);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut env = PlanningEnv::new(
-        problem,
-        config.k_paths,
-        config.reward_scaling,
-        config.max_episode_steps,
-        &mut rng,
-    );
-    let mut buffer = RolloutBuffer::new(config.discount, config.gae_lambda);
-    let mut episode_returns = Vec::new();
-    let mut episode_return = 0.0f32;
-    let mut solutions_found = 0;
-    let mut best: Option<Solution> = None;
-
-    for step in 0..steps {
-        let obs = env.observation().clone();
-        let mask = env.mask().to_vec();
-        let (logps, value) = net.evaluate(&obs, &mask);
-        let (action, logp) = sample_action(&logps.to_vec(), &mut rng);
-        let outcome = env.step(action, &mut rng);
-        buffer.store(obs, action, mask, outcome.reward, value.item(), logp);
-        episode_return += outcome.reward;
-
-        if let Some(sol) = outcome.solution {
-            solutions_found += 1;
-            keep_best(&mut best, sol);
+impl Planner {
+    /// Collects `steps` environment steps with a frozen policy replica
+    /// (Algorithm 2 lines 3–18, one worker's share).
+    fn collect_rollout(&self, snapshot: &[Vec<f32>], steps: usize, seed: u64) -> WorkerResult {
+        let _rollout_span = nptsn_obs::span("planner.rollout");
+        // Chaos site `planner.rollout`: the worker runs under `catch_unwind`,
+        // so both `panic` and `error` rules surface the same way a buggy NBF
+        // would — this worker poisoned, the epoch continuing without it.
+        if let Err(e) = nptsn_chaos::point("planner.rollout") {
+            panic!("{e}");
         }
-        if outcome.done {
-            // Truncated episodes bootstrap with the critic's estimate of
-            // the successor state; terminal ones close at zero.
-            let boot = if outcome.truncated {
+        let net = self.replica(snapshot);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut env = self.env(&mut rng);
+        let mut buffer = RolloutBuffer::new(self.config.discount, self.config.gae_lambda);
+        let mut episode_returns = Vec::new();
+        let mut episode_return = 0.0f32;
+        let mut solutions_found = 0;
+        let mut best: Option<Solution> = None;
+
+        for step in 0..steps {
+            let obs = env.observation().clone();
+            let mask = env.mask().to_vec();
+            let (logps, value) = net.evaluate(&obs, &mask);
+            let (action, logp) = sample_action(&logps.to_vec(), &mut rng);
+            let outcome = env.step(action, &mut rng);
+            buffer.store(obs, action, mask, outcome.reward, value.item(), logp);
+            episode_return += outcome.reward;
+
+            if let Some(sol) = outcome.solution {
+                solutions_found += 1;
+                keep_best(&mut best, sol);
+            }
+            if outcome.done {
+                // Truncated episodes bootstrap with the critic's estimate of
+                // the successor state; terminal ones close at zero.
+                let boot = if outcome.truncated {
+                    let (_, v) = net.evaluate(env.observation(), env.mask());
+                    v.item()
+                } else {
+                    0.0
+                };
+                buffer.finish_path(boot);
+                episode_returns.push(episode_return);
+                episode_return = 0.0;
+                env.reset(&mut rng);
+            } else if step + 1 == steps {
+                // Epoch cut mid-episode: bootstrap.
                 let (_, v) = net.evaluate(env.observation(), env.mask());
-                v.item()
-            } else {
-                0.0
-            };
-            buffer.finish_path(boot);
-            episode_returns.push(episode_return);
-            episode_return = 0.0;
-            env.reset(&mut rng);
-        } else if step + 1 == steps {
-            // Epoch cut mid-episode: bootstrap.
-            let (_, v) = net.evaluate(env.observation(), env.mask());
-            buffer.finish_path(v.item());
+                buffer.finish_path(v.item());
+            }
         }
-    }
 
-    WorkerResult {
-        batch: buffer.drain(),
-        episode_returns,
-        solutions_found,
-        best,
-        scenarios_checked: env.scenarios_checked(),
+        WorkerResult {
+            batch: buffer.drain(),
+            episode_returns,
+            solutions_found,
+            best,
+            scenarios_checked: env.scenarios_checked(),
+        }
     }
 }
 
@@ -618,6 +693,40 @@ mod tests {
         // Deployment should be in the same cost ballpark as training's best
         // (identical is not guaranteed: argmax vs sampled exploration).
         assert!(deployed.cost <= trained_best * 3.0, "{} vs {}", deployed.cost, trained_best);
+    }
+
+    #[test]
+    fn three_threads_plan_what_one_thread_plans() {
+        // `PlannerConfig::threads` stops at the core count; this runs three
+        // threads on any host. The theta graph's two switches give plans of
+        // equal cost and different topologies, so the fold order shows.
+        let planner = Planner::new(theta_problem(), PlannerConfig::smoke_test());
+        let policy = planner.build_policy();
+        for seed in 0..8 {
+            let plan = |threads| {
+                planner
+                    .plan_on_threads(&policy, 7, seed, threads)
+                    .map(|s| (s.cost.to_bits(), s.topology))
+            };
+            assert_eq!(plan(3), plan(1), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_reaches_the_caller_at_three_threads() {
+        // A policy with one hidden layer fewer evaluates fine on the
+        // caller, but no helper's replica can load its parameters.
+        let planner = Planner::new(theta_problem(), PlannerConfig::smoke_test());
+        let (n, f, a) = planner.network_dims();
+        let other = PlannerConfig { mlp_hidden: vec![32], ..PlannerConfig::smoke_test() };
+        let policy = PolicyNetwork::new(&other, n, f, a, 0);
+        let _ = planner.plan_on_threads(&policy, 4, 0, 1);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            planner.plan_on_threads(&policy, 4, 0, 3)
+        }))
+        .expect_err("a helper's panic must reach the caller");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("parameter count mismatch"), "{message}");
     }
 
     #[test]

@@ -1682,6 +1682,8 @@ fn execute(
             let im = infer_metrics();
             im.solo_forwards.inc();
             im.batch_size.observe(1.0);
+            // `quick()`'s 4 workers: the attempts run on as many threads
+            // as a plan job's PPO update, up to the cores.
             let config = service_config(1, 1, req.seed);
             let planner = Planner::new(req.parsed.problem.clone(), config);
             let policy = planner.build_policy();
@@ -2202,6 +2204,42 @@ mod tests {
             let expected = (ingest == IngestOutcome::Requeued).then_some(trace);
             assert_eq!(recovered.lock().jobs[&id].trace, None, "{shape}");
             assert_eq!(ingested.lock().jobs[&id].trace, expected, "{shape}");
+        }
+    }
+
+    /// A record persisted before the caps existed re-validates against
+    /// them on reopen: it fails instead of running.
+    #[test]
+    fn an_over_cap_record_recovers_as_a_failure() {
+        use crate::persist::{CheckpointRef, MAX_ATTEMPTS, MAX_STEPS};
+        let plan = |epochs, steps| JobSpec::Plan {
+            problem: INFER_DOC.to_string(),
+            epochs,
+            steps,
+            seed: 0,
+            greedy: false,
+        };
+        let infer = JobSpec::Infer {
+            problem: INFER_DOC.to_string(),
+            checkpoint: CheckpointRef::Named("prod".to_string()),
+            attempts: MAX_ATTEMPTS + 1,
+            seed: 0,
+        };
+        for (spec, cap) in [
+            (plan(1_000_000_000_000, 1), "MAX_EPOCHS"),
+            (plan(1, MAX_STEPS + 1), "MAX_STEPS"),
+            (infer, "MAX_ATTEMPTS"),
+        ] {
+            let store: Arc<dyn Storage> = Arc::new(MemStore::new());
+            let record = encode_record(JobState::Submitted, Some(&spec), None, None);
+            store.put(&job_key(7), &record).unwrap();
+            let (queue, report) = JobQueue::open(4, store, RetentionConfig::default()).unwrap();
+            assert_eq!((report.failed_to_recover, report.requeued), (1, 0), "{cap}");
+            assert_eq!(queue.queued(), 0, "{cap}");
+            let job = queue.snapshot(7).unwrap();
+            assert_eq!(job.state, JobState::Failed, "{cap}");
+            let error = job.error.unwrap();
+            assert!(error.contains("spec no longer validates") && error.contains(cap), "{error}");
         }
     }
 

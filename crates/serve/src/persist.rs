@@ -125,6 +125,29 @@ pub enum CheckpointRef {
     Named(String),
 }
 
+/// The most training epochs a plan job may ask for: four times Table II's
+/// 256. A running plan job stops on cancellation only at an epoch
+/// boundary.
+pub const MAX_EPOCHS: u64 = 1024;
+/// The most environment steps per epoch a plan job may ask for: four times
+/// Table II's 2048. One epoch keeps every step's observation in its
+/// rollout buffer (~17 KB each on ORION, ~140 MB at this cap) and cannot
+/// be cancelled midway.
+pub const MAX_STEPS: u64 = 8192;
+/// The most greedy attempts an infer job may ask for: eight times the
+/// default 8. An infer job never reads its cancel flag, and a coalesced
+/// batch answers none of its jobs before its longest lane's last attempt
+/// ends.
+pub const MAX_ATTEMPTS: u64 = 64;
+
+/// `value` (at least 1) as a count, or a 422 naming the cap it exceeds.
+fn capped(name: &str, value: u64, cap: u64, cap_name: &str) -> Result<usize, SpecError> {
+    if value > cap {
+        return Err(SpecError::Invalid(format!("{name}={value} exceeds {cap_name} ({cap})")));
+    }
+    Ok(value.max(1) as usize)
+}
+
 /// Why a spec cannot become a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
@@ -159,19 +182,18 @@ pub fn split_verify_body(text: &str) -> Option<(&str, &str)> {
 
 impl JobSpec {
     /// Re-validates the spec into an executable [`JobKind`] — the single
-    /// validation path shared by HTTP submission and crash recovery.
+    /// validation path shared by HTTP submission, crash recovery and
+    /// replay ingest. Counts over [`MAX_EPOCHS`], [`MAX_STEPS`] or
+    /// [`MAX_ATTEMPTS`] are invalid.
     pub fn validate(&self) -> Result<JobKind, SpecError> {
         match self {
             JobSpec::Plan { problem, epochs, steps, seed, greedy } => {
+                let epochs = capped("epochs", *epochs, MAX_EPOCHS, "MAX_EPOCHS")?;
+                let steps = capped("steps", *steps, MAX_STEPS, "MAX_STEPS")?;
                 let parsed = parse_problem(problem)
                     .map_err(|e| SpecError::Invalid(format!("invalid problem: {e}")))?;
-                Ok(JobKind::Plan(PlanRequest {
-                    parsed,
-                    epochs: (*epochs).max(1) as usize,
-                    steps: (*steps).max(1) as usize,
-                    seed: *seed,
-                    greedy: *greedy,
-                }))
+                let (seed, greedy) = (*seed, *greedy);
+                Ok(JobKind::Plan(PlanRequest { parsed, epochs, steps, seed, greedy }))
             }
             JobSpec::Verify { body } => {
                 let Some((problem_text, plan_text)) = split_verify_body(body) else {
@@ -187,6 +209,7 @@ impl JobSpec {
                 Ok(JobKind::Verify(VerifyRequest { parsed, topology }))
             }
             JobSpec::Infer { problem, checkpoint, attempts, seed } => {
+                let attempts = capped("attempts", *attempts, MAX_ATTEMPTS, "MAX_ATTEMPTS")?;
                 let parsed = parse_problem(problem)
                     .map_err(|e| SpecError::Invalid(format!("invalid problem: {e}")))?;
                 let checkpoint = match checkpoint {
@@ -200,12 +223,7 @@ impl JobSpec {
                     }
                     CheckpointRef::Named(name) => CheckpointSource::Named(name.clone()),
                 };
-                Ok(JobKind::Infer(InferRequest {
-                    parsed,
-                    checkpoint,
-                    attempts: (*attempts).max(1) as usize,
-                    seed: *seed,
-                }))
+                Ok(JobKind::Infer(InferRequest { parsed, checkpoint, attempts, seed: *seed }))
             }
             JobSpec::Burn { millis } => Ok(JobKind::Burn { millis: *millis }),
         }

@@ -1022,6 +1022,38 @@ mod tests {
     }
 
     #[test]
+    fn over_cap_counts_are_unprocessable_and_nothing_queues() {
+        use crate::persist::{MAX_ATTEMPTS, MAX_EPOCHS, MAX_STEPS};
+        let shared = test_shared();
+        let problem = "[nodes]\nes a\nes b\nsw s0\n[links]\na s0\nb s0\n[flows]\na b 500 128\n";
+        let over = [
+            ("/jobs/plan", "epochs", "1000000000000".to_string(), "MAX_EPOCHS"),
+            ("/jobs/plan", "epochs", (MAX_EPOCHS + 1).to_string(), "MAX_EPOCHS"),
+            ("/jobs/plan", "steps", (MAX_STEPS + 1).to_string(), "MAX_STEPS"),
+            ("/jobs/infer", "attempts", (MAX_ATTEMPTS + 1).to_string(), "MAX_ATTEMPTS"),
+        ];
+        for (path, name, value, cap) in over {
+            let mut submission = request("POST", path);
+            submission.query.push((name.to_string(), value.clone()));
+            submission.body = problem.as_bytes().to_vec();
+            submission.headers.push(("x-problem-length".into(), problem.len().to_string()));
+            let response = route(&shared, &submission);
+            let body = String::from_utf8(response.body).unwrap();
+            assert_eq!(response.status, 422, "{name}={value}: {body}");
+            assert!(body.contains(cap), "{name}={value}: {body}");
+        }
+        assert_eq!(shared.metrics.jobs_submitted.get(), 0);
+        assert_eq!(shared.queue.queued(), 0);
+        // The caps themselves are accepted.
+        for (name, cap) in [("epochs", MAX_EPOCHS), ("steps", MAX_STEPS)] {
+            let mut submission = request("POST", "/jobs/plan");
+            submission.query.push((name.to_string(), cap.to_string()));
+            submission.body = problem.as_bytes().to_vec();
+            assert_eq!(route(&shared, &submission).status, 202, "{name}={cap}");
+        }
+    }
+
+    #[test]
     fn verify_submission_requires_both_documents() {
         let shared = test_shared();
         let mut lone = request("POST", "/jobs/verify");

@@ -1,30 +1,109 @@
-//! Pins the failure analyzer to a textbook Algorithm 3.
+//! Pins the failure analyzer to a textbook Algorithm 3, and the lazy NBF
+//! to the eager one.
 //!
 //! The reference below is the paper's enumeration written as plainly as
 //! possible: switch candidates sorted by decreasing failure probability,
 //! `maxord`, lexicographic combinations from `maxord` down, survivors kept
 //! as a list of scenarios with an element-wise subset scan, and a plain
-//! budget counter. No bitsets, no memo buckets, no cache. On seeded random
-//! problems and planning states, [`FailureAnalyzer`] must return the same
-//! verdict (counterexample scenario and error pairs included), the same
-//! `scenarios_checked` and the same `exhausted`: uncached, with one cache
-//! shared across several topologies of a problem (cold, then warm), and
-//! under every budget.
+//! budget counter. No bitsets, no memo buckets, no cache. It recovers
+//! through [`EagerRecovery`], the former `ShortestPathRecovery::recover`.
+//! On seeded random problems and planning states, [`FailureAnalyzer`] must
+//! return the same verdict (counterexample scenario and error pairs
+//! included), the same `scenarios_checked` and the same `exhausted`: over
+//! the lazy `ShortestPathRecovery` and over the eager NBF uncached, over
+//! the lazy one with one cache shared across several topologies of a
+//! problem (cold, then warm), and under every budget. Some slot tables are
+//! tight enough that flows fall back to a later path.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nptsn::{
-    AnalysisBudget, AnalysisReport, FailureAnalyzer, PlanningEnv, PlanningProblem, ScenarioCache,
-    Verdict,
+    AnalysisBudget, AnalysisReport, FailureAnalyzer, NetworkBehavior, PlanningEnv,
+    PlanningProblem, ScenarioCache, Verdict,
 };
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::{Rng, RngCore, SeedableRng};
-use nptsn_sched::{FlowSet, FlowSpec, ShortestPathRecovery, TasConfig};
-use nptsn_topo::{ComponentLibrary, ConnectionGraph, FailureScenario, NodeId, Topology};
+use nptsn_sched::{
+    schedule_flow_on_path, ErrorReport, FlowSet, FlowSpec, FlowState, RecoveryOutcome,
+    ScheduleTable, ShortestPathRecovery, TasConfig,
+};
+use nptsn_topo::{
+    k_shortest_paths, ComponentLibrary, ConnectionGraph, FailureScenario, NodeId, Topology,
+};
+
+/// The path attempts of `ShortestPathRecovery::new()`, which the random
+/// problems use.
+const PATH_ATTEMPTS: usize = 3;
+
+/// The former `ShortestPathRecovery::recover`: a flow's `PATH_ATTEMPTS`
+/// shortest paths are all built first, then tried in order. It counts
+/// the flows that scheduled on a later path, so a sweep can show it
+/// reached them.
+#[derive(Default)]
+struct EagerRecovery {
+    fallbacks: AtomicUsize,
+}
+
+impl NetworkBehavior for EagerRecovery {
+    fn recover(
+        &self,
+        topology: &Topology,
+        failure: &FailureScenario,
+        tas: &TasConfig,
+        flows: &FlowSet,
+    ) -> RecoveryOutcome {
+        let gc = topology.connection_graph();
+        let adj = topology.residual_adjacency(failure);
+        let mut table = ScheduleTable::new(gc, tas);
+        let mut state = FlowState::unassigned(flows.len());
+        let mut errors = ErrorReport::empty();
+        for (flow, spec) in flows.iter() {
+            let (source, destination) = (spec.source(), spec.destination());
+            let candidates = k_shortest_paths(&adj, source, destination, PATH_ATTEMPTS);
+            let mut recovered = false;
+            for (attempt, path) in candidates.iter().enumerate() {
+                match schedule_flow_on_path(&mut table, gc, tas, flow, spec, path) {
+                    Ok(Some(assignment)) => {
+                        state.assign(flow, assignment);
+                        recovered = true;
+                        self.fallbacks.fetch_add(usize::from(attempt > 0), Ordering::Relaxed);
+                        break;
+                    }
+                    Ok(None) => continue,
+                    Err(_) => break,
+                }
+            }
+            if !recovered {
+                errors.record(source, destination);
+            }
+        }
+        RecoveryOutcome { state, errors }
+    }
+}
+
+/// `problem` with the eager NBF in place of `ShortestPathRecovery::new()`,
+/// and that NBF.
+fn eager_twin(problem: &PlanningProblem) -> (PlanningProblem, Arc<EagerRecovery>) {
+    let nbf = Arc::new(EagerRecovery::default());
+    let twin = PlanningProblem::new(
+        problem.connection_graph_arc(),
+        problem.library().clone(),
+        *problem.tas(),
+        problem.flows().clone(),
+        problem.reliability_goal(),
+        Arc::clone(&nbf) as Arc<dyn NetworkBehavior>,
+    )
+    .unwrap();
+    (twin, nbf)
+}
 
 /// A random dual-homed candidate mesh. Lenient goals leave most faults
-/// safe; strict ones raise `maxord` so that pruning engages.
+/// safe; strict ones raise `maxord` so that pruning engages. A slot table
+/// of 2–5 slots instead of 20 fills up, so flows fall back to later paths.
 fn random_problem(rng: &mut StdRng, reliability_goal: f64) -> PlanningProblem {
+    let slots = [2, 4, 5, 20][rng.gen_range(0..4usize)];
+    let tas = TasConfig::new(500, slots, 1000);
     let es = rng.gen_range(3usize..5);
     let sw = rng.gen_range(2usize..6);
     let nflows = rng.gen_range(1usize..5);
@@ -53,7 +132,7 @@ fn random_problem(rng: &mut StdRng, reliability_goal: f64) -> PlanningProblem {
     PlanningProblem::new(
         Arc::new(gc),
         ComponentLibrary::automotive(),
-        TasConfig::default(),
+        tas,
         FlowSet::new(flows).unwrap(),
         reliability_goal,
         Arc::new(ShortestPathRecovery::new()),
@@ -160,14 +239,25 @@ fn assert_agrees(expected: &(Verdict, u64, bool), report: &AnalysisReport, label
     assert_eq!(&actual, expected, "{label}");
 }
 
-/// Checks `topologies` of one problem uncached, then through one shared
-/// cache cold and warm; returns how many of them are unreliable.
+/// What a sweep reached.
+#[derive(Default)]
+struct Reached {
+    /// Topologies the reference found unreliable.
+    unreliable: usize,
+    /// Flows the eager NBF scheduled on a later path.
+    fallbacks: usize,
+}
+
+/// Checks `topologies` of one problem uncached over the lazy and the eager
+/// NBF, then over the lazy one through one shared cache cold and warm.
 fn assert_matches_reference(
     problem: &PlanningProblem,
     topologies: &[Topology],
     case: u64,
-) -> usize {
-    let expected: Vec<_> = topologies.iter().map(|t| reference(problem, t, None)).collect();
+    reached: &mut Reached,
+) {
+    let (eager, eager_nbf) = eager_twin(problem);
+    let expected: Vec<_> = topologies.iter().map(|t| reference(&eager, t, None)).collect();
     let cached = FailureAnalyzer::new().with_shared_cache(Arc::new(ScenarioCache::new()));
     for (i, topology) in topologies.iter().enumerate() {
         let label = format!("case {case} topology {i}");
@@ -176,6 +266,8 @@ fn assert_matches_reference(
         let uncached = FailureAnalyzer::new().try_analyze(problem, topology).unwrap();
         assert_agrees(&expected[i], &uncached, &format!("{label} uncached"));
         assert_eq!((uncached.cache_hits, uncached.cache_misses), (0, 0), "{label}");
+        let over_eager = FailureAnalyzer::new().try_analyze(&eager, topology).unwrap();
+        assert_agrees(&expected[i], &over_eager, &format!("{label} uncached, eager NBF"));
         let cold = cached.try_analyze(problem, topology).unwrap();
         assert_agrees(&expected[i], &cold, &format!("{label} cold cache"));
     }
@@ -185,11 +277,14 @@ fn assert_matches_reference(
         assert_agrees(&expected[i], &warm, &label);
         assert_eq!(warm.cache_hits, warm.scenarios_checked, "{label}: every check hits");
     }
-    expected.iter().filter(|e| matches!(e.0, Verdict::Unreliable { .. })).count()
+    let unreliable = expected.iter().filter(|e| matches!(e.0, Verdict::Unreliable { .. }));
+    reached.unreliable += unreliable.count();
+    reached.fallbacks += eager_nbf.fallbacks.load(Ordering::Relaxed);
 }
 
 #[test]
 fn analyzer_matches_textbook_algorithm_3() {
+    let mut reached = Reached::default();
     for case in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0xe9a0_0000 + case);
         let goal = [1e-6, 1e-9, 1e-12][case as usize % 3];
@@ -200,24 +295,26 @@ fn analyzer_matches_textbook_algorithm_3() {
             .map(|_| random_topology(&problem, rng.next_u64(), rng.gen_range(0usize..10)))
             .collect();
         topologies.push(random_topology(&problem, rng.next_u64(), 64));
-        assert_matches_reference(&problem, &topologies, case);
+        assert_matches_reference(&problem, &topologies, case, &mut reached);
     }
+    assert!(reached.fallbacks > 0, "the sweep never reached a fallback path");
+    eprintln!("{} fallbacks, {} unreliable", reached.fallbacks, reached.unreliable);
 }
 
 /// Shallow states under the strictest goal are mostly unreliable, so the
 /// counterexample and its error pairs are compared, not just the verdict.
 #[test]
 fn counterexamples_match_textbook_algorithm_3() {
-    let mut unreliable = 0;
+    let mut reached = Reached::default();
     for case in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0xceed_0000 + case);
         let problem = random_problem(&mut rng, 1e-12);
         let topologies: Vec<Topology> = (0..2)
             .map(|_| random_topology(&problem, rng.next_u64(), rng.gen_range(0usize..4)))
             .collect();
-        unreliable += assert_matches_reference(&problem, &topologies, case);
+        assert_matches_reference(&problem, &topologies, case, &mut reached);
     }
-    assert!(unreliable > 0, "the sweep never exercised the Unreliable arm");
+    assert!(reached.unreliable > 0, "the sweep never exercised the Unreliable arm");
 }
 
 #[test]
@@ -228,12 +325,13 @@ fn every_budget_matches_textbook_algorithm_3() {
         let problem = random_problem(&mut rng, goal);
         let partial = random_topology(&problem, rng.next_u64(), rng.gen_range(0usize..8));
         let finished = random_topology(&problem, rng.next_u64(), 64);
+        let (eager, _) = eager_twin(&problem);
         for (state, topology) in [("partial", partial), ("finished", finished)] {
-            let total = reference(&problem, &topology, None).1;
+            let total = reference(&eager, &topology, None).1;
             let warm = FailureAnalyzer::new().with_shared_cache(Arc::new(ScenarioCache::new()));
             warm.try_analyze(&problem, &topology).unwrap();
             for budget in 0..=total + 1 {
-                let expected = reference(&problem, &topology, Some(budget));
+                let expected = reference(&eager, &topology, Some(budget));
                 for (name, analyzer) in
                     [("uncached", FailureAnalyzer::new()), ("warm", warm.clone())]
                 {
