@@ -225,7 +225,19 @@ fn bench_soag(filter: &str) {
         nptsn::Verdict::Unreliable { failure, errors } => (failure, errors),
         _ => (FailureScenario::none(), Default::default()),
     };
-    bench(filter, "soag_generate_k16_orion", 10, 100, || {
+    // Misses: every call fails one more candidate link, a different one
+    // each time, so no two calls share a path-memo key and each runs Yen.
+    let gc = problem.connection_graph();
+    let mut extra = gc.links().filter(|&l| !failure.contains_link(l));
+    bench(filter, "soag_generate_k16_orion/miss", 10, 100, || {
+        let mut links = failure.failed_links().to_vec();
+        links.push(extra.next().expect("ORION has over 110 candidate links"));
+        let missed = FailureScenario::new(failure.failed_switches().to_vec(), links);
+        let mut rng = StdRng::seed_from_u64(0);
+        black_box(soag.generate(&problem, &topo, &missed, &errors, &mut rng));
+    });
+    // Hits: the same key every call; the warm-up filled it.
+    bench(filter, "soag_generate_k16_orion/hit", 10, 100, || {
         let mut rng = StdRng::seed_from_u64(0);
         black_box(soag.generate(&problem, &topo, &failure, &errors, &mut rng));
     });

@@ -72,6 +72,7 @@ mod error;
 mod greedy;
 mod infer;
 mod model;
+mod path_memo;
 mod planner;
 mod problem;
 mod scenario_cache;
@@ -86,6 +87,7 @@ pub use error::NptsnError;
 pub use greedy::{verify_topology, GreedyPlanner};
 pub use infer::{plan_with_policy_batch, InferLane};
 pub use model::PolicyNetwork;
+pub use path_memo::{PathMemoStats, PATH_MEMO_CAPACITY};
 pub use planner::{EpochStats, Planner, PlannerReport};
 pub use problem::{check_schedule_table, PlanningProblem, MAX_SCHEDULE_CELLS};
 pub use scenario_cache::{CacheStats, ScenarioBits, ScenarioCache, SupersetMemo};

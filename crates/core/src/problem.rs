@@ -6,6 +6,8 @@ use std::sync::Arc;
 use nptsn_sched::{FlowSet, NetworkBehavior, TasConfig};
 use nptsn_topo::{ComponentLibrary, ConnectionGraph};
 
+use crate::path_memo::{PathMemo, PathMemoStats};
+
 /// The most schedule-table cells a problem may need: 2 directions × the
 /// candidate links of `Gc` × the TAS slots. Every NBF call allocates a
 /// table of that many `Option<FlowId>` cells, 16 bytes each, so the cap
@@ -40,6 +42,9 @@ pub fn check_schedule_table(gc: &ConnectionGraph, tas: &TasConfig) -> Result<(),
 ///
 /// Cloning is cheap; the graph and NBF are shared through [`Arc`], which
 /// also makes problems `Send + Sync` for the parallel rollout workers.
+/// Clones also share the SOAG's path memo (see [`path_memo_stats`]).
+///
+/// [`path_memo_stats`]: PlanningProblem::path_memo_stats
 #[derive(Clone)]
 pub struct PlanningProblem {
     gc: Arc<ConnectionGraph>,
@@ -49,6 +54,7 @@ pub struct PlanningProblem {
     reliability_goal: f64,
     nbf: Arc<dyn NetworkBehavior>,
     graph_fingerprint: u128,
+    paths: Arc<PathMemo>,
 }
 
 impl PlanningProblem {
@@ -91,7 +97,16 @@ impl PlanningProblem {
         }
         check_schedule_table(&gc, &tas)?;
         let graph_fingerprint = fingerprint_graph(&gc);
-        Ok(PlanningProblem { gc, library, tas, flows, reliability_goal, nbf, graph_fingerprint })
+        Ok(PlanningProblem {
+            gc,
+            library,
+            tas,
+            flows,
+            reliability_goal,
+            nbf,
+            graph_fingerprint,
+            paths: Arc::default(),
+        })
     }
 
     /// The graph of possible connections `Gc`.
@@ -146,6 +161,18 @@ impl PlanningProblem {
     /// cache uses.
     pub fn graph_fingerprint(&self) -> u128 {
         self.graph_fingerprint
+    }
+
+    /// The counters of the SOAG's path memo: the K-shortest-path lists
+    /// this problem and every clone of it computed, keyed by K, the
+    /// selected switch set, the failure and the endpoint pair. At most
+    /// [`PATH_MEMO_CAPACITY`](crate::PATH_MEMO_CAPACITY) lists are kept.
+    pub fn path_memo_stats(&self) -> PathMemoStats {
+        self.paths.stats()
+    }
+
+    pub(crate) fn path_memo(&self) -> &PathMemo {
+        &self.paths
     }
 }
 

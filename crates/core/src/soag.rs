@@ -1,9 +1,10 @@
 //! The Survival-Oriented Action Generator (Algorithm 1, Section IV-B).
 
 use nptsn_sched::ErrorReport;
-use nptsn_topo::{k_shortest_paths, FailureScenario, NodeId, Path, Topology};
+use nptsn_topo::{k_shortest_paths, ConnectionGraph, FailureScenario, NodeId, Path, Topology};
 use nptsn_rand::Rng;
 
+use crate::path_memo::PathKey;
 use crate::problem::PlanningProblem;
 
 /// One coarse-grained construction action.
@@ -91,6 +92,11 @@ impl ActionSet {
 ///   links (Algorithm 1 lines 2–5). Paths violating a degree constraint,
 ///   and paths whose links are all already present, are masked
 ///   (lines 6–12).
+///
+/// The path list depends on the selected switch set, the failure, the
+/// pair and `K` only, so the problem memoizes it (see
+/// [`PlanningProblem::path_memo_stats`]); the mask is computed against
+/// the topology at every call.
 #[derive(Debug, Clone)]
 pub struct Soag {
     k: usize,
@@ -137,32 +143,18 @@ impl Soag {
         }
 
         // Path addition actions for one endpoint pair from ER.
-        let mut paths: Vec<Path> = Vec::new();
-        if !errors.is_empty() {
-            let (s, d) = errors.pairs()[rng.gen_range(0..errors.len())];
-            // Build the filtered candidate adjacency: remove failed nodes,
-            // unselected switches and failed links (lines 2-4). Paths may
-            // only traverse previously added switches.
-            let n = gc.node_count();
-            let mut adj: Vec<Vec<(NodeId, nptsn_topo::LinkId, f64)>> = vec![Vec::new(); n];
-            for link in gc.links() {
-                if failure.contains_link(link) {
-                    continue;
-                }
-                let (u, v) = gc.link_endpoints(link);
-                let blocked = |x: NodeId| {
-                    failure.contains_switch(x)
-                        || (gc.is_switch(x) && !topology.contains_switch(x))
-                };
-                if blocked(u) || blocked(v) {
-                    continue;
-                }
-                let len = gc.link_length(link);
-                adj[u.index()].push((v, link, len));
-                adj[v.index()].push((u, link, len));
-            }
-            paths = k_shortest_paths(&adj, s, d, self.k);
-        }
+        let drawn = (!errors.is_empty()).then(|| {
+            let (source, target) = errors.pairs()[rng.gen_range(0..errors.len())];
+            let key = PathKey {
+                k: self.k,
+                switches: topology.selected_switches().to_vec(),
+                failure: failure.clone(),
+                source,
+                target,
+            };
+            problem.path_memo().paths(key, |key| candidate_paths(gc, key))
+        });
+        let paths: &[Path] = drawn.as_deref().unwrap_or(&[]);
         for i in 0..self.k {
             match paths.get(i) {
                 Some(path) => {
@@ -181,6 +173,32 @@ impl Soag {
         }
         ActionSet { actions, mask }
     }
+}
+
+/// Algorithm 1 lines 2–5: the K shortest paths between the key's pair on
+/// `gc` minus the failed links, the failed switches and the unselected
+/// switches, so that paths only traverse previously added switches. A
+/// function of `gc` and `key` alone, which is what lets the problem
+/// memoize it.
+fn candidate_paths(gc: &ConnectionGraph, key: &PathKey) -> Vec<Path> {
+    let blocked: Vec<bool> = gc
+        .nodes()
+        .map(|x| {
+            key.failure.contains_switch(x)
+                || (gc.is_switch(x) && key.switches.binary_search(&x).is_err())
+        })
+        .collect();
+    let mut adj: Vec<Vec<(NodeId, nptsn_topo::LinkId, f64)>> = vec![Vec::new(); gc.node_count()];
+    for link in gc.links() {
+        let (u, v) = gc.link_endpoints(link);
+        if key.failure.contains_link(link) || blocked[u.index()] || blocked[v.index()] {
+            continue;
+        }
+        let len = gc.link_length(link);
+        adj[u.index()].push((v, link, len));
+        adj[v.index()].push((u, link, len));
+    }
+    k_shortest_paths(&adj, key.source, key.target, key.k)
 }
 
 /// Applies `action` to `topology` (the `Apply_Action` of Algorithm 2

@@ -5,9 +5,16 @@
 //! `nptsn-cli` smoke tests) and so the router can read shard responses,
 //! all without external crates. It accepts standard JSON — objects,
 //! arrays, strings with escapes (including `\uXXXX`), numbers, booleans,
-//! null — and nothing more.
+//! null — and nothing more. Arrays and objects nest at most
+//! [`MAX_DEPTH`] deep.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. Each level
+/// is a recursion of the parser, so without a bound a body of a few
+/// thousand `[` overflows a thread's stack and aborts the process. Every
+/// document this workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,21 +85,23 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses one complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
+/// trailing garbage rejected, nesting past [`MAX_DEPTH`] rejected).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -101,7 +110,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -120,7 +129,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
         } else {
@@ -130,8 +139,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -139,6 +148,21 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Parser<'a>) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deeply"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -246,13 +270,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 b if b < 0x20 => return Err(self.err("raw control character in string")),
+                b if b.is_ascii() => out.push(char::from(b)),
                 _ => {
-                    // Re-scan as UTF-8: step back and take the full char.
+                    // Step back and take the whole character. Every step
+                    // so far moved over whole characters of the `&str`
+                    // input, so `pos` is on a character boundary.
                     self.pos -= 1;
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = s.chars().next().expect("non-empty by construction");
+                    let Some(ch) = self.text.get(self.pos..).and_then(|rest| rest.chars().next())
+                    else {
+                        return Err(self.err("invalid UTF-8 in string"));
+                    };
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -301,8 +328,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII digits are valid UTF-8");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| ParseError { offset: start, message: "invalid number" })
@@ -353,6 +379,42 @@ mod tests {
         assert!(parse("nul").is_err());
         let err = parse("[true,").unwrap_err();
         assert!(err.to_string().contains("byte 6"), "{err}");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
+        // Depth is nesting, not the number of containers.
+        assert!(parse(&format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","))).is_ok());
+    }
+
+    #[test]
+    fn a_mebibyte_of_brackets_is_an_error_on_a_small_stack() {
+        // 2 MiB is the default stack of a spawned thread, which the
+        // server's connection threads use. Unbounded, 10 000 `[` overflow it.
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse(&"[".repeat(1 << 20)))
+            .expect("spawn parser thread")
+            .join()
+            .expect("the parser thread must not die");
+        assert!(result.is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Each character used to re-validate the rest of the input as
+        // UTF-8: tens of gigabytes of validation for this half mebibyte,
+        // against milliseconds now.
+        let text = "é".repeat(1 << 18);
+        let started = std::time::Instant::now();
+        assert_eq!(parse(&format!("\"{text}\"")).unwrap().as_str(), Some(text.as_str()));
+        assert!(started.elapsed() < std::time::Duration::from_secs(10), "{:?}", started.elapsed());
     }
 
     #[test]

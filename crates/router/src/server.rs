@@ -1601,6 +1601,40 @@ mod tests {
         shard.wait();
     }
 
+    /// A body nested past the JSON parser's depth bound is a `400`; it
+    /// used to overflow the connection thread's stack and abort the
+    /// router.
+    #[test]
+    fn a_deeply_nested_shard_announcement_is_a_400() {
+        let shard = nptsn_serve::Server::bind(nptsn_serve::ServeConfig {
+            workers: 1,
+            shard_name: Some("s0".to_string()),
+            ..nptsn_serve::ServeConfig::default()
+        })
+        .expect("bind shard");
+        let router = Router::bind(RouterConfig {
+            shards: vec![ShardSpec {
+                name: "s0".to_string(),
+                addr: shard.local_addr(),
+                data_dir: None,
+            }],
+            ..RouterConfig::default()
+        })
+        .expect("bind router");
+        let mut client = Client::new(router.local_addr());
+        let body = "[".repeat(10_000);
+        let refused = client.post("/admin/shards", body.as_bytes()).expect("a response");
+        assert_eq!(refused.status, 400, "{}", refused.text());
+        assert!(refused.text().contains("not valid JSON"), "{}", refused.text());
+        let health = client.get("/healthz").expect("the router still serves");
+        assert_eq!(health.status, 200, "{}", health.text());
+
+        router.stop();
+        router.wait();
+        shard.stop();
+        shard.wait();
+    }
+
     #[test]
     fn bind_rejects_empty_and_duplicate_fleets() {
         assert!(Router::bind(RouterConfig::default()).is_err());

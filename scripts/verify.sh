@@ -15,13 +15,14 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # The bit-identity pins again, in the release profile the benchmark
 # measures: the threaded PPO update and the threaded re-plan against their
-# sequential references, and the analyzer and the lazy NBF against the
-# textbook ones. The release build is other machine code (no debug
-# assertions, other inlining) and its threads interleave on other timings,
-# so a pass in the dev profile alone does not show that the build the
-# benchmark measures computes the same bits.
+# sequential references, the analyzer and the lazy NBF against the
+# textbook ones, and the memoized SOAG against the unmemoized generator.
+# The release build is other machine code (no debug assertions, other
+# inlining) and its threads interleave on other timings, so a pass in the
+# dev profile alone does not show that the build the benchmark measures
+# computes the same bits.
 cargo test -q --offline --release --test ppo_reference --test analyzer_reference \
-    --test replan_reference
+    --test replan_reference --test soag_reference
 
 # The end-to-end benchmark is a package of its own: build and test it
 # against the crates as they are. --locked fails if a crate change would
