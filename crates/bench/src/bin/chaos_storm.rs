@@ -47,8 +47,9 @@
 //!    measured per-call cost, charged per request, must be under 10% of
 //!    the clean request time.
 //!
-//! Writes `BENCH_chaos.json` (override with `NPTSN_BENCH_OUT`;
-//! `NPTSN_BENCH_SMOKE=1` shrinks the workload to a plumbing check).
+//! Writes the `chaos` ledger (`BENCH_chaos.json`, see
+//! `nptsn_bench::ledger`; a smoke run shrinks the workload to a plumbing
+//! check).
 //! Usage: `chaos_storm [--seed N]` — the seed drives the fault plan and
 //! the client jitter, so a storm replays exactly from its seed.
 
@@ -59,7 +60,7 @@ use std::time::{Duration, Instant};
 
 use nptsn::{Planner, PlannerConfig, PlanningProblem};
 use nptsn_bench::fleet::{maybe_run_shard_child, spawn_named_shard, spawn_shard};
-use nptsn_bench::json_u64;
+use nptsn_bench::{json_u64, percentile, temp_dir, write_ledger};
 use nptsn_chaos::{FaultKind, FaultPlan, SiteRule};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_rand::rngs::StdRng;
@@ -126,16 +127,16 @@ fn determinism_run(seed: u64) -> String {
 }
 
 /// Submits `jobs` burn jobs and polls each to a terminal state; returns
-/// (jobs per second, per-submission accept latencies). Panics on a job
-/// that never terminates — backed up by the process watchdog.
-fn drive_jobs(client: &mut Client, jobs: usize) -> (f64, Vec<Duration>) {
+/// (jobs per second, per-submission accept latencies in ms). Panics on a
+/// job that never terminates — backed up by the process watchdog.
+fn drive_jobs(client: &mut Client, jobs: usize) -> (f64, Vec<f64>) {
     let started = Instant::now();
     let mut ids = Vec::new();
     let mut accept_latencies = Vec::new();
     for _ in 0..jobs {
         let submit_started = Instant::now();
         let response = client.post("/jobs/burn?millis=1", &[]).expect("submit");
-        accept_latencies.push(submit_started.elapsed());
+        accept_latencies.push(submit_started.elapsed().as_secs_f64() * 1_000.0);
         if response.status == 202 {
             ids.push(json_u64(&response.text(), "id"));
         } else {
@@ -157,13 +158,6 @@ fn drive_jobs(client: &mut Client, jobs: usize) -> (f64, Vec<Duration>) {
     }
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
     (ids.len() as f64 / elapsed, accept_latencies)
-}
-
-fn percentile_ms(mut samples: Vec<Duration>, pct: usize) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_unstable();
-    let index = (samples.len() - 1) * pct / 100;
-    samples[index].as_secs_f64() * 1_000.0
 }
 
 /// What one kill-and-restart storm produced: a per-job outcome digest
@@ -302,11 +296,8 @@ struct RouterStorm {
 /// is each acked job's full status body in submission order: ids are
 /// deterministic, bodies carry no timestamps, so same seed ⇒ same bytes.
 fn router_storm(seed: u64, tag: &str, jobs: usize) -> RouterStorm {
-    let base = std::env::temp_dir();
-    let dir_a = base.join(format!("nptsn-chaos-router-{tag}-a-{}", std::process::id()));
-    let dir_b = base.join(format!("nptsn-chaos-router-{tag}-b-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
+    let dir_a = temp_dir(&format!("chaos-router-{tag}-a"));
+    let dir_b = temp_dir(&format!("chaos-router-{tag}-b"));
     let mut shard_a = spawn_shard(Some(&dir_a), 1, 1024);
     let mut shard_b = spawn_shard(Some(&dir_b), 1, 1024);
     let router = Router::bind(RouterConfig {
@@ -427,11 +418,8 @@ struct MembershipStorm {
 /// nothing nondeterministic leaks into a status body, so same seed ⇒
 /// same bytes.
 fn membership_storm(seed: u64, tag: &str, jobs: usize) -> MembershipStorm {
-    let base = std::env::temp_dir();
-    let dir_a = base.join(format!("nptsn-chaos-member-{tag}-a-{}", std::process::id()));
-    let dir_b = base.join(format!("nptsn-chaos-member-{tag}-b-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
+    let dir_a = temp_dir(&format!("chaos-member-{tag}-a"));
+    let dir_b = temp_dir(&format!("chaos-member-{tag}-b"));
     let mut shard_a = spawn_named_shard(Some(&dir_a), 1, 1024, Some("s0"));
     let mut shard_b = spawn_named_shard(Some(&dir_b), 1, 1024, Some("s1"));
     let router = Router::bind(RouterConfig {
@@ -600,7 +588,7 @@ fn main() {
             other => panic!("unknown argument {other:?} (usage: chaos_storm [--seed N])"),
         }
     }
-    let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
+    let smoke = nptsn_bench::smoke();
     let (jobs, point_loops) = if smoke { (24usize, 200_000u64) } else { (120, 2_000_000) };
 
     // Zero-hang gate: the whole storm must finish well inside the budget
@@ -652,7 +640,7 @@ fn main() {
     let (clean_jobs_per_s, clean_latencies) = drive_jobs(&mut clean_client, jobs);
     clean_server.stop();
     clean_server.wait();
-    let clean_p50_ms = percentile_ms(clean_latencies, 50);
+    let clean_p50_ms = percentile(&clean_latencies, 50.0);
 
     // --- Phase 2b: the storm -------------------------------------------
     let storm_server = Server::bind(serve_config).expect("bind storm server");
@@ -672,7 +660,7 @@ fn main() {
         ..BackoffConfig::default()
     });
     let (storm_jobs_per_s, storm_latencies) = drive_jobs(&mut storm_client, jobs);
-    let p99_recovery_ms = percentile_ms(storm_latencies, 99);
+    let p99_recovery_ms = percentile(&storm_latencies, 99.0);
 
     let faults_injected: u64 = nptsn_chaos::injection_counts().iter().map(|(_, n)| n).sum();
     nptsn_chaos::disarm();
@@ -717,17 +705,8 @@ fn main() {
 
     // --- Phase 3: kill-and-restart over the durable store --------------
     let kill_jobs = if smoke { 80 } else { 400 };
-    let base = std::env::temp_dir();
-    let first_storm = kill_restart_storm(
-        seed,
-        &base.join(format!("nptsn-chaos-kill-a-{}", std::process::id())),
-        kill_jobs,
-    );
-    let second_storm = kill_restart_storm(
-        seed,
-        &base.join(format!("nptsn-chaos-kill-b-{}", std::process::id())),
-        kill_jobs,
-    );
+    let first_storm = kill_restart_storm(seed, &temp_dir("chaos-kill-a"), kill_jobs);
+    let second_storm = kill_restart_storm(seed, &temp_dir("chaos-kill-b"), kill_jobs);
     let kill_restart_identical = first_storm.digest == second_storm.digest
         && first_storm.recovered == second_storm.recovered
         && first_storm.replays == second_storm.replays;
@@ -805,41 +784,33 @@ fn main() {
          ({disarmed_overhead_pct:.5}% of a clean request)"
     );
 
-    // Hand-written JSON: the workspace is hermetic, no serde.
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"chaos_storm\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
-    json.push_str(&format!("  \"determinism\": {determinism},\n"));
-    json.push_str(&format!("  \"jobs_per_phase\": {jobs},\n"));
-    json.push_str(&format!("  \"clean_jobs_per_s\": {clean_jobs_per_s:.1},\n"));
-    json.push_str(&format!("  \"storm_jobs_per_s\": {storm_jobs_per_s:.1},\n"));
-    json.push_str(&format!("  \"p99_recovery_ms\": {p99_recovery_ms:.3},\n"));
-    json.push_str(&format!("  \"faults_injected\": {},\n", recovered.faults));
-    json.push_str(&format!("  \"ppo_rollbacks\": {},\n", recovered.rollbacks));
-    json.push_str(&format!("  \"deadline_kills\": {},\n", recovered.deadline_kills));
-    json.push_str(&format!("  \"client_retries\": {},\n", recovered.client_retries));
-    json.push_str(&format!("  \"kill_restart_jobs\": {},\n", first_storm.submitted));
-    json.push_str(&format!("  \"kill_restart_recovered\": {},\n", first_storm.recovered));
-    json.push_str(&format!("  \"kill_restart_replays\": {},\n", first_storm.replays));
-    json.push_str(&format!("  \"kill_restart_identical\": {kill_restart_identical},\n"));
-    json.push_str(&format!("  \"router_jobs_acked\": {},\n", first_router.acked));
-    json.push_str(&format!("  \"router_failovers\": {},\n", first_router.failovers));
-    json.push_str(&format!("  \"router_replayed\": {},\n", first_router.replayed));
-    json.push_str(&format!("  \"router_identical\": {router_identical},\n"));
-    json.push_str(&format!("  \"membership_jobs_acked\": {},\n", first_member.acked));
-    json.push_str(&format!("  \"membership_rejoins\": {},\n", first_member.rejoins));
-    json.push_str(&format!("  \"membership_migrated\": {},\n", first_member.migrated));
-    json.push_str(&format!("  \"membership_promotions\": {},\n", first_member.promotions));
-    json.push_str(&format!("  \"membership_identical\": {membership_identical},\n"));
-    json.push_str(&format!("  \"disarmed_point_ns\": {disarmed_point_ns:.3},\n"));
-    json.push_str(&format!("  \"disarmed_overhead_pct\": {disarmed_overhead_pct:.5}\n"));
-    json.push_str("}\n");
-    let out_path =
-        std::env::var("NPTSN_BENCH_OUT").unwrap_or_else(|_| "BENCH_chaos.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("chaos_storm: wrote {out_path}");
+    write_ledger("chaos", "chaos_storm", |l| {
+        l.int("seed", seed)
+            .bool("determinism", determinism)
+            .int("jobs_per_phase", jobs as u64)
+            .num("clean_jobs_per_s", clean_jobs_per_s)
+            .num("storm_jobs_per_s", storm_jobs_per_s)
+            .num("p99_recovery_ms", p99_recovery_ms)
+            .int("faults_injected", recovered.faults)
+            .int("ppo_rollbacks", recovered.rollbacks)
+            .int("deadline_kills", recovered.deadline_kills)
+            .int("client_retries", recovered.client_retries)
+            .int("kill_restart_jobs", first_storm.submitted)
+            .int("kill_restart_recovered", first_storm.recovered)
+            .int("kill_restart_replays", first_storm.replays)
+            .bool("kill_restart_identical", kill_restart_identical)
+            .int("router_jobs_acked", first_router.acked)
+            .int("router_failovers", first_router.failovers)
+            .int("router_replayed", first_router.replayed)
+            .bool("router_identical", router_identical)
+            .int("membership_jobs_acked", first_member.acked)
+            .int("membership_rejoins", first_member.rejoins)
+            .int("membership_migrated", first_member.migrated)
+            .int("membership_promotions", first_member.promotions)
+            .bool("membership_identical", membership_identical)
+            .num("disarmed_point_ns", disarmed_point_ns)
+            .num("disarmed_overhead_pct", disarmed_overhead_pct);
+    });
 
     // Recovery gates: the storm must actually have stormed, and every
     // self-healing path must have fired at least once.

@@ -18,11 +18,11 @@
 //!
 //! In full mode the binary itself fails unless batch-64 job throughput is
 //! at least 4x batch-1 — the acceptance bar for the batched inference
-//! path. `NPTSN_BENCH_SMOKE=1` shrinks counts to a plumbing check and
-//! skips the throughput gate (smoke numbers are noise).
+//! path. A smoke run shrinks counts to a plumbing check and skips the
+//! throughput gate (smoke numbers are noise).
 //!
-//! Writes `BENCH_infer.json` to the working directory (override with
-//! `NPTSN_BENCH_OUT`).
+//! Writes the `infer` ledger (`BENCH_infer.json`, see
+//! `nptsn_bench::ledger`).
 //!
 //! ```text
 //! cargo run --release -p nptsn-bench --bin infer_bench
@@ -35,7 +35,8 @@ use nptsn::{
     plan_with_policy_batch, InferLane, Observation, Planner, PlannerConfig, PlanningEnv,
     PlanningProblem, Solution,
 };
-use nptsn_bench::problem_for;
+use nptsn_bench::ledger::Fields;
+use nptsn_bench::{percentile, problem_for, write_ledger};
 use nptsn_nn::{params_from_bytes, params_to_bytes, Module};
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::SeedableRng;
@@ -43,15 +44,6 @@ use nptsn_rl::{sample_action, ActorCritic};
 use nptsn_scenarios::{orion, random_flows};
 use nptsn_sched::{FlowSet, FlowSpec, ShortestPathRecovery, TasConfig};
 use nptsn_topo::{ComponentLibrary, ConnectionGraph};
-
-/// The `q`-quantile of a sorted sample set, in nanoseconds.
-fn percentile_ns(sorted: &[Duration], q: f64) -> u128 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1].as_nanos()
-}
 
 /// A zonal-controller-scale problem: two end stations, two candidate
 /// switches, the theta graph — the per-vehicle problem size the service's
@@ -112,13 +104,36 @@ fn batched_jobs(
 struct BatchRow {
     batch: usize,
     calls: usize,
-    p50: u128,
-    p99: u128,
+    p50: u64,
+    p99: u64,
     qps: f64,
 }
 
+impl BatchRow {
+    /// Times `calls` runs of a batch of `batch` (`run(i)` runs the `i`-th)
+    /// and prints them as `what`.
+    fn measure(what: &str, batch: usize, calls: usize, mut run: impl FnMut(usize)) -> BatchRow {
+        let mut durations = Vec::with_capacity(calls);
+        let wall = Instant::now();
+        for i in 0..calls {
+            let start = Instant::now();
+            run(i);
+            durations.push(start.elapsed().as_nanos() as f64);
+        }
+        let qps = (batch * calls) as f64 / wall.elapsed().as_secs_f64().max(1e-9);
+        let p50 = percentile(&durations, 50.0) as u64;
+        let p99 = percentile(&durations, 99.0) as u64;
+        println!(
+            "infer_bench: {what} batch {batch:>2}  p50 {:?}  p99 {:?}  {qps:.0}/s",
+            Duration::from_nanos(p50),
+            Duration::from_nanos(p99),
+        );
+        BatchRow { batch, calls, p50, p99, qps }
+    }
+}
+
 fn main() {
-    let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
+    let smoke = nptsn_bench::smoke();
     let (solo_jobs, batch_calls, fwd_warmup, forwards, kernel_reps, kernel_dim) =
         if smoke { (4usize, 2usize, 2usize, 8usize, 3usize, 48usize) } else { (160, 20, 20, 300, 30, 192) };
     const ATTEMPTS: usize = 2;
@@ -161,24 +176,7 @@ fn main() {
         for s in 0..(calls / 4).max(2) {
             run(s);
         }
-        let mut durations = Vec::with_capacity(calls);
-        let wall = Instant::now();
-        for s in 0..calls {
-            let start = Instant::now();
-            run(s);
-            durations.push(start.elapsed());
-        }
-        let elapsed = wall.elapsed();
-        durations.sort();
-        let p50 = percentile_ns(&durations, 0.50);
-        let p99 = percentile_ns(&durations, 0.99);
-        let qps = (batch * calls) as f64 / elapsed.as_secs_f64().max(1e-9);
-        println!(
-            "infer_bench: job path batch {batch:>2}  p50 {:?}  p99 {:?}  {qps:.0} jobs/s",
-            Duration::from_nanos(p50 as u64),
-            Duration::from_nanos(p99 as u64),
-        );
-        job_rows.push(BatchRow { batch, calls, p50, p99, qps });
+        job_rows.push(BatchRow::measure("job path", batch, calls, run));
     }
     let job_speedup = job_rows[2].qps / job_rows[0].qps.max(1e-9);
     println!("infer_bench: batch-64 job throughput {job_speedup:.2}x batch-1");
@@ -242,11 +240,10 @@ fn main() {
 
     let mut fwd_rows: Vec<BatchRow> = Vec::new();
     for &batch in &[1usize, 8, 64] {
-        let mut durations = Vec::with_capacity(forwards);
         let mut cursor = 0usize;
-        let run = |cursor: &mut usize| {
-            let start = *cursor;
-            *cursor = (*cursor + batch) % samples.len();
+        let mut run = |_| {
+            let start = cursor;
+            cursor = (cursor + batch) % samples.len();
             if batch == 1 {
                 let (obs, mask) = &samples[start % samples.len()];
                 std::hint::black_box(policy.evaluate(obs, mask));
@@ -260,27 +257,11 @@ fn main() {
                 std::hint::black_box(policy.evaluate_many(&window));
             }
         };
-        for _ in 0..fwd_warmup {
-            run(&mut cursor);
+        for i in 0..fwd_warmup {
+            run(i);
         }
         let calls = (forwards / batch).max(4);
-        let wall = Instant::now();
-        for _ in 0..calls {
-            let start = Instant::now();
-            run(&mut cursor);
-            durations.push(start.elapsed());
-        }
-        let elapsed = wall.elapsed();
-        durations.sort();
-        let p50 = percentile_ns(&durations, 0.50);
-        let p99 = percentile_ns(&durations, 0.99);
-        let qps = (batch * calls) as f64 / elapsed.as_secs_f64().max(1e-9);
-        println!(
-            "infer_bench: forward batch {batch:>2}  p50 {:?}  p99 {:?}  {qps:.0} forwards/s",
-            Duration::from_nanos(p50 as u64),
-            Duration::from_nanos(p99 as u64),
-        );
-        fwd_rows.push(BatchRow { batch, calls, p50, p99, qps });
+        fwd_rows.push(BatchRow::measure("forward", batch, calls, run));
     }
 
     // ---- 3. Lane-kernel speedup over the naive triple loop. ----
@@ -317,53 +298,38 @@ fn main() {
         naive_s * 1e3,
     );
 
-    // Hand-written JSON: the workspace is hermetic, no serde.
-    let rows_json = |rows: &[BatchRow], unit: &str| {
-        let mut s = String::new();
-        for (i, r) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            s.push_str(&format!(
-                "      {{\"batch\": {}, \"calls\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-                 \"{unit}\": {:.1}}}{comma}\n",
-                r.batch, r.calls, r.p50, r.p99, r.qps
-            ));
-        }
-        s
+    let rows = |o: &mut Fields, rows: &[BatchRow], unit: &str| {
+        o.objects("batches", rows, |o, r| {
+            o.int("batch", r.batch as u64)
+                .int("calls", r.calls as u64)
+                .int("p50_ns", r.p50)
+                .int("p99_ns", r.p99)
+                .num(unit, r.qps);
+        });
     };
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"infer_batch\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
-    json.push_str("  \"job_path\": {\n");
-    json.push_str("    \"problem\": \"zonal theta (2 es, 2 sw)\",\n");
-    json.push_str("    \"results_equal_solo\": true,\n");
-    json.push_str("    \"batches\": [\n");
-    json.push_str(&rows_json(&job_rows, "jobs_per_sec"));
-    json.push_str("    ],\n");
-    json.push_str(&format!("    \"batch64_vs_batch1_qps\": {job_speedup:.2}\n"));
-    json.push_str("  },\n");
-    json.push_str("  \"forward_path\": {\n");
-    json.push_str(&format!(
-        "    \"problem\": {{\"scenario\": \"orion\", \"nodes\": {n}, \"features\": {f}, \
-         \"actions\": {a}}},\n"
-    ));
-    json.push_str("    \"bitwise_identical\": true,\n");
-    json.push_str("    \"batches\": [\n");
-    json.push_str(&rows_json(&fwd_rows, "forwards_per_sec"));
-    json.push_str("    ]\n");
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"matmul_kernel\": {{\"dim\": {kernel_dim}, \"kernel_ms\": {:.3}, \
-         \"naive_ms\": {:.3}, \"speedup\": {kernel_speedup:.2}}}\n",
-        kernel_s * 1e3,
-        naive_s * 1e3,
-    ));
-    json.push_str("}\n");
-
-    let out_path =
-        std::env::var("NPTSN_BENCH_OUT").unwrap_or_else(|_| "BENCH_infer.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("infer_bench: wrote {out_path}");
+    write_ledger("infer", "infer_batch", |l| {
+        l.object("job_path", |o| {
+            o.str("problem", "zonal theta (2 es, 2 sw)").bool("results_equal_solo", true);
+            rows(o, &job_rows, "jobs_per_sec");
+            o.num("batch64_vs_batch1_qps", job_speedup);
+        });
+        l.object("forward_path", |o| {
+            o.object("problem", |p| {
+                p.str("scenario", "orion")
+                    .int("nodes", n as u64)
+                    .int("features", f as u64)
+                    .int("actions", a as u64);
+            })
+            .bool("bitwise_identical", true);
+            rows(o, &fwd_rows, "forwards_per_sec");
+        });
+        l.object("matmul_kernel", |o| {
+            o.int("dim", kernel_dim as u64)
+                .num("kernel_ms", kernel_s * 1e3)
+                .num("naive_ms", naive_s * 1e3)
+                .num("speedup", kernel_speedup);
+        });
+    });
 }
 
 /// Reference three-loop matmul; the ground truth the lane kernel must

@@ -22,25 +22,19 @@
 //! Every round still demands zero acked loss: after the measurement all
 //! acked jobs must reach `done` through the router.
 //!
-//! Writes `BENCH_membership.json` (override with `NPTSN_BENCH_OUT`;
-//! `NPTSN_BENCH_SMOKE=1` shrinks rounds and batches). The binary itself
-//! fails if the RF2 kill-to-served p99 reaches 50 ms — the pause-free
+//! Writes the `membership` ledger (`BENCH_membership.json`, see
+//! `nptsn_bench::ledger`; a smoke run shrinks rounds and batches). The
+//! binary itself fails if the RF2 kill-to-served p99 (nearest rank: the
+//! slowest of fewer than 100 rounds) reaches 50 ms — the pause-free
 //! failover promise — or any acked job is lost.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use nptsn_bench::fleet::{maybe_run_shard_child, spawn_named_shard, ShardProc};
-use nptsn_bench::json_u64;
+use nptsn_bench::{json_u64, percentile, temp_dir, write_ledger};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::{BackoffConfig, Client};
-
-fn percentile_ms(samples: &[f64], pct: usize) -> f64 {
-    assert!(!samples.is_empty());
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    sorted[(sorted.len() - 1) * pct / 100]
-}
 
 /// One freshly spawned two-shard fleet behind an in-process router.
 struct Fleet {
@@ -53,11 +47,8 @@ struct Fleet {
 
 impl Fleet {
     fn spawn(tag: &str, replication_factor: u32) -> Fleet {
-        let base = std::env::temp_dir();
-        let dir_a = base.join(format!("nptsn-member-bench-{tag}-a-{}", std::process::id()));
-        let dir_b = base.join(format!("nptsn-member-bench-{tag}-b-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
+        let dir_a = temp_dir(&format!("member-{tag}-a"));
+        let dir_b = temp_dir(&format!("member-{tag}-b"));
         let shard_a = spawn_named_shard(Some(&dir_a), 1, 1024, Some("s0"));
         let shard_b = spawn_named_shard(Some(&dir_b), 1, 1024, Some("s1"));
         let router = Router::bind(RouterConfig {
@@ -203,9 +194,13 @@ fn failover_round(tag: &str, replication_factor: u32, jobs: usize) -> f64 {
     failover_ms
 }
 
+/// The pause-free failover promise: the RF2 kill-to-served p99 stays
+/// under this.
+const RF2_P99_GATE_MS: f64 = 50.0;
+
 fn main() {
     maybe_run_shard_child();
-    let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
+    let smoke = nptsn_bench::smoke();
     // The full-mode batch is big enough that the RF1 dead-log replay
     // (one HTTP ingest per record) visibly dwarfs RF2's local promotion.
     let (rounds, jobs) = if smoke { (3usize, 32usize) } else { (7, 256) };
@@ -232,39 +227,31 @@ fn main() {
             rf1[round], rf2[round]
         );
     }
-    let rf1_p50 = percentile_ms(&rf1, 50);
-    let rf1_p99 = percentile_ms(&rf1, 99);
-    let rf2_p50 = percentile_ms(&rf2, 50);
-    let rf2_p99 = percentile_ms(&rf2, 99);
+    let rf1_p50 = percentile(&rf1, 50.0);
+    let rf1_p99 = percentile(&rf1, 99.0);
+    let rf2_p50 = percentile(&rf2, 50.0);
+    let rf2_p99 = percentile(&rf2, 99.0);
     println!(
         "membership_bench: kill-to-served p50/p99 — replay (RF1) {rf1_p50:.1}/{rf1_p99:.1} ms, \
          promotion (RF2) {rf2_p50:.1}/{rf2_p99:.1} ms"
     );
 
-    // Hand-written JSON: the workspace is hermetic, no serde.
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"membership\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
-    json.push_str(&format!("  \"rounds\": {rounds},\n"));
-    json.push_str(&format!("  \"jobs_per_round\": {jobs},\n"));
-    json.push_str(&format!("  \"rejoin_backlog_jobs\": {backlog},\n"));
-    json.push_str(&format!("  \"rejoin_catchup_ms\": {rejoin_ms:.2},\n"));
-    json.push_str(&format!("  \"rf1_failover_p50_ms\": {rf1_p50:.2},\n"));
-    json.push_str(&format!("  \"rf1_failover_p99_ms\": {rf1_p99:.2},\n"));
-    json.push_str(&format!("  \"rf2_failover_p50_ms\": {rf2_p50:.2},\n"));
-    json.push_str(&format!("  \"rf2_failover_p99_ms\": {rf2_p99:.2},\n"));
-    json.push_str("  \"rf2_p99_gate_ms\": 50.0,\n");
-    json.push_str("  \"zero_acked_loss\": true\n");
-    json.push_str("}\n");
-    let out_path =
-        std::env::var("NPTSN_BENCH_OUT").unwrap_or_else(|_| "BENCH_membership.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("membership_bench: wrote {out_path}");
+    write_ledger("membership", "membership", |l| {
+        l.int("rounds", rounds as u64)
+            .int("jobs_per_round", jobs as u64)
+            .int("rejoin_backlog_jobs", backlog as u64)
+            .num("rejoin_catchup_ms", rejoin_ms)
+            .num("rf1_failover_p50_ms", rf1_p50)
+            .num("rf1_failover_p99_ms", rf1_p99)
+            .num("rf2_failover_p50_ms", rf2_p50)
+            .num("rf2_failover_p99_ms", rf2_p99)
+            .num("rf2_p99_gate_ms", RF2_P99_GATE_MS)
+            .bool("zero_acked_loss", true);
+    });
 
     // The pause-free failover promise: with a passive replica, the kill
     // window to first-served must stay under 50 ms at p99.
-    if rf2_p99 >= 50.0 {
+    if rf2_p99 >= RF2_P99_GATE_MS {
         eprintln!(
             "membership_bench: FAIL — RF2 kill-to-served p99 {rf2_p99:.1} ms >= 50 ms"
         );

@@ -20,7 +20,7 @@ use nptsn::{
     encode_observation, FailureAnalyzer, Planner, PlannerConfig, PlanningProblem, ScenarioCache,
     Soag,
 };
-use nptsn_bench::problem_for;
+use nptsn_bench::{percentile, problem_for, saturated_orion, write_ledger};
 use nptsn_nn::{normalized_adjacency, Gcn, Module};
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::SeedableRng;
@@ -99,42 +99,16 @@ fn bench_failure_analysis(filter: &str) {
     });
 }
 
-/// A fig-4-scale analysis workload with real enumeration depth: the
-/// saturated ORION network (every switch at ASIL-A, every candidate link
-/// that fits the degree constraints) under 40 flows. Unlike the paper's
-/// original tree-like ORION — where the very first injected failure is a
-/// counterexample — the saturated network survives every non-safe fault,
-/// so Algorithm 3 runs the full enumeration (~1 ms of NBF work per
-/// scenario).
-fn saturated_orion() -> (PlanningProblem, Topology) {
-    let scenario = orion();
-    let flows = random_flows(&scenario.graph, 40, 0);
-    let problem = problem_for(&scenario, flows);
-    let mut topo = scenario.graph.empty_topology();
-    for &sw in scenario.graph.switches() {
-        let _ = topo.add_switch(sw, Asil::A);
-    }
-    let links: Vec<_> = scenario.graph.links().collect();
-    for link in links {
-        let (u, v) = scenario.graph.link_endpoints(link);
-        let _ = topo.add_link(u, v);
-    }
-    (problem, topo)
-}
-
 /// Machine-readable analyzer benchmark: median wall-clock and ns/scenario
 /// of a cold analysis of the saturated ORION workload, plus the
-/// shared-cache hit rate and speedup on a warm re-run. Writes
-/// `BENCH_analyzer.json` to the working directory (override the path with
-/// `NPTSN_BENCH_OUT`); `NPTSN_BENCH_SMOKE=1` shrinks the iteration counts
-/// to a plumbing check.
+/// shared-cache hit rate and speedup on a warm re-run. Writes the
+/// `analyzer` ledger (`BENCH_analyzer.json`, see `nptsn_bench::ledger`).
 fn bench_analyzer_json(filter: &str) {
     if !"analyzer_json".contains(filter) {
         return;
     }
-    let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
-    let (warmup, iters) = if smoke { (1usize, 3usize) } else { (3, 15) };
-    let (strict, topo) = saturated_orion();
+    let (warmup, iters) = if nptsn_bench::smoke() { (1usize, 3usize) } else { (3, 15) };
+    let (strict, topo) = saturated_orion(40);
 
     let reference = FailureAnalyzer::new().try_analyze(&strict, &topo).unwrap();
     let scenarios = reference.scenarios_checked.max(1);
@@ -149,18 +123,17 @@ fn bench_analyzer_json(filter: &str) {
         for _ in 0..iters {
             let start = Instant::now();
             let verdict = black_box(analyzer.analyze(&strict, &topo));
-            samples.push(start.elapsed());
+            samples.push(start.elapsed().as_nanos() as f64);
             assert_eq!(verdict, reference.verdict, "the configuration changed the verdict");
         }
-        samples.sort();
-        samples[samples.len() / 2].as_nanos()
+        percentile(&samples, 50.0) as u64
     };
 
     let base_median_ns = median_ns(&FailureAnalyzer::new());
+    let ns_per_scenario = base_median_ns as f64 / scenarios as f64;
     println!(
-        "analyzer_json: cold  median {:>10.3?}  {:>7.1} ns/scenario",
-        Duration::from_nanos(base_median_ns as u64),
-        base_median_ns as f64 / scenarios as f64,
+        "analyzer_json: cold  median {:>10.3?}  {ns_per_scenario:>7.1} ns/scenario",
+        Duration::from_nanos(base_median_ns),
     );
 
     // Cache effectiveness: a cold run fills the shared cache, a warm run
@@ -174,37 +147,28 @@ fn bench_analyzer_json(filter: &str) {
     let warm_median_ns = median_ns(&cached);
     println!(
         "analyzer_json: warm cache  median {:>10.3?}  hit rate {:.3}",
-        Duration::from_nanos(warm_median_ns as u64),
+        Duration::from_nanos(warm_median_ns),
         warm_hit_rate,
     );
 
-    // Hand-written JSON: the workspace is hermetic, no serde.
     let cached_speedup = base_median_ns as f64 / warm_median_ns.max(1) as f64;
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"failure_analysis_orion_saturated_40flows\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
-    json.push_str(&format!("  \"scenarios_checked\": {scenarios},\n"));
-    json.push_str(&format!("  \"speedup_cached_vs_sequential\": {cached_speedup:.1},\n"));
-    json.push_str(&format!(
-        "  \"sequential\": {{\"median_ns\": {base_median_ns}, \"ns_per_scenario\": {:.1}}},\n",
-        base_median_ns as f64 / scenarios as f64,
-    ));
-    json.push_str(&format!(
-        "  \"cache\": {{\"cold_hits\": {}, \"cold_misses\": {}, \"warm_hits\": {}, \
-         \"warm_misses\": {}, \"warm_hit_rate\": {warm_hit_rate:.4}, \
-         \"warm_median_ns\": {warm_median_ns}, \
-         \"warm_speedup_vs_sequential\": {cached_speedup:.1}}}\n",
-        cold.cache_hits, cold.cache_misses, warm.cache_hits, warm.cache_misses,
-    ));
-    json.push_str("}\n");
-
-    let out_path = std::env::var("NPTSN_BENCH_OUT")
-        .unwrap_or_else(|_| "BENCH_analyzer.json".to_string());
-    std::fs::write(&out_path, &json)
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("analyzer_json: wrote {out_path}");
+    write_ledger("analyzer", "failure_analysis_orion_saturated_40flows", |l| {
+        l.int("iters", iters as u64)
+            .int("scenarios_checked", scenarios)
+            .num("speedup_cached_vs_sequential", cached_speedup)
+            .object("sequential", |o| {
+                o.int("median_ns", base_median_ns).num("ns_per_scenario", ns_per_scenario);
+            })
+            .object("cache", |o| {
+                o.int("cold_hits", cold.cache_hits)
+                    .int("cold_misses", cold.cache_misses)
+                    .int("warm_hits", warm.cache_hits)
+                    .int("warm_misses", warm.cache_misses)
+                    .num("warm_hit_rate", warm_hit_rate)
+                    .int("warm_median_ns", warm_median_ns)
+                    .num("warm_speedup_vs_sequential", cached_speedup);
+            });
+    });
 }
 
 fn bench_soag(filter: &str) {

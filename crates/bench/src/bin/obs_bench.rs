@@ -1,8 +1,8 @@
 //! Tracing-overhead benchmark: what does `nptsn-obs` instrumentation cost
 //! on the micro analyzer workload, with recording disabled and enabled?
 //!
-//! Writes `BENCH_obs.json` (override with `NPTSN_BENCH_OUT`;
-//! `NPTSN_BENCH_SMOKE=1` shrinks iteration counts to a plumbing check):
+//! Writes the `obs` ledger (`BENCH_obs.json`, see `nptsn_bench::ledger`;
+//! a smoke run shrinks iteration counts to a plumbing check):
 //!
 //! * `span_ns` — the cost of one `span()` open/close, disabled (a relaxed
 //!   atomic load and a branch) and enabled (timestamping + a buffered
@@ -30,46 +30,25 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use nptsn::{FailureAnalyzer, PlanningProblem};
-use nptsn_bench::problem_for;
+use nptsn::FailureAnalyzer;
+use nptsn_bench::{json_u64, percentile, saturated_orion, write_ledger};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
-use nptsn_scenarios::{orion, random_flows};
 use nptsn_serve::client::Client;
 use nptsn_serve::{ServeConfig, Server};
-use nptsn_topo::{Asil, Topology};
-
-/// The micro analyzer workload: saturated ORION (every switch, every
-/// candidate link) so Algorithm 3 runs its full enumeration — the same
-/// network `micro analyzer_json` benchmarks.
-fn saturated_orion(flows: usize) -> (PlanningProblem, Topology) {
-    let scenario = orion();
-    let flows = random_flows(&scenario.graph, flows, 0);
-    let problem = problem_for(&scenario, flows);
-    let mut topo = scenario.graph.empty_topology();
-    for &sw in scenario.graph.switches() {
-        let _ = topo.add_switch(sw, Asil::A);
-    }
-    let links: Vec<_> = scenario.graph.links().collect();
-    for link in links {
-        let (u, v) = scenario.graph.link_endpoints(link);
-        let _ = topo.add_link(u, v);
-    }
-    (problem, topo)
-}
 
 /// Median of timed runs of `f`, in nanoseconds.
-fn median_ns(warmup: usize, iters: usize, mut f: impl FnMut()) -> u128 {
+fn median_ns(warmup: usize, iters: usize, mut f: impl FnMut()) -> u64 {
     for _ in 0..warmup {
         f();
     }
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_nanos());
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
+    let samples: Vec<f64> = (0..iters)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    percentile(&samples, 50.0) as u64
 }
 
 /// One submit-to-drain round over the routed fleet: submit `jobs` burn
@@ -79,14 +58,7 @@ fn routed_round(client: &mut Client, jobs: usize) {
         .map(|_| {
             let accepted = client.post("/jobs/burn?millis=0", &[]).expect("routed submit");
             assert_eq!(accepted.status, 202, "{}", accepted.text());
-            let body = accepted.text();
-            let start = body.find("\"id\":").expect("id field") + 5;
-            body[start..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .unwrap()
+            json_u64(&accepted.text(), "id")
         })
         .collect();
     for id in ids {
@@ -104,7 +76,7 @@ fn routed_round(client: &mut Client, jobs: usize) {
 }
 
 fn main() {
-    let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
+    let smoke = nptsn_bench::smoke();
     let (warmup, iters, span_loops) =
         if smoke { (1usize, 3usize, 20_000u64) } else { (3, 15, 2_000_000) };
     assert!(!nptsn_obs::enabled(), "tracing must start disabled");
@@ -227,15 +199,7 @@ fn main() {
         .iter()
         .filter(|e| e.kind == nptsn_obs::FlightKind::Span && e.ts_ns > mark)
         .count() as u64;
-    let mut routed_samples: Vec<u128> = (0..rounds)
-        .map(|_| {
-            let start = Instant::now();
-            routed_round(&mut client, jobs_per_round);
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    routed_samples.sort_unstable();
-    let routed_ns = routed_samples[routed_samples.len() / 2];
+    let routed_ns = median_ns(0, rounds, || routed_round(&mut client, jobs_per_round));
     router.stop();
     shard_a.stop();
     shard_a.wait();
@@ -269,39 +233,33 @@ fn main() {
          {spans_per_round} flight spans/round, armed overhead {overhead_armed_pct:.4}%)"
     );
 
-    // Hand-written JSON: the workspace is hermetic, no serde.
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"tracing_overhead_orion_saturated\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
-    json.push_str(&format!("  \"iters\": {iters},\n"));
-    json.push_str(&format!(
-        "  \"span_ns\": {{\"disabled\": {span_disabled_ns:.3}, \"enabled\": {span_enabled_ns:.3}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"workload\": {{\"scenarios_checked\": {scenarios}, \"spans_per_run\": {spans_per_run}, \
-         \"median_ns_disabled\": {disabled_ns}, \"median_ns_enabled\": {enabled_ns}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"overhead_disabled_pct\": {overhead_disabled_pct:.4},\n"
-    ));
-    json.push_str(&format!("  \"overhead_enabled_pct\": {overhead_enabled_pct:.2},\n"));
-    json.push_str(&format!(
-        "  \"flight\": {{\"capacity\": {}, \"span_ns_armed\": {flight_span_ns:.3}, \
-         \"snapshot_entries\": {flight_entries}, \"snapshot_ns\": {flight_snapshot_ns}}},\n",
-        nptsn_obs::flight_capacity()
-    ));
-    json.push_str(&format!(
-        "  \"routed\": {{\"jobs_per_round\": {jobs_per_round}, \"rounds\": {rounds}, \
-         \"median_ns\": {routed_ns}, \"flight_spans_per_round\": {spans_per_round}, \
-         \"overhead_armed_pct\": {overhead_armed_pct:.4}}}\n"
-    ));
-    json.push_str("}\n");
-
-    let out_path =
-        std::env::var("NPTSN_BENCH_OUT").unwrap_or_else(|_| "BENCH_obs.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("obs_bench: wrote {out_path}");
+    write_ledger("obs", "tracing_overhead_orion_saturated", |l| {
+        l.int("iters", iters as u64)
+            .object("span_ns", |o| {
+                o.num("disabled", span_disabled_ns).num("enabled", span_enabled_ns);
+            })
+            .object("workload", |o| {
+                o.int("scenarios_checked", scenarios)
+                    .int("spans_per_run", spans_per_run)
+                    .int("median_ns_disabled", disabled_ns)
+                    .int("median_ns_enabled", enabled_ns);
+            })
+            .num("overhead_disabled_pct", overhead_disabled_pct)
+            .num("overhead_enabled_pct", overhead_enabled_pct)
+            .object("flight", |o| {
+                o.int("capacity", nptsn_obs::flight_capacity() as u64)
+                    .num("span_ns_armed", flight_span_ns)
+                    .int("snapshot_entries", flight_entries as u64)
+                    .int("snapshot_ns", flight_snapshot_ns);
+            })
+            .object("routed", |o| {
+                o.int("jobs_per_round", jobs_per_round as u64)
+                    .int("rounds", rounds as u64)
+                    .int("median_ns", routed_ns)
+                    .int("flight_spans_per_round", spans_per_round)
+                    .num("overhead_armed_pct", overhead_armed_pct);
+            });
+    });
 
     if overhead_disabled_pct >= 5.0 {
         eprintln!(

@@ -8,28 +8,21 @@
 //! throughput. Failover latency is `membership_bench`'s: its replication
 //! factor 1 rounds time the kill → served event of a dead-log replay.
 //!
-//! Writes `BENCH_router.json` to the working directory (override with
-//! `NPTSN_BENCH_OUT`); `NPTSN_BENCH_SMOKE=1` shrinks the counts to a
-//! plumbing check. Exits non-zero if the overhead gate fails.
+//! Writes the `router` ledger (`BENCH_router.json`, see
+//! `nptsn_bench::ledger`); a smoke run shrinks the counts to a plumbing
+//! check. Exits non-zero if the overhead gate fails.
 //!
 //! ```text
 //! cargo run --release -p nptsn-bench --bin router_bench
 //! ```
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use nptsn_bench::fleet::{maybe_run_shard_child, spawn_shard, ShardProc};
-use nptsn_bench::json_u64;
+use nptsn_bench::{json_u64, temp_dir, write_ledger};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::{BackoffConfig, Client};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("nptsn-router-bench-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn retrying(addr: SocketAddr, seed: u64) -> Client {
     Client::new(addr).with_backoff(BackoffConfig {
@@ -106,21 +99,21 @@ fn shutdown_fleet(router: Router, mut shards: Vec<ShardProc>) {
 
 fn main() {
     maybe_run_shard_child();
-    let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
-    let (load_jobs, threads) = if smoke { (64usize, 4usize) } else { (256, 4) };
+    let (load_jobs, threads) = if nptsn_bench::smoke() { (64usize, 4usize) } else { (256, 4) };
 
     // 1. Direct baseline: one durable shard, no router.
-    let direct_dir = temp_dir("direct");
+    let direct_dir = temp_dir("router-direct");
     let mut direct_shard = spawn_shard(Some(&direct_dir), 2, 1024);
     let (direct_jps, _) = drive(direct_shard.addr, load_jobs, threads);
     let mut direct_client = Client::new(direct_shard.addr);
     direct_client.post("/shutdown", &[]).expect("shut down direct shard");
     direct_shard.join();
+    let _ = std::fs::remove_dir_all(&direct_dir);
     println!("router_bench: direct {direct_jps:.0} jobs/s ({load_jobs} durable no-op jobs)");
 
     // 2. Routed: two durable shards behind the router, same load.
-    let a_dir = temp_dir("routed-a");
-    let b_dir = temp_dir("routed-b");
+    let a_dir = temp_dir("router-routed-a");
+    let b_dir = temp_dir("router-routed-b");
     let shard_a = spawn_shard(Some(&a_dir), 2, 1024);
     let shard_b = spawn_shard(Some(&b_dir), 2, 1024);
     let router = Router::bind(RouterConfig {
@@ -133,26 +126,23 @@ fn main() {
     .expect("bind router");
     let (routed_jps, _) = drive(router.local_addr(), load_jobs, threads);
     shutdown_fleet(router, vec![shard_a, shard_b]);
+    for dir in [a_dir, b_dir] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     let overhead_pct = (1.0 - routed_jps / direct_jps.max(1e-9)) * 100.0;
     println!(
         "router_bench: routed {routed_jps:.0} jobs/s over 2 shards (overhead {overhead_pct:.1}%)"
     );
 
-    // Hand-written JSON: the workspace is hermetic, no serde.
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"router\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
-    json.push_str(&format!(
-        "  \"throughput\": {{\"jobs\": {load_jobs}, \"threads\": {threads}, \
-         \"direct_jobs_per_sec\": {direct_jps:.1}, \"routed_jobs_per_sec\": {routed_jps:.1}, \
-         \"routed_overhead_pct\": {overhead_pct:.1}}}\n"
-    ));
-    json.push_str("}\n");
-    let out_path =
-        std::env::var("NPTSN_BENCH_OUT").unwrap_or_else(|_| "BENCH_router.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("router_bench: wrote {out_path}");
+    write_ledger("router", "router", |l| {
+        l.object("throughput", |o| {
+            o.int("jobs", load_jobs as u64)
+                .int("threads", threads as u64)
+                .num("direct_jobs_per_sec", direct_jps)
+                .num("routed_jobs_per_sec", routed_jps)
+                .num("routed_overhead_pct", overhead_pct);
+        });
+    });
 
     // The acceptance gate: the routed path may give up at most 25% of
     // direct single-shard throughput.

@@ -10,9 +10,9 @@
 //! 3. **queue throughput** — submit-to-drain rate for no-op jobs (queue +
 //!    worker-pool overhead per job).
 //!
-//! Writes `BENCH_serve.json` to the working directory (override with
-//! `NPTSN_BENCH_OUT`); `NPTSN_BENCH_SMOKE=1` shrinks the request counts to
-//! a plumbing check.
+//! Writes the `serve` ledger (`BENCH_serve.json`, see
+//! `nptsn_bench::ledger`); a smoke run shrinks the request counts to a
+//! plumbing check.
 //!
 //! ```text
 //! cargo run --release -p nptsn-bench --bin serve_bench
@@ -20,22 +20,15 @@
 
 use std::time::{Duration, Instant};
 
-use nptsn_bench::json_u64;
+use nptsn_bench::{json_u64, percentile, write_ledger};
 use nptsn_serve::{Client, ServeConfig, Server};
 
-/// The `q`-quantile of a sorted sample set, in nanoseconds.
-fn percentile_ns(sorted: &[Duration], q: f64) -> u128 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1].as_nanos()
-}
-
 fn main() {
-    let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
-    let (warmup, polls, health_reqs, drain_jobs) =
-        if smoke { (20usize, 200usize, 200usize, 32usize) } else { (200, 5_000, 10_000, 512) };
+    let (warmup, polls, health_reqs, drain_jobs) = if nptsn_bench::smoke() {
+        (20usize, 200usize, 200usize, 32usize)
+    } else {
+        (200, 5_000, 10_000, 512)
+    };
 
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -62,16 +55,15 @@ fn main() {
     for _ in 0..polls {
         let start = Instant::now();
         let r = client.get(&format!("/jobs/{busy_id}")).expect("poll");
-        samples.push(start.elapsed());
+        samples.push(start.elapsed().as_nanos() as f64);
         assert_eq!(r.status, 200);
     }
-    samples.sort();
-    let poll_p50 = percentile_ns(&samples, 0.50);
-    let poll_p99 = percentile_ns(&samples, 0.99);
+    let poll_p50 = percentile(&samples, 50.0) as u64;
+    let poll_p99 = percentile(&samples, 99.0) as u64;
     println!(
         "serve_bench: status poll p50 {:?}  p99 {:?}  ({polls} polls)",
-        Duration::from_nanos(poll_p50 as u64),
-        Duration::from_nanos(poll_p99 as u64),
+        Duration::from_nanos(poll_p50),
+        Duration::from_nanos(poll_p99),
     );
 
     // 2. Keep-alive request throughput.
@@ -110,26 +102,16 @@ fn main() {
     assert_eq!(shutdown.status, 200);
     server.wait();
 
-    // Hand-written JSON: the workspace is hermetic, no serde.
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"serve_http\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
-    json.push_str("  \"workers\": 2,\n");
-    json.push_str(&format!(
-        "  \"status_poll\": {{\"requests\": {polls}, \"p50_ns\": {poll_p50}, \
-         \"p99_ns\": {poll_p99}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"throughput\": {{\"requests\": {health_reqs}, \"requests_per_sec\": {rps:.1}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"queue\": {{\"jobs\": {drain_jobs}, \"jobs_per_sec\": {jobs_per_sec:.1}}}\n"
-    ));
-    json.push_str("}\n");
-
-    let out_path =
-        std::env::var("NPTSN_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("serve_bench: wrote {out_path}");
+    write_ledger("serve", "serve_http", |l| {
+        l.int("workers", 2)
+            .object("status_poll", |o| {
+                o.int("requests", polls as u64).int("p50_ns", poll_p50).int("p99_ns", poll_p99);
+            })
+            .object("throughput", |o| {
+                o.int("requests", health_reqs as u64).num("requests_per_sec", rps);
+            })
+            .object("queue", |o| {
+                o.int("jobs", drain_jobs as u64).num("jobs_per_sec", jobs_per_sec);
+            });
+    });
 }

@@ -2,12 +2,14 @@
 //! append throughput (synced and unsynced), recovery time as a function
 //! of log size, and the compaction pause.
 //!
-//! Writes `BENCH_store.json` (override with `NPTSN_BENCH_OUT`;
-//! `NPTSN_BENCH_SMOKE=1` shrinks the workloads to a plumbing check).
+//! Writes the `store` ledger (`BENCH_store.json`, see
+//! `nptsn_bench::ledger`; a smoke run shrinks the workloads to a plumbing
+//! check).
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use nptsn_bench::{temp_dir, write_ledger};
 use nptsn_store::{LogConfig, LogStore, Storage};
 
 /// A job-record-sized payload whose bytes depend on `i`, so identical
@@ -20,15 +22,9 @@ fn payload(i: u64) -> Vec<u8> {
     bytes
 }
 
-fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("nptsn-store-bench-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Puts/second for `n` appends of distinct keys.
 fn append_throughput(n: u64, sync_writes: bool) -> f64 {
-    let dir = fresh_dir(if sync_writes { "sync" } else { "nosync" });
+    let dir = temp_dir(if sync_writes { "store-sync" } else { "store-nosync" });
     let config = LogConfig { sync_writes, ..LogConfig::default() };
     let store = LogStore::open_with(&dir, config).expect("open bench store");
     let started = Instant::now();
@@ -44,7 +40,7 @@ fn append_throughput(n: u64, sync_writes: bool) -> f64 {
 /// Time to reopen (replay + index rebuild) a log holding `records`
 /// distinct keys. Returns (recovery seconds, records replayed).
 fn recovery_time(records: u64) -> (f64, u64) {
-    let dir = fresh_dir("recover");
+    let dir = temp_dir("store-recover");
     {
         let config = LogConfig { sync_writes: false, ..LogConfig::default() };
         let store = LogStore::open_with(&dir, config).expect("open bench store");
@@ -65,7 +61,7 @@ fn recovery_time(records: u64) -> (f64, u64) {
 /// log whose dead space is `overwrites` times its live set. Returns
 /// (pause seconds, bytes reclaimed, live keys kept).
 fn compaction_pause(live: u64, overwrites: u64) -> (f64, u64, u64) {
-    let dir = fresh_dir("compact");
+    let dir = temp_dir("store-compact");
     let config =
         LogConfig { sync_writes: false, auto_compact_bytes: 0, ..LogConfig::default() };
     let store = LogStore::open_with(&dir, config).expect("open bench store");
@@ -84,7 +80,7 @@ fn compaction_pause(live: u64, overwrites: u64) -> (f64, u64, u64) {
 }
 
 fn main() {
-    let smoke = std::env::var("NPTSN_BENCH_SMOKE").is_ok();
+    let smoke = nptsn_bench::smoke();
     let append_n: u64 = if smoke { 500 } else { 20_000 };
     let sync_n: u64 = if smoke { 50 } else { 1_000 };
     let recovery_sizes: &[u64] = if smoke { &[100, 1_000] } else { &[1_000, 10_000, 100_000] };
@@ -115,33 +111,20 @@ fn main() {
         pause * 1_000.0
     );
 
-    // Hand-written JSON: the workspace is hermetic, no serde.
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"store_segment_log\",\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"cpu_cores\": {},\n", nptsn_bench::cpu_cores()));
-    json.push_str("  \"value_bytes\": 256,\n");
-    json.push_str(&format!("  \"append_unsynced_puts_per_sec\": {unsynced:.0},\n"));
-    json.push_str(&format!("  \"append_synced_puts_per_sec\": {synced:.0},\n"));
-    json.push_str("  \"recovery\": [\n");
-    for (i, (records, secs)) in recovery_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"records\": {records}, \"ms\": {:.3}, \"records_per_sec\": {:.0}}}{}\n",
-            secs * 1_000.0,
-            *records as f64 / secs.max(1e-9),
-            if i + 1 < recovery_rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"compaction\": {{\"live_keys\": {live}, \"overwrites\": {overwrites}, \
-         \"pause_ms\": {:.3}, \"bytes_reclaimed\": {reclaimed}}}\n",
-        pause * 1_000.0,
-    ));
-    json.push_str("}\n");
-
-    let out_path =
-        std::env::var("NPTSN_BENCH_OUT").unwrap_or_else(|_| "BENCH_store.json".to_string());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("store_bench: wrote {out_path}");
+    write_ledger("store", "store_segment_log", |l| {
+        l.int("value_bytes", 256)
+            .num("append_unsynced_puts_per_sec", unsynced)
+            .num("append_synced_puts_per_sec", synced)
+            .objects("recovery", &recovery_rows, |o, &(records, secs)| {
+                o.int("records", records)
+                    .num("ms", secs * 1_000.0)
+                    .num("records_per_sec", records as f64 / secs.max(1e-9));
+            })
+            .object("compaction", |o| {
+                o.int("live_keys", live)
+                    .int("overwrites", overwrites)
+                    .num("pause_ms", pause * 1_000.0)
+                    .int("bytes_reclaimed", reclaimed);
+            });
+    });
 }

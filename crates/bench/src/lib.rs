@@ -17,10 +17,18 @@
 //! Every run prints CSV-ish rows so curves can be plotted or diffed
 //! against EXPERIMENTS.md. Budgets are scaled down from Table II by
 //! default and adjustable from the command line.
+//!
+//! The service and analyzer benches (`micro analyzer_json`, `serve_bench`,
+//! `obs_bench`, `chaos_storm`, `store_bench`, `infer_bench`,
+//! `router_bench`, `membership_bench`) write `BENCH_*.json` ledgers
+//! through [`ledger`].
 
 #![warn(missing_docs)]
 
 pub mod fleet;
+pub mod ledger;
+
+pub use ledger::{percentile, smoke, temp_dir, write_ledger};
 
 use std::sync::Arc;
 
@@ -29,7 +37,7 @@ use nptsn_baselines::{evaluate_original, NeuroPlanAgent, Trh};
 use nptsn_obs::json::{self, Value};
 use nptsn_scenarios::Scenario;
 use nptsn_sched::{FlowSet, ShortestPathRecovery};
-use nptsn_topo::ComponentLibrary;
+use nptsn_topo::{Asil, ComponentLibrary, Topology};
 
 /// The planning approaches compared in Fig. 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +106,27 @@ pub fn problem_for(scenario: &Scenario, flows: FlowSet) -> PlanningProblem {
         Arc::new(ShortestPathRecovery::new()),
     )
     .expect("scenario inputs are consistent")
+}
+
+/// The saturated ORION network: every switch at ASIL-A and every
+/// candidate link the degree constraints admit, under `flows` random flows.
+/// Unlike the paper's tree-like original ORION, where the first injected
+/// failure is already a counterexample, it survives every non-safe fault,
+/// so Algorithm 3 runs its full enumeration: the analyzer workload of
+/// `micro analyzer_json` and `obs_bench`.
+pub fn saturated_orion(flows: usize) -> (PlanningProblem, Topology) {
+    let scenario = nptsn_scenarios::orion();
+    let problem = problem_for(&scenario, nptsn_scenarios::random_flows(&scenario.graph, flows, 0));
+    let mut topo = scenario.graph.empty_topology();
+    for &sw in scenario.graph.switches() {
+        let _ = topo.add_switch(sw, Asil::A);
+    }
+    let links: Vec<_> = scenario.graph.links().collect();
+    for link in links {
+        let (u, v) = scenario.graph.link_endpoints(link);
+        let _ = topo.add_link(u, v);
+    }
+    (problem, topo)
 }
 
 /// Runs one approach on one test case.

@@ -469,19 +469,8 @@ impl TraceOpts {
             nptsn_obs::set_enabled(true);
         }
         // Fault injection rides the same activation point: a plan named
-        // by NPTSN_CHAOS is armed for the whole run. Inline specs use ';'
-        // as the line separator (environment values are one line).
-        if let Ok(spec) = std::env::var("NPTSN_CHAOS") {
-            if !spec.is_empty() {
-                let plan = match spec.strip_prefix('@') {
-                    Some(_) => nptsn_chaos::plan_from_spec(&spec),
-                    None => nptsn_chaos::plan_from_spec(&spec.replace(';', "\n")),
-                }
-                .map_err(|e| CliError::msg(format!("NPTSN_CHAOS: {e}")))?;
-                nptsn_chaos::arm(plan);
-            }
-        }
-        Ok(())
+        // by NPTSN_CHAOS is armed for the whole run.
+        arm_chaos(&std::env::var("NPTSN_CHAOS").unwrap_or_default())
     }
 
     /// Stops recording, writes the Chrome trace file and prints the
@@ -510,6 +499,22 @@ impl TraceOpts {
         }
         Ok(records)
     }
+}
+
+/// Arms the fault plan `spec` names (the value of `NPTSN_CHAOS`; empty
+/// means disarmed): `@<path>` to a plan file, or the plan inline with ';'
+/// as the line separator (environment values are one line).
+fn arm_chaos(spec: &str) -> Result<(), CliError> {
+    if spec.is_empty() {
+        return Ok(());
+    }
+    let plan = match spec.strip_prefix('@') {
+        Some(_) => nptsn_chaos::plan_from_spec(spec),
+        None => nptsn_chaos::plan_from_spec(&spec.replace(';', "\n")),
+    }
+    .map_err(|e| CliError::msg(format!("NPTSN_CHAOS: {e}")))?;
+    nptsn_chaos::arm(plan);
+    Ok(())
 }
 
 /// Writes `bytes` to `path` via a sibling temp file + rename, the same
@@ -1214,25 +1219,17 @@ a b 500 128
 
     #[test]
     fn chaos_env_spec_errors_are_reported() {
+        // Arming is process-global: serialize with the recording tests.
         let _guard = trace_lock();
-        // Environment state is process-global; restore it before leaving.
-        std::env::set_var("NPTSN_CHAOS", "site only-a-site-name");
-        let problem_path = write_temp("chaosenv.tssdn", DOC);
-        let args: Vec<String> =
-            ["plan", &problem_path, "--greedy"].iter().map(|s| s.to_string()).collect();
-        let mut out = Vec::new();
-        let result = run(&args, &mut out);
-        std::env::remove_var("NPTSN_CHAOS");
-        let err = result.unwrap_err();
+        let err = arm_chaos("site only-a-site-name").unwrap_err();
         assert!(err.to_string().contains("NPTSN_CHAOS"), "{err}");
+        assert!(!nptsn_chaos::is_armed());
 
         // A well-formed inline spec (';' as the line separator) arms.
-        std::env::set_var("NPTSN_CHAOS", "seed 7;site nosuch.site error rate=0.5");
-        let mut out = Vec::new();
-        let result = run(&args, &mut out);
-        std::env::remove_var("NPTSN_CHAOS");
+        arm_chaos("seed 7;site nosuch.site error rate=0.5")
+            .expect("a plan naming no live site must not break the run");
+        assert!(nptsn_chaos::is_armed());
         nptsn_chaos::disarm();
-        result.expect("a plan naming no live site must not break the run");
     }
 
     /// Tracing state is process-global; tests that record serialize here.

@@ -360,6 +360,28 @@ fn plan_trace() {
     assert!(stdout.contains("planner.epoch"), "no profile table on stdout:\n{stdout}");
 }
 
+/// `NPTSN_CHAOS` reaches the run: a malformed plan is an error naming the
+/// variable, an inline `;`-separated plan arms. Set on the child only, so
+/// no test in this process sees it.
+#[test]
+fn plan_reads_nptsn_chaos() {
+    let smoke = Smoke::new("plan-chaos");
+    let problem = smoke.path("smoke.tssdn");
+    fs::write(&problem, DOC).expect("write the problem");
+    let plan = |spec: &str| {
+        Command::new(NPTSN)
+            .args(["plan", &problem, "--greedy"])
+            .env("NPTSN_CHAOS", spec)
+            .output()
+            .expect("run nptsn plan")
+    };
+    let bad = plan("site only-a-site-name");
+    let stderr = String::from_utf8_lossy(&bad.stderr);
+    assert!(!bad.status.success() && stderr.contains("NPTSN_CHAOS"), "{stderr}");
+    let good = plan("seed 7;site nosuch.site error rate=0.5");
+    assert!(good.status.success(), "{}", String::from_utf8_lossy(&good.stderr));
+}
+
 #[test]
 fn serve_plan_and_drain() {
     let smoke = Smoke::new("serve");

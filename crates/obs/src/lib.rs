@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod context;
+pub mod crc;
 pub mod export;
 pub mod flight;
 pub mod json;
@@ -50,6 +51,7 @@ pub mod metrics;
 pub mod promtext;
 pub mod telemetry;
 
+pub use crc::crc32;
 pub use context::{
     current_trace, set_current_trace, with_trace, TraceContext, TraceScope, TRACE_HEADER,
 };

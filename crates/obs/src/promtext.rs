@@ -12,7 +12,7 @@
 //! present on both sides share one `# HELP`/`# TYPE` block, and shard
 //! counters are summed into fleet-wide `nptsn_fleet_*_total` series.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// One sample line: `name{labels} value`.
@@ -41,13 +41,10 @@ pub struct Family {
     pub samples: Vec<Sample>,
 }
 
-/// Whether `series` is a child of family `family` (the family itself or
-/// one of its histogram sub-series).
-fn belongs_to(series: &str, family: &str) -> bool {
-    series == family
-        || series
-            .strip_prefix(family)
-            .is_some_and(|rest| matches!(rest, "_bucket" | "_sum" | "_count"))
+/// The family name a histogram sub-series belongs to: `series` without
+/// its `_bucket`/`_sum`/`_count` suffix, if it has one.
+fn histogram_family(series: &str) -> Option<&str> {
+    ["_bucket", "_sum", "_count"].iter().find_map(|suffix| series.strip_suffix(suffix))
 }
 
 /// Splits a sample line into `(name, labels, value_text)`. Labels may be
@@ -74,10 +71,10 @@ fn split_sample(line: &str) -> Option<(&str, &str, &str)> {
 /// implicit family named after the series.
 pub fn parse(text: &str) -> Vec<Family> {
     let mut families: Vec<Family> = Vec::new();
-    let ensure = |families: &mut Vec<Family>, name: &str| -> usize {
-        if let Some(i) = families.iter().position(|f| f.name == name) {
-            i
-        } else {
+    // Family name -> index in `families`; names are unique.
+    let mut index: HashMap<String, usize> = HashMap::new();
+    let ensure = |families: &mut Vec<Family>, index: &mut HashMap<String, usize>, name: &str| {
+        *index.entry(name.to_string()).or_insert_with(|| {
             families.push(Family {
                 name: name.to_string(),
                 help: None,
@@ -85,7 +82,7 @@ pub fn parse(text: &str) -> Vec<Family> {
                 samples: Vec::new(),
             });
             families.len() - 1
-        }
+        })
     };
     for line in text.lines() {
         let line = line.trim();
@@ -94,22 +91,26 @@ pub fn parse(text: &str) -> Vec<Family> {
         }
         if let Some(rest) = line.strip_prefix("# HELP ") {
             let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
-            let i = ensure(&mut families, name);
+            let i = ensure(&mut families, &mut index, name);
             families[i].help = Some(help.to_string());
         } else if let Some(rest) = line.strip_prefix("# TYPE ") {
             let (name, kind) = rest.split_once(' ').unwrap_or((rest, ""));
-            let i = ensure(&mut families, name);
+            let i = ensure(&mut families, &mut index, name);
             families[i].kind = Some(kind.trim().to_string());
         } else if line.starts_with('#') {
             continue; // other comments
         } else if let Some((name, labels, value_text)) = split_sample(line) {
             let Ok(value) = value_text.parse::<f64>() else { continue };
-            // Samples normally follow their family's HELP/TYPE block;
-            // scan for the owning family, falling back to an implicit one.
-            let i = families
-                .iter()
-                .position(|f| belongs_to(name, &f.name))
-                .unwrap_or_else(|| ensure(&mut families, name));
+            // A sample belongs to the earlier-declared of two families:
+            // its own name, and for a histogram sub-series the name
+            // without its suffix; failing both, it starts an implicit one.
+            let own = index.get(name).copied();
+            let parent = histogram_family(name).and_then(|family| index.get(family).copied());
+            let i = match (own, parent) {
+                (Some(a), Some(b)) => a.min(b),
+                (Some(i), None) | (None, Some(i)) => i,
+                (None, None) => ensure(&mut families, &mut index, name),
+            };
             families[i].samples.push(Sample {
                 name: name.to_string(),
                 labels: labels.to_string(),
@@ -258,6 +259,105 @@ mod tests {
             && s.value == 1.0));
         let depth = families.iter().find(|f| f.name == "nptsn_depth").expect("depth");
         assert_eq!(depth.samples[0].value, -2.0);
+    }
+
+    /// The quadratic parser `parse` replaced: each sample scans every
+    /// family for its first `belongs_to` match, and each `# HELP`/`# TYPE`
+    /// scans for its name.
+    fn reference_parse(text: &str) -> Vec<Family> {
+        fn belongs_to(series: &str, family: &str) -> bool {
+            series == family
+                || series
+                    .strip_prefix(family)
+                    .is_some_and(|rest| matches!(rest, "_bucket" | "_sum" | "_count"))
+        }
+        let mut families: Vec<Family> = Vec::new();
+        let ensure = |families: &mut Vec<Family>, name: &str| -> usize {
+            if let Some(i) = families.iter().position(|f| f.name == name) {
+                i
+            } else {
+                families.push(Family {
+                    name: name.to_string(),
+                    help: None,
+                    kind: None,
+                    samples: Vec::new(),
+                });
+                families.len() - 1
+            }
+        };
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
+                let i = ensure(&mut families, name);
+                families[i].help = Some(help.to_string());
+            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest.split_once(' ').unwrap_or((rest, ""));
+                let i = ensure(&mut families, name);
+                families[i].kind = Some(kind.trim().to_string());
+            } else if line.starts_with('#') {
+                continue;
+            } else if let Some((name, labels, value_text)) = split_sample(line) {
+                let Ok(value) = value_text.parse::<f64>() else { continue };
+                let i = families
+                    .iter()
+                    .position(|f| belongs_to(name, &f.name))
+                    .unwrap_or_else(|| ensure(&mut families, name));
+                families[i].samples.push(Sample {
+                    name: name.to_string(),
+                    labels: labels.to_string(),
+                    value,
+                });
+            }
+        }
+        families
+    }
+
+    /// One random exposition line over a small name pool, so families
+    /// collide: histogram sub-series, samples before their `# HELP`,
+    /// redeclared families, families whose own name carries a histogram
+    /// suffix, and malformed lines.
+    fn random_line(rng: &mut impl nptsn_rand::Rng) -> String {
+        let stem = format!("nptsn_f{}", rng.gen_range(0..6u32));
+        let suffix = ["", "", "_bucket", "_sum", "_count", "_total", "_count_sum"];
+        let name = format!("{stem}{}", suffix[rng.gen_range(0..suffix.len())]);
+        let value = rng.gen_range(0..1000u32);
+        match rng.gen_range(0..10u32) {
+            0 => format!("# HELP {name} help for {name}"),
+            1 => {
+                let kinds = ["counter", "gauge", "histogram"];
+                format!("# TYPE {name} {}", kinds[rng.gen_range(0..kinds.len())])
+            }
+            2 => format!("# HELP {name}"),
+            3 => "# a comment".to_string(),
+            4 => format!("{name}{{le=\"{value}\"}} {value}"),
+            5 => {
+                let malformed =
+                    ["garbage", "", "{x=\"1\"} 2", "nptsn_f0{a=\"1\" 3", "nptsn_f1 not-a-number"];
+                malformed[rng.gen_range(0..malformed.len())].to_string()
+            }
+            _ => format!("  {name} {value}.5 "),
+        }
+    }
+
+    #[test]
+    fn indexed_parse_matches_the_reference_parser() {
+        use nptsn_rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9e0_7e47);
+        for case in 0..500 {
+            let lines = rng.gen_range(0..60usize);
+            let text: Vec<String> = (0..lines).map(|_| random_line(&mut rng)).collect();
+            let text = text.join("\n");
+            assert_eq!(parse(&text), reference_parse(&text), "case {case}:\n{text}");
+        }
+        let registry = Registry::new();
+        registry.counter("nptsn_a_total", "a counter").add(7);
+        registry.histogram("nptsn_lat_seconds", "latency", &[0.01, 0.1]).observe(0.05);
+        let text = registry.render();
+        assert_eq!(parse(&text), reference_parse(&text));
     }
 
     #[test]

@@ -17,6 +17,9 @@ use nptsn_serve::persist::{encode_next_id, encode_record, job_key, JobSpec, NEXT
 use nptsn_serve::{ServeConfig, Server};
 use nptsn_store::{LogStore, Storage};
 
+mod common;
+use common::int_field;
+
 fn temp_dir(test: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("nptsn-router-fo-{}-{test}", std::process::id()));
@@ -57,16 +60,6 @@ fn poll<T>(secs: u64, what: &str, mut f: impl FnMut() -> Option<T>) -> T {
     }
 }
 
-fn json_id(body: &str) -> u64 {
-    let start = body.find("\"id\":").expect("id field") + 5;
-    body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
 #[test]
 fn a_lost_shard_replays_onto_the_survivor_byte_identically() {
     let a_dir = temp_dir("lost-a");
@@ -83,7 +76,7 @@ fn a_lost_shard_replays_onto_the_survivor_byte_identically() {
         .map(|_| {
             let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
             assert_eq!(accepted.status, 202, "{}", accepted.text());
-            json_id(&accepted.text())
+            int_field(&accepted.text(), "id")
         })
         .collect();
     // The sample must actually exercise both shards or the test is
@@ -210,7 +203,7 @@ fn a_prebuilt_dead_log_replays_through_the_validation_gate() {
     assert!(router.next_id_watermark() >= 9);
     let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    assert!(json_id(&accepted.text()) >= 10);
+    assert!(int_field(&accepted.text(), "id") >= 10);
 
     router.stop();
     live.stop();

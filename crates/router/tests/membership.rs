@@ -13,6 +13,9 @@ use nptsn_router::{Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::Client;
 use nptsn_serve::{ServeConfig, Server};
 
+mod common;
+use common::int_field;
+
 fn temp_dir(test: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("nptsn-router-mem-{}-{test}", std::process::id()));
@@ -54,22 +57,12 @@ fn poll<T>(secs: u64, what: &str, mut f: impl FnMut() -> Option<T>) -> T {
     }
 }
 
-fn json_id(body: &str) -> u64 {
-    let start = body.find("\"id\":").expect("id field") + 5;
-    body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
 fn submit_burns(client: &mut Client, n: usize) -> Vec<u64> {
     (0..n)
         .map(|_| {
             let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
             assert_eq!(accepted.status, 202, "{}", accepted.text());
-            json_id(&accepted.text())
+            int_field(&accepted.text(), "id")
         })
         .collect()
 }

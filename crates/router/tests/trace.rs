@@ -16,6 +16,9 @@ use nptsn_router::{trace_for_job, Router, RouterConfig, ShardSpec};
 use nptsn_serve::client::Client;
 use nptsn_serve::{ServeConfig, Server};
 
+mod common;
+use common::int_field;
+
 fn temp_dir(test: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("nptsn-router-tr-{}-{test}", std::process::id()));
@@ -54,16 +57,6 @@ fn poll<T>(secs: u64, what: &str, mut f: impl FnMut() -> Option<T>) -> T {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(20));
     }
-}
-
-fn json_id(body: &str) -> u64 {
-    let start = body.find("\"id\":").expect("id field") + 5;
-    body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap()
 }
 
 /// The `pid → process name` pairs from a merged trace's metadata events.
@@ -126,7 +119,7 @@ fn a_routed_job_s_spans_share_the_router_minted_trace_id() {
 
     let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    let id = json_id(&accepted.text());
+    let id = int_field(&accepted.text(), "id");
     poll(10, "the job to finish", || {
         let status = client.get(&format!("/jobs/{id}")).ok()?;
         status.text().contains("\"state\":\"done\"").then_some(())
@@ -201,7 +194,7 @@ fn the_router_federates_shard_metrics_and_serves_its_flight_ring() {
 
     let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    let id = json_id(&accepted.text());
+    let id = int_field(&accepted.text(), "id");
     poll(10, "the job to finish", || {
         let status = client.get(&format!("/jobs/{id}")).ok()?;
         status.text().contains("\"state\":\"done\"").then_some(())
@@ -302,7 +295,7 @@ fn a_dead_shard_s_timeline_survives_in_the_merged_trace() {
         .map(|_| {
             let accepted = client.post("/jobs/burn?millis=1", &[]).unwrap();
             assert_eq!(accepted.status, 202, "{}", accepted.text());
-            json_id(&accepted.text())
+            int_field(&accepted.text(), "id")
         })
         .collect();
     let ring = router.ring();

@@ -953,6 +953,7 @@ fn submit_infer(shared: &Arc<Shared>, request: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nptsn_obs::json;
 
     fn test_shared() -> Arc<Shared> {
         Arc::new(Shared {
@@ -1148,11 +1149,8 @@ mod tests {
         let accepted = route(&shared, &request("POST", "/jobs/burn"));
         assert_eq!(accepted.status, 202);
         let body = String::from_utf8(accepted.body).unwrap();
-        let id: u64 = body
-            .split("\"id\":")
-            .nth(1)
-            .and_then(|s| s.chars().take_while(char::is_ascii_digit).collect::<String>().parse().ok())
-            .expect("id in response");
+        let doc = json::parse(&body).expect("a JSON response");
+        let id = doc.get("id").and_then(json::Value::as_num).expect("id in response") as u64;
         shared.queue.run_one(&shared.metrics).expect("one job runs");
 
         let deleted = route(&shared, &request("DELETE", &format!("/jobs/{id}")));
@@ -1233,11 +1231,8 @@ mod tests {
         let accepted = route(&shared, &request("POST", "/jobs/burn"));
         assert_eq!(accepted.status, 202);
         let body = String::from_utf8(accepted.body).unwrap();
-        let id: u64 = body
-            .split("\"id\":")
-            .nth(1)
-            .and_then(|s| s.chars().take_while(char::is_ascii_digit).collect::<String>().parse().ok())
-            .expect("id in response");
+        let doc = json::parse(&body).expect("a JSON response");
+        let id = doc.get("id").and_then(json::Value::as_num).expect("id in response") as u64;
 
         // Known job, no timeline yet: an empty span list, not a 404.
         let trace = route(&shared, &request("GET", &format!("/jobs/{id}/trace")));

@@ -11,17 +11,13 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use nptsn_chaos::{arm_scoped, FaultKind, FaultPlan, SiteRule};
-use nptsn_obs::json::{self, Value};
 use nptsn_serve::{BackoffConfig, Client, JobState, ServeConfig, Server};
+
+mod common;
+use common::int_field;
 
 fn start(config: ServeConfig) -> Server {
     Server::bind(config).expect("bind an ephemeral port")
-}
-
-/// The integer at top-level `key` of a JSON response body.
-fn json_u64(body: &str, key: &str) -> u64 {
-    let doc = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
-    doc.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("no {key} in {body}")) as u64
 }
 
 /// Satellite fix: server connections are bounded by socket timeouts and a
@@ -194,7 +190,7 @@ a b 500 128
     // fuses them into one batch.
     let burn = client.post("/jobs/burn?millis=1000", &[]).unwrap();
     assert_eq!(burn.status, 202, "{}", burn.text());
-    let burn_id = json_u64(&burn.text(), "id");
+    let burn_id = int_field(&burn.text(), "id");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let body = client.get(&format!("/jobs/{burn_id}")).unwrap().text();
@@ -210,7 +206,7 @@ a b 500 128
                 .post("/jobs/infer?checkpoint=smoke&attempts=2&seed=5", DOC.as_bytes())
                 .unwrap();
             assert_eq!(r.status, 202, "{}", r.text());
-            json_u64(&r.text(), "id")
+            int_field(&r.text(), "id")
         })
         .collect();
 
@@ -296,7 +292,7 @@ fn a_faulted_trace_flush_degrades_the_timeline_never_the_job() {
         )
         .unwrap();
     assert_eq!(accepted.status, 202, "{}", accepted.text());
-    let id = json_u64(&accepted.text(), "id");
+    let id = int_field(&accepted.text(), "id");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let body = client.get(&format!("/jobs/{id}")).unwrap().text();
@@ -379,7 +375,7 @@ fn seeded_storm_loses_no_jobs_and_drains_clean() {
     for _ in 0..12 {
         let response = client.post("/jobs/burn?millis=1", &[]).expect("submit through storm");
         if response.status == 202 {
-            ids.push(json_u64(&response.text(), "id"));
+            ids.push(int_field(&response.text(), "id"));
         } else {
             assert_eq!(response.status, 503, "{}", response.text());
         }

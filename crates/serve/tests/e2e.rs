@@ -8,8 +8,10 @@ use std::time::{Duration, Instant};
 use nptsn::{FailureAnalyzer, Planner, PlannerConfig, Solution, Verdict};
 use nptsn_format::{parse_plan, parse_problem, write_plan};
 use nptsn_nn::{params_from_bytes, params_to_bytes, Module};
-use nptsn_obs::json::{self, Value};
 use nptsn_serve::{Client, ClientResponse, JobState, ServeConfig, Server};
+
+mod common;
+use common::int_field;
 
 const DOC: &str = "\
 [nodes]
@@ -39,16 +41,10 @@ fn start(workers: usize, queue_depth: usize) -> (Server, Client) {
     (server, client)
 }
 
-/// The integer at top-level `key` of a JSON response body.
-fn json_u64(body: &str, key: &str) -> u64 {
-    let doc = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
-    doc.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("no {key} in {body}")) as u64
-}
-
 fn submit(client: &mut Client, path: &str, body: &[u8]) -> u64 {
     let response = client.post(path, body).expect("submit");
     assert_eq!(response.status, 202, "{}", response.text());
-    json_u64(&response.text(), "id")
+    int_field(&response.text(), "id")
 }
 
 /// Polls `GET /jobs/<id>` until the job reaches a terminal state,
@@ -61,7 +57,7 @@ fn poll_until_done(client: &mut Client, id: u64) -> (String, u64) {
         let response = client.get(&format!("/jobs/{id}")).expect("poll");
         assert_eq!(response.status, 200, "{}", response.text());
         let body = response.text();
-        max_epochs = max_epochs.max(json_u64(&body, "epochs_completed"));
+        max_epochs = max_epochs.max(int_field(&body, "epochs_completed"));
         let terminal = [
             JobState::Done.label(),
             JobState::Failed.label(),
@@ -141,7 +137,7 @@ fn plan_poll_fetch_verify_roundtrip() {
         )
         .unwrap();
     assert_eq!(infer.status, 202, "{}", infer.text());
-    let infer_id = json_u64(&infer.text(), "id");
+    let infer_id = int_field(&infer.text(), "id");
     let (infer_status, _) = poll_until_done(&mut client, infer_id);
     assert_eq!(state_of(&infer_status), "done", "{infer_status}");
     let inferred_plan = client.get(&format!("/jobs/{infer_id}/plan")).unwrap();
@@ -309,7 +305,7 @@ fn checkpoint_uploads_are_hardened() {
 
     let ok = post_infer(&mut client, &valid);
     assert_eq!(ok.status, 202, "{}", ok.text());
-    let id = json_u64(&ok.text(), "id");
+    let id = int_field(&ok.text(), "id");
     let (status, _) = poll_until_done(&mut client, id);
     // An untrained policy may or may not find a plan; either way the job
     // terminates cleanly rather than poisoning the worker.

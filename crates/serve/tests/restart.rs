@@ -9,8 +9,10 @@ use std::time::{Duration, Instant};
 use nptsn::{Planner, PlannerConfig};
 use nptsn_format::parse_problem;
 use nptsn_nn::{params_to_bytes, Module};
-use nptsn_obs::json::{self, Value};
 use nptsn_serve::{Client, ServeConfig, Server};
+
+mod common;
+use common::int_field;
 
 const DOC: &str = "\
 [nodes]
@@ -39,12 +41,6 @@ fn bind(data_dir: &std::path::Path) -> (Server, Client) {
     .expect("bind with a data dir");
     let client = Client::new(server.local_addr());
     (server, client)
-}
-
-/// The integer at top-level `key` of a JSON response body.
-fn json_u64(body: &str, key: &str) -> u64 {
-    let doc = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
-    doc.get(key).and_then(Value::as_num).unwrap_or_else(|| panic!("no {key} in {body}")) as u64
 }
 
 fn poll_terminal(client: &mut Client, id: u64) -> String {
@@ -78,13 +74,13 @@ fn results_registry_and_deletions_survive_a_restart() {
 
         let put = client.put("/checkpoints/prod", &checkpoint).unwrap();
         assert_eq!(put.status, 200, "{}", put.text());
-        assert_eq!(json_u64(&put.text(), "version"), 1);
+        assert_eq!(int_field(&put.text(), "version"), 1);
 
         let plan = "[switches]\ns0 A\n[plan-links]\na s0\nb s0\n";
         let body = format!("{DOC}{plan}");
         let submit = client.post("/jobs/verify", body.as_bytes()).unwrap();
         assert_eq!(submit.status, 202, "{}", submit.text());
-        let verify_id = json_u64(&submit.text(), "id");
+        let verify_id = int_field(&submit.text(), "id");
         poll_terminal(&mut client, verify_id);
         let verify_result = client.get(&format!("/jobs/{verify_id}/result")).unwrap();
         assert_eq!(verify_result.status, 200);
@@ -92,7 +88,7 @@ fn results_registry_and_deletions_survive_a_restart() {
         // A finished job the operator deletes must stay deleted.
         let doomed = client.post("/jobs/burn?millis=1", &[]).unwrap();
         assert_eq!(doomed.status, 202);
-        let deleted_id = json_u64(&doomed.text(), "id");
+        let deleted_id = int_field(&doomed.text(), "id");
         poll_terminal(&mut client, deleted_id);
         let deleted = client.delete(&format!("/jobs/{deleted_id}")).unwrap();
         assert_eq!(deleted.status, 200, "{}", deleted.text());
@@ -130,7 +126,7 @@ fn results_registry_and_deletions_survive_a_restart() {
         .post("/jobs/infer?checkpoint=prod&attempts=2&seed=0", DOC.as_bytes())
         .unwrap();
     assert_eq!(infer.status, 202, "{}", infer.text());
-    let infer_id = json_u64(&infer.text(), "id");
+    let infer_id = int_field(&infer.text(), "id");
     // Ids never rewind past the pre-restart watermark, even though the
     // highest pre-restart id was deleted.
     assert!(infer_id > max_id, "id {infer_id} reissued at or below watermark {max_id}");

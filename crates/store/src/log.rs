@@ -57,7 +57,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use crate::{crc32, CompactionStats, Storage, StoreError, StoreStats};
+use nptsn_obs::crc32;
+
+use crate::{CompactionStats, Storage, StoreError, StoreStats};
 
 /// Segment-file magic (8 bytes, versioned like `NPTSNCK2`).
 const MAGIC: &[u8; 8] = b"NPTSNSG1";

@@ -37,37 +37,30 @@ cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 # or disarmed fault-injection overhead reaches 10%.
 scripts/bench.sh --smoke
 
-# Chaos smoke gates, re-checked from the storm's JSON so a regression in
-# the binary's own gating cannot pass silently: the storm replayed
-# deterministically, and every recovery counter moved.
+# Chaos smoke gates, re-checked from the storm's ledger so a regression in
+# the binary's own gating cannot pass silently. The ledger writes one
+# top-level field per line, so each gate matches its field positively on
+# its own line: a missing field or a changed layout fails loudly.
 chaos_json="target/BENCH_chaos.smoke.json"
-grep -q '"determinism": true' "$chaos_json" \
-    || { echo "chaos smoke: storm was not deterministic" >&2; exit 1; }
+require() {
+    grep -Eq "^  \"$1\": $2,?\$" "$chaos_json" || { echo "chaos smoke: $3" >&2; exit 1; }
+}
+# The storm replayed deterministically, and every recovery counter moved.
+require determinism true "storm was not deterministic"
 for counter in ppo_rollbacks deadline_kills client_retries; do
-    if grep -q "\"$counter\": 0," "$chaos_json"; then
-        echo "chaos smoke: recovery counter $counter never moved" >&2
-        exit 1
-    fi
+    require "$counter" '[1-9][0-9]*' "recovery counter $counter never moved"
 done
 # Router storm gates: the routed two-shard phase failed over, replayed the
 # dead shard's log, and replayed byte-identically under the same seed.
-grep -q '"router_identical": true' "$chaos_json" \
-    || { echo "chaos smoke: router storm was not deterministic" >&2; exit 1; }
+require router_identical true "router storm was not deterministic"
 for counter in router_failovers router_replayed; do
-    if grep -q "\"$counter\": 0," "$chaos_json"; then
-        echo "chaos smoke: router storm counter $counter never moved" >&2
-        exit 1
-    fi
+    require "$counter" '[1-9][0-9]*' "router storm counter $counter never moved"
 done
 # Membership storm gates (DESIGN.md §16): the RF2 fleet promoted replicas
 # on the kill, the restarted shard rejoined and drained its share, and the
 # whole storm replayed byte-identically under the same seed.
-grep -q '"membership_identical": true' "$chaos_json" \
-    || { echo "chaos smoke: membership storm was not deterministic" >&2; exit 1; }
+require membership_identical true "membership storm was not deterministic"
 for counter in membership_rejoins membership_migrated membership_promotions; do
-    if grep -q "\"$counter\": 0," "$chaos_json"; then
-        echo "chaos smoke: membership storm counter $counter never moved" >&2
-        exit 1
-    fi
+    require "$counter" '[1-9][0-9]*' "membership storm counter $counter never moved"
 done
 echo "chaos smoke: deterministic storm + live recovery counters confirmed"
