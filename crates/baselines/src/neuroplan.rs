@@ -251,11 +251,8 @@ impl NeuroPlanAgent {
             };
             reward_curve.push(mean);
             let batch = buffer.drain();
-            let replica = || {
-                PolicyNetwork::new(&self.config, n, feature_count, action_count, self.config.seed)
-            };
             let threads = self.config.threads();
-            let _ = ppo_update(&net, replica, threads, &mut actor_opt, &mut critic_opt, &batch, &ppo);
+            let _ = ppo_update(&net, threads, &mut actor_opt, &mut critic_opt, &batch, &ppo);
         }
 
         NeuroPlanReport { best, reward_curve, dead_ends }

@@ -274,13 +274,6 @@ fn bench_ppo(filter: &str) {
             )
         }
     }
-    impl Module for Tiny {
-        fn parameters(&self) -> Vec<Tensor> {
-            let mut p = self.actor.parameters();
-            p.extend(self.critic.parameters());
-            p
-        }
-    }
     let model = Tiny::new();
     let mut buf = RolloutBuffer::new(0.99, 0.97);
     for i in 0..64 {
@@ -289,13 +282,11 @@ fn bench_ppo(filter: &str) {
     }
     let batch = buf.drain();
     let cfg = PpoConfig { train_pi_iters: 4, train_v_iters: 4, ..PpoConfig::default() };
-    for (name, workers) in [("ppo_update_64steps", 1), ("ppo_update_64steps/2_workers", 2)] {
-        bench(filter, name, 2, 20, || {
-            let mut a = nptsn_nn::Adam::new(model.actor.parameters(), 3e-4);
-            let mut v = nptsn_nn::Adam::new(model.critic.parameters(), 1e-3);
-            black_box(ppo_update(&model, Tiny::new, workers, &mut a, &mut v, &batch, &cfg));
-        });
-    }
+    bench(filter, "ppo_update_64steps", 2, 20, || {
+        let mut a = nptsn_nn::Adam::new(model.actor.parameters(), 3e-4);
+        let mut v = nptsn_nn::Adam::new(model.critic.parameters(), 1e-3);
+        black_box(ppo_update(&model, 1, &mut a, &mut v, &batch, &cfg));
+    });
 }
 
 fn bench_epochs(filter: &str) {
@@ -333,6 +324,23 @@ fn bench_epochs(filter: &str) {
             ..PlannerConfig::default_paper()
         };
         bench(filter, "epoch/orion_64steps", 1, 3, || {
+            black_box(Planner::new(problem.clone(), config.clone()).run());
+        });
+    }
+    {
+        // One epoch at Table II's learning settings (80 + 80 PPO
+        // iterations with the KL stop, 256 × 256 heads) on ORION with 30
+        // flows, 512 steps on 2 workers: a quarter of a paper epoch.
+        let scenario = orion();
+        let flows = random_flows(&scenario.graph, 30, 0);
+        let problem = problem_for(&scenario, flows);
+        let config = PlannerConfig {
+            max_epochs: 1,
+            steps_per_epoch: 512,
+            workers: 2,
+            ..PlannerConfig::default_paper()
+        };
+        bench(filter, "epoch/orion_table2", 1, 3, || {
             black_box(Planner::new(problem.clone(), config.clone()).run());
         });
     }

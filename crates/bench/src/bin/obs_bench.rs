@@ -7,9 +7,14 @@
 //! * `span_ns` — the cost of one `span()` open/close, disabled (a relaxed
 //!   atomic load and a branch) and enabled (timestamping + a buffered
 //!   record).
-//! * `workload` — median wall-clock of a full `FailureAnalyzer::analyze`
-//!   over the saturated ORION network, disabled vs enabled, and the
-//!   enabled overhead percentage.
+//! * `workload` — median wall-clock of one `Planner::plan_with_policy`
+//!   call (4 attempts of an untrained policy on ORION with 10 flows, one
+//!   thread), disabled vs enabled in alternating runs, the spans one
+//!   traced call records, and the enabled overhead percentage. A re-plan
+//!   opens spans at the planner's density (an environment step, SOAG,
+//!   analyzer and GCN forward per step), so the enabled cost shows above
+//!   the run-to-run noise; the analyzer run it replaced recorded one
+//!   span.
 //! * `overhead_disabled_pct` — the measured disabled-path cost charged to
 //!   the workload: spans recorded per run × disabled span cost, as a
 //!   percentage of the disabled workload median. This is the number the
@@ -30,9 +35,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use nptsn::FailureAnalyzer;
-use nptsn_bench::{json_u64, percentile, saturated_orion, write_ledger};
+use nptsn::{Planner, PlannerConfig};
+use nptsn_bench::{json_u64, percentile, problem_for, write_ledger};
 use nptsn_router::{Router, RouterConfig, ShardSpec};
+use nptsn_scenarios::{orion, random_flows};
 use nptsn_serve::client::Client;
 use nptsn_serve::{ServeConfig, Server};
 
@@ -105,29 +111,46 @@ fn main() {
     nptsn_obs::set_enabled(false);
     let _ = nptsn_obs::drain();
 
-    // --- Analyzer workload, disabled vs enabled ------------------------
-    let (problem, topo) = saturated_orion(if smoke { 8 } else { 20 });
-    let analyzer = FailureAnalyzer::new();
-    let reference = analyzer.try_analyze(&problem, &topo).expect("workload analyzes");
-    let scenarios = reference.scenarios_checked.max(1);
-
-    let disabled_ns = median_ns(warmup, iters, || {
-        black_box(analyzer.analyze(&problem, &topo));
-    });
+    // --- Re-planning workload, disabled vs enabled ---------------------
+    // One thread, so that every span of a call is recorded on this one.
+    let scenario = orion();
+    let problem = problem_for(&scenario, random_flows(&scenario.graph, 10, 2023));
+    let planner = Planner::new(problem, PlannerConfig { workers: 1, ..PlannerConfig::smoke_test() });
+    let policy = planner.build_policy();
+    let attempts = if smoke { 1 } else { 4 };
+    let replan = || black_box(planner.plan_with_policy(&policy, attempts, 7));
+    for _ in 0..warmup {
+        replan();
+    }
 
     nptsn_obs::set_enabled(true);
     // Count the spans one traced run records, for the disabled-cost model.
-    black_box(analyzer.analyze(&problem, &topo));
+    replan();
     let spans_per_run = nptsn_obs::drain()
         .iter()
         .filter(|r| matches!(r, nptsn_obs::Record::Span { .. }))
         .count() as u64;
-    let enabled_ns = median_ns(warmup, iters, || {
-        black_box(analyzer.analyze(&problem, &topo));
+    // Disabled and enabled runs alternate, so that the host's drift over
+    // the measurement falls on both alike; the sink drains outside the
+    // timed window.
+    let timed = || {
+        let start = Instant::now();
+        replan();
+        start.elapsed().as_nanos() as f64
+    };
+    let (mut disabled, mut enabled) = (Vec::new(), Vec::new());
+    let runs = iters * 3;
+    for _ in 0..runs {
+        nptsn_obs::set_enabled(false);
+        disabled.push(timed());
+        nptsn_obs::set_enabled(true);
+        enabled.push(timed());
         let _ = nptsn_obs::drain();
-    });
+    }
     nptsn_obs::set_enabled(false);
     let _ = nptsn_obs::drain();
+    let (disabled_ns, enabled_ns) =
+        (percentile(&disabled, 50.0) as u64, percentile(&enabled, 50.0) as u64);
 
     let overhead_enabled_pct =
         (enabled_ns as f64 - disabled_ns as f64) / disabled_ns.max(1) as f64 * 100.0;
@@ -218,7 +241,7 @@ fn main() {
     );
     println!(
         "obs_bench: workload median {disabled_ns} ns disabled, {enabled_ns} ns enabled \
-         ({scenarios} scenarios, {spans_per_run} spans/run)"
+         ({attempts} re-plan attempts, {spans_per_run} spans/run)"
     );
     println!(
         "obs_bench: overhead {overhead_disabled_pct:.4}% disabled, \
@@ -233,13 +256,14 @@ fn main() {
          {spans_per_round} flight spans/round, armed overhead {overhead_armed_pct:.4}%)"
     );
 
-    write_ledger("obs", "tracing_overhead_orion_saturated", |l| {
+    write_ledger("obs", "tracing_overhead_orion_replan", |l| {
         l.int("iters", iters as u64)
             .object("span_ns", |o| {
                 o.num("disabled", span_disabled_ns).num("enabled", span_enabled_ns);
             })
             .object("workload", |o| {
-                o.int("scenarios_checked", scenarios)
+                o.int("replan_attempts", attempts as u64)
+                    .int("runs_per_side", runs as u64)
                     .int("spans_per_run", spans_per_run)
                     .int("median_ns_disabled", disabled_ns)
                     .int("median_ns_enabled", enabled_ns);

@@ -145,8 +145,10 @@ pub const MOVE_THRESHOLD: f64 = 0.10;
 /// Compares a fresh ledger with the committed one it replaces. When both
 /// ran on the same number of cores, returns one line per numeric field
 /// that moved by more than [`MOVE_THRESHOLD`] of its committed value, by
-/// its path, and one per field present on one side only; otherwise one
-/// line saying why nothing was compared.
+/// its path, one per field that stopped or started being a number (a NaN
+/// is written as `null`), one per field that moved off a committed zero,
+/// and one per field present on one side only; otherwise one line saying
+/// why nothing was compared.
 pub fn compare(old: &Value, new: &Value) -> Vec<String> {
     let cores = |doc: &Value| doc.get("cpu_cores").and_then(Value::as_num);
     if cores(old) != cores(new) {
@@ -162,8 +164,13 @@ pub fn compare(old: &Value, new: &Value) -> Vec<String> {
     };
     let mut lines = Vec::new();
     for (path, was) in &old {
-        match (was, lookup(&new, path)) {
+        match (*was, lookup(&new, path)) {
             (_, None) => lines.push(format!("{path}: only in the committed ledger")),
+            (Some(was), Some(None)) => lines.push(format!("{path}: {was} -> not a number")),
+            (None, Some(Some(now))) => lines.push(format!("{path}: not a number -> {now}")),
+            (Some(was), Some(Some(now))) if was == 0.0 && now != 0.0 => {
+                lines.push(format!("{path}: 0 -> {now} (from zero)"));
+            }
             (Some(was), Some(Some(now))) if (now - was).abs() > MOVE_THRESHOLD * was.abs() => {
                 let change = (now - was) / was.abs() * 100.0;
                 lines.push(format!("{path}: {was} -> {now} ({change:+.1}%)"));
@@ -255,9 +262,11 @@ mod tests {
     #[test]
     fn compare_reports_moved_and_one_sided_fields_by_path() {
         let old = doc(r#"{"cpu_cores": 2, "rate": 100, "steady": 50, "gone": 1,
+                "broken": 7.5, "idle": 0, "still": 0, "revived": null,
                 "nested": {"p50_ns": 1000, "label": "x"},
                 "rows": [{"ms": 10}, {"ms": 20}]}"#);
         let new = doc(r#"{"cpu_cores": 2, "rate": 89, "steady": 54, "fresh": true,
+                "broken": null, "idle": 3, "still": 0, "revived": 4,
                 "nested": {"p50_ns": 1200, "label": "y"},
                 "rows": [{"ms": 10}, {"ms": 17}, {"ms": 5}]}"#);
         assert_eq!(
@@ -265,6 +274,9 @@ mod tests {
             [
                 "rate: 100 -> 89 (-11.0%)",
                 "gone: only in the committed ledger",
+                "broken: 7.5 -> not a number",
+                "idle: 0 -> 3 (from zero)",
+                "revived: not a number -> 4",
                 "nested.p50_ns: 1000 -> 1200 (+20.0%)",
                 "rows[1].ms: 20 -> 17 (-15.0%)",
                 "fresh: only in this run",

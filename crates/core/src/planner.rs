@@ -267,8 +267,7 @@ impl Planner {
     /// A network of this planner's architecture built on the calling thread,
     /// holding `values` (an [`export_params`] snapshot). Tensors are `Rc`,
     /// so every thread that evaluates the policy builds its own: the
-    /// rollout workers, the PPO update's helpers and the re-planning
-    /// helpers.
+    /// rollout workers and the re-planning helpers.
     fn replica(&self, values: &[Vec<f32>]) -> PolicyNetwork {
         let replica = self.build_policy();
         import_params(&replica.parameters(), values);
@@ -410,11 +409,8 @@ impl Planner {
                 nptsn_rl::PpoStats::default()
             } else {
                 let _ppo_span = nptsn_obs::span("planner.ppo_update");
-                // The update loads the master's values into its helpers'
-                // replicas at every iteration.
-                let replica = || self.replica(&snapshot);
                 let threads = self.config.threads();
-                ppo_update(&master, replica, threads, &mut actor_opt, &mut critic_opt, &batch, &ppo)
+                ppo_update(&master, threads, &mut actor_opt, &mut critic_opt, &batch, &ppo)
             };
             // Chaos site `planner.ppo_update`: a firing rule poisons this
             // epoch's update exactly like a NaN gradient would, so storms

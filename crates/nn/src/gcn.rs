@@ -1,6 +1,8 @@
 //! Graph convolutional networks (Kipf & Welling, Eq. 4 of the paper).
 
-use nptsn_tensor::{kernels, Tensor};
+use std::rc::Rc;
+
+use nptsn_tensor::{kernels, BlockDiag, Blocks, Tensor};
 use nptsn_rand::Rng;
 
 use crate::init::xavier_uniform;
@@ -152,6 +154,18 @@ impl GcnBatchOut {
     pub fn items(&self) -> usize {
         self.offsets.len() - 1
     }
+}
+
+/// Graphs of one node count stacked for [`Gcn::pooled_stack`]: their
+/// normalized adjacencies as one block-diagonal matrix, and the first
+/// layer's propagation `Â·H₀` of their stacked node features. That product
+/// depends on no parameter, so a stack that several forwards share (one
+/// PPO update's iterations) computes it once. For a GCN without layers it
+/// holds the pooled features themselves.
+#[derive(Debug)]
+pub struct GcnStack {
+    adjacency: Rc<BlockDiag>,
+    first: Tensor,
 }
 
 /// A stack of graph convolutional layers implementing Eq. 4:
@@ -364,6 +378,61 @@ impl Gcn {
             tile_start = tile_end;
         }
         Ok(GcnBatchOut { data: out_data, offsets, out_dim: out_cols })
+    }
+
+    /// Stacks `items` for [`Gcn::pooled_stack`], whose kernels may run on
+    /// `threads` threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `items` is empty, the items' node counts differ, or an
+    /// item's adjacency or features do not match its node count and the
+    /// network's input width.
+    pub fn stack(&self, items: &[GcnBatchItem<'_>], threads: usize) -> GcnStack {
+        let _span = nptsn_obs::span("gcn.forward");
+        let n = items.first().expect("a stack needs at least one graph").n;
+        let feat = match self.weights.first() {
+            Some(w) => w.rows(),
+            None => items[0].h.len() / n.max(1),
+        };
+        let blocks = Blocks { count: items.len(), rows: n, threads };
+        let mut ahat = Vec::with_capacity(items.len() * n * n);
+        let mut features = Vec::with_capacity(items.len() * n * feat);
+        for (i, it) in items.iter().enumerate() {
+            assert!(
+                it.n == n && it.ahat.len() == n * n && it.h.len() == n * feat,
+                "gcn.stack: item {i} is not a {n}-node graph with {feat} features"
+            );
+            ahat.extend_from_slice(it.ahat);
+            features.extend_from_slice(it.h);
+        }
+        let adjacency = Rc::new(BlockDiag::new(blocks, ahat));
+        let first = if self.weights.is_empty() {
+            let mut pooled = vec![0.0f32; items.len() * feat];
+            for (graph, row) in features.chunks_exact(n * feat).zip(pooled.chunks_exact_mut(feat)) {
+                kernels::mean_rows(graph, n, feat, row);
+            }
+            Tensor::from_vec(items.len(), feat, pooled)
+        } else {
+            Tensor::from_vec(items.len() * n, feat, adjacency.product(&features, feat))
+        };
+        GcnStack { adjacency, first }
+    }
+
+    /// The mean-pooled embedding of every graph of a stack, with autograd:
+    /// row `i` is `forward(Â_i, H_i).mean_rows()` of item `i`, bit for bit
+    /// ([`BlockDiag::gcn_pooled`]). Each weight's gradient takes one
+    /// contribution per item, item 0 first, each formed as a backward
+    /// through that item's own graph forms it. A backward over the items'
+    /// solo graphs concatenated in order adds the last item's first, so a
+    /// caller that wants those bits stacks its items in reverse.
+    pub fn pooled_stack(&self, stack: &GcnStack) -> Tensor {
+        let _span = nptsn_obs::span("gcn.forward");
+        if self.weights.is_empty() {
+            stack.first.clone()
+        } else {
+            stack.adjacency.gcn_pooled(&stack.first, &self.weights)
+        }
     }
 
     /// Number of convolution layers.

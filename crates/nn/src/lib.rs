@@ -56,7 +56,8 @@ pub use checkpoint::{
     CheckpointError, CheckpointFileError,
 };
 pub use gcn::{
-    normalized_adjacency, try_normalized_adjacency, Gcn, GcnBatchItem, GcnBatchOut, ShapeError,
+    normalized_adjacency, try_normalized_adjacency, Gcn, GcnBatchItem, GcnBatchOut, GcnStack,
+    ShapeError,
 };
 pub use init::{kaiming_normal, xavier_uniform};
 pub use linear::Linear;

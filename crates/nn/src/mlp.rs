@@ -81,10 +81,21 @@ impl Mlp {
 
     /// Applies the network to a `(batch, inputs)` tensor.
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        self.layers_on(x, Linear::forward)
+    }
+
+    /// [`Mlp::forward`] on rows that are independent steps, each layer's
+    /// products split by rows over `threads` threads
+    /// ([`Linear::forward_rows`]).
+    pub fn forward_rows(&self, x: &Tensor, threads: usize) -> Tensor {
+        self.layers_on(x, |layer, h| layer.forward_rows(h, threads))
+    }
+
+    fn layers_on(&self, x: &Tensor, linear: impl Fn(&Linear, &Tensor) -> Tensor) -> Tensor {
         let mut h = x.clone();
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
+            h = linear(layer, &h);
             h = if i == last {
                 self.output_activation.apply(&h)
             } else {

@@ -17,8 +17,9 @@
 //!   early stopping plus the mean-squared-error critic update, each running
 //!   through its own Adam optimizer exactly as in Algorithm 2 (lines
 //!   19–21: the shared GCN receives gradients from both heads). Each
-//!   iteration's step graphs run on several threads, and the gradients
-//!   fold back bit-identical to one sequential backward.
+//!   iteration runs one forward over all steps, stacked by the model
+//!   ([`ActorCritic::stack_steps`]), and one backward, bit-identical to a
+//!   backward over the steps' own graphs.
 //!
 //! # Examples
 //!
@@ -51,14 +52,6 @@
 //!         (nptsn_rl::masked_log_probs(&logits, mask), value)
 //!     }
 //! }
-//! impl Module for Bandit {
-//!     fn parameters(&self) -> Vec<Tensor> {
-//!         let mut p = self.actor.parameters();
-//!         p.extend(self.critic.parameters());
-//!         p
-//!     }
-//! }
-//!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let model = Bandit::new(0);
 //! let mut pi_opt = Adam::new(model.actor.parameters(), 3e-3);
@@ -76,8 +69,8 @@
 //!         buf.finish_path(0.0); // one-step episodes
 //!     }
 //!     let batch = buf.drain();
-//!     // Two threads: the caller and one helper on its own replica.
-//!     ppo_update(&model, || Bandit::new(0), 2, &mut pi_opt, &mut v_opt, &batch, &cfg);
+//!     // One thread: the default stacked forward evaluates step by step.
+//!     ppo_update(&model, 1, &mut pi_opt, &mut v_opt, &batch, &cfg);
 //! }
 //! // The policy should now clearly prefer arm 1.
 //! let (logps, _) = model.evaluate(&(), &[true, true]);
@@ -101,12 +94,74 @@ use nptsn_tensor::Tensor;
 /// `evaluate` must return the *masked* log-probability row `(1, actions)`
 /// (use [`masked_log_probs`]) and the value estimate `(1, 1)`; both must be
 /// differentiable back to the model parameters so [`ppo_update`] can train
-/// through them. Every leaf with a gradient that they reach must be one of
-/// the model's [`Module::parameters`](nptsn_nn::Module::parameters), and
-/// two observations' graphs may share no other node that carries a
-/// gradient, so that each step's backward can run on its own thread.
+/// through them.
 pub trait ActorCritic<O> {
     /// Computes the masked policy log-probabilities and the value for one
     /// observation.
     fn evaluate(&self, obs: &O, mask: &[bool]) -> (Tensor, Tensor);
+
+    /// Prepares the steps of `batch` for the forwards of one PPO update,
+    /// whose kernels may run on `threads` threads.
+    ///
+    /// The default evaluates every step with
+    /// [`evaluate`](ActorCritic::evaluate) and stacks the rows with
+    /// [`Tensor::concat_rows`], in step order: the reference the
+    /// [`StackedSteps`] contract is stated against. A model overrides it
+    /// to evaluate all steps as one batch.
+    fn stack_steps<'a>(&'a self, batch: &'a Batch<O>, threads: usize) -> Box<dyn StackedSteps + 'a> {
+        let _ = threads;
+        Box::new(StepByStep { model: self, batch })
+    }
+}
+
+/// Which output of an [`ActorCritic`] a stacked forward ends in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Head {
+    /// The masked log-probabilities of every action.
+    Actor,
+    /// The value estimate.
+    Critic,
+}
+
+/// One PPO update's steps, stacked by [`ActorCritic::stack_steps`] for a
+/// forward per iteration.
+///
+/// [`ppo_update`] is bit-identical to the reference update (the default
+/// [`ActorCritic::stack_steps`]) when `forward` keeps two promises. Its
+/// rows are the bits [`ActorCritic::evaluate`] gives for each step. And a
+/// backward through it leaves each parameter's cleared gradient (the
+/// update clears them before every backward) with the bits of one
+/// through the steps' own graphs, concatenated in step order: one
+/// contribution per step and use, the last step's first, each formed by
+/// the same kernels on the same operands.
+pub trait StackedSteps {
+    /// Evaluates every step under the current parameters, differentiably:
+    /// row `s` is step `s`'s output of `head`, its masked log-probabilities
+    /// (`(steps, actions)` in all) or its value (`(steps, 1)`).
+    fn forward(&self, head: Head) -> Tensor;
+}
+
+/// The default [`StackedSteps`]: one graph per step.
+struct StepByStep<'a, O, M: ?Sized> {
+    model: &'a M,
+    batch: &'a Batch<O>,
+}
+
+impl<O, M: ActorCritic<O> + ?Sized> StackedSteps for StepByStep<'_, O, M> {
+    fn forward(&self, head: Head) -> Tensor {
+        let rows: Vec<Tensor> = self
+            .batch
+            .observations
+            .iter()
+            .zip(&self.batch.masks)
+            .map(|(obs, mask)| {
+                let (log_probs, value) = self.model.evaluate(obs, mask);
+                match head {
+                    Head::Actor => log_probs,
+                    Head::Critic => value,
+                }
+            })
+            .collect();
+        Tensor::concat_rows(&rows)
+    }
 }

@@ -1,23 +1,22 @@
 //! The PPO clip update (Eq. 5) with KL early stopping, plus the critic
-//! regression, with each iteration's step graphs spread over threads.
+//! regression, on one stacked forward and one backward per iteration.
 
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::sync::Arc;
-
-use nptsn_nn::{export_params, import_params, Adam, Module};
-use nptsn_tensor::{BackwardPass, Delta, Tensor};
+use nptsn_nn::Adam;
+use nptsn_tensor::Tensor;
 
 use crate::buffer::Batch;
 use crate::dist::entropy_of_log_probs;
-use crate::ActorCritic;
+use crate::{ActorCritic, Head};
 
 /// PPO hyper-parameters.
 ///
-/// Defaults follow Table II of the paper (clip ratio 0.2, discount 0.99,
-/// GAE λ 0.97) and SpinningUp's KL early-stop threshold. The per-epoch
-/// gradient iteration counts are reduced from SpinningUp's 80/80 to 20/20
-/// — with the small networks used here this converges the same while
-/// keeping figure-regeneration runs quick; raise them for full fidelity.
+/// The clip ratio, discount and GAE λ follow Table II of the paper (0.2,
+/// 0.99, 0.97), the KL early-stop threshold follows SpinningUp. The
+/// planner does not use this type's defaults: it builds its `PpoConfig`
+/// from `PlannerConfig`, whose iteration counts are Table II's 80 + 80
+/// in `default_paper`, 8 + 8 in `quick`, 3 + 3 in `smoke_test`, and
+/// 6 + 6 in the benchmark. The 20 + 20 default here only sizes this
+/// crate's own examples and tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpoConfig {
     /// Clip ratio ε of Eq. 5.
@@ -79,83 +78,47 @@ pub struct PpoStats {
 ///
 /// # Threads
 ///
-/// Every iteration's step graphs run on `workers` threads: step `s` on
-/// thread `s % workers`. Thread 0 is the caller, on `model` itself; each
-/// helper evaluates a replica that `replica` builds on the helper's own
-/// thread (tensors are not `Send`) and that imports `model`'s parameters
-/// at the start of every iteration. The caller builds the loss over the
-/// gathered per-step outputs, backpropagates it to them, and then, for
-/// `s` from the last step down to 0, either runs step `s`'s backward on
-/// its own graph or adds the contributions a helper streams back for
-/// it. Each parameter's gradient so takes the same additions in the same
-/// order as one `backward()` over the concatenated steps (see
-/// [`BackwardPass`]), and the update is bit-identical for any `workers`.
-/// With `workers = 1` no helper starts.
-///
-/// Helpers run under the caller's trace context and inside a span named
-/// like the caller's innermost open span, and a panic on a helper
-/// reaches the caller as a panic.
+/// The model stacks the batch once ([`ActorCritic::stack_steps`]); every
+/// iteration then runs one forward over all steps and one backward from
+/// the loss. The update runs on the caller's thread; the model's stacked
+/// forward and its backward may split their kernels over `threads`
+/// threads (NPTSN's GCN does). When the model keeps the
+/// [`StackedSteps`](crate::StackedSteps) contract, the update is
+/// bit-identical to one `backward()` over the steps' solo graphs,
+/// concatenated in step order, for any `threads`.
 ///
 /// # Panics
 ///
-/// Panics when the batch is empty, or when a helper panics.
-pub fn ppo_update<O: Sync, M: ActorCritic<O> + Module>(
+/// Panics when the batch is empty, or when the model's forward or
+/// backward panics on any of its threads.
+pub fn ppo_update<O, M: ActorCritic<O>>(
     model: &M,
-    replica: impl Fn() -> M + Sync,
-    workers: usize,
+    threads: usize,
     actor_opt: &mut Adam,
     critic_opt: &mut Adam,
     batch: &Batch<O>,
     cfg: &PpoConfig,
 ) -> PpoStats {
     assert!(!batch.is_empty(), "cannot update from an empty batch");
-    let phase = nptsn_obs::current_span();
     let _span = nptsn_obs::span("ppo.update");
-    let threads = workers.clamp(1, batch.len());
-    let trace = nptsn_obs::current_trace();
-    let replica = &replica;
-    std::thread::scope(|scope| {
-        let helpers = (1..threads)
-            .map(|thread| {
-                let (orders, order_rx) = mpsc::channel();
-                let (reply_tx, replies) = mpsc::sync_channel(STEPS_IN_FLIGHT);
-                let (spent, spent_rx) = mpsc::channel();
-                scope.spawn(move || {
-                    let _trace = nptsn_obs::with_trace(trace);
-                    {
-                        let _phase = phase.map(nptsn_obs::span);
-                        help(&replica(), batch, thread, threads, order_rx, reply_tx, spent_rx);
-                    }
-                    // The scope's join does not wait for TLS destructors.
-                    nptsn_obs::flush_thread();
-                });
-                Helper { orders, replies, spent }
-            })
-            .collect();
-        let mut team = Team {
-            model,
-            params: model.parameters(),
-            batch,
-            threads,
-            helpers,
-            roots: Vec::new(),
-        };
-        update(&mut team, actor_opt, critic_opt, cfg)
-    })
+    // Every iteration builds a graph of the same shapes: keep its buffers.
+    nptsn_tensor::recycling(|| update(model, threads, actor_opt, critic_opt, batch, cfg))
 }
 
-/// The actor and critic loops of one update.
-fn update<O, M: ActorCritic<O> + Module>(
-    team: &mut Team<'_, O, M>,
+/// The actor and critic loops of [`ppo_update`].
+fn update<O, M: ActorCritic<O>>(
+    model: &M,
+    threads: usize,
     actor_opt: &mut Adam,
     critic_opt: &mut Adam,
+    batch: &Batch<O>,
     cfg: &PpoConfig,
 ) -> PpoStats {
-    let batch = team.batch;
+    let steps = model.stack_steps(batch, threads);
     let n = batch.len();
-    let adv = Tensor::from_vec(1, n, batch.advantages.clone());
-    let old_logp = Tensor::from_vec(1, n, batch.old_log_probs.clone());
-    let ret = Tensor::from_vec(1, n, batch.returns.clone());
+    let adv = Tensor::from_vec(n, 1, batch.advantages.clone());
+    let old_logp = Tensor::from_vec(n, 1, batch.old_log_probs.clone());
+    let ret = Tensor::from_vec(n, 1, batch.returns.clone());
 
     let mut policy_loss = 0.0;
     let mut approx_kl = 0.0;
@@ -164,13 +127,13 @@ fn update<O, M: ActorCritic<O> + Module>(
 
     // Actor: clipped surrogate with KL early stop.
     for _ in 0..cfg.train_pi_iters {
-        let steps = team.forward(Head::Actor);
-        let new_logp = Tensor::param(1, n, steps.iter().map(|&(logp, _)| logp).collect());
+        let logps = steps.forward(Head::Actor);
         let mut ent = 0.0;
-        for &(_, step_entropy) in &steps {
-            ent += step_entropy;
+        for row in logps.data().chunks_exact(logps.cols()) {
+            ent += entropy_of_log_probs(row);
         }
         let ent = ent / n as f32;
+        let new_logp = logps.gather_cols(&batch.actions);
         let ratio = new_logp.sub(&old_logp).exp();
         let surr = ratio.mul(&adv);
         let clipped = ratio.clamp(1.0 - cfg.clip_ratio, 1.0 + cfg.clip_ratio).mul(&adv);
@@ -194,7 +157,6 @@ fn update<O, M: ActorCritic<O> + Module>(
         {
             let _bw = nptsn_obs::span("ppo.backward");
             loss.backward();
-            team.backward(&new_logp.grad());
         }
         actor_opt.step();
         policy_iters += 1;
@@ -203,229 +165,18 @@ fn update<O, M: ActorCritic<O> + Module>(
     // Critic: MSE regression to the returns.
     let mut value_loss = 0.0;
     for _ in 0..cfg.train_v_iters {
-        let steps = team.forward(Head::Critic);
-        let values = Tensor::param(1, n, steps.iter().map(|&(value, _)| value).collect());
+        let values = steps.forward(Head::Critic);
         let loss = values.sub(&ret).square().mean();
         value_loss = loss.item();
         critic_opt.zero_grad();
         {
             let _bw = nptsn_obs::span("ppo.backward");
             loss.backward();
-            team.backward(&values.grad());
         }
         critic_opt.step();
     }
 
     PpoStats { policy_loss, value_loss, approx_kl, entropy, policy_iters }
-}
-
-/// Steps' worth of contributions a helper may stream ahead of the
-/// caller's fold. One step's contributions are at most the size of the
-/// parameters, so this bounds what is in flight per helper.
-const STEPS_IN_FLIGHT: usize = 16;
-
-/// Which head's output a step graph ends in.
-#[derive(Debug, Clone, Copy)]
-enum Head {
-    /// The log-probability of the step's action.
-    Actor,
-    /// The value estimate.
-    Critic,
-}
-
-/// The caller's orders to a helper.
-enum Order {
-    /// Import these parameters and evaluate your steps.
-    Forward(Head, Arc<Vec<Vec<f32>>>),
-    /// Backpropagate your steps from these upstream gradients (one per
-    /// step of the batch), last step first.
-    Backward(Arc<Vec<f32>>),
-}
-
-/// One step's leaf contributions as `(parameter index, delta)`, in the
-/// order its backward made them.
-type Contributions = Vec<(usize, Delta<'static>)>;
-
-/// A helper's replies, in the order the caller consumes them.
-enum Reply {
-    /// Each of the helper's steps' `(output, entropy)`, in step order.
-    Forward(Vec<(f32, f32)>),
-    /// One step's contributions.
-    Step(Contributions),
-}
-
-/// The caller's ends of one helper's channels. Folded contributions go
-/// back on `spent`, so that each thread frees only what it allocated: a
-/// free from another thread contends for the allocating thread's heap.
-struct Helper {
-    orders: Sender<Order>,
-    replies: Receiver<Reply>,
-    spent: Sender<Contributions>,
-}
-
-/// The caller's side of an update: the master model, its parameters, and
-/// the graphs of the caller's own steps from the latest forward.
-struct Team<'a, O, M> {
-    model: &'a M,
-    params: Vec<Tensor>,
-    batch: &'a Batch<O>,
-    threads: usize,
-    helpers: Vec<Helper>,
-    roots: Vec<Tensor>,
-}
-
-impl<O, M: ActorCritic<O> + Module> Team<'_, O, M> {
-    /// Evaluates every step under the current parameters and returns each
-    /// step's `(output, entropy)` in step order.
-    fn forward(&mut self, head: Head) -> Vec<(f32, f32)> {
-        // The last iteration's graphs go before this one's are built.
-        self.roots.clear();
-        if !self.helpers.is_empty() {
-            let snapshot = Arc::new(export_params(&self.params));
-            for helper in &self.helpers {
-                if helper.orders.send(Order::Forward(head, Arc::clone(&snapshot))).is_err() {
-                    helper_died();
-                }
-            }
-        }
-        let (roots, own) = evaluate_steps(self.model, self.batch, 0, self.threads, head);
-        self.roots = roots;
-        let mut steps = vec![(0.0, 0.0); self.batch.len()];
-        let mut place = |thread: usize, outputs: Vec<(f32, f32)>| {
-            for (i, output) in outputs.into_iter().enumerate() {
-                steps[thread + i * self.threads] = output;
-            }
-        };
-        place(0, own);
-        for (i, helper) in self.helpers.iter().enumerate() {
-            match helper.replies.recv() {
-                Ok(Reply::Forward(outputs)) => place(i + 1, outputs),
-                _ => helper_died(),
-            }
-        }
-        steps
-    }
-
-    /// Backpropagates `upstream`, the loss gradient with respect to each
-    /// step's output, through every step graph of the latest forward, and
-    /// adds each contribution into the master parameters: step `n − 1`'s
-    /// first, step 0's last, each step's in its own backward order.
-    fn backward(&mut self, upstream: &[f32]) {
-        if !self.helpers.is_empty() {
-            let shared = Arc::new(upstream.to_vec());
-            for helper in &self.helpers {
-                if helper.orders.send(Order::Backward(Arc::clone(&shared))).is_err() {
-                    helper_died();
-                }
-            }
-        }
-        let mut pass = BackwardPass::new();
-        for s in (0..self.batch.len()).rev() {
-            let thread = s % self.threads;
-            if thread == 0 {
-                let root = &self.roots[s / self.threads];
-                pass.seeded(root, &[upstream[s]], &mut |leaf, delta| leaf.accumulate(&delta));
-                continue;
-            }
-            let helper = &self.helpers[thread - 1];
-            match helper.replies.recv() {
-                Ok(Reply::Step(contributions)) => {
-                    for (i, delta) in &contributions {
-                        self.params[*i].accumulate(delta);
-                    }
-                    // A helper that is gone no longer needs them back.
-                    let _ = helper.spent.send(contributions);
-                }
-                _ => helper_died(),
-            }
-        }
-    }
-}
-
-/// A helper thread's loop: runs the steps `thread, thread + threads, …`
-/// of each order on `model` until the caller hangs up, and frees the
-/// contributions the caller hands back on `spent`.
-fn help<O, M: ActorCritic<O> + Module>(
-    model: &M,
-    batch: &Batch<O>,
-    thread: usize,
-    threads: usize,
-    orders: Receiver<Order>,
-    replies: SyncSender<Reply>,
-    spent: Receiver<Contributions>,
-) {
-    let params = model.parameters();
-    let mut roots = Vec::new();
-    for order in orders {
-        let sent = match order {
-            Order::Forward(head, snapshot) => {
-                roots.clear();
-                import_params(&params, &snapshot);
-                // The caller drops its copy only after this reply, so the
-                // thread that allocated the snapshot frees it.
-                drop(snapshot);
-                let (step_roots, outputs) = evaluate_steps(model, batch, thread, threads, head);
-                roots = step_roots;
-                replies.send(Reply::Forward(outputs))
-            }
-            Order::Backward(upstream) => {
-                let _bw = nptsn_obs::span("ppo.backward");
-                let seeds: Vec<f32> = upstream.iter().skip(thread).step_by(threads).copied().collect();
-                drop(upstream);
-                let mut pass = BackwardPass::new();
-                let mut sent = Ok(());
-                for (root, &seed) in roots.iter().zip(&seeds).rev() {
-                    spent.try_iter().for_each(drop);
-                    let mut contributions = Vec::new();
-                    pass.seeded(root, &[seed], &mut |leaf, delta| {
-                        let index = params
-                            .iter()
-                            .position(|p| p.same_node(leaf))
-                            .expect("every leaf a step's gradient reaches is a model parameter");
-                        contributions.push((index, delta.into_owned()));
-                    });
-                    sent = replies.send(Reply::Step(contributions));
-                    if sent.is_err() {
-                        break;
-                    }
-                }
-                sent
-            }
-        };
-        // A closed channel means the caller is unwinding; stop quietly.
-        if sent.is_err() {
-            return;
-        }
-    }
-}
-
-/// Evaluates steps `first, first + stride, …` of `batch` and returns each
-/// one's graph root (the action's log-probability or the value) and its
-/// `(output, entropy of the log-probabilities)`.
-fn evaluate_steps<O>(
-    model: &impl ActorCritic<O>,
-    batch: &Batch<O>,
-    first: usize,
-    stride: usize,
-    head: Head,
-) -> (Vec<Tensor>, Vec<(f32, f32)>) {
-    (first..batch.len())
-        .step_by(stride)
-        .map(|s| {
-            let (logps, value) = model.evaluate(&batch.observations[s], &batch.masks[s]);
-            let entropy = entropy_of_log_probs(&logps.to_vec());
-            let root = match head {
-                Head::Actor => logps.gather_cols(&[batch.actions[s]]),
-                Head::Critic => value,
-            };
-            let output = root.item();
-            (root, (output, entropy))
-        })
-        .unzip()
-}
-
-fn helper_died() -> ! {
-    panic!("a PPO update helper thread panicked")
 }
 
 #[cfg(test)]
@@ -452,24 +203,12 @@ mod tests {
             }
         }
 
-        /// A helper's replica: the shapes matter, the values are imported.
-        fn replica(hidden: usize) -> ContextBandit {
-            ContextBandit::new(&mut StdRng::seed_from_u64(99), hidden)
-        }
     }
 
     impl ActorCritic<Vec<f32>> for ContextBandit {
         fn evaluate(&self, obs: &Vec<f32>, mask: &[bool]) -> (Tensor, Tensor) {
             let x = Tensor::from_vec(1, obs.len(), obs.clone());
             (masked_log_probs(&self.actor.forward(&x), mask), self.critic.forward(&x))
-        }
-    }
-
-    impl Module for ContextBandit {
-        fn parameters(&self) -> Vec<Tensor> {
-            let mut p = self.actor.parameters();
-            p.extend(self.critic.parameters());
-            p
         }
     }
 
@@ -495,8 +234,7 @@ mod tests {
                 buf.finish_path(0.0);
             }
             let batch = buf.drain();
-            let replica = || ContextBandit::replica(32);
-            let stats = ppo_update(&model, replica, 2, &mut pi_opt, &mut v_opt, &batch, &cfg);
+            let stats = ppo_update(&model, 2, &mut pi_opt, &mut v_opt, &batch, &cfg);
             assert!(stats.policy_iters >= 1);
             if epoch == 14 {
                 mean_reward = total / 64.0;
@@ -548,8 +286,7 @@ mod tests {
                 buf.store(obs, a, mask, 1.0, value.item(), logp);
                 buf.finish_path(0.0);
             }
-            let replica = || ContextBandit::replica(16);
-            let stats = ppo_update(&model, replica, 3, &mut pi_opt, &mut v_opt, &buf.drain(), &cfg);
+            let stats = ppo_update(&model, 3, &mut pi_opt, &mut v_opt, &buf.drain(), &cfg);
             last_loss = stats.value_loss;
         }
         assert!(last_loss < 0.05, "value loss did not shrink: {last_loss}");
@@ -560,13 +297,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty batch")]
     fn empty_batch_panics() {
-        let model = ContextBandit::replica(4);
+        let model = ContextBandit::new(&mut StdRng::seed_from_u64(99), 4);
         let mut pi_opt = Adam::new(model.actor.parameters(), 1e-3);
         let mut v_opt = Adam::new(model.critic.parameters(), 1e-3);
         let batch: Batch<Vec<f32>> = Batch::merge(vec![]);
-        let replica = || ContextBandit::replica(4);
         let cfg = PpoConfig::default();
-        let _ = ppo_update(&model, replica, 1, &mut pi_opt, &mut v_opt, &batch, &cfg);
+        let _ = ppo_update(&model, 1, &mut pi_opt, &mut v_opt, &batch, &cfg);
     }
 
     #[test]
@@ -586,8 +322,7 @@ mod tests {
             buf.store(obs, a, mask, (i % 2) as f32, value.item(), logp);
             buf.finish_path(0.0);
         }
-        let replica = || ContextBandit::replica(16);
-        let stats = ppo_update(&model, replica, 2, &mut pi_opt, &mut v_opt, &buf.drain(), &cfg);
+        let stats = ppo_update(&model, 2, &mut pi_opt, &mut v_opt, &buf.drain(), &cfg);
         assert!(stats.policy_iters < 50, "early stop never triggered");
     }
 }

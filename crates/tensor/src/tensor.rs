@@ -1,11 +1,11 @@
 //! The core tensor type: a node of the computation graph.
 
-use std::cell::{Ref, RefCell};
+use std::cell::{Ref, RefCell, RefMut};
 use std::fmt;
 use std::rc::Rc;
 
 use crate::ops::Op;
-use crate::{kernels, Delta};
+use crate::{kernels, recycle};
 
 /// A 2-D `f32` tensor that is also a node of a dynamically built
 /// computation graph.
@@ -202,38 +202,71 @@ impl Tensor {
         Rc::ptr_eq(&self.node, &other.node)
     }
 
-    /// Adds a contribution into the accumulated gradient, starting from
-    /// `+0.0` when none has accumulated yet: exactly what
-    /// [`backward`](Tensor::backward) does with each contribution to a
-    /// leaf. A [`BackwardPass`](crate::BackwardPass) sink replays a pass's
-    /// contributions through it. A [`Delta::Outer`] is multiplied out by
-    /// the kernel the backward's matmul gradient uses, on the same
-    /// operands, so both forms add the same values.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the contribution's size differs from the element count.
-    pub fn accumulate(&self, delta: &Delta<'_>) {
-        match delta {
-            Delta::Dense(d) => self.accumulate_grad(d),
-            Delta::Outer(x, g) => {
-                let (k, n) = (x.len(), g.len());
-                let mut product = vec![0.0f32; k * n];
-                kernels::matmul(x, g, &mut product, k, 1, n);
-                self.accumulate_grad(&product);
-            }
-        }
-    }
-
+    /// Adds `delta` into the accumulated gradient, starting from `+0.0`
+    /// when none has accumulated yet: what
+    /// [`backward`](Tensor::backward) does with every contribution.
     pub(crate) fn accumulate_grad(&self, delta: &[f32]) {
         assert_eq!(delta.len(), self.len(), "gradient length must match the shape");
         let mut g = self.node.grad.borrow_mut();
         if g.is_empty() {
-            g.resize(self.len(), 0.0);
+            if g.capacity() < delta.len() {
+                *g = recycle::copied(delta);
+            } else {
+                g.extend_from_slice(delta);
+            }
+            from_zero(&mut g);
+        } else {
+            kernels::acc_in_place(&mut g, delta);
         }
-        for (gi, di) in g.iter_mut().zip(delta) {
-            *gi += di;
+    }
+
+    /// [`Tensor::accumulate_grad`] of a delta it may keep as the gradient.
+    pub(crate) fn accumulate_owned_grad(&self, mut delta: Vec<f32>) {
+        from_zero(&mut delta);
+        self.accumulate_sum_grad(delta);
+    }
+
+    /// [`Tensor::accumulate_owned_grad`] of a delta that holds no `-0.0`,
+    /// such as a [`kernels::matmul`] product: every element is a sum that
+    /// started at `+0.0`, so adding it into a fresh gradient changes none.
+    pub(crate) fn accumulate_sum_grad(&self, delta: Vec<f32>) {
+        assert_eq!(delta.len(), self.len(), "gradient length must match the shape");
+        let mut g = self.node.grad.borrow_mut();
+        if g.is_empty() {
+            recycle::give_back(std::mem::replace(&mut *g, delta));
+        } else {
+            kernels::acc_in_place(&mut g, &delta);
+            recycle::give_back(delta);
         }
+    }
+
+    /// The accumulated gradient, for additions in place: `+0.0` where none
+    /// has accumulated yet.
+    pub(crate) fn grad_mut(&self) -> RefMut<'_, Vec<f32>> {
+        let mut g = self.node.grad.borrow_mut();
+        if g.is_empty() {
+            if g.capacity() < self.len() {
+                *g = recycle::zeroed(self.len());
+            } else {
+                g.resize(self.len(), 0.0);
+            }
+        }
+        g
+    }
+}
+
+/// `x + 0.0` for every `x`: what adding `x` into a fresh gradient gives
+/// (a `-0.0` becomes `+0.0`; every other value stays).
+fn from_zero(values: &mut [f32]) {
+    for v in values {
+        *v += 0.0;
+    }
+}
+
+impl Drop for Node {
+    fn drop(&mut self) {
+        recycle::give_back(std::mem::take(self.data.get_mut()));
+        recycle::give_back(std::mem::take(self.grad.get_mut()));
     }
 }
 

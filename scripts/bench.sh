@@ -9,7 +9,7 @@
 #                           re-run (micro analyzer_json)
 #   BENCH_serve.json      — HTTP request throughput and p50/p99 status-poll
 #                           latency of the nptsn-serve service
-#   BENCH_obs.json        — tracing overhead on the analyzer workload, the
+#   BENCH_obs.json        — tracing overhead on a re-plan workload, the
 #                           flight recorder's record/snapshot cost and the
 #                           armed-tracing overhead on a routed round (fails
 #                           if disabled or armed routed overhead >= 5%)

@@ -14,13 +14,13 @@ cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # The bit-identity pins again, in the release profile the benchmark
-# measures: the threaded PPO update and the threaded re-plan against their
-# sequential references, the analyzer and the lazy NBF against the
-# textbook ones, and the memoized SOAG against the unmemoized generator.
-# The release build is other machine code (no debug assertions, other
-# inlining) and its threads interleave on other timings, so a pass in the
-# dev profile alone does not show that the build the benchmark measures
-# computes the same bits.
+# measures: the batched, threaded PPO update and the threaded re-plan
+# against their sequential references, the analyzer and the lazy NBF
+# against the textbook ones, and the memoized SOAG against the
+# unmemoized generator. The release build is other machine code (no
+# debug assertions, other inlining) and its threads interleave on other
+# timings, so a pass in the dev profile alone does not show that the
+# build the benchmark measures computes the same bits.
 cargo test -q --offline --release --test ppo_reference --test analyzer_reference \
     --test replan_reference --test soag_reference
 

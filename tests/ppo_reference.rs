@@ -1,14 +1,16 @@
-//! The threaded PPO update pinned to the sequential one it replaced.
+//! The batched, threaded PPO update pinned to the sequential one it
+//! replaced.
 //!
-//! `nptsn_rl::ppo_update` runs each iteration's step graphs on `workers`
-//! threads and folds every parameter-gradient contribution back in the
-//! order one `backward()` over all steps adds them. This test keeps that
-//! sequential update as the reference: every step evaluated on one
-//! thread, the steps concatenated, one `loss.backward()`. Both sides
-//! start from equal parameters with fresh optimizers and take several
-//! consecutive updates on observations encoded by `PlanningEnv`; after
-//! every update the statistics, every parameter and every parameter's
-//! gradient must agree bit for bit.
+//! `nptsn_rl::ppo_update` runs each iteration as one forward of
+//! `PolicyNetwork` over all steps, stacked last step first on the GCN's
+//! block layout with its kernels split over `workers` threads, and one
+//! backward. This test keeps the sequential update as the reference:
+//! every step evaluated on its own graph, the steps concatenated, one
+//! `loss.backward()`. Both sides start from equal parameters with fresh
+//! optimizers and take several consecutive updates on observations
+//! encoded by `PlanningEnv`, at every GCN depth the repository trains
+//! (Fig. 5a's GCN-0, -2 and -4); after every update the statistics,
+//! every parameter and every parameter's gradient must agree bit for bit.
 
 use std::sync::Arc;
 
@@ -215,16 +217,7 @@ fn run(
             let stats = match workers {
                 None => reference_update(&model, &mut actor_opt, &mut critic_opt, batch, ppo),
                 Some(workers) => {
-                    let replica = || network(problem, cfg);
-                    ppo_update(
-                        &model,
-                        replica,
-                        workers,
-                        &mut actor_opt,
-                        &mut critic_opt,
-                        batch,
-                        ppo,
-                    )
+                    ppo_update(&model, workers, &mut actor_opt, &mut critic_opt, batch, ppo)
                 }
             };
             outcome(stats, &model)
@@ -238,7 +231,8 @@ fn threaded_update_matches_the_sequential_one_bit_for_bit() {
     let base = config();
     // 64 steps running every actor iteration; 37 steps, which 2 and 3
     // threads do not divide, with a KL target and step size that stop
-    // the actor loop early.
+    // the actor loop early; and the same two on GCN-0, whose pooling
+    // reads the raw features, and GCN-4.
     let cases = [
         (
             64,
@@ -253,6 +247,33 @@ fn threaded_update_matches_the_sequential_one_bit_for_bit() {
         (
             37,
             PlannerConfig {
+                actor_lr: 3e-2,
+                ..base.clone()
+            },
+            PpoConfig {
+                train_pi_iters: 4,
+                train_v_iters: 2,
+                target_kl: 1e-6,
+                ..PpoConfig::default()
+            },
+        ),
+        (
+            48,
+            PlannerConfig {
+                gcn_layers: 0,
+                ..base.clone()
+            },
+            PpoConfig {
+                train_pi_iters: 3,
+                train_v_iters: 3,
+                target_kl: 1e9,
+                ..PpoConfig::default()
+            },
+        ),
+        (
+            29,
+            PlannerConfig {
+                gcn_layers: 4,
                 actor_lr: 3e-2,
                 ..base.clone()
             },
