@@ -124,7 +124,7 @@ impl NeuroPlanAgent {
             adjacency[u.index() * n + v.index()] = 1.0;
             adjacency[v.index() * n + u.index()] = 1.0;
         }
-        let ahat = nptsn_nn::normalized_adjacency(&adjacency, n).to_vec();
+        let ahat = nptsn_nn::normalized_adjacency(&adjacency, n);
         let mut features = vec![0.0f32; n * f];
         for &sw in topology.selected_switches() {
             let asil = topology.switch_asil(sw).expect("selected");
@@ -157,7 +157,7 @@ impl NeuroPlanAgent {
             0.1,
             tas.slots() as f32 / 32.0,
         ];
-        Observation { node_count: n, feature_count: f, ahat: ahat.into(), features, aux }
+        Observation { node_count: n, feature_count: f, ahat, features, aux }
     }
 
     /// Trains the agent and returns the best solution found.
@@ -256,11 +256,6 @@ impl NeuroPlanAgent {
         }
 
         NeuroPlanReport { best, reward_curve, dead_ends }
-    }
-
-    /// Convenience: a scaled-down run used in tests and benches.
-    pub fn run_with_rng_check(&self) -> NeuroPlanReport {
-        self.run()
     }
 }
 

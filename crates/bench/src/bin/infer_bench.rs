@@ -11,7 +11,7 @@
 //!    (`plan_with_policy_batch`). Measured at batch 1 / 8 / 64 on a
 //!    zonal-controller-scale problem, with every batched outcome checked
 //!    equal to its solo reference.
-//! 2. **Forward path** — `PolicyNetwork::evaluate_many` against K solo
+//! 2. **Forward path** — `PolicyNetwork::try_evaluate_many` against K solo
 //!    `evaluate` calls on ORION-scale observations, proven **bit-identical**
 //!    before timing, plus the lane-vectorized `nptsn_tensor` matmul kernel
 //!    against a naive triple loop (also bit-for-bit checked).
@@ -224,7 +224,7 @@ fn main() {
     // with 64 solo forwards to the last mantissa bit.
     let refs: Vec<(&Observation, &[bool])> =
         samples.iter().map(|(o, m)| (o, m.as_slice())).collect();
-    let fused = policy.evaluate_many(&refs);
+    let fused = policy.try_evaluate_many(&refs).expect("well-shaped samples");
     assert_eq!(fused.len(), samples.len());
     for (i, ((obs, mask), (flp, fval))) in samples.iter().zip(&fused).enumerate() {
         let (slp, sval) = policy.evaluate(obs, mask);
@@ -254,7 +254,8 @@ fn main() {
                         (o, m.as_slice())
                     })
                     .collect();
-                std::hint::black_box(policy.evaluate_many(&window));
+                let out = policy.try_evaluate_many(&window).expect("well-shaped window");
+                std::hint::black_box(out);
             }
         };
         for i in 0..fwd_warmup {

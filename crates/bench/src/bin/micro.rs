@@ -225,7 +225,7 @@ fn bench_gcn(filter: &str) {
     let f = 1 + n + 31 + 16;
     let mut rng = StdRng::seed_from_u64(0);
     let gcn = Gcn::new(&mut rng, &[f, 2 * n, 2 * n]);
-    let ahat = normalized_adjacency(&vec![0.0; n * n], n);
+    let ahat = Tensor::from_vec(n, n, normalized_adjacency(&vec![0.0; n * n], n));
     let h = Tensor::from_vec(n, f, vec![0.1; n * f]);
     bench(filter, "gcn_forward_orion_dims", 5, 50, || {
         black_box(gcn.forward(&ahat, &h));

@@ -2,8 +2,6 @@
 //! actions are folded into the GCN input so training stays stable on the
 //! dynamic action space.
 
-use std::sync::Arc;
-
 use nptsn_topo::Topology;
 
 use crate::problem::PlanningProblem;
@@ -26,11 +24,10 @@ pub struct Observation {
     /// Node feature width: `1 + |V^c| + |V_es| + K`.
     pub feature_count: usize,
     /// Row-major `n x n` *normalized* adjacency `D^-1/2 (A+I) D^-1/2`
-    /// (Eq. 4's constant). Shared: normalized once per `(graph, topology)`
-    /// fingerprint in the process-wide
-    /// [`adjacency_cache`](nptsn_nn::adjacency_cache), so observations of
-    /// the same topology alias one buffer instead of renormalizing.
-    pub ahat: Arc<[f32]>,
+    /// (Eq. 4's constant), as [`normalized_adjacency`] returns it.
+    ///
+    /// [`normalized_adjacency`]: nptsn_nn::normalized_adjacency
+    pub ahat: Vec<f32>,
     /// Row-major `n x feature_count` node features: switch-cost column,
     /// link-cost block, flow-count block, dynamic-action block.
     pub features: Vec<f32>,
@@ -71,19 +68,14 @@ pub fn encode_observation(
         .unwrap_or(1.0)
         .max(1.0) as f32;
 
-    // Raw adjacency for Â. Normalization is pure and topologies recur
-    // constantly (every episode step re-encodes the current topology), so
-    // Â is memoized per (graph, selection) fingerprint: the graph part
-    // disambiguates across problems, the topology part covers exactly the
-    // links the raw adjacency is built from.
+    // Â from the symmetric 0/1 adjacency of the topology's links.
     let mut adjacency = vec![0.0f32; n * n];
     for link in topology.links() {
         let (u, v) = gc.link_endpoints(link);
         adjacency[u.index() * n + v.index()] = 1.0;
         adjacency[v.index() * n + u.index()] = 1.0;
     }
-    let key = problem.graph_fingerprint() ^ topology.fingerprint().rotate_left(1);
-    let ahat = nptsn_nn::adjacency_cache().get_or_insert(key, &adjacency, n);
+    let ahat = nptsn_nn::normalized_adjacency(&adjacency, n);
 
     let mut features = vec![0.0f32; n * f];
     // 1. Switch cost column.

@@ -129,7 +129,7 @@ impl PlanningEnv {
             observation: Observation {
                 node_count: 0,
                 feature_count: 0,
-                ahat: Vec::new().into(),
+                ahat: Vec::new(),
                 features: Vec::new(),
                 aux: Vec::new(),
             },

@@ -1,6 +1,6 @@
 //! Batched policy deployment: K infer requests against one checkpoint run
 //! their episodes in lockstep so every step's K forwards fuse into a
-//! single [`PolicyNetwork::evaluate_many`] call.
+//! single [`PolicyNetwork::try_evaluate_many`] call.
 //!
 //! Each lane replays the exact semantics of
 //! [`Planner::plan_with_policy`] — it starts every attempt's RNG stream
@@ -57,7 +57,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// Per lane this is exactly [`Planner::plan_with_policy`] — same RNG
 /// streams, same environments, same greedy action choice, and (because
-/// [`PolicyNetwork::evaluate_many`] is bitwise identical to solo
+/// [`PolicyNetwork::try_evaluate_many`] is bitwise identical to solo
 /// evaluation) the same `Solution` — so coalescing never changes a
 /// request's answer. Error isolation per lane:
 ///

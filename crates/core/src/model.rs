@@ -65,7 +65,7 @@ impl PolicyNetwork {
     fn embed(&self, obs: &Observation) -> Tensor {
         debug_assert_eq!(obs.node_count, self.node_count);
         debug_assert_eq!(obs.feature_count, self.feature_count);
-        let ahat = Tensor::from_vec(obs.node_count, obs.node_count, obs.ahat.to_vec());
+        let ahat = Tensor::from_vec(obs.node_count, obs.node_count, obs.ahat.clone());
         let h = Tensor::from_vec(obs.node_count, obs.feature_count, obs.features.clone());
         let node_embeddings = self.gcn.forward(&ahat, &h);
         let graph_embedding = node_embeddings.mean_rows();
@@ -99,28 +99,18 @@ impl PolicyNetwork {
     /// [`ActorCritic::evaluate`] would.
     ///
     /// The K GCNs run as one fused block-diagonal forward
-    /// ([`Gcn::forward_many`]), the actor and critic MLPs each run once on
-    /// the K stacked pooled embeddings (their layers are row-independent)
+    /// ([`Gcn::try_forward_many`]), the actor and critic MLPs each run once
+    /// on the K stacked pooled embeddings (their layers are row-independent)
     /// and the mask/log-softmax applies row-wise — every step reuses the
     /// solo path's kernels on the same per-row data, so the outputs are
     /// **bitwise identical** to K solo `evaluate` calls (pinned by this
     /// crate's equivalence tests). The returned tensors carry no autograd
     /// graph; this is the inference path.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on shape mismatches or an all-false mask;
-    /// [`PolicyNetwork::try_evaluate_many`] is the panic-free twin.
-    pub fn evaluate_many(&self, batch: &[(&Observation, &[bool])]) -> Vec<(Tensor, Tensor)> {
-        match self.try_evaluate_many(batch) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Panic-free twin of [`PolicyNetwork::evaluate_many`]: any shape
-    /// mismatch or all-false mask fails the whole call with an
-    /// [`NptsnError`] instead of panicking (the serve micro-batcher
+    /// Any shape mismatch or all-false mask fails the whole call with an
+    /// [`NptsnError`] naming the item (the serve micro-batcher
     /// pre-validates per job, so one bad job never reaches this point
     /// alongside good ones).
     pub fn try_evaluate_many(
@@ -232,7 +222,7 @@ fn mask_offsets<'m>(masks: impl ExactSizeIterator<Item = &'m [bool]>) -> Tensor 
 ///
 /// Every stacked op of the forward gives each row the bits a solo
 /// [`ActorCritic::evaluate`] gives its step, as
-/// [`evaluate_many`](PolicyNetwork::evaluate_many) does. In the backward,
+/// [`try_evaluate_many`](PolicyNetwork::try_evaluate_many) does. In the backward,
 /// the GCN adds its weight gradients block by block, and each head's
 /// weights ([`Mlp::forward_rows`]) and biases sum the stacked rows' terms,
 /// all in ascending order from a cleared gradient: with the last step on
@@ -284,7 +274,7 @@ impl ActorCritic<Observation> for PolicyNetwork {
     /// The batched training forward: one GCN over every step's graph on
     /// the block layout, its kernels split over `threads` threads, and
     /// each MLP head once on the stacked pooled rows
-    /// ([`StackedObservations`]).
+    /// (`StackedObservations`).
     fn stack_steps<'a>(
         &'a self,
         batch: &'a Batch<Observation>,
@@ -318,7 +308,7 @@ mod tests {
         Observation {
             node_count: n,
             feature_count: f,
-            ahat: ahat.into(),
+            ahat,
             features: (0..n * f).map(|i| (i % 7) as f32 * 0.1).collect(),
             aux: vec![0.5; AUX_LEN],
         }
@@ -405,7 +395,7 @@ mod tests {
             .zip(&masks)
             .map(|(o, m)| (o, m.as_slice()))
             .collect();
-        let many = net.evaluate_many(&batch);
+        let many = net.try_evaluate_many(&batch).expect("well-shaped batch");
         assert_eq!(many.len(), 5);
         for (i, (obs, mask)) in batch.iter().enumerate() {
             let (solo_lp, solo_v) = net.evaluate(obs, mask);
@@ -430,7 +420,7 @@ mod tests {
         let small = toy_obs(3, 10);
         assert!(net.try_evaluate_many(&[(&small, good)]).is_err());
         // Empty batch is a no-op.
-        assert!(net.evaluate_many(&[]).is_empty());
+        assert!(net.try_evaluate_many(&[]).unwrap().is_empty());
     }
 
     #[test]

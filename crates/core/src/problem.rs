@@ -53,7 +53,6 @@ pub struct PlanningProblem {
     flows: FlowSet,
     reliability_goal: f64,
     nbf: Arc<dyn NetworkBehavior>,
-    graph_fingerprint: u128,
     paths: Arc<PathMemo>,
 }
 
@@ -96,7 +95,6 @@ impl PlanningProblem {
             }
         }
         check_schedule_table(&gc, &tas)?;
-        let graph_fingerprint = fingerprint_graph(&gc);
         Ok(PlanningProblem {
             gc,
             library,
@@ -104,7 +102,6 @@ impl PlanningProblem {
             flows,
             reliability_goal,
             nbf,
-            graph_fingerprint,
             paths: Arc::default(),
         })
     }
@@ -150,19 +147,6 @@ impl PlanningProblem {
         Arc::clone(&self.nbf)
     }
 
-    /// A 128-bit fingerprint of the candidate graph's structure (node
-    /// kinds, candidate link endpoints and lengths), computed once at
-    /// construction.
-    ///
-    /// `Topology::fingerprint` covers only the *selection state* (which
-    /// switches/links are active), so it can collide across different
-    /// problems; mixing in this value makes a `(graph, selection)` pair
-    /// globally unique — the key the process-wide normalized-adjacency
-    /// cache uses.
-    pub fn graph_fingerprint(&self) -> u128 {
-        self.graph_fingerprint
-    }
-
     /// The counters of the SOAG's path memo: the K-shortest-path lists
     /// this problem and every clone of it computed, keyed by K, the
     /// selected switch set, the failure and the endpoint pair. At most
@@ -174,34 +158,6 @@ impl PlanningProblem {
     pub(crate) fn path_memo(&self) -> &PathMemo {
         &self.paths
     }
-}
-
-/// FNV-1a over the structural facts that determine a topology's raw
-/// adjacency matrix, two independent 64-bit streams like
-/// `Topology::fingerprint`.
-fn fingerprint_graph(gc: &ConnectionGraph) -> u128 {
-    let mut lo: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut hi: u64 = 0x6c62_272e_07bb_0142;
-    let mut mix = |byte: u8| {
-        lo = (lo ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        hi = (hi ^ u64::from(byte).rotate_left(17)).wrapping_mul(0x0000_01b3_0000_0193);
-    };
-    let mix_u64 = |v: u64, mix: &mut dyn FnMut(u8)| {
-        for b in v.to_le_bytes() {
-            mix(b);
-        }
-    };
-    mix_u64(gc.node_count() as u64, &mut mix);
-    for node in gc.nodes() {
-        mix(u8::from(gc.is_switch(node)));
-    }
-    for link in gc.links() {
-        let (u, v) = gc.link_endpoints(link);
-        mix_u64(u.index() as u64, &mut mix);
-        mix_u64(v.index() as u64, &mut mix);
-        mix_u64(gc.link_length(link).to_bits(), &mut mix);
-    }
-    (u128::from(hi) << 64) | u128::from(lo)
 }
 
 // `Debug` by hand because `dyn NetworkBehavior` is not `Debug`; shows the
@@ -305,32 +261,6 @@ mod tests {
             Arc::new(ShortestPathRecovery::new()),
         )
         .is_err());
-    }
-
-    #[test]
-    fn graph_fingerprint_tracks_structure() {
-        let (gc, flows) = base();
-        let build = |gc: Arc<ConnectionGraph>, flows: FlowSet| {
-            PlanningProblem::new(
-                gc,
-                ComponentLibrary::automotive(),
-                TasConfig::default(),
-                flows,
-                1e-6,
-                Arc::new(ShortestPathRecovery::new()),
-            )
-            .unwrap()
-        };
-        let a = build(Arc::clone(&gc), flows.clone());
-        let b = build(Arc::clone(&gc), flows.clone());
-        assert_eq!(a.graph_fingerprint(), b.graph_fingerprint());
-        // A structurally different graph gets a different fingerprint.
-        let mut gc2 = (*gc).clone();
-        let s2 = gc2.add_switch("s2");
-        let first = gc2.end_stations()[0];
-        gc2.add_candidate_link(first, s2, 2.0).unwrap();
-        let c = build(Arc::new(gc2), flows);
-        assert_ne!(a.graph_fingerprint(), c.graph_fingerprint());
     }
 
     #[test]

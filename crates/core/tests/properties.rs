@@ -10,6 +10,7 @@ use std::sync::Arc;
 use nptsn::{
     encode_observation, verify_topology, PlanningEnv, PlanningProblem, Soag, Verdict,
 };
+use nptsn_nn::normalized_adjacency;
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::{Rng, RngCore, SeedableRng};
 use nptsn_sched::{ErrorReport, FlowSet, FlowSpec, ShortestPathRecovery, TasConfig};
@@ -123,10 +124,12 @@ fn episode_return_telescopes_to_cost() {
     }
 }
 
-/// Observation shapes always match the declared layout, and the
-/// features are finite.
+/// Observation shapes always match the declared layout, the features
+/// are finite, and Â is, bit for bit, the normalization of the symmetric
+/// 0/1 adjacency of the topology's links.
 #[test]
 fn encoding_shapes_are_consistent() {
+    let mut linked_cases = 0;
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xc04e_2000 + case);
         let problem = random_problem(&mut rng);
@@ -134,16 +137,27 @@ fn encoding_shapes_are_consistent() {
         let k = rng.gen_range(1usize..10);
         let gc = problem.connection_graph();
         let soag = Soag::new(k);
-        let mut rng = StdRng::seed_from_u64(seed);
         let mut er = ErrorReport::empty();
         er.record(gc.end_stations()[0], gc.end_stations()[1]);
         let mut topo = problem.connection_graph().empty_topology();
-        // Random partial construction.
+        // Random partial construction: every other switch, then random
+        // candidate links (`add_link` refuses those with an unselected
+        // endpoint or over a degree bound).
         for (i, &sw) in gc.switches().iter().enumerate() {
             if i % 2 == 0 {
                 topo.add_switch(sw, Asil::A).unwrap();
             }
         }
+        for link in gc.links() {
+            let (u, v) = gc.link_endpoints(link);
+            if rng.gen_bool(0.5) {
+                let _ = topo.add_link(u, v);
+            }
+        }
+        if topo.link_count() > 0 {
+            linked_cases += 1;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
         let set = soag.generate(&problem, &topo, &FailureScenario::none(), &er, &mut rng);
         let obs = encode_observation(&problem, &topo, &set);
         let n = gc.node_count();
@@ -158,7 +172,22 @@ fn encoding_shapes_are_consistent() {
                 assert!((obs.ahat[i * n + j] - obs.ahat[j * n + i]).abs() < 1e-6);
             }
         }
+        // Â is the normalization of the links' adjacency, bit for bit.
+        let mut adjacency = vec![0.0f32; n * n];
+        for link in topo.links() {
+            let (u, v) = gc.link_endpoints(link);
+            adjacency[u.index() * n + v.index()] = 1.0;
+            adjacency[v.index() * n + u.index()] = 1.0;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&obs.ahat),
+            bits(&normalized_adjacency(&adjacency, n)),
+            "case {case}: {} links",
+            topo.link_count()
+        );
     }
+    assert!(linked_cases > CASES / 2, "only {linked_cases} of {CASES} topologies have links");
 }
 
 /// Upgrading any switch of a reliable topology keeps it reliable:

@@ -13,7 +13,7 @@ use crate::Module;
 /// description so callers can surface it without panicking a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeError {
-    /// The operation that rejected its input (e.g. `"normalized_adjacency"`).
+    /// The operation that rejected its input (e.g. `"gcn.forward_many"`).
     pub op: &'static str,
     /// What disagreed with what.
     pub detail: String,
@@ -30,10 +30,11 @@ impl std::error::Error for ShapeError {}
 /// Computes the constant GCN propagation matrix
 /// `D^-1/2 (A + I) D^-1/2` from a dense adjacency matrix (row-major,
 /// `n x n`), where `D` is the degree matrix of the self-connected
-/// adjacency.
+/// adjacency, and returns it row-major.
 ///
-/// The result is a constant tensor (no gradient flows through the graph
-/// structure), recomputed whenever the topology changes.
+/// The result is a constant (no gradient flows through the graph
+/// structure), recomputed whenever the topology changes; wrap it with
+/// [`Tensor::from_vec`] for [`Gcn::forward`].
 ///
 /// # Panics
 ///
@@ -46,40 +47,12 @@ impl std::error::Error for ShapeError {}
 ///
 /// // Two connected nodes: A + I is all-ones, degrees are 2.
 /// let ahat = normalized_adjacency(&[0.0, 1.0, 1.0, 0.0], 2);
-/// for v in ahat.to_vec() {
+/// for v in ahat {
 ///     assert!((v - 0.5).abs() < 1e-6);
 /// }
 /// ```
-pub fn normalized_adjacency(adjacency: &[f32], n: usize) -> Tensor {
+pub fn normalized_adjacency(adjacency: &[f32], n: usize) -> Vec<f32> {
     assert_eq!(adjacency.len(), n * n, "adjacency must be n x n");
-    Tensor::from_vec(n, n, normalized_adjacency_data(adjacency, n))
-}
-
-/// Panic-free twin of [`normalized_adjacency`]: returns a [`ShapeError`]
-/// instead of panicking when `adjacency.len() != n * n`.
-///
-/// # Examples
-///
-/// ```
-/// use nptsn_nn::try_normalized_adjacency;
-///
-/// assert!(try_normalized_adjacency(&[0.0; 4], 2).is_ok());
-/// assert!(try_normalized_adjacency(&[0.0; 3], 2).is_err());
-/// ```
-pub fn try_normalized_adjacency(adjacency: &[f32], n: usize) -> Result<Tensor, ShapeError> {
-    if adjacency.len() != n * n {
-        return Err(ShapeError {
-            op: "normalized_adjacency",
-            detail: format!("adjacency has {} entries, expected {n} x {n}", adjacency.len()),
-        });
-    }
-    Ok(normalized_adjacency(adjacency, n))
-}
-
-/// The raw data of [`normalized_adjacency`] without the tensor wrapper —
-/// the form the fingerprint-keyed [`AdjacencyCache`](crate::AdjacencyCache)
-/// stores. Callers must guarantee `adjacency.len() == n * n`.
-pub(crate) fn normalized_adjacency_data(adjacency: &[f32], n: usize) -> Vec<f32> {
     // A + I.
     let mut a_hat: Vec<f32> = adjacency.to_vec();
     for i in 0..n {
@@ -118,7 +91,7 @@ pub struct GcnBatchItem<'a> {
     pub h: &'a [f32],
 }
 
-/// The stacked result of [`Gcn::forward_many`]: all K embeddings in one
+/// The stacked result of [`Gcn::try_forward_many`]: all K embeddings in one
 /// row-major buffer, addressed per item through row offsets.
 #[derive(Debug, Clone)]
 pub struct GcnBatchOut {
@@ -185,7 +158,7 @@ pub struct GcnStack {
 /// let mut rng = StdRng::seed_from_u64(0);
 /// // 2 layers turning 5 node features into 8-dimensional embeddings.
 /// let gcn = Gcn::new(&mut rng, &[5, 8, 8]);
-/// let ahat = normalized_adjacency(&vec![0.0; 9], 3);
+/// let ahat = Tensor::from_vec(3, 3, normalized_adjacency(&vec![0.0; 9], 3));
 /// let h = Tensor::from_vec(3, 5, vec![0.1; 15]);
 /// let out = gcn.forward(&ahat, &h);
 /// assert_eq!(out.shape(), (3, 8));
@@ -224,34 +197,6 @@ impl Gcn {
         out
     }
 
-    /// Panic-free twin of [`Gcn::forward`]: validates shapes up front and
-    /// returns a [`ShapeError`] instead of panicking inside a matmul.
-    pub fn try_forward(&self, ahat: &Tensor, h: &Tensor) -> Result<Tensor, ShapeError> {
-        let (ar, ac) = ahat.shape();
-        let (hr, hc) = h.shape();
-        if ar != ac {
-            return Err(ShapeError {
-                op: "gcn.forward",
-                detail: format!("adjacency is {ar} x {ac}, expected square"),
-            });
-        }
-        if hr != ar {
-            return Err(ShapeError {
-                op: "gcn.forward",
-                detail: format!("features have {hr} rows, adjacency expects {ar}"),
-            });
-        }
-        if let Some(w) = self.weights.first() {
-            if hc != w.rows() {
-                return Err(ShapeError {
-                    op: "gcn.forward",
-                    detail: format!("features have {hc} columns, layer 0 expects {}", w.rows()),
-                });
-            }
-        }
-        Ok(self.forward(ahat, h))
-    }
-
     /// Fused batched forward: applies the propagation rule to K
     /// topologies at once and returns their embeddings stacked row-wise.
     ///
@@ -268,18 +213,11 @@ impl Gcn {
     ///
     /// The output carries no autograd graph — this is the inference path.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on any shape mismatch; [`Gcn::try_forward_many`] is the
-    /// panic-free twin.
-    pub fn forward_many(&self, items: &[GcnBatchItem<'_>]) -> GcnBatchOut {
-        match self.try_forward_many(items) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Panic-free twin of [`Gcn::forward_many`].
+    /// Returns a [`ShapeError`] naming the first item whose adjacency or
+    /// features do not match its node count and the network's input
+    /// width.
     pub fn try_forward_many(&self, items: &[GcnBatchItem<'_>]) -> Result<GcnBatchOut, ShapeError> {
         let _span = nptsn_obs::span("gcn.forward_many");
         // The shared input width: fixed by layer 0 when there is one,
@@ -473,15 +411,14 @@ mod tests {
                 } else {
                     0.0
                 };
-                assert!((ahat.at(i, j) - expected).abs() < 1e-6, "({i},{j})");
+                assert!((ahat[i * 3 + j] - expected).abs() < 1e-6, "({i},{j})");
             }
         }
     }
 
     #[test]
     fn isolated_nodes_get_self_loop_only() {
-        let ahat = normalized_adjacency(&[0.0; 4], 2);
-        assert_eq!(ahat.to_vec(), vec![1.0, 0.0, 0.0, 1.0]);
+        assert_eq!(normalized_adjacency(&[0.0; 4], 2), vec![1.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
@@ -490,7 +427,7 @@ mod tests {
         let gcn = Gcn::new(&mut rng, &[4]);
         assert_eq!(gcn.layer_count(), 0);
         assert_eq!(gcn.output_dim(4), 4);
-        let ahat = normalized_adjacency(&[0.0; 9], 3);
+        let ahat = Tensor::from_vec(3, 3, normalized_adjacency(&[0.0; 9], 3));
         let h = Tensor::from_vec(3, 4, (0..12).map(|i| i as f32).collect());
         assert_eq!(gcn.forward(&ahat, &h).to_vec(), h.to_vec());
     }
@@ -501,7 +438,7 @@ mod tests {
         let gcn = Gcn::new(&mut rng, &[1, 4]);
         // Path 0-1-2; only node 0 carries a feature.
         let adj = vec![0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
-        let ahat = normalized_adjacency(&adj, 3);
+        let ahat = Tensor::from_vec(3, 3, normalized_adjacency(&adj, 3));
         let h = Tensor::from_vec(3, 1, vec![1.0, 0.0, 0.0]);
         let out = gcn.forward(&ahat, &h);
         // Node 1 (adjacent) receives signal; node 2 (two hops) does not in
@@ -522,7 +459,7 @@ mod tests {
     fn gradients_flow_through_gcn() {
         let mut rng = StdRng::seed_from_u64(1);
         let gcn = Gcn::new(&mut rng, &[2, 3, 3]);
-        let ahat = normalized_adjacency(&[0.0, 1.0, 1.0, 0.0], 2);
+        let ahat = Tensor::from_vec(2, 2, normalized_adjacency(&[0.0, 1.0, 1.0, 0.0], 2));
         let h = Tensor::from_vec(2, 2, vec![0.5, -0.5, 0.25, 0.75]);
         gcn.forward(&ahat, &h).mean().backward();
         for (i, p) in gcn.parameters().iter().enumerate() {

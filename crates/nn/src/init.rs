@@ -26,31 +26,6 @@ pub fn xavier_uniform(rng: &mut impl Rng, rows: usize, cols: usize) -> Tensor {
     Tensor::param(rows, cols, data)
 }
 
-/// Kaiming/He normal initialization: a `(rows, cols)` parameter drawn from
-/// `N(0, 2 / rows)` where `rows` is the fan-in.
-///
-/// Preserves activation variance through relu layers; prefer it over
-/// [`xavier_uniform`] when a network is relu-dominated and deep enough for
-/// the variance drift to matter.
-///
-/// # Examples
-///
-/// ```
-/// use nptsn_nn::kaiming_normal;
-/// use nptsn_rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(0);
-/// let w = kaiming_normal(&mut rng, 256, 64);
-/// let vals = w.to_vec();
-/// let mean = vals.iter().sum::<f32>() / vals.len() as f32;
-/// assert!(mean.abs() < 0.02);
-/// ```
-pub fn kaiming_normal(rng: &mut impl Rng, rows: usize, cols: usize) -> Tensor {
-    let std = (2.0 / rows as f64).sqrt();
-    let data = (0..rows * cols).map(|_| (rng.gen_gaussian() * std) as f32).collect();
-    Tensor::param(rows, cols, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,25 +49,5 @@ mod tests {
         let a = xavier_uniform(&mut StdRng::seed_from_u64(1), 4, 4).to_vec();
         let b = xavier_uniform(&mut StdRng::seed_from_u64(1), 4, 4).to_vec();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn kaiming_normal_moments_and_reproducibility() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let fan_in = 512;
-        let w = kaiming_normal(&mut rng, fan_in, 64);
-        let vals = w.to_vec();
-        let n = vals.len() as f32;
-        let mean = vals.iter().sum::<f32>() / n;
-        let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-        let expected_var = 2.0 / fan_in as f32;
-        assert!(mean.abs() < 0.01, "mean drifted: {mean}");
-        assert!(
-            (var - expected_var).abs() < 0.3 * expected_var,
-            "variance {var} vs expected {expected_var}"
-        );
-        assert!(w.requires_grad());
-        let again = kaiming_normal(&mut StdRng::seed_from_u64(7), fan_in, 64).to_vec();
-        assert_eq!(vals, again);
     }
 }

@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod adam;
-mod adjacency_cache;
 mod checkpoint;
 mod gcn;
 mod init;
@@ -50,16 +49,12 @@ mod linear;
 mod mlp;
 
 pub use adam::Adam;
-pub use adjacency_cache::{adjacency_cache, AdjacencyCache};
 pub use checkpoint::{
     checkpoint_shapes, load_params, params_from_bytes, params_to_bytes, save_params_atomic,
     CheckpointError, CheckpointFileError,
 };
-pub use gcn::{
-    normalized_adjacency, try_normalized_adjacency, Gcn, GcnBatchItem, GcnBatchOut, GcnStack,
-    ShapeError,
-};
-pub use init::{kaiming_normal, xavier_uniform};
+pub use gcn::{normalized_adjacency, Gcn, GcnBatchItem, GcnBatchOut, GcnStack, ShapeError};
+pub use init::xavier_uniform;
 pub use linear::Linear;
 pub use mlp::{Activation, Mlp};
 

@@ -13,8 +13,6 @@ pub enum Activation {
     Relu,
     /// Hyperbolic tangent — the SpinningUp default for PPO hidden layers.
     Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
     /// No-op (linear output heads).
     Identity,
 }
@@ -25,7 +23,6 @@ impl Activation {
         match self {
             Activation::Relu => x.relu(),
             Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => x.sigmoid(),
             Activation::Identity => x.clone(),
         }
     }
@@ -147,14 +144,6 @@ mod tests {
         let tanh = Mlp::new(&mut rng2, &[2, 4, 1], Activation::Tanh, Activation::Identity);
         let x = Tensor::from_vec(1, 2, vec![0.9, -0.4]);
         assert_ne!(relu.forward(&x).to_vec(), tanh.forward(&x).to_vec());
-    }
-
-    #[test]
-    fn sigmoid_output_bounded() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mlp = Mlp::new(&mut rng, &[2, 4, 3], Activation::Tanh, Activation::Sigmoid);
-        let x = Tensor::from_vec(1, 2, vec![100.0, -100.0]);
-        assert!(mlp.forward(&x).to_vec().iter().all(|&v| (0.0..=1.0).contains(&v)));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Seeded equivalence sweep for the fused batched GCN forward: across
-//! random batch sizes, topology sizes and layer stacks, `forward_many`
+//! random batch sizes, topology sizes and layer stacks, `try_forward_many`
 //! must produce outputs **bitwise identical** to K independent solo
 //! `forward` calls — the contract the serve micro-batcher relies on to
 //! coalesce infer jobs without changing their answers. The stacked
@@ -42,7 +42,7 @@ fn batched_forward_bit_identical_to_solo_forwards() {
         let mut sizes = Vec::with_capacity(batch);
         for _ in 0..batch {
             let n = rng.gen_range(1usize..10);
-            ahats.push(normalized_adjacency(&random_adjacency(&mut rng, n), n).to_vec());
+            ahats.push(normalized_adjacency(&random_adjacency(&mut rng, n), n));
             feats.push(
                 (0..n * feat)
                     .map(|_| rng.gen_range(-2.0f32..2.0))
@@ -54,7 +54,7 @@ fn batched_forward_bit_identical_to_solo_forwards() {
         let items: Vec<GcnBatchItem<'_>> = (0..batch)
             .map(|i| GcnBatchItem { ahat: &ahats[i], n: sizes[i], h: &feats[i] })
             .collect();
-        let out = gcn.forward_many(&items);
+        let out = gcn.try_forward_many(&items).expect("well-shaped batch");
         assert_eq!(out.items(), batch);
         assert_eq!(out.out_dim, gcn.output_dim(feat));
 
@@ -78,7 +78,7 @@ fn batched_forward_bit_identical_to_solo_forwards() {
 fn try_forward_many_rejects_bad_shapes_per_item() {
     let mut rng = StdRng::seed_from_u64(1);
     let gcn = Gcn::new(&mut rng, &[3, 4]);
-    let ahat = normalized_adjacency(&[0.0; 4], 2).to_vec();
+    let ahat = normalized_adjacency(&[0.0; 4], 2);
     let good = [0.5f32; 6];
     let short = [0.5f32; 5];
     let ok = GcnBatchItem { ahat: &ahat, n: 2, h: &good };
@@ -113,9 +113,8 @@ fn stacked_training_forward_matches_solo_graphs_bit_for_bit() {
         let gcn = Gcn::new(&mut rng, &dims);
         let out_dim = gcn.output_dim(feat);
         let (steps, n) = (rng.gen_range(1usize..9), rng.gen_range(1usize..12));
-        let ahats: Vec<Vec<f32>> = (0..steps)
-            .map(|_| normalized_adjacency(&random_adjacency(&mut rng, n), n).to_vec())
-            .collect();
+        let ahats: Vec<Vec<f32>> =
+            (0..steps).map(|_| normalized_adjacency(&random_adjacency(&mut rng, n), n)).collect();
         // Half the features are zero, as in the planner's one-hot encoding.
         let feats: Vec<Vec<f32>> = (0..steps)
             .map(|_| {

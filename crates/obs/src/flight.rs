@@ -5,7 +5,7 @@
 //!
 //! # Design
 //!
-//! One global ring, split into [`SEGMENTS`] per-thread-claimed segments
+//! One global ring, split into `SEGMENTS` per-thread-claimed segments
 //! (a thread writes to segment `tid % SEGMENTS`), each an array of
 //! fixed-size slots guarded by a per-slot seqlock:
 //!

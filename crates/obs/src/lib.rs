@@ -13,7 +13,7 @@
 //!   Chrome trace-event file (loadable in Perfetto / `chrome://tracing`),
 //!   as a JSONL event log, or as an end-of-run profile table aggregated
 //!   by span self-time.
-//! * **Telemetry** ([`metrics`], [`telemetry`]) — the Prometheus-text
+//! * **Telemetry** ([`metrics`], [`telemetry`](mod@telemetry)) — the Prometheus-text
 //!   metrics registry (moved here from `nptsn-serve`) plus one
 //!   process-wide [`Telemetry`] instance holding the planner/analyzer
 //!   counters, so the CLI, the service and the library crates all report

@@ -4,7 +4,7 @@
 //! This module started life in `nptsn-serve` and moved here so every crate
 //! (planner, analyzer, CLI) can report through the same registry type;
 //! `nptsn-serve` re-exports it, and the process-wide instance lives in
-//! [`crate::telemetry`]. Series names and render output are unchanged by
+//! [`crate::telemetry()`]. Series names and render output are unchanged by
 //! the move.
 //!
 //! Handles are cheap `Arc`s over atomics: recording a sample is a couple

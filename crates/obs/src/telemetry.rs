@@ -2,7 +2,7 @@
 //!
 //! Planner and analyzer counters used to be incremented ad hoc inside the
 //! serving layer's job executor; now the code that *does* the work reports
-//! it — [`nptsn::Planner`] bumps the epoch/solution counters, the failure
+//! it — `nptsn::Planner` bumps the epoch/solution counters, the failure
 //! analyzer bumps the scenario/cache counters — and every front end (CLI,
 //! `/metrics`, benchmarks) reads the same [`Telemetry`] instance. Series
 //! names are unchanged from the original `nptsn-serve` registry.

@@ -201,11 +201,6 @@ fn propagate(t: &Tensor, grad: &[f32]) {
                 a.accumulate_owned_grad(da);
             }
         }
-        Op::AddScalar(a) => {
-            if a.requires_grad() {
-                a.accumulate_grad(grad);
-            }
-        }
         Op::Neg(a) => {
             if a.requires_grad() {
                 let da: Vec<f32> = grad.iter().map(|&g| -g).collect();
@@ -227,15 +222,6 @@ fn propagate(t: &Tensor, grad: &[f32]) {
                 for (d, &y) in da.iter_mut().zip(t.node.data.borrow().iter()) {
                     *d *= 1.0 - y * y;
                 }
-                a.accumulate_owned_grad(da);
-            }
-        }
-        Op::Sigmoid(a) => {
-            if a.requires_grad() {
-                let y = t.node.data.borrow();
-                let da: Vec<f32> =
-                    grad.iter().zip(y.iter()).map(|(&g, &y)| g * y * (1.0 - y)).collect();
-                drop(y);
                 a.accumulate_owned_grad(da);
             }
         }
@@ -435,7 +421,6 @@ mod tests {
         // Relu is kinked at 0; keep probes away from it.
         gradcheck(1, 4, vec![0.5, -0.7, 1.2, -0.1], |p| p.relu().sum());
         gradcheck(1, 4, vec![0.5, -0.7, 1.2, -0.1], |p| p.tanh().sum());
-        gradcheck(1, 4, vec![0.5, -0.7, 1.2, -0.1], |p| p.sigmoid().sum());
         gradcheck(1, 4, vec![0.5, -0.7, 1.2, -0.1], |p| p.exp().mean());
     }
 

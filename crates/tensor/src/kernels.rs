@@ -11,8 +11,8 @@
 //! multiply-adds) — so results are bitwise identical to the naive
 //! reference loops they replace. The random-shape sweeps in `ops.rs` and
 //! `autograd.rs` pin that equivalence for the matmul and for the two
-//! matmul gradients built on it; [`tests`] below pin the elementwise
-//! kernels and the scalar tails.
+//! matmul gradients built on it; this module's own tests pin the
+//! elementwise kernels and the scalar tails.
 
 /// Lane width of the explicitly unrolled inner loops. Eight `f32` lanes
 /// fill one AVX2 register and two NEON registers; narrower hardware just

@@ -26,11 +26,9 @@ pub(crate) enum Op {
     /// `a · b`, its kernel calls split by rows over the given threads.
     MatMul(Tensor, Tensor, usize),
     Scale(Tensor, f32),
-    AddScalar(Tensor),
     Neg(Tensor),
     Relu(Tensor),
     Tanh(Tensor),
-    Sigmoid(Tensor),
     Exp(Tensor),
     Sum(Tensor),
     Mean(Tensor),
@@ -53,11 +51,9 @@ impl Op {
             Op::Add(a, b, _) | Op::Sub(a, b, _) | Op::Mul(a, b, _) => vec![a, b],
             Op::MatMul(a, b, _) | Op::Minimum(a, b) => vec![a, b],
             Op::Scale(a, _)
-            | Op::AddScalar(a)
             | Op::Neg(a)
             | Op::Relu(a)
             | Op::Tanh(a)
-            | Op::Sigmoid(a)
             | Op::Exp(a)
             | Op::Sum(a)
             | Op::Mean(a)
@@ -212,12 +208,6 @@ impl Tensor {
         self.unary(data, Op::Scale(self.clone(), factor))
     }
 
-    /// Adds `value` to every element.
-    pub fn add_scalar(&self, value: f32) -> Tensor {
-        let data = self.data().iter().map(|&x| x + value).collect();
-        self.unary(data, Op::AddScalar(self.clone()))
-    }
-
     /// Elementwise negation.
     pub fn neg(&self) -> Tensor {
         let data = self.data().iter().map(|&x| -x).collect();
@@ -238,12 +228,6 @@ impl Tensor {
             *x = x.tanh();
         }
         self.unary(data, Op::Tanh(self.clone()))
-    }
-
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        let data = self.data().iter().map(|&x| 1.0 / (1.0 + (-x).exp())).collect();
-        self.unary(data, Op::Sigmoid(self.clone()))
     }
 
     /// Elementwise exponential.
@@ -516,8 +500,6 @@ mod tests {
         assert_eq!(x.neg().to_vec(), vec![1.0, 0.0, -2.0]);
         let t = x.tanh().to_vec();
         assert!((t[0] + 0.7616).abs() < 1e-4);
-        let s = x.sigmoid().to_vec();
-        assert!((s[1] - 0.5).abs() < 1e-6);
         let e = x.exp().to_vec();
         assert!((e[2] - 2.0f32.exp()).abs() < 1e-5);
     }
@@ -538,8 +520,9 @@ mod tests {
             let total: f32 = (0..3).map(|j| ls.at(i, j).exp()).sum();
             assert!((total - 1.0).abs() < 1e-5, "row {i} sums to {total}");
         }
-        // Invariance under shifts.
-        let shifted = x.add_scalar(1000.0).log_softmax_rows();
+        // Invariance under shifts: the same rows, each 1000 higher.
+        let shifted = Tensor::from_vec(2, 3, vec![1001.0, 1002.0, 1003.0, 995.0, 1000.0, 1005.0])
+            .log_softmax_rows();
         for i in 0..2 {
             for j in 0..3 {
                 assert!((ls.at(i, j) - shifted.at(i, j)).abs() < 1e-3);

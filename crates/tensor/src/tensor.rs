@@ -197,11 +197,6 @@ impl Tensor {
         }
     }
 
-    /// Whether `self` and `other` are handles to the same graph node.
-    pub fn same_node(&self, other: &Tensor) -> bool {
-        Rc::ptr_eq(&self.node, &other.node)
-    }
-
     /// Adds `delta` into the accumulated gradient, starting from `+0.0`
     /// when none has accumulated yet: what
     /// [`backward`](Tensor::backward) does with every contribution.

@@ -106,11 +106,11 @@ fn masked_logits_composition() {
 }
 
 #[test]
-fn sigmoid_exp_chain() {
+fn tanh_exp_chain() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(gradcheck_base(4) + case);
         let x0 = smooth_values(&mut rng, 5);
-        check(1, 5, &x0, |p| p.sigmoid().exp().mean());
+        check(1, 5, &x0, |p| p.tanh().exp().mean());
     }
 }
 
@@ -121,7 +121,7 @@ fn sub_scale_chain() {
         let x0 = smooth_values(&mut rng, 6);
         check(3, 2, &x0, |p| {
             let c = Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6]);
-            p.sub(&c).scale(1.7).add_scalar(0.3).square().sum()
+            p.sub(&c).scale(1.7).square().sum()
         });
     }
 }

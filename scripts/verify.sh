@@ -13,6 +13,12 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: a doc link to a deleted, renamed or private item fails
+# the build instead of rotting silently. --lib documents only the
+# libraries: the `nptsn` library and the `nptsn` binary would otherwise
+# collide on one output file.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
+
 # The bit-identity pins again, in the release profile the benchmark
 # measures: the batched, threaded PPO update and the threaded re-plan
 # against their sequential references, the analyzer and the lazy NBF
