@@ -13,7 +13,7 @@
 //!    equal to its solo reference.
 //! 2. **Forward path** — `PolicyNetwork::try_evaluate_many` against K solo
 //!    `evaluate` calls on ORION-scale observations, proven **bit-identical**
-//!    before timing, plus the lane-vectorized `nptsn_tensor` matmul kernel
+//!    before timing, plus the register-strip `nptsn_tensor` matmul kernel
 //!    against a naive triple loop (also bit-for-bit checked).
 //!
 //! In full mode the binary itself fails unless batch-64 job throughput is
@@ -265,7 +265,7 @@ fn main() {
         fwd_rows.push(BatchRow::measure("forward", batch, calls, run));
     }
 
-    // ---- 3. Lane-kernel speedup over the naive triple loop. ----
+    // ---- 3. Matmul-kernel speedup over the naive triple loop. ----
     let (m, k, nn) = (kernel_dim, kernel_dim, kernel_dim);
     let a_buf: Vec<f32> = (0..m * k).map(|i| ((i * 37 + 11) % 97) as f32 * 0.031 - 1.5).collect();
     let b_buf: Vec<f32> = (0..k * nn).map(|i| ((i * 53 + 29) % 89) as f32 * 0.027 - 1.2).collect();
@@ -275,7 +275,7 @@ fn main() {
     naive_matmul(&a_buf, &b_buf, &mut slow, m, k, nn);
     assert!(
         fast.iter().zip(&slow).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "lane matmul kernel diverges from the naive reference"
+        "matmul kernel diverges from the naive reference"
     );
     let time_reps = |f: &mut dyn FnMut()| {
         let start = Instant::now();
@@ -333,7 +333,7 @@ fn main() {
     });
 }
 
-/// Reference three-loop matmul; the ground truth the lane kernel must
+/// Reference three-loop matmul; the ground truth the matmul kernel must
 /// reproduce bit-for-bit.
 fn naive_matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     out.fill(0.0);

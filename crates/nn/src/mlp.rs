@@ -20,9 +20,15 @@ pub enum Activation {
 impl Activation {
     /// Applies the activation.
     pub fn apply(self, x: &Tensor) -> Tensor {
+        self.apply_rows(x, 1)
+    }
+
+    /// [`Activation::apply`] with `tanh` split by rows over `threads`
+    /// threads ([`Tensor::tanh_rows`]): the same bits on any thread count.
+    pub fn apply_rows(self, x: &Tensor, threads: usize) -> Tensor {
         match self {
             Activation::Relu => x.relu(),
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => x.tanh_rows(threads),
             Activation::Identity => x.clone(),
         }
     }
@@ -78,26 +84,20 @@ impl Mlp {
 
     /// Applies the network to a `(batch, inputs)` tensor.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        self.layers_on(x, Linear::forward)
+        self.forward_rows(x, 1)
     }
 
     /// [`Mlp::forward`] on rows that are independent steps, each layer's
-    /// products split by rows over `threads` threads
-    /// ([`Linear::forward_rows`]).
+    /// products and activation split by rows over `threads` threads
+    /// ([`Linear::forward_rows`], [`Activation::apply_rows`]).
     pub fn forward_rows(&self, x: &Tensor, threads: usize) -> Tensor {
-        self.layers_on(x, |layer, h| layer.forward_rows(h, threads))
-    }
-
-    fn layers_on(&self, x: &Tensor, linear: impl Fn(&Linear, &Tensor) -> Tensor) -> Tensor {
         let mut h = x.clone();
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = linear(layer, &h);
-            h = if i == last {
-                self.output_activation.apply(&h)
-            } else {
-                self.hidden_activation.apply(&h)
-            };
+            h = layer.forward_rows(&h, threads);
+            let activation =
+                if i == last { self.output_activation } else { self.hidden_activation };
+            h = activation.apply_rows(&h, threads);
         }
         h
     }

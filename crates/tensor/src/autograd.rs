@@ -620,8 +620,9 @@ mod tests {
         adj
     }
 
-    /// Dimensions on both sides of `kernels::LANES` (8) and the matmul's
-    /// `KC` panel width (64); `m` is the contraction of `db`, `n` of `da`.
+    /// Dimensions on both sides of the matmul's 8-column strip, of its
+    /// `KC` panel width (64), and above 32, where the 32-column strips
+    /// run; `m` is the contraction of `db`, `n` of `da`.
     const DIMS: [usize; 14] = [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 129, 150];
 
     #[test]

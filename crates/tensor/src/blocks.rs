@@ -603,8 +603,8 @@ mod tests {
     #[test]
     fn stacked_gcn_matches_per_step_graphs_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0xb10c);
-        // Shapes on both sides of `kernels::LANES` and the matmul's panel
-        // width, and a single step.
+        // Shapes on both sides of the matmul's 8-column strip and its
+        // panel width, and a single step.
         for (case, &(steps, rows, feat, emb)) in
             [(5, 7, 9, 8), (1, 3, 4, 5), (6, 13, 70, 17), (9, 4, 3, 65)]
                 .iter()

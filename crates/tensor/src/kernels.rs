@@ -1,47 +1,42 @@
 //! Raw `f32` compute kernels shared by the autograd ops and the
 //! no-autograd batched-inference path.
 //!
-//! Every hot loop is written as an explicit fixed-width lane loop
-//! ([`LANES`] elements per iteration with a scalar tail) so the
-//! autovectorizer can turn the body into SIMD without any unsafe code or
-//! target-feature detection. The lane split never changes *what* is
-//! accumulated into an element or in which order — each output element
-//! still receives its partial products ascending in `p`, as separate
-//! multiply-then-add operations (rustc does not contract them into fused
-//! multiply-adds) — so results are bitwise identical to the naive
-//! reference loops they replace. The random-shape sweeps in `ops.rs` and
-//! `autograd.rs` pin that equivalence for the matmul and for the two
-//! matmul gradients built on it; this module's own tests pin the
-//! elementwise kernels and the scalar tails.
+//! No kernel reorders what it accumulates into an element: each output
+//! element receives its terms in the order of the naive reference loop
+//! it replaces, as separate multiply-then-add operations (rustc does not
+//! contract them into fused multiply-adds), so results are bitwise
+//! identical to those loops. Everything is safe code with no
+//! target-feature detection; the autovectorizer finds the SIMD.
+//!
+//! - [`matmul`] accumulates in register strips: each strip of an output
+//!   row sums that row's nonzero terms in registers and is stored once
+//!   per `b` panel.
+//! - The elementwise kernels are explicit fixed-width lane loops
+//!   ([`LANES`] elements per iteration with a scalar tail).
+//!
+//! The random-shape sweeps in `ops.rs` and `autograd.rs` pin the matmul
+//! and the two matmul gradients built on it; this module's own tests pin
+//! the matmul's strip widths, panels and zero skip, the elementwise
+//! kernels and their scalar tails.
 
-/// Lane width of the explicitly unrolled inner loops. Eight `f32` lanes
-/// fill one AVX2 register and two NEON registers; narrower hardware just
-/// executes the lanes in pairs.
+/// Lane width of the elementwise kernels' unrolled loops. Eight `f32`
+/// lanes fill one AVX2 register and two SSE2 or NEON registers; narrower
+/// hardware just executes the lanes in pairs. [`matmul`] does not use it:
+/// its register strips are 32, 8 or 1 columns wide.
 pub const LANES: usize = 8;
-
-/// `out[j] += a * b[j]` over one row (the matmul inner loop).
-#[inline]
-pub fn axpy(out: &mut [f32], b: &[f32], a: f32) {
-    debug_assert_eq!(out.len(), b.len());
-    let mut oc = out.chunks_exact_mut(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    for (o, bv) in oc.by_ref().zip(bc.by_ref()) {
-        for l in 0..LANES {
-            o[l] += a * bv[l];
-        }
-    }
-    for (o, &bv) in oc.into_remainder().iter_mut().zip(bc.remainder()) {
-        *o += a * bv;
-    }
-}
 
 /// `out = a (m, k) @ b (k, n)`, overwriting `out` (`m * n`).
 ///
-/// Panel-blocked i/p/j kernel: `b` is processed in horizontal panels of
-/// `KC` rows so a panel stays cache-resident while every row of `a`
-/// streams over it. Each output element accumulates its partial products
-/// in ascending-`p` order, so the result is bitwise identical to the
-/// textbook triple loop whose accumulator starts at `+0.0`.
+/// Register-strip kernel: `b` is processed in horizontal panels of `KC`
+/// rows so a panel stays cache-resident while every row of `a` streams
+/// over it. Within a panel, each row of `a` first lists its nonzero
+/// terms `(p, a[i][p])` in ascending `p`, without a branch. Then each
+/// strip of columns of the output row starts its accumulators at `+0.0`
+/// in the first panel, or loads them from `out` in later panels,
+/// adds `a[i][p] · b[p][j]` term by term in registers and is stored
+/// once. Each output element so accumulates its partial products in
+/// ascending-`p` order from `+0.0`, and the result is bitwise identical
+/// to the textbook triple loop whose accumulator starts at `+0.0`.
 ///
 /// Zero entries of `a` are skipped (adjacency, mask and relu-masked
 /// gradient matrices are mostly zeros). That is exact whenever `b` is
@@ -54,21 +49,80 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    out.fill(0.0);
+    if k == 0 || n == 0 {
+        out.fill(0.0);
+        return;
+    }
     const KC: usize = 64;
+    let mut offsets = [0usize; KC];
+    let mut coefs = [0.0f32; KC];
     for pk in (0..k).step_by(KC) {
         let pend = (pk + KC).min(k);
-        for i in 0..m {
-            let arow = &a[i * k + pk..i * k + pend];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (p, &av) in (pk..pend).zip(arow) {
-                if av == 0.0 {
-                    continue;
-                }
-                axpy(orow, &b[p * n..(p + 1) * n], av);
+        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            let mut len = 0;
+            for (p, &av) in (pk..pend).zip(&arow[pk..pend]) {
+                offsets[len] = p * n;
+                coefs[len] = av;
+                len += usize::from(av != 0.0);
+            }
+            let terms = Terms { offsets: &offsets[..len], coefs: &coefs[..len], first: pk == 0 };
+            match n {
+                32.. => strips::<32>(orow, b, &terms),
+                8.. => strips::<8>(orow, b, &terms),
+                _ => strips::<1>(orow, b, &terms),
             }
         }
     }
+}
+
+/// One row of `a`'s nonzero terms within one panel of `b`, in ascending
+/// `p`: `b[p]` starts at `offsets[t]` and is scaled by `coefs[t]`.
+struct Terms<'a> {
+    offsets: &'a [usize],
+    coefs: &'a [f32],
+    /// Whether this is the first panel, whose sums start at `+0.0`.
+    first: bool,
+}
+
+/// Adds `terms` to the output row `orow` in strips of `W` columns. 32
+/// lanes are eight SSE2 registers, which the term loop holds throughout.
+/// When `W` does not divide the row, its last strip is shifted left to
+/// end at the row's end. That strip's first lanes belong to the strip
+/// before it, which already added this panel's terms to them: it neither
+/// loads nor stores them, so they start at zero and are dropped.
+#[inline(always)]
+fn strips<const W: usize>(orow: &mut [f32], b: &[f32], terms: &Terms) {
+    let n = orow.len();
+    let whole = n - n % W;
+    for start in (0..whole).step_by(W) {
+        let out = &mut orow[start..start + W];
+        let mut acc = [0.0f32; W];
+        if !terms.first {
+            acc.copy_from_slice(out);
+        }
+        out.copy_from_slice(&strip(acc, b, start, terms));
+    }
+    if whole < n {
+        let start = n - W;
+        let shared = whole - start;
+        let mut acc = [0.0f32; W];
+        if !terms.first {
+            acc[shared..].copy_from_slice(&orow[whole..]);
+        }
+        orow[whole..].copy_from_slice(&strip(acc, b, start, terms)[shared..]);
+    }
+}
+
+/// `acc[l] += coefs[t] · b[p][start + l]` over the terms in order.
+#[inline(always)]
+fn strip<const W: usize>(mut acc: [f32; W], b: &[f32], start: usize, terms: &Terms) -> [f32; W] {
+    for (&offset, &av) in terms.offsets.iter().zip(terms.coefs) {
+        let row = &b[offset + start..offset + start + W];
+        for l in 0..W {
+            acc[l] += av * row[l];
+        }
+    }
+    acc
 }
 
 /// The `(cols, rows)` transpose of the row-major `(rows, cols)` matrix
@@ -234,37 +288,79 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn axpy_matches_scalar_on_tails() {
-        for len in [0usize, 1, 3, 7, 8, 9, 15, 16, 17, 64, 100] {
-            let b = seeded(len as u64 + 1, len);
-            let mut out = seeded(len as u64 + 2, len);
-            let mut expect = out.clone();
-            for (o, &bv) in expect.iter_mut().zip(&b) {
-                *o += 1.25 * bv;
+    /// The textbook triple loop, each accumulator starting at `+0.0`;
+    /// with `skip_zeros`, a zero `a[i][p]` adds nothing.
+    fn reference(
+        a: &[f32],
+        b: &[f32],
+        (m, k, n): (usize, usize, usize),
+        skip_zeros: bool,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for p in 0..k {
+                    let av = a[i * k + p];
+                    if !(skip_zeros && av == 0.0) {
+                        out[i * n + j] += av * b[p * n + j];
+                    }
+                }
             }
-            axpy(&mut out, &b, 1.25);
-            assert_eq!(out, expect, "len {len}");
         }
+        out
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
     fn matmul_matches_textbook_reference() {
-        for (m, k, n) in [(1, 1, 1), (3, 7, 5), (4, 64, 4), (2, 130, 3), (9, 65, 17)] {
-            let a = seeded(7, m * k);
-            let b = seeded(11, k * n);
-            let mut out = vec![f32::NAN; m * n];
-            matmul(&a, &b, &mut out, m, k, n);
-            let mut expect = vec![0.0f32; m * n];
-            for i in 0..m {
-                for j in 0..n {
-                    for p in 0..k {
-                        expect[i * n + j] += a[i * k + p] * b[p * n + j];
+        // Every strip width (32, 8 and 1 column), with and without a
+        // shifted last strip, over one, two and more than two `KC` panels.
+        // Row 0 of `a` is all `+0.0`, row 1 all `-0.0`, and the zeros of
+        // the other rows alternate in sign.
+        for n in [0, 1, 5, 7, 8, 17, 31, 32, 33, 92, 94, 128] {
+            for k in [0, 1, 7, 64, 65, 128, 129, 200] {
+                let m = 5;
+                let mut a = seeded((n * 1000 + k) as u64, m * k);
+                a[..k].fill(0.0);
+                a[k..2 * k].fill(-0.0);
+                for (x, e) in a[2 * k..].iter_mut().enumerate() {
+                    if *e == 0.0 && x % 2 == 1 {
+                        *e = -0.0;
                     }
                 }
+                let b = seeded(11 + n as u64, k * n);
+                let mut out = vec![f32::NAN; m * n];
+                matmul(&a, &b, &mut out, m, k, n);
+                let expect = reference(&a, &b, (m, k, n), false);
+                assert_eq!(bits(&out), bits(&expect), "shape ({m},{k})x({k},{n})");
             }
-            assert_eq!(out, expect, "shape ({m},{k})x({k},{n})");
         }
+    }
+
+    #[test]
+    fn matmul_skips_non_finite_b_facing_a_zero() {
+        // Every fourth row of `b` is infinite or NaN, and every fourth
+        // column of `a`, which multiplies it, holds `±0.0`. The textbook
+        // loop turns those terms into NaN; the kernel skips them.
+        let (m, k, n) = (3, 70, 40);
+        let mut a = seeded(5, m * k);
+        let mut b = seeded(6, k * n);
+        for p in (0..k).step_by(4) {
+            for i in 0..m {
+                a[i * k + p] = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            for (j, e) in b[p * n..(p + 1) * n].iter_mut().enumerate() {
+                *e = if j % 2 == 0 { f32::INFINITY } else { f32::NAN };
+            }
+        }
+        let mut out = vec![f32::NAN; m * n];
+        matmul(&a, &b, &mut out, m, k, n);
+        assert!(out.iter().all(|v| v.is_finite()));
+        assert_eq!(bits(&out), bits(&reference(&a, &b, (m, k, n), true)));
+        assert!(reference(&a, &b, (m, k, n), false).iter().all(|v| v.is_nan()));
     }
 
     #[test]

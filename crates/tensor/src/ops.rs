@@ -223,10 +223,19 @@ impl Tensor {
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
+        self.tanh_rows(1)
+    }
+
+    /// [`Tensor::tanh`] with the rows split over `threads` threads
+    /// ([`kernels::split_units`]). Each element's value depends on that
+    /// element alone, so no bit depends on `threads`.
+    pub fn tanh_rows(&self, threads: usize) -> Tensor {
         let mut data = recycle::copied(&self.data());
-        for x in &mut data {
-            *x = x.tanh();
-        }
+        kernels::split_units(threads, &mut data, self.cols(), |_, rows| {
+            for x in rows {
+                *x = x.tanh();
+            }
+        });
         self.unary(data, Op::Tanh(self.clone()))
     }
 
@@ -456,10 +465,12 @@ mod tests {
         use nptsn_rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5eed_a7a7);
         for case in 0..40 {
-            // Shapes straddling the KC=64 panel boundary, plus tiny ones.
+            // Shapes straddling the KC=64 panel boundary, plus tiny ones;
+            // outputs up to four 32-column strips, most with a shifted
+            // last strip.
             let m = rng.gen_range(1usize..24);
             let k = rng.gen_range(1usize..200);
-            let n = rng.gen_range(1usize..24);
+            let n = rng.gen_range(1usize..140);
             let sparsity = rng.gen_range(0.0f32..0.9);
             let gen = |rng: &mut StdRng, len: usize| -> Vec<f32> {
                 (0..len)
@@ -502,6 +513,17 @@ mod tests {
         assert!((t[0] + 0.7616).abs() < 1e-4);
         let e = x.exp().to_vec();
         assert!((e[2] - 2.0f32.exp()).abs() < 1e-5);
+    }
+
+    #[test]
+    fn tanh_rows_matches_tanh_on_any_thread_count() {
+        let x = Tensor::from_vec(5, 3, (0..15).map(|i| i as f32 * 0.37 - 2.5).collect());
+        let expect: Vec<u32> = x.to_vec().iter().map(|v| v.tanh().to_bits()).collect();
+        for threads in 1..=6 {
+            let got: Vec<u32> =
+                x.tanh_rows(threads).to_vec().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expect, "{threads} threads");
+        }
     }
 
     #[test]

@@ -26,9 +26,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 # unmemoized generator. The release build is other machine code (no
 # debug assertions, other inlining) and its threads interleave on other
 # timings, so a pass in the dev profile alone does not show that the
-# build the benchmark measures computes the same bits.
+# build the benchmark measures computes the same bits. Those root pins
+# compare batched paths with sequential ones that share the matmul
+# kernel, so a kernel that is wrong the same way on both sides passes
+# them; `nptsn-tensor`'s own tests pin the kernel and the matmul
+# gradients to textbook loops, and they run here too.
 cargo test -q --offline --release --test ppo_reference --test analyzer_reference \
     --test replan_reference --test soag_reference
+cargo test -q --offline --release -p nptsn-tensor --lib
 
 # The end-to-end benchmark is a package of its own: build and test it
 # against the crates as they are. --locked fails if a crate change would
