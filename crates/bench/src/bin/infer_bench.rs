@@ -14,7 +14,11 @@
 //! 2. **Forward path** — `PolicyNetwork::try_evaluate_many` against K solo
 //!    `evaluate` calls on ORION-scale observations, proven **bit-identical**
 //!    before timing, plus the register-strip `nptsn_tensor` matmul kernel
-//!    against a naive triple loop (also bit-for-bit checked).
+//!    against a naive triple loop (also bit-for-bit checked) on two left
+//!    operands: a dense 192³ product, and a 46-row `Â`-like block (95%
+//!    zeros, an ORION-sized normalized adjacency) against a 92-wide right
+//!    operand, the GCN's adjacency product. Each is timed as separate
+//!    samples and recorded as the median and quartiles per product.
 //!
 //! In full mode the binary itself fails unless batch-64 job throughput is
 //! at least 4x batch-1 — the acceptance bar for the batched inference
@@ -134,8 +138,8 @@ impl BatchRow {
 
 fn main() {
     let smoke = nptsn_bench::smoke();
-    let (solo_jobs, batch_calls, fwd_warmup, forwards, kernel_reps, kernel_dim) =
-        if smoke { (4usize, 2usize, 2usize, 8usize, 3usize, 48usize) } else { (160, 20, 20, 300, 30, 192) };
+    let (solo_jobs, batch_calls, fwd_warmup, forwards, kernel_samples, dense_dim) =
+        if smoke { (4usize, 2usize, 2usize, 8usize, 3usize, 48usize) } else { (160, 20, 20, 300, 15, 192) };
     const ATTEMPTS: usize = 2;
 
     // ---- 1. Job path on the zonal problem (the gated number). ----
@@ -266,38 +270,33 @@ fn main() {
     }
 
     // ---- 3. Matmul-kernel speedup over the naive triple loop. ----
-    let (m, k, nn) = (kernel_dim, kernel_dim, kernel_dim);
-    let a_buf: Vec<f32> = (0..m * k).map(|i| ((i * 37 + 11) % 97) as f32 * 0.031 - 1.5).collect();
-    let b_buf: Vec<f32> = (0..k * nn).map(|i| ((i * 53 + 29) % 89) as f32 * 0.027 - 1.2).collect();
-    let mut fast = vec![0.0f32; m * nn];
-    let mut slow = vec![0.0f32; m * nn];
-    nptsn_tensor::kernels::matmul(&a_buf, &b_buf, &mut fast, m, k, nn);
-    naive_matmul(&a_buf, &b_buf, &mut slow, m, k, nn);
-    assert!(
-        fast.iter().zip(&slow).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "matmul kernel diverges from the naive reference"
-    );
-    let time_reps = |f: &mut dyn FnMut()| {
-        let start = Instant::now();
-        for _ in 0..kernel_reps {
-            f();
-        }
-        start.elapsed().as_secs_f64() / kernel_reps as f64
-    };
-    let kernel_s = time_reps(&mut || {
-        nptsn_tensor::kernels::matmul(&a_buf, &b_buf, &mut fast, m, k, nn);
-        std::hint::black_box(&fast);
-    });
-    let naive_s = time_reps(&mut || {
-        naive_matmul(&a_buf, &b_buf, &mut slow, m, k, nn);
-        std::hint::black_box(&slow);
-    });
-    let kernel_speedup = naive_s / kernel_s.max(1e-12);
-    println!(
-        "infer_bench: {m}x{k}x{nn} matmul kernel {:.3}ms vs naive {:.3}ms ({kernel_speedup:.2}x)",
-        kernel_s * 1e3,
-        naive_s * 1e3,
-    );
+    let d = dense_dim;
+    let dense: Vec<f32> = (0..d * d).map(|i| ((i * 37 + 11) % 97) as f32 * 0.031 - 1.5).collect();
+    // ORION-sized: 15 switches and 31 stations, 30 of them linked to a
+    // switch, as part-way through an episode. `Â = D^-1/2 (A + I) D^-1/2`
+    // then holds 46 + 60 nonzeros of 46², 95% zeros.
+    let (nodes, switches) = (46, 15);
+    let mut adjacency = vec![0.0f32; nodes * nodes];
+    for station in switches..nodes - 1 {
+        let switch = station % switches;
+        adjacency[station * nodes + switch] = 1.0;
+        adjacency[switch * nodes + station] = 1.0;
+    }
+    let ahat = nptsn_nn::normalized_adjacency(&adjacency, nodes);
+    let kernel_cases: Vec<MatmulTiming> = [
+        ("dense", dense, (d, d, d), 3),
+        ("ahat", ahat, (nodes, nodes, 2 * nodes), 400),
+    ]
+    .into_iter()
+    .map(|(name, a, shape, reps)| time_matmul(name, &a, shape, reps, kernel_samples))
+    .collect();
+    for t in &kernel_cases {
+        let (m, k, n) = t.shape;
+        println!(
+            "infer_bench: {} {m}x{k}x{n} matmul kernel {:.2}us vs naive {:.2}us p50",
+            t.name, t.kernel_us[1], t.naive_us[1],
+        );
+    }
 
     let rows = |o: &mut Fields, rows: &[BatchRow], unit: &str| {
         o.objects("batches", rows, |o, r| {
@@ -325,12 +324,85 @@ fn main() {
             rows(o, &fwd_rows, "forwards_per_sec");
         });
         l.object("matmul_kernel", |o| {
-            o.int("dim", kernel_dim as u64)
-                .num("kernel_ms", kernel_s * 1e3)
-                .num("naive_ms", naive_s * 1e3)
-                .num("speedup", kernel_speedup);
+            o.int("samples", kernel_samples as u64);
+            o.objects("cases", &kernel_cases, |o, t| {
+                o.str("case", t.name)
+                    .int("m", t.shape.0 as u64)
+                    .int("k", t.shape.1 as u64)
+                    .int("n", t.shape.2 as u64)
+                    .num("zeros_pct", t.zeros_pct)
+                    .int("reps_per_sample", t.reps as u64);
+                for (side, us) in [("kernel", t.kernel_us), ("naive", t.naive_us)] {
+                    for (q, v) in ["p25", "p50", "p75"].into_iter().zip(us) {
+                        o.num(&format!("{side}_us_{q}"), v);
+                    }
+                }
+                o.num("speedup_p50", t.naive_us[1] / t.kernel_us[1].max(1e-9));
+            });
         });
     });
+}
+
+/// One kernel comparison: the product's shape `(m, k, n)`, the share of
+/// zeros in its left operand, the products per timed sample, and the
+/// per-product times in microseconds, `[p25, p50, p75]` over the samples.
+struct MatmulTiming {
+    name: &'static str,
+    shape: (usize, usize, usize),
+    zeros_pct: f64,
+    reps: usize,
+    kernel_us: [f64; 3],
+    naive_us: [f64; 3],
+}
+
+/// Checks the kernel against the naive loop bit for bit on `a · b`, `b`
+/// a fixed dense `k × n` operand, then times `samples` samples of each,
+/// alternating, every sample `reps` products long so that it lasts well
+/// above the timer's resolution.
+fn time_matmul(
+    name: &'static str,
+    a: &[f32],
+    (m, k, n): (usize, usize, usize),
+    reps: usize,
+    samples: usize,
+) -> MatmulTiming {
+    let b: Vec<f32> = (0..k * n).map(|i| ((i * 53 + 29) % 89) as f32 * 0.027 - 1.2).collect();
+    let mut fast = vec![0.0f32; m * n];
+    let mut slow = vec![0.0f32; m * n];
+    nptsn_tensor::kernels::matmul(a, &b, &mut fast, m, k, n);
+    naive_matmul(a, &b, &mut slow, m, k, n);
+    assert!(
+        fast.iter().zip(&slow).all(|(x, y)| x.to_bits() == y.to_bits()),
+        "{name}: matmul kernel diverges from the naive reference"
+    );
+    let sample = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        start.elapsed().as_secs_f64() * 1e6 / reps as f64
+    };
+    let (mut kernel, mut naive) = (Vec::new(), Vec::new());
+    for _ in 0..samples {
+        kernel.push(sample(&mut || {
+            nptsn_tensor::kernels::matmul(a, &b, &mut fast, m, k, n);
+            std::hint::black_box(&fast);
+        }));
+        naive.push(sample(&mut || {
+            naive_matmul(a, &b, &mut slow, m, k, n);
+            std::hint::black_box(&slow);
+        }));
+    }
+    let quartiles = |us: &[f64]| [25.0, 50.0, 75.0].map(|p| percentile(us, p));
+    let zeros = a.iter().filter(|&&v| v == 0.0).count();
+    MatmulTiming {
+        name,
+        shape: (m, k, n),
+        zeros_pct: 100.0 * zeros as f64 / a.len() as f64,
+        reps,
+        kernel_us: quartiles(&kernel),
+        naive_us: quartiles(&naive),
+    }
 }
 
 /// Reference three-loop matmul; the ground truth the matmul kernel must

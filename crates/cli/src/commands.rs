@@ -228,16 +228,17 @@ fn cmd_plan(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliErr
             "--resume needs --checkpoint <path> (the checkpoint to restore from)".into(),
         ));
     }
+    trace.activate()?;
     // The bytes to resume from are read before training starts, so a
     // `--resume` against a missing or unreadable checkpoint fails fast
-    // instead of after a fresh (and wasted) training run.
+    // instead of after a fresh (and wasted) training run. The read comes
+    // after `activate`, which arms `NPTSN_CHAOS`'s `checkpoint.load` rules.
     let resume_bytes = match (&checkpoint, resume) {
-        (Some(ck_path), true) => Some(std::fs::read(ck_path).map_err(|e| {
+        (Some(ck_path), true) => Some(nptsn::read_checkpoint(ck_path).map_err(|e| {
             CliError::msg(format!("--resume: cannot read {}: {e}", ck_path.display()))
         })?),
         _ => None,
     };
-    trace.activate()?;
     let parsed = load(&path)?;
 
     let config = PlannerConfig {
@@ -253,24 +254,15 @@ fn cmd_plan(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliErr
     let (best, report) = if greedy {
         (GreedyPlanner::new(parsed.problem.clone(), config.k_paths).run(8, seed), None)
     } else {
-        // Per-epoch telemetry lines are collected as the run progresses:
-        // the counter deltas between epoch boundaries attribute cache and
-        // scenario activity to the epoch that caused it.
-        let telemetry = nptsn_obs::telemetry();
+        // Per-epoch telemetry lines are collected as the run progresses.
         let mut epoch_lines = Vec::new();
-        let mut prev = telemetry.snapshot();
         let mut epoch_started = Instant::now();
         let mut on_epoch = |stats: &nptsn::EpochStats| {
-            let snap = telemetry.snapshot();
-            let hits = snap.analyzer_cache_hits - prev.analyzer_cache_hits;
-            let misses = snap.analyzer_cache_misses - prev.analyzer_cache_misses;
             let mut obj = Object::new();
             obj.str("type", "epoch");
             obj.raw("stats", &epoch_stats_json(stats));
-            obj.num("cache_hit_rate", hits as f64 / (hits + misses).max(1) as f64);
             obj.int("wall_ms", epoch_started.elapsed().as_millis() as u64);
             epoch_lines.push(obj.finish());
-            prev = snap;
             epoch_started = Instant::now();
         };
         let planner = Planner::new(parsed.problem.clone(), config);
@@ -287,7 +279,8 @@ fn cmd_plan(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliErr
     };
     let records = trace.finish(out)?;
     if let (Some(ck_path), Some((report, epoch_lines))) = (&checkpoint, &report) {
-        write_atomic(ck_path, &report.policy_checkpoint)?;
+        nptsn::write_checkpoint(ck_path, &report.policy_checkpoint)
+            .map_err(|e| CliError::msg(format!("cannot write {}: {e}", ck_path.display())))?;
         let telemetry_path =
             ck_path.parent().unwrap_or(Path::new(".")).join("telemetry.jsonl");
         let text = telemetry_jsonl(epoch_lines, report, &records);
@@ -315,7 +308,7 @@ fn cmd_plan(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliErr
 }
 
 /// Renders the per-run `telemetry.jsonl` document: one `"epoch"` line per
-/// training epoch (stats, cache hit rate, wall-clock) and one final
+/// training epoch (stats and wall-clock) and one final
 /// `"summary"` line with run totals and the span-timing aggregate from
 /// the trace stream (empty when recording was off).
 fn telemetry_jsonl(
@@ -517,22 +510,6 @@ fn arm_chaos(spec: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Writes `bytes` to `path` via a sibling temp file + rename, the same
-/// crash-safety discipline as `nptsn_nn::save_params_atomic` (the bytes
-/// here are already a framed NPTSNCK2 image from the planner).
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CliError> {
-    let err = |e: std::io::Error| CliError::msg(format!("cannot write {}: {e}", path.display()));
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| CliError::msg(format!("checkpoint path {} has no file name", path.display())))?;
-    let mut tmp_name = std::ffi::OsString::from(".");
-    tmp_name.push(file_name);
-    tmp_name.push(".tmp");
-    let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, bytes).map_err(err)?;
-    std::fs::rename(&tmp, path).map_err(err)
-}
-
 fn cmd_verify(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliError> {
     let mut paths = Vec::new();
     let mut json = false;
@@ -569,8 +546,8 @@ fn cmd_verify(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliE
         .map_err(|e| CliError::msg(format!("cannot read {plan_path}: {e}")))?;
     let topology = parse_plan(&parsed, &plan_text).map_err(CliError::msg)?;
     let cost = topology.network_cost(parsed.problem.library());
-    // A fresh cache per run: its hit/miss counters tell how much scenario
-    // work within this analysis was redundant.
+    // A fresh cache per run, for the hit/miss fields of the JSON report.
+    // One analysis checks each scenario once, so it cannot hit.
     let analyzer = FailureAnalyzer::new()
         .with_budget(budget.map_or(AnalysisBudget::UNBOUNDED, AnalysisBudget::scenarios))
         .with_shared_cache(Arc::new(ScenarioCache::new()));
@@ -604,11 +581,9 @@ fn cmd_verify(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliE
     }
 
     let coverage = format!(
-        "checked {} scenarios{}; cache: {} hits, {} misses",
+        "checked {} scenarios{}",
         report.scenarios_checked,
         if report.exhausted { "" } else { " (analysis budget exhausted)" },
-        report.cache_hits,
-        report.cache_misses,
     );
     match report.verdict {
         Verdict::Reliable => {
@@ -1031,8 +1006,8 @@ a b 500 128
         let plan_path = write_temp("vcoverage.plan", &plan_text);
         let text = run_ok(&["verify", &problem_path, &plan_path]);
         assert!(text.contains("RELIABLE"), "{text}");
-        assert!(text.contains("cache:"), "{text}");
         assert!(text.contains("checked"), "{text}");
+        assert!(!text.contains("cache"), "{text}");
         // Flag order should not matter, and a budget the analysis does not
         // reach changes nothing.
         let flipped =
@@ -1296,7 +1271,7 @@ a b 500 128
             nptsn_obs::json::parse(line).expect("telemetry line parses");
         }
         assert!(lines[0].contains("\"type\":\"epoch\""), "{telemetry}");
-        assert!(lines[0].contains("\"cache_hit_rate\""), "{telemetry}");
+        assert!(!lines[0].contains("cache"), "{telemetry}");
         assert!(lines[0].contains("\"scenarios_checked\""), "{telemetry}");
         assert!(lines[2].contains("\"type\":\"summary\""), "{telemetry}");
         assert!(lines[2].contains("\"spans\":["), "{telemetry}");

@@ -382,6 +382,33 @@ fn plan_reads_nptsn_chaos() {
     assert!(good.status.success(), "{}", String::from_utf8_lossy(&good.stderr));
 }
 
+/// `plan --resume` reads its checkpoint through the `checkpoint.load`
+/// chaos site: a `corrupt` rule flips one bit of the bytes read, and the
+/// resume fails on the CRC trailer instead of training from rotted
+/// weights. Without the rule the same file resumes.
+#[test]
+fn plan_resume_reads_through_the_load_site() {
+    let smoke = Smoke::new("plan-resume-chaos");
+    let (problem, ck) = (smoke.path("smoke.tssdn"), smoke.path("policy.ck"));
+    fs::write(&problem, DOC).expect("write the problem");
+    let plan = |resume: bool, chaos: &str| {
+        Command::new(NPTSN)
+            .args(["plan", &problem, "--epochs", "1", "--steps", "32", "--seed", "1"])
+            .args(["--checkpoint", &ck])
+            .args(if resume { &["--resume"][..] } else { &[] })
+            .env("NPTSN_CHAOS", chaos)
+            .output()
+            .expect("run nptsn plan")
+    };
+    let first = plan(false, "");
+    assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
+    let rotted = plan(true, "seed 1;site checkpoint.load corrupt");
+    let stderr = String::from_utf8_lossy(&rotted.stderr);
+    assert!(!rotted.status.success() && stderr.contains("checksum"), "{stderr}");
+    let resumed = plan(true, "");
+    assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
+}
+
 #[test]
 fn serve_plan_and_drain() {
     let smoke = Smoke::new("serve");

@@ -4,12 +4,9 @@ use nptsn_sched::ErrorReport;
 use nptsn_topo::{FailureScenario, Topology};
 use nptsn_rand::Rng;
 
-use std::sync::Arc;
-
 use crate::analyzer::{FailureAnalyzer, Verdict};
 use crate::encode::{encode_observation, Observation};
 use crate::problem::PlanningProblem;
-use crate::scenario_cache::ScenarioCache;
 use crate::soag::{apply_action, ActionSet, Soag};
 use crate::solution::Solution;
 
@@ -66,7 +63,6 @@ pub struct StepOutcome {
 pub struct PlanningEnv {
     problem: PlanningProblem,
     soag: Soag,
-    analyzer: FailureAnalyzer,
     reward_scaling: f32,
     max_episode_steps: usize,
     topology: Topology,
@@ -79,13 +75,6 @@ pub struct PlanningEnv {
 
 impl PlanningEnv {
     /// Creates the environment and performs the first reset.
-    ///
-    /// The failure analyzer gets a fresh per-environment [`ScenarioCache`],
-    /// so NBF outcomes are reused across the steps and episode resets of
-    /// this environment (every reset re-analyzes the empty topology, and
-    /// episodes revisit construction prefixes). Use
-    /// [`with_analyzer`](PlanningEnv::with_analyzer) to set a budget or
-    /// share a cache explicitly.
     pub fn new(
         problem: PlanningProblem,
         k_paths: usize,
@@ -93,34 +82,11 @@ impl PlanningEnv {
         max_episode_steps: usize,
         rng: &mut impl Rng,
     ) -> PlanningEnv {
-        let analyzer =
-            FailureAnalyzer::new().with_shared_cache(Arc::new(ScenarioCache::new()));
-        PlanningEnv::with_analyzer(
-            problem,
-            k_paths,
-            reward_scaling,
-            max_episode_steps,
-            analyzer,
-            rng,
-        )
-    }
-
-    /// Creates the environment with an explicit failure analyzer — the
-    /// seam for budgets and cache sharing. Performs the first reset.
-    pub fn with_analyzer(
-        problem: PlanningProblem,
-        k_paths: usize,
-        reward_scaling: f32,
-        max_episode_steps: usize,
-        analyzer: FailureAnalyzer,
-        rng: &mut impl Rng,
-    ) -> PlanningEnv {
         let topology = problem.connection_graph().empty_topology();
         let soag = Soag::new(k_paths);
         let mut env = PlanningEnv {
             problem,
             soag,
-            analyzer,
             reward_scaling,
             max_episode_steps,
             topology: topology.clone(),
@@ -145,8 +111,7 @@ impl PlanningEnv {
     /// environment's scenario counter (the analyzer itself feeds the
     /// process-wide telemetry).
     fn analyze_counted(&mut self) -> Verdict {
-        let report = self
-            .analyzer
+        let report = FailureAnalyzer::new()
             .try_analyze(&self.problem, &self.topology)
             .expect("environment topologies are consistent by construction");
         self.scenarios_checked += report.scenarios_checked;
@@ -154,8 +119,7 @@ impl PlanningEnv {
     }
 
     /// Failure scenarios checked by this environment's analyzer since
-    /// construction (across steps and resets). Identical for a given seed
-    /// with and without a scenario cache.
+    /// construction (across steps and resets).
     pub fn scenarios_checked(&self) -> u64 {
         self.scenarios_checked
     }
@@ -170,8 +134,8 @@ impl PlanningEnv {
             Verdict::Unreliable { failure, errors } => (failure, errors),
             // Degenerate: an empty network already meets the goal. Offer
             // switch actions only; the caller will record the zero-cost
-            // solution on its first analysis. A budget-truncated verdict
-            // likewise has no counterexample to steer the SOAG with.
+            // solution on its first analysis. (Inconclusive needs a
+            // budget, and the environment's analyzer has none.)
             Verdict::Reliable | Verdict::Inconclusive { .. } => {
                 (FailureScenario::none(), ErrorReport::empty())
             }
@@ -204,12 +168,6 @@ impl PlanningEnv {
     /// The planning problem.
     pub fn problem(&self) -> &PlanningProblem {
         &self.problem
-    }
-
-    /// The failure analyzer in use — its cache exposes hit/miss counters
-    /// for diagnosing how much NBF work memoization is saving.
-    pub fn analyzer(&self) -> &FailureAnalyzer {
-        &self.analyzer
     }
 
     /// Total number of action slots (`|V^c_sw| + K`).
@@ -249,9 +207,9 @@ impl PlanningEnv {
                 };
             }
             Verdict::Unreliable { failure, errors } => (failure, errors),
-            // Inconclusive (budgeted analyzer, no counterexample found):
-            // not verified reliable, so keep building, steering the SOAG
-            // with an empty failure/error report.
+            // Inconclusive needs a budget, which the environment's analyzer
+            // does not have; were it reached, the network is not verified
+            // reliable, so building would go on with an empty report.
             Verdict::Inconclusive { .. } => (FailureScenario::none(), ErrorReport::empty()),
         };
         self.actions =
@@ -358,32 +316,6 @@ mod tests {
             solution.switch_count() == 2 || hist[3] == 1,
             "unexpected plan: {solution}"
         );
-    }
-
-    #[test]
-    fn episode_resets_hit_the_scenario_cache() {
-        // Every reset re-analyzes the empty topology; from the second
-        // reset on, those NBF checks come from the per-env cache.
-        let (mut env, mut rng) = env();
-        let cache = Arc::clone(env.analyzer().cache().expect("default env has a cache"));
-        let after_first = cache.stats();
-        env.reset(&mut rng);
-        let after_second = cache.stats();
-        assert!(
-            after_second.hits > after_first.hits,
-            "second reset should reuse cached NBF outcomes: {after_second:?}"
-        );
-    }
-
-    #[test]
-    fn custom_analyzer_is_honored() {
-        let (problem, ..) = theta_problem();
-        let mut rng = StdRng::seed_from_u64(7);
-        let budget = crate::analyzer::AnalysisBudget::scenarios(64);
-        let analyzer = FailureAnalyzer::new().with_budget(budget);
-        let env = PlanningEnv::with_analyzer(problem, 6, 1e3, 64, analyzer, &mut rng);
-        assert_eq!(env.analyzer().budget(), budget);
-        assert!(env.analyzer().cache().is_none());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! The crate implements the full NPTSN architecture (Fig. 2):
 //!
 //! * [`FailureAnalyzer`] — the failure-injection check of Algorithm 3 with
-//!   the switch-only reduction (Eq. 6), bitset superset memoization
-//!   ([`SupersetMemo`]) and a shared NBF-outcome cache
-//!   ([`ScenarioCache`]) — both verdict-preserving.
+//!   the switch-only reduction (Eq. 6) and bitset superset memoization
+//!   ([`SupersetMemo`]), verdict-preserving. An NBF-outcome cache
+//!   ([`ScenarioCache`]) can be attached; only `nptsn verify` and the
+//!   serve verify job do, and planning runs without one.
 //! * [`Soag`] — the Survival-Oriented Action Generator of Algorithm 1:
 //!   a dynamic action space of switch upgrades and K shortest-path
 //!   additions targeting the last non-recoverable failure, with validity
@@ -90,10 +91,12 @@ pub use model::PolicyNetwork;
 pub use path_memo::{PathMemoStats, PATH_MEMO_CAPACITY};
 pub use planner::{EpochStats, Planner, PlannerReport};
 pub use problem::{check_schedule_table, PlanningProblem, MAX_SCHEDULE_CELLS};
-pub use scenario_cache::{CacheStats, ScenarioBits, ScenarioCache, SupersetMemo};
+pub use scenario_cache::{ScenarioBits, ScenarioCache, SupersetMemo};
 pub use soag::{Action, ActionSet, Soag};
 pub use solution::{asil_label, Solution};
 
 // Re-export the recovery trait so downstream code can plug in mechanisms
-// without depending on nptsn-sched directly.
+// without depending on nptsn-sched directly, and the checkpoint file I/O
+// so a front end can persist and resume a policy without nptsn-nn.
+pub use nptsn_nn::{read_checkpoint, write_checkpoint};
 pub use nptsn_sched::NetworkBehavior;

@@ -44,10 +44,9 @@ pub struct EpochStats {
     /// contribute no experience; the epoch continues with the rest (see the
     /// error-handling policy in `DESIGN.md`).
     pub poisoned_workers: usize,
-    /// Failure scenarios the analyzer checked across this epoch's rollouts.
-    /// Identical with and without the per-env scenario cache (cache hits
-    /// count as checked), so it participates in the determinism guarantees
-    /// like every other field.
+    /// Failure scenarios the analyzer checked across this epoch's rollouts:
+    /// one NBF call each. A seeded run reproduces it, like every other
+    /// field.
     pub scenarios_checked: u64,
     /// 1 when this epoch's PPO update produced a non-finite loss or
     /// parameter and was rolled back to the pre-update snapshot (both Adam
@@ -150,8 +149,8 @@ impl Planner {
     /// loads `policy`'s parameters into it, so `policy` must have this
     /// planner's architecture, as [`Planner::build_policy`] builds it.
     /// Attempt `i` draws from its own RNG stream (`seed + i`) in its own
-    /// environment with its own scenario cache, so its plan does not depend
-    /// on the thread that ran it. The plans fold in attempt order, and an
+    /// environment, so its plan does not depend on the thread that ran
+    /// it. The plans fold in attempt order, and an
     /// equal-cost tie goes to the earliest attempt, so the result is the
     /// same as one thread running attempts `0..attempts` in turn, for any
     /// thread count and any schedule.
@@ -481,7 +480,8 @@ impl Planner {
             // the final report would carry if the run stopped now, so the
             // file always restores to a state the run actually reached.
             if let Some(path) = &self.config.checkpoint_path {
-                if let Err(e) = nptsn_nn::save_params_atomic(&master.parameters(), path) {
+                let bytes = nptsn_nn::params_to_bytes(&master.parameters());
+                if let Err(e) = nptsn_nn::write_checkpoint(path, &bytes) {
                     if nptsn_obs::enabled() {
                         nptsn_obs::event(
                             nptsn_obs::Level::Error,

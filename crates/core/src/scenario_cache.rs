@@ -14,12 +14,12 @@
 //!   so lookups touch exactly the buckets that can matter instead of
 //!   scanning every survivor ever recorded.
 //! * [`ScenarioCache`] memoizes NBF outcomes across analyzer runs, keyed
-//!   by `(topology fingerprint, scenario bitset)`. The RL environment
-//!   re-analyzes the empty topology at every episode reset and re-visits
-//!   identical construction prefixes across episodes; those NBF calls are
-//!   answered from the cache. Keys embed [`Topology::fingerprint`], so a
-//!   topology mutation implicitly invalidates every stale entry — it can
-//!   simply never be looked up again.
+//!   by `(topology fingerprint, scenario bitset)`. Keys embed
+//!   [`Topology::fingerprint`], so a topology mutation implicitly
+//!   invalidates every stale entry — it can simply never be looked up
+//!   again. Only `nptsn verify` and the serve verify job attach one, fresh
+//!   per call, for the hit/miss counts of their reports; planning runs
+//!   without: across the analyses of a training epoch 0.7% of lookups hit.
 //!
 //! [`Topology::fingerprint`]: nptsn_topo::Topology::fingerprint
 
@@ -181,15 +181,7 @@ impl SupersetMemo {
 /// fingerprint plus the scenario bitset.
 type CacheKey = (u128, ScenarioBits);
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<CacheKey, ErrorReport>,
-    hits: u64,
-    misses: u64,
-}
-
-/// A bounded memo of NBF outcomes shared across analyzer runs — typically
-/// across the environment steps and episode resets of one RL worker.
+/// A bounded memo of NBF outcomes shared across analyzer runs.
 ///
 /// The NBF `Φ` is stateless (Section II-B): its outcome depends only on
 /// `(Gt, Gf)` for a fixed problem, so one cached [`ErrorReport`] per
@@ -204,38 +196,17 @@ struct CacheInner {
 ///
 /// Interior mutability goes through a [`Mutex`], not a `RefCell`, so the
 /// cache is `Sync` and an analyzer holding it behind an `Arc` can move into
-/// a rollout or serve worker thread; the critical sections are single
-/// lookups and inserts.
+/// a serve worker thread; the critical sections are single lookups and
+/// inserts.
 #[derive(Debug)]
 pub struct ScenarioCache {
-    inner: Mutex<CacheInner>,
+    map: Mutex<HashMap<CacheKey, ErrorReport>>,
     capacity: usize,
 }
 
-/// Cumulative hit/miss counters of a [`ScenarioCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// NBF invocations answered from the cache.
-    pub hits: u64,
-    /// NBF invocations that had to run and were then recorded.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hits as a fraction of all lookups, or 0 when none happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 impl ScenarioCache {
-    /// The default entry bound: plenty for a training episode's working
-    /// set while keeping worst-case memory in the tens of megabytes.
+    /// The default entry bound, keeping worst-case memory in the tens of
+    /// megabytes.
     pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
     /// A cache bounded to [`DEFAULT_CAPACITY`](Self::DEFAULT_CAPACITY)
@@ -246,62 +217,26 @@ impl ScenarioCache {
 
     /// A cache bounded to `capacity` entries. When an insert would exceed
     /// the bound, the cache resets wholesale — a deterministic, O(1)
-    /// amortized eviction that suits the workload (episodes revisit recent
-    /// topologies, so a full reset loses little reusable state).
-    pub fn with_capacity(capacity: usize) -> ScenarioCache {
-        ScenarioCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity: capacity.max(1),
-        }
+    /// amortized eviction.
+    fn with_capacity(capacity: usize) -> ScenarioCache {
+        ScenarioCache { map: Mutex::new(HashMap::new()), capacity: capacity.max(1) }
     }
 
-    /// The configured entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Looks up the memoized NBF outcome for `(fingerprint, bits)`,
-    /// bumping the hit/miss counters.
+    /// Looks up the memoized NBF outcome for `(fingerprint, bits)`.
     pub fn lookup(&self, fingerprint: u128, bits: &ScenarioBits) -> Option<ErrorReport> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         // The probe key clones the bitset: for inline scenarios (networks
         // up to 128 fault candidates) that is a stack copy, no allocation.
-        match inner.map.get(&(fingerprint, bits.clone())) {
-            Some(errors) => {
-                let errors = errors.clone();
-                inner.hits += 1;
-                Some(errors)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        map.get(&(fingerprint, bits.clone())).cloned()
     }
 
     /// Records an NBF outcome. Resets the cache first when full.
     pub fn insert(&self, fingerprint: u128, bits: ScenarioBits, errors: ErrorReport) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.map.len() >= self.capacity {
-            inner.map.clear();
+        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
+        if map.len() >= self.capacity {
+            map.clear();
         }
-        inner.map.insert((fingerprint, bits), errors);
-    }
-
-    /// Cumulative hit/miss counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        CacheStats { hits: inner.hits, misses: inner.misses }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        map.insert((fingerprint, bits), errors);
     }
 }
 
@@ -379,23 +314,17 @@ mod tests {
         assert_eq!(cache.lookup(7, &key), Some(errors));
         // A different topology fingerprint misses: implicit invalidation.
         assert!(cache.lookup(8, &key).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats, CacheStats { hits: 1, misses: 2 });
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
     #[test]
     fn cache_bound_triggers_reset() {
         let cache = ScenarioCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
         for i in 0..3 {
             cache.insert(i as u128, bits(4, &[i]), ErrorReport::empty());
         }
         // The third insert reset the map first: only it remains.
-        assert_eq!(cache.len(), 1);
         assert!(cache.lookup(2, &bits(4, &[2])).is_some());
         assert!(cache.lookup(0, &bits(4, &[0])).is_none());
-        assert!(!cache.is_empty());
+        assert!(cache.lookup(1, &bits(4, &[1])).is_none());
     }
 }

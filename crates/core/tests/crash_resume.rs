@@ -57,8 +57,11 @@ fn killed_run_resumes_from_the_atomic_checkpoint() {
 
     // The restored policy behaves identically to the saved one.
     let from_disk = planner.build_policy();
-    nptsn_nn::load_params(&nptsn_nn::Module::parameters(&from_disk), &path)
-        .expect("checkpoint restores");
+    nptsn_nn::params_from_bytes(
+        &nptsn_nn::Module::parameters(&from_disk),
+        &nptsn_nn::read_checkpoint(&path).expect("checkpoint reads"),
+    )
+    .expect("checkpoint restores");
     let from_report = planner.build_policy();
     nptsn_nn::params_from_bytes(
         &nptsn_nn::Module::parameters(&from_report),

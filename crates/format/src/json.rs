@@ -3,9 +3,10 @@
 //! serving layer's response bodies.
 //!
 //! Only what the toolchain needs: object/array building with correct
-//! string escaping and finite-number handling. There is deliberately no
-//! parser — every service request body is either plain `.tssdn`/plan text
-//! or raw checkpoint bytes, so nothing ever needs JSON decoding.
+//! string escaping and finite-number handling. The reader lives apart, in
+//! `nptsn_obs::json::parse`, which decodes routed responses, ledgers and
+//! traces; merging the two is ROADMAP item 5, since it adds a dependency
+//! edge between the crates.
 
 use std::fmt::Write as _;
 
@@ -129,6 +130,8 @@ impl Object {
 /// The machine-readable form of one failure-analysis run: verdict,
 /// coverage, and cache statistics — exactly the `AnalysisReport` fields,
 /// with node ids resolved to names via the problem's connection graph.
+/// Its callers analyze through a fresh cache per call, which cannot hit,
+/// so `cache_misses` equals `scenarios_checked` and `cache_hits` is 0.
 ///
 /// This single serializer backs both `nptsn verify --json` and the
 /// service's verify endpoint, so the two never drift apart:

@@ -50,8 +50,8 @@ mod mlp;
 
 pub use adam::Adam;
 pub use checkpoint::{
-    checkpoint_shapes, load_params, params_from_bytes, params_to_bytes, save_params_atomic,
-    CheckpointError, CheckpointFileError,
+    checkpoint_shapes, params_from_bytes, params_to_bytes, read_checkpoint, write_checkpoint,
+    CheckpointError,
 };
 pub use gcn::{normalized_adjacency, Gcn, GcnBatchItem, GcnBatchOut, GcnStack, ShapeError};
 pub use init::xavier_uniform;

@@ -111,9 +111,9 @@ fn escape_into(out: &mut String, s: &str) {
 }
 
 /// Renders the record stream as a Chrome trace-event JSON document:
-/// complete (`"ph":"X"`) events for spans, instants (`"ph":"i"`) for log
-/// events and counter tracks (`"ph":"C"`) for counter samples. Load the
-/// file in <https://ui.perfetto.dev> or `chrome://tracing`.
+/// complete (`"ph":"X"`) events for spans and instants (`"ph":"i"`) for
+/// log events. Load the file in <https://ui.perfetto.dev> or
+/// `chrome://tracing`.
 pub fn chrome_trace_json(records: &[Record]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     for (i, record) in records.iter().enumerate() {
@@ -150,17 +150,6 @@ pub fn chrome_trace_json(records: &[Record]) -> String {
                 escape_into(&mut out, message);
                 out.push_str("\"}}");
             }
-            Record::Counter { name, tid, ts_ns, value } => {
-                out.push_str("{\"name\":\"");
-                escape_into(&mut out, name);
-                let _ = write!(
-                    out,
-                    "\",\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":{},\
-                     \"args\":{{\"value\":{}}}}}",
-                    us(*ts_ns),
-                    json_number(*value)
-                );
-            }
         }
     }
     out.push_str("]}");
@@ -196,27 +185,9 @@ pub fn jsonl(records: &[Record]) -> String {
                 escape_into(&mut out, message);
                 out.push_str("\"}\n");
             }
-            Record::Counter { name, tid, ts_ns, value } => {
-                out.push_str("{\"type\":\"counter\",\"name\":\"");
-                escape_into(&mut out, name);
-                let _ = writeln!(
-                    out,
-                    "\",\"tid\":{tid},\"ts_ns\":{ts_ns},\"value\":{}}}",
-                    json_number(*value)
-                );
-            }
         }
     }
     out
-}
-
-/// A JSON-valid rendering of an `f64` (no `NaN`/`inf` tokens, always a
-/// decimal point or integer form).
-pub(crate) fn json_number(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    format!("{v}")
 }
 
 /// One span inside a merged multi-process trace — names are owned
@@ -337,7 +308,6 @@ mod tests {
                 ts_ns: 42,
                 message: "hello \"quoted\"\nline".to_string(),
             },
-            Record::Counter { name: "c", tid: 1, ts_ns: 99, value: 2.5 },
         ]
     }
 

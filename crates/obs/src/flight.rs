@@ -1,7 +1,6 @@
 //! The always-on flight recorder: a fixed-capacity ring of the most
-//! recent spans, events and counter samples, recorded even when tracing
-//! is *disabled*, so a post-mortem of a chaos storm needs no pre-armed
-//! `--trace-out`.
+//! recent spans and events, recorded even when tracing is *disabled*, so
+//! a post-mortem of a chaos storm needs no pre-armed `--trace-out`.
 //!
 //! # Design
 //!
@@ -22,8 +21,8 @@
 //!
 //! All storage is allocated once at [`flight_init`]; recording allocates
 //! nothing, which is what lets the counting-allocator pin cover the
-//! armed-flight / disabled-tracing path. Capacity math: one slot is nine
-//! `u64` words (72 bytes), so the default 4096-slot ring costs ~288 KiB
+//! armed-flight / disabled-tracing path. Capacity math: one slot is eight
+//! `u64` words (64 bytes), so the default 4096-slot ring costs 256 KiB
 //! plus 16 cursor words — fixed for the process lifetime.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,8 +44,6 @@ pub enum FlightKind {
     /// A log event (`level` is meaningful; the message is not retained —
     /// flight recording never allocates).
     Event,
-    /// A counter sample (`value` is meaningful).
-    Counter,
 }
 
 impl FlightKind {
@@ -55,7 +52,6 @@ impl FlightKind {
         match self {
             FlightKind::Span => "span",
             FlightKind::Event => "event",
-            FlightKind::Counter => "counter",
         }
     }
 }
@@ -63,7 +59,7 @@ impl FlightKind {
 /// One decoded entry out of the ring.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightEntry {
-    /// Span, event or counter.
+    /// Span or event.
     pub kind: FlightKind,
     /// The static name recorded at the call site.
     pub name: &'static str,
@@ -71,13 +67,11 @@ pub struct FlightEntry {
     pub level: Level,
     /// Recording thread.
     pub tid: u64,
-    /// Start (spans) or sample (events/counters) timestamp, nanoseconds
-    /// since the process trace epoch.
+    /// Start (spans) or event timestamp, nanoseconds since the process
+    /// trace epoch.
     pub ts_ns: u64,
-    /// Span duration (0 for events/counters).
+    /// Span duration (0 for events).
     pub dur_ns: u64,
-    /// Counter value (0.0 otherwise).
-    pub value: f64,
     /// The propagated trace id, or 0 when the work was untraced.
     pub trace_id: u128,
 }
@@ -93,7 +87,6 @@ struct Slot {
     dur_ns: AtomicU64,
     trace_lo: AtomicU64,
     trace_hi: AtomicU64,
-    value_bits: AtomicU64,
 }
 
 impl Slot {
@@ -107,7 +100,6 @@ impl Slot {
             dur_ns: AtomicU64::new(0),
             trace_lo: AtomicU64::new(0),
             trace_hi: AtomicU64::new(0),
-            value_bits: AtomicU64::new(0),
         }
     }
 }
@@ -167,7 +159,6 @@ fn pack_meta(kind: FlightKind, level: Level, tid: u64) -> u64 {
     let kind = match kind {
         FlightKind::Span => 1u64,
         FlightKind::Event => 2,
-        FlightKind::Counter => 3,
     };
     (kind << 56) | ((level as u64) << 48) | (tid & 0x0000_ffff_ffff_ffff)
 }
@@ -176,7 +167,6 @@ fn unpack_meta(meta: u64) -> Option<(FlightKind, Level, u64)> {
     let kind = match meta >> 56 {
         1 => FlightKind::Span,
         2 => FlightKind::Event,
-        3 => FlightKind::Counter,
         _ => return None,
     };
     let level = match (meta >> 48) & 0xff {
@@ -190,7 +180,6 @@ fn unpack_meta(meta: u64) -> Option<(FlightKind, Level, u64)> {
 
 /// Writes one record into the ring. Lock-free and allocation-free; drops
 /// the record (never blocks, never corrupts) on a full-wrap writer race.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn record(
     kind: FlightKind,
     name: &'static str,
@@ -198,7 +187,6 @@ pub(crate) fn record(
     tid: u64,
     ts_ns: u64,
     dur_ns: u64,
-    value: f64,
     trace_id: u128,
 ) {
     let Some(ring) = RING.get() else { return };
@@ -223,7 +211,6 @@ pub(crate) fn record(
     slot.dur_ns.store(dur_ns, Ordering::Relaxed);
     slot.trace_lo.store(trace_id as u64, Ordering::Relaxed);
     slot.trace_hi.store((trace_id >> 64) as u64, Ordering::Relaxed);
-    slot.value_bits.store(value.to_bits(), Ordering::Relaxed);
     slot.version.store(version + 2, Ordering::Release);
 }
 
@@ -240,7 +227,6 @@ fn read_slot(slot: &Slot) -> Option<FlightEntry> {
     let dur_ns = slot.dur_ns.load(Ordering::Relaxed);
     let trace_lo = slot.trace_lo.load(Ordering::Relaxed);
     let trace_hi = slot.trace_hi.load(Ordering::Relaxed);
-    let value_bits = slot.value_bits.load(Ordering::Relaxed);
     std::sync::atomic::fence(Ordering::Acquire);
     if slot.version.load(Ordering::Relaxed) != before {
         return None; // torn: a writer republished while we read.
@@ -265,7 +251,6 @@ fn read_slot(slot: &Slot) -> Option<FlightEntry> {
         tid,
         ts_ns,
         dur_ns,
-        value: f64::from_bits(value_bits),
         trace_id: ((trace_hi as u128) << 64) | (trace_lo as u128),
     })
 }
@@ -325,9 +310,6 @@ pub fn flight_json() -> String {
             }
             FlightKind::Event => {
                 let _ = write!(out, ",\"level\":\"{}\"", e.level.label());
-            }
-            FlightKind::Counter => {
-                let _ = write!(out, ",\"value\":{}", crate::export::json_number(e.value));
             }
         }
         if e.trace_id != 0 {
@@ -394,9 +376,8 @@ mod tests {
     #[test]
     fn records_round_trip_through_the_ring() {
         armed_ring();
-        record(FlightKind::Span, "flight.test.span", Level::Off, 7, 100, 25, 0.0, 0xabcd);
-        record(FlightKind::Event, "flight.test.event", Level::Error, 7, 200, 0, 0.0, 0);
-        record(FlightKind::Counter, "flight.test.counter", Level::Off, 7, 300, 0, 2.5, 0);
+        record(FlightKind::Span, "flight.test.span", Level::Off, 7, 100, 25, 0xabcd);
+        record(FlightKind::Event, "flight.test.event", Level::Error, 7, 200, 0, 0);
         let entries = flight_snapshot();
         let span = entries.iter().find(|e| e.name == "flight.test.span").expect("span recorded");
         assert_eq!(span.kind, FlightKind::Span);
@@ -404,8 +385,6 @@ mod tests {
         assert_eq!(span.trace_id, 0xabcd);
         let event = entries.iter().find(|e| e.name == "flight.test.event").expect("event");
         assert_eq!(event.level, Level::Error);
-        let counter = entries.iter().find(|e| e.name == "flight.test.counter").expect("counter");
-        assert_eq!(counter.value, 2.5);
     }
 
     #[test]
@@ -413,7 +392,7 @@ mod tests {
         armed_ring();
         let capacity = flight_capacity();
         for i in 0..(capacity as u64 * 3) {
-            record(FlightKind::Span, "flight.test.wrap", Level::Off, 9, i, 1, 0.0, 0);
+            record(FlightKind::Span, "flight.test.wrap", Level::Off, 9, i, 1, 0);
         }
         let entries = flight_snapshot();
         assert!(entries.len() <= capacity, "{} > {capacity}", entries.len());
@@ -426,9 +405,9 @@ mod tests {
     #[test]
     fn spans_filter_by_trace_id() {
         armed_ring();
-        record(FlightKind::Span, "flight.test.t1", Level::Off, 11, 1, 1, 0.0, 0x77);
-        record(FlightKind::Span, "flight.test.t2", Level::Off, 11, 2, 1, 0.0, 0x88);
-        record(FlightKind::Event, "flight.test.t1e", Level::Info, 11, 3, 0, 0.0, 0x77);
+        record(FlightKind::Span, "flight.test.t1", Level::Off, 11, 1, 1, 0x77);
+        record(FlightKind::Span, "flight.test.t2", Level::Off, 11, 2, 1, 0x88);
+        record(FlightKind::Event, "flight.test.t1e", Level::Info, 11, 3, 0, 0x77);
         let spans = flight_spans_for_trace(0x77);
         assert!(spans.iter().any(|e| e.name == "flight.test.t1"));
         assert!(spans.iter().all(|e| e.trace_id == 0x77 && e.kind == FlightKind::Span));
@@ -437,7 +416,7 @@ mod tests {
     #[test]
     fn flight_json_parses_and_carries_traces() {
         armed_ring();
-        record(FlightKind::Span, "flight.test.json", Level::Off, 13, 5, 9, 0.0, 0xfeed);
+        record(FlightKind::Span, "flight.test.json", Level::Off, 13, 5, 9, 0xfeed);
         let text = flight_json();
         let value = crate::json::parse(&text).expect("flight json parses");
         assert!(value.get("capacity").and_then(crate::json::Value::as_num).unwrap() >= 256.0);

@@ -4,11 +4,11 @@
 //! Three layers, all on `std` alone:
 //!
 //! * **Spans and events** — hierarchical wall-clock spans with per-thread
-//!   span stacks ([`span`]), leveled log events ([`event`]) and numeric
-//!   counter samples ([`counter`]). Tracing is off by default; a disabled
-//!   [`span`] is a single relaxed atomic load and **allocates nothing**
-//!   (pinned by a counting-allocator test), so instrumentation can sit on
-//!   the planner/analyzer hot paths permanently.
+//!   span stacks ([`span`]) and leveled log events ([`event`]). Tracing is
+//!   off by default; a disabled [`span`] is a single relaxed atomic load
+//!   and **allocates nothing** (pinned by a counting-allocator test), so
+//!   instrumentation can sit on the planner/analyzer hot paths
+//!   permanently.
 //! * **Exporters** ([`export`]) — the recorded stream renders either as a
 //!   Chrome trace-event file (loadable in Perfetto / `chrome://tracing`),
 //!   as a JSONL event log, or as an end-of-run profile table aggregated
@@ -151,17 +151,6 @@ pub enum Record {
         /// Free-form message.
         message: String,
     },
-    /// A numeric counter sample (renders as a counter track in Perfetto).
-    Counter {
-        /// Static counter name.
-        name: &'static str,
-        /// Recording thread.
-        tid: u64,
-        /// Timestamp.
-        ts_ns: u64,
-        /// Sampled value.
-        value: f64,
-    },
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -178,7 +167,7 @@ fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Turns span/event/counter recording on or off, process-wide.
+/// Turns span and event recording on or off, process-wide.
 pub fn set_enabled(on: bool) {
     if on {
         // Pin the epoch before the first span so timestamps are small.
@@ -327,7 +316,6 @@ impl Drop for SpanGuard {
                 current_tid(),
                 self.start_ns,
                 dur_ns,
-                0.0,
                 self.trace_id,
             );
         }
@@ -390,7 +378,6 @@ pub fn event(level: Level, name: &'static str, message: &str) {
             current_tid(),
             ts_ns,
             0,
-            0.0,
             context::current_trace_id(),
         );
     }
@@ -401,36 +388,6 @@ pub fn event(level: Level, name: &'static str, message: &str) {
         let mut ctx = c.borrow_mut();
         let tid = ctx.tid;
         ctx.push(Record::Event { name, level, tid, ts_ns, message: message.to_string() });
-    });
-}
-
-/// Records a counter sample (a point on a Perfetto counter track).
-pub fn counter(name: &'static str, value: f64) {
-    let tracing = enabled();
-    let flight = flight::armed();
-    if !tracing && !flight {
-        return;
-    }
-    let ts_ns = now_ns();
-    if flight {
-        flight::record(
-            FlightKind::Counter,
-            name,
-            Level::Off,
-            current_tid(),
-            ts_ns,
-            0,
-            value,
-            context::current_trace_id(),
-        );
-    }
-    if !tracing {
-        return;
-    }
-    let _ = CTX.try_with(|c| {
-        let mut ctx = c.borrow_mut();
-        let tid = ctx.tid;
-        ctx.push(Record::Counter { name, tid, ts_ns, value });
     });
 }
 

@@ -124,7 +124,6 @@ fn disabled_tracing_records_nothing() {
     {
         let _span = nptsn_obs::span("test.ghost");
         nptsn_obs::event(Level::Error, "test.ghost", "nope");
-        nptsn_obs::counter("test.ghost", 1.0);
     }
     assert!(nptsn_obs::drain().is_empty());
 }
@@ -169,10 +168,9 @@ fn chrome_trace_round_trips_through_the_parser() {
     let (_, records) = record(|| {
         let _outer = nptsn_obs::span("rt.outer");
         nptsn_obs::event(Level::Info, "rt.event", "msg with \"quotes\" and\nnewline");
-        nptsn_obs::counter("rt.counter", 12.5);
         let _inner = nptsn_obs::span("rt.inner");
     });
-    assert_eq!(records.len(), 4);
+    assert_eq!(records.len(), 3);
 
     let text = nptsn_obs::chrome_trace_json(&records);
     let doc = nptsn_obs::json::parse(&text).expect("exporter output is valid JSON");
@@ -180,18 +178,17 @@ fn chrome_trace_round_trips_through_the_parser() {
         .get("traceEvents")
         .and_then(Value::as_arr)
         .expect("traceEvents array");
-    assert_eq!(events.len(), 4);
+    assert_eq!(events.len(), 3);
 
     let names: Vec<&str> =
         events.iter().filter_map(|e| e.get("name").and_then(Value::as_str)).collect();
     assert!(names.contains(&"rt.outer"), "{names:?}");
     assert!(names.contains(&"rt.inner"), "{names:?}");
     assert!(names.contains(&"rt.event"), "{names:?}");
-    assert!(names.contains(&"rt.counter"), "{names:?}");
 
     for e in events {
         let ph = e.get("ph").and_then(Value::as_str).expect("phase");
-        assert!(matches!(ph, "X" | "i" | "C"), "unexpected phase {ph}");
+        assert!(matches!(ph, "X" | "i"), "unexpected phase {ph}");
         assert!(e.get("ts").and_then(Value::as_num).is_some(), "numeric ts");
         assert_eq!(e.get("pid").and_then(Value::as_num), Some(1.0));
         if ph == "X" {
@@ -205,15 +202,11 @@ fn chrome_trace_round_trips_through_the_parser() {
                 Some("msg with \"quotes\" and\nnewline")
             );
         }
-        if ph == "C" {
-            let args = e.get("args").expect("counter args");
-            assert_eq!(args.get("value").and_then(Value::as_num), Some(12.5));
-        }
     }
 
     // The JSONL exporter parses line by line too.
     let log = nptsn_obs::jsonl(&records);
-    assert_eq!(log.lines().count(), 4);
+    assert_eq!(log.lines().count(), 3);
     for line in log.lines() {
         nptsn_obs::json::parse(line).expect("JSONL line parses");
     }

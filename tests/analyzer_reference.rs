@@ -14,6 +14,11 @@
 //! the lazy one with one cache shared across several topologies of a
 //! problem (cold, then warm), and under every budget. Some slot tables are
 //! tight enough that flows fall back to a later path.
+//!
+//! An analysis through a fresh [`ScenarioCache`], the way `nptsn verify`
+//! and the serve verify job run one, reports no hit and one miss per
+//! checked scenario on every topology of the sweeps: one analysis checks
+//! each scenario once, so a per-call cache only counts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -249,7 +254,8 @@ struct Reached {
 }
 
 /// Checks `topologies` of one problem uncached over the lazy and the eager
-/// NBF, then over the lazy one through one shared cache cold and warm.
+/// NBF, through a fresh cache each, then over the lazy one through one
+/// shared cache cold and warm.
 fn assert_matches_reference(
     problem: &PlanningProblem,
     topologies: &[Topology],
@@ -268,6 +274,7 @@ fn assert_matches_reference(
         assert_eq!((uncached.cache_hits, uncached.cache_misses), (0, 0), "{label}");
         let over_eager = FailureAnalyzer::new().try_analyze(&eager, topology).unwrap();
         assert_agrees(&expected[i], &over_eager, &format!("{label} uncached, eager NBF"));
+        assert_fresh_cache_never_hits(problem, topology, &expected[i], &label);
         let cold = cached.try_analyze(problem, topology).unwrap();
         assert_agrees(&expected[i], &cold, &format!("{label} cold cache"));
     }
@@ -280,6 +287,26 @@ fn assert_matches_reference(
     let unreliable = expected.iter().filter(|e| matches!(e.0, Verdict::Unreliable { .. }));
     reached.unreliable += unreliable.count();
     reached.fallbacks += eager_nbf.fallbacks.load(Ordering::Relaxed);
+}
+
+/// An analysis through its own fresh cache agrees with the reference,
+/// and every scenario it checks is a miss.
+fn assert_fresh_cache_never_hits(
+    problem: &PlanningProblem,
+    topology: &Topology,
+    expected: &(Verdict, u64, bool),
+    label: &str,
+) {
+    let fresh = FailureAnalyzer::new()
+        .with_shared_cache(Arc::new(ScenarioCache::new()))
+        .try_analyze(problem, topology)
+        .unwrap();
+    assert_agrees(expected, &fresh, &format!("{label} fresh cache"));
+    assert_eq!(
+        (fresh.cache_hits, fresh.cache_misses),
+        (0, fresh.scenarios_checked),
+        "{label}: a fresh cache hit"
+    );
 }
 
 #[test]
@@ -327,7 +354,10 @@ fn every_budget_matches_textbook_algorithm_3() {
         let finished = random_topology(&problem, rng.next_u64(), 64);
         let (eager, _) = eager_twin(&problem);
         for (state, topology) in [("partial", partial), ("finished", finished)] {
-            let total = reference(&eager, &topology, None).1;
+            let unbounded = reference(&eager, &topology, None);
+            let total = unbounded.1;
+            let label = format!("case {case} {state}");
+            assert_fresh_cache_never_hits(&problem, &topology, &unbounded, &label);
             let warm = FailureAnalyzer::new().with_shared_cache(Arc::new(ScenarioCache::new()));
             warm.try_analyze(&problem, &topology).unwrap();
             for budget in 0..=total + 1 {
