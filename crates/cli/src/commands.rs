@@ -310,7 +310,9 @@ fn cmd_plan(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliErr
 /// Renders the per-run `telemetry.jsonl` document: one `"epoch"` line per
 /// training epoch (stats and wall-clock) and one final
 /// `"summary"` line with run totals and the span-timing aggregate from
-/// the trace stream (empty when recording was off).
+/// the trace stream (empty when recording was off). When `NPTSN_CHAOS`
+/// armed a fault plan, the summary also carries a `"chaos"` object: the
+/// number of faults injected at each site that fired, by site name.
 fn telemetry_jsonl(
     epoch_lines: &[String],
     report: &nptsn::PlannerReport,
@@ -346,6 +348,13 @@ fn telemetry_jsonl(
         })
         .collect();
     summary.raw("spans", &format!("[{}]", spans.join(",")));
+    if nptsn_chaos::is_armed() {
+        let mut chaos = Object::new();
+        for (site, injected) in nptsn_chaos::injection_counts() {
+            chaos.int(&site, injected);
+        }
+        summary.raw("chaos", &chaos.finish());
+    }
     text.push_str(&summary.finish());
     text.push('\n');
     text
@@ -990,6 +999,7 @@ a b 500 128
 
     #[test]
     fn rl_plan_works_with_tiny_budget() {
+        let _guard = trace_lock();
         let problem_path = write_temp("rlplan.tssdn", DOC);
         let plan_text =
             run_ok(&["plan", &problem_path, "--epochs", "2", "--steps", "48", "--seed", "1"]);
@@ -1094,6 +1104,7 @@ a b 500 128
 
     #[test]
     fn plan_resume_restores_the_checkpoint() {
+        let _guard = trace_lock();
         let problem_path = write_temp("resume.tssdn", DOC);
         let dir = std::env::temp_dir().join("nptsn-cli-test-resumedir");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1207,7 +1218,9 @@ a b 500 128
         nptsn_chaos::disarm();
     }
 
-    /// Tracing state is process-global; tests that record serialize here.
+    /// Tracing and fault-injection state are process-global: tests that
+    /// record, that arm a fault plan, or that train through the sites an
+    /// armed plan storms serialize here.
     fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -1252,6 +1265,7 @@ a b 500 128
 
     #[test]
     fn plan_checkpoint_writes_policy_and_telemetry_jsonl() {
+        let _guard = trace_lock();
         let problem_path = write_temp("ck.tssdn", DOC);
         let dir = std::env::temp_dir().join("nptsn-cli-test-ckdir");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1275,6 +1289,48 @@ a b 500 128
         assert!(lines[0].contains("\"scenarios_checked\""), "{telemetry}");
         assert!(lines[2].contains("\"type\":\"summary\""), "{telemetry}");
         assert!(lines[2].contains("\"spans\":["), "{telemetry}");
+        assert!(!lines[2].contains("\"chaos\""), "no plan was armed: {telemetry}");
+    }
+
+    #[test]
+    fn stormed_plan_records_its_injections_in_telemetry_jsonl() {
+        use nptsn_obs::json::Value;
+        let _guard = trace_lock();
+        let problem_path = write_temp("storm.tssdn", DOC);
+        let dir = std::env::temp_dir().join("nptsn-cli-test-stormdir");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ck = dir.join("policy.ck");
+        // Every second call fires: `planner.ppo_update` runs once per
+        // epoch (calls 2 and 4 fire) and `checkpoint.save` once per epoch
+        // plus the final save (calls 2 and 4 of 5 fire), so the last
+        // checkpoint is intact.
+        let plan = nptsn_chaos::FaultPlan::parse(
+            "seed 7\nsite checkpoint.save corrupt every=2\nsite planner.ppo_update error every=2",
+        )
+        .unwrap();
+        let armed = nptsn_chaos::arm_scoped(plan);
+        let out = run_ok(&[
+            "plan", &problem_path, "--epochs", "4", "--steps", "32", "--seed", "1",
+            "--checkpoint", ck.to_str().unwrap(),
+        ]);
+        drop(armed);
+        assert!(out.contains("# checkpoint:"), "{out}");
+        nptsn_nn::checkpoint_shapes(&std::fs::read(&ck).unwrap())
+            .expect("the final checkpoint was not stormed");
+
+        let telemetry = std::fs::read_to_string(dir.join("telemetry.jsonl")).unwrap();
+        let lines: Vec<&str> = telemetry.lines().collect();
+        assert_eq!(lines.len(), 5, "4 epoch lines + summary: {telemetry}");
+        for (epoch, line) in lines[..4].iter().enumerate() {
+            let rollbacks = u64::from(epoch % 2 == 1);
+            assert!(line.contains(&format!("\"ppo_rollbacks\":{rollbacks}")), "{line}");
+        }
+        let summary = nptsn_obs::json::parse(lines[4]).expect("summary line parses");
+        let chaos = summary.get("chaos").expect("an armed plan adds a chaos object");
+        let count = |site: &str| chaos.get(site).and_then(Value::as_num);
+        assert_eq!(count("checkpoint.save"), Some(2.0), "{telemetry}");
+        assert_eq!(count("planner.ppo_update"), Some(2.0), "{telemetry}");
+        assert!(matches!(chaos, Value::Obj(sites) if sites.len() == 2), "{telemetry}");
     }
 
     #[test]

@@ -5,19 +5,24 @@
 //! element receives its terms in the order of the naive reference loop
 //! it replaces, as separate multiply-then-add operations (rustc does not
 //! contract them into fused multiply-adds), so results are bitwise
-//! identical to those loops. Everything is safe code with no
-//! target-feature detection; the autovectorizer finds the SIMD.
+//! identical to those loops. The autovectorizer finds the SIMD.
 //!
 //! - [`matmul`] accumulates in register strips: each strip of an output
 //!   row sums that row's nonzero terms in registers and is stored once
-//!   per `b` panel.
+//!   per `b` panel. Its body is compiled twice on `x86_64`: for the
+//!   baseline target and for AVX2, which it picks at run time when the
+//!   CPU has it, so the binaries still run on any x86-64 host. Both
+//!   builds compute the same bits: the wider registers give every output
+//!   element the same multiply-then-add operations in the same order,
+//!   `avx2` does not enable FMA, and rustc never contracts a multiply
+//!   and an add into one.
 //! - The elementwise kernels are explicit fixed-width lane loops
 //!   ([`LANES`] elements per iteration with a scalar tail).
 //!
 //! The random-shape sweeps in `ops.rs` and `autograd.rs` pin the matmul
 //! and the two matmul gradients built on it; this module's own tests pin
-//! the matmul's strip widths, panels and zero skip, the elementwise
-//! kernels and their scalar tails.
+//! both builds of the matmul (strip widths, panels and zero skip), the
+//! elementwise kernels and their scalar tails.
 
 /// Lane width of the elementwise kernels' unrolled loops. Eight `f32`
 /// lanes fill one AVX2 register and two SSE2 or NEON registers; narrower
@@ -45,7 +50,29 @@ pub const LANES: usize = 8;
 /// never is: it starts at `+0.0`, `+0 + -0` is `+0`, and a sum of two
 /// floats is `-0.0` only when both are. (A non-finite `b` would turn the
 /// skipped term into NaN.)
+///
+/// On an `x86_64` CPU with AVX2 this runs an AVX2 build of the same body
+/// (see the module doc for why its bits are the same).
 pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `matmul_avx2` needs AVX2, which the CPU was just found to have.
+        return unsafe { matmul_avx2(a, b, out, m, k, n) };
+    }
+    matmul_body(a, b, out, m, k, n);
+}
+
+/// [`matmul_body`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_avx2(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    matmul_body(a, b, out, m, k, n);
+}
+
+/// The body of [`matmul`], inlined into each of its builds: into
+/// [`matmul`] itself for the baseline target, into `matmul_avx2` for AVX2.
+#[inline(always)]
+fn matmul_body(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
@@ -85,7 +112,8 @@ struct Terms<'a> {
 }
 
 /// Adds `terms` to the output row `orow` in strips of `W` columns. 32
-/// lanes are eight SSE2 registers, which the term loop holds throughout.
+/// lanes are eight SSE2 or four AVX2 registers, which the term loop holds
+/// throughout.
 /// When `W` does not divide the row, its last strip is shifted left to
 /// end at the row's end. That strip's first lanes belong to the strip
 /// before it, which already added this panel's terms to them: it neither
@@ -314,6 +342,13 @@ mod tests {
         x.iter().map(|v| v.to_bits()).collect()
     }
 
+    type Matmul = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+    /// The dispatched [`matmul`] and the generic body it falls back to.
+    /// On an AVX2 host `matmul` runs the AVX2 build, so only the second
+    /// entry runs the code that a host without AVX2 runs.
+    const KERNELS: [(&str, Matmul); 2] = [("matmul", matmul), ("matmul_body", matmul_body)];
+
     #[test]
     fn matmul_matches_textbook_reference() {
         // Every strip width (32, 8 and 1 column), with and without a
@@ -332,10 +367,13 @@ mod tests {
                     }
                 }
                 let b = seeded(11 + n as u64, k * n);
-                let mut out = vec![f32::NAN; m * n];
-                matmul(&a, &b, &mut out, m, k, n);
                 let expect = reference(&a, &b, (m, k, n), false);
-                assert_eq!(bits(&out), bits(&expect), "shape ({m},{k})x({k},{n})");
+                for (name, kernel) in KERNELS {
+                    let mut out = vec![f32::NAN; m * n];
+                    kernel(&a, &b, &mut out, m, k, n);
+                    let shape = format!("({m},{k})x({k},{n})");
+                    assert_eq!(bits(&out), bits(&expect), "{name}: shape {shape}");
+                }
             }
         }
     }
@@ -356,10 +394,13 @@ mod tests {
                 *e = if j % 2 == 0 { f32::INFINITY } else { f32::NAN };
             }
         }
-        let mut out = vec![f32::NAN; m * n];
-        matmul(&a, &b, &mut out, m, k, n);
-        assert!(out.iter().all(|v| v.is_finite()));
-        assert_eq!(bits(&out), bits(&reference(&a, &b, (m, k, n), true)));
+        let expect = reference(&a, &b, (m, k, n), true);
+        for (name, kernel) in KERNELS {
+            let mut out = vec![f32::NAN; m * n];
+            kernel(&a, &b, &mut out, m, k, n);
+            assert!(out.iter().all(|v| v.is_finite()), "{name}");
+            assert_eq!(bits(&out), bits(&expect), "{name}");
+        }
         assert!(reference(&a, &b, (m, k, n), false).iter().all(|v| v.is_nan()));
     }
 

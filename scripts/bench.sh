@@ -26,7 +26,9 @@
 #                           batched result differs from solo, or batch-64
 #                           throughput is below 4x batch-1)
 #   BENCH_router.json     — routed vs direct submit-to-drain throughput
-#                           (fails if routed overhead exceeds 25%)
+#                           of the median of 9 alternating pairs, each on
+#                           fresh fleets (fails if its routed overhead
+#                           exceeds 25%)
 #   BENCH_membership.json — rejoin catch-up and kill-to-served failover
 #                           p50/p99 at replication factor 1 vs 2 (fails if
 #                           the RF2 p99 reaches 50 ms or an acked job is
