@@ -7,7 +7,7 @@
 //!    network for the problem, import the checkpoint parameters, run the
 //!    seeded planning episodes. Solo runs pay all of that per job; a
 //!    coalesced batch pays policy construction and checkpoint import
-//!    **once** and fuses every episode step's forward across lanes
+//!    **once** and evaluates every episode step's lanes in one call
 //!    (`plan_with_policy_batch`). Measured at batch 1 / 8 / 64 on a
 //!    zonal-controller-scale problem, with every batched outcome checked
 //!    equal to its solo reference.
@@ -19,6 +19,9 @@
 //!    zeros, an ORION-sized normalized adjacency) against a 92-wide right
 //!    operand, the GCN's adjacency product. Each is timed as separate
 //!    samples and recorded as the median and quartiles per product.
+//!
+//! Every job-path and forward-path row records the p25, p50, p75 and p99
+//! of its call times, so a before/after of one run has a spread.
 //!
 //! In full mode the binary itself fails unless batch-64 job throughput is
 //! at least 4x batch-1 — the acceptance bar for the batched inference
@@ -108,8 +111,8 @@ fn batched_jobs(
 struct BatchRow {
     batch: usize,
     calls: usize,
-    p50: u64,
-    p99: u64,
+    /// Call durations in nanoseconds: p25, p50, p75 and p99.
+    ns: [u64; 4],
     qps: f64,
 }
 
@@ -125,14 +128,13 @@ impl BatchRow {
             durations.push(start.elapsed().as_nanos() as f64);
         }
         let qps = (batch * calls) as f64 / wall.elapsed().as_secs_f64().max(1e-9);
-        let p50 = percentile(&durations, 50.0) as u64;
-        let p99 = percentile(&durations, 99.0) as u64;
+        let ns = [25.0, 50.0, 75.0, 99.0].map(|p| percentile(&durations, p) as u64);
+        let [p25, p50, p75, p99] = ns.map(Duration::from_nanos);
         println!(
-            "infer_bench: {what} batch {batch:>2}  p50 {:?}  p99 {:?}  {qps:.0}/s",
-            Duration::from_nanos(p50),
-            Duration::from_nanos(p99),
+            "infer_bench: {what} batch {batch:>2}  p50 {p50:?} (p25 {p25:?}, p75 {p75:?})  \
+             p99 {p99:?}  {qps:.0}/s"
         );
-        BatchRow { batch, calls, p50, p99, qps }
+        BatchRow { batch, calls, ns, qps }
     }
 }
 
@@ -224,13 +226,13 @@ fn main() {
         }
     }
 
-    // Bitwise equivalence: the fused block-diagonal forward must agree
-    // with 64 solo forwards to the last mantissa bit.
+    // Bitwise equivalence: the batched forward must agree with 64 solo
+    // forwards to the last mantissa bit.
     let refs: Vec<(&Observation, &[bool])> =
         samples.iter().map(|(o, m)| (o, m.as_slice())).collect();
-    let fused = policy.try_evaluate_many(&refs).expect("well-shaped samples");
-    assert_eq!(fused.len(), samples.len());
-    for (i, ((obs, mask), (flp, fval))) in samples.iter().zip(&fused).enumerate() {
+    let batched = policy.try_evaluate_many(&refs).expect("well-shaped samples");
+    assert_eq!(batched.len(), samples.len());
+    for (i, ((obs, mask), (flp, fval))) in samples.iter().zip(&batched).enumerate() {
         let (slp, sval) = policy.evaluate(obs, mask);
         let same = slp
             .to_vec()
@@ -238,9 +240,9 @@ fn main() {
             .zip(flp.to_vec().iter())
             .all(|(x, y)| x.to_bits() == y.to_bits())
             && sval.to_vec()[0].to_bits() == fval.to_vec()[0].to_bits();
-        assert!(same, "sample {i}: fused forward is not bit-identical to solo");
+        assert!(same, "sample {i}: batched forward is not bit-identical to solo");
     }
-    println!("infer_bench: fused forward bit-identical to solo on all {} samples", samples.len());
+    println!("infer_bench: batched forward bit-identical to solo on all {} samples", samples.len());
 
     let mut fwd_rows: Vec<BatchRow> = Vec::new();
     for &batch in &[1usize, 8, 64] {
@@ -300,11 +302,11 @@ fn main() {
 
     let rows = |o: &mut Fields, rows: &[BatchRow], unit: &str| {
         o.objects("batches", rows, |o, r| {
-            o.int("batch", r.batch as u64)
-                .int("calls", r.calls as u64)
-                .int("p50_ns", r.p50)
-                .int("p99_ns", r.p99)
-                .num(unit, r.qps);
+            o.int("batch", r.batch as u64).int("calls", r.calls as u64);
+            for (q, ns) in ["p25_ns", "p50_ns", "p75_ns", "p99_ns"].into_iter().zip(r.ns) {
+                o.int(q, ns);
+            }
+            o.num(unit, r.qps);
         });
     };
     write_ledger("infer", "infer_batch", |l| {

@@ -149,7 +149,7 @@ pub fn plan_with_policy_batch(
             }
         }
 
-        // One fused forward for every live lane.
+        // One batched forward for every live lane.
         let active: Vec<usize> = states
             .iter()
             .enumerate()

@@ -2,7 +2,7 @@
 
 use nptsn_nn::{Activation, Gcn, GcnBatchItem, GcnStack, Mlp, Module, ShapeError};
 use nptsn_rl::{masked_log_probs, ActorCritic, Batch, Head, StackedSteps};
-use nptsn_tensor::{kernels, Tensor};
+use nptsn_tensor::Tensor;
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::SeedableRng;
 
@@ -98,14 +98,13 @@ impl PolicyNetwork {
     /// in one pass and returns each pair's `(log-probs, value)` exactly as
     /// [`ActorCritic::evaluate`] would.
     ///
-    /// The K GCNs run as one fused block-diagonal forward
-    /// ([`Gcn::try_forward_many`]), the actor and critic MLPs each run once
-    /// on the K stacked pooled embeddings (their layers are row-independent)
-    /// and the mask/log-softmax applies row-wise — every step reuses the
-    /// solo path's kernels on the same per-row data, so the outputs are
-    /// **bitwise identical** to K solo `evaluate` calls (pinned by this
-    /// crate's equivalence tests). The returned tensors carry no autograd
-    /// graph; this is the inference path.
+    /// The K GCNs run graph by graph on the calling thread, pooled, with
+    /// no autograd graph ([`Gcn::pooled_many`]); the actor and critic MLPs
+    /// each run once on the K stacked pooled embeddings (their layers are
+    /// row-independent) and the mask/log-softmax applies row-wise — every
+    /// step reuses the solo path's kernels on the same per-row data, so the
+    /// outputs are **bitwise identical** to K solo `evaluate` calls (pinned
+    /// by this crate's equivalence tests). This is the inference path.
     ///
     /// # Errors
     ///
@@ -117,93 +116,56 @@ impl PolicyNetwork {
         &self,
         batch: &[(&Observation, &[bool])],
     ) -> Result<Vec<(Tensor, Tensor)>, NptsnError> {
-        if batch.is_empty() {
+        let Some((_, mask)) = batch.first() else {
             return Ok(Vec::new());
-        }
-        let action_count = match batch.first() {
-            Some((_, mask)) => mask.len(),
-            None => 0,
         };
+        let (n, f, actions) = (self.node_count, self.feature_count, mask.len());
         for (i, (obs, mask)) in batch.iter().enumerate() {
-            if obs.node_count != self.node_count || obs.feature_count != self.feature_count {
-                return Err(NptsnError::Shape(ShapeError {
-                    op: "evaluate_many",
-                    detail: format!(
-                        "item {i}: observation is {} x {}, network expects {} x {}",
-                        obs.node_count, obs.feature_count, self.node_count, self.feature_count
-                    ),
-                }));
-            }
-            if obs.aux.len() != AUX_LEN {
-                return Err(NptsnError::Shape(ShapeError {
-                    op: "evaluate_many",
-                    detail: format!("item {i}: aux has {} entries, expected {AUX_LEN}", obs.aux.len()),
-                }));
-            }
-            if mask.len() != action_count {
-                return Err(NptsnError::Shape(ShapeError {
-                    op: "evaluate_many",
-                    detail: format!(
-                        "item {i}: mask has {} bits, item 0 has {action_count}",
-                        mask.len()
-                    ),
-                }));
-            }
-            if !mask.iter().any(|&m| m) {
-                return Err(NptsnError::Shape(ShapeError {
-                    op: "evaluate_many",
-                    detail: format!("item {i}: all actions masked; the episode must reset"),
-                }));
-            }
+            let (on, of) = (obs.node_count, obs.feature_count);
+            let detail = if (on, of) != (n, f) {
+                format!("observation is {on} x {of}, network expects {n} x {f}")
+            } else if obs.ahat.len() != n * n {
+                format!("adjacency has {} entries, expected {n} x {n}", obs.ahat.len())
+            } else if obs.features.len() != n * f {
+                format!("features have {} entries, expected {n} x {f}", obs.features.len())
+            } else if obs.aux.len() != AUX_LEN {
+                format!("aux has {} entries, expected {AUX_LEN}", obs.aux.len())
+            } else if mask.len() != actions {
+                format!("mask has {} bits, item 0 has {actions}", mask.len())
+            } else if !mask.contains(&true) {
+                "all actions masked; the episode must reset".to_string()
+            } else {
+                continue;
+            };
+            let detail = format!("item {i}: {detail}");
+            return Err(ShapeError { op: "evaluate_many", detail }.into());
         }
-
-        // One fused block-diagonal GCN forward over all K topologies.
         let items: Vec<GcnBatchItem<'_>> = batch
             .iter()
-            .map(|(obs, _)| GcnBatchItem {
-                ahat: &obs.ahat,
-                n: obs.node_count,
-                h: &obs.features,
-            })
+            .map(|(obs, _)| GcnBatchItem { ahat: &obs.ahat, n, h: &obs.features })
             .collect();
-        let embedded = self.gcn.try_forward_many(&items)?;
+        let aux = batch.iter().flat_map(|(obs, _)| obs.aux.iter().copied()).collect();
+        let aux = Tensor::from_vec(batch.len(), AUX_LEN, aux);
+        let input = Tensor::concat_cols(&[self.gcn.pooled_many(&items), aux]);
+        let masks = mask_offsets(batch.iter().map(|(_, mask)| *mask));
+        let log_probs = self.head_rows(Head::Actor, &input, &masks, 1);
+        let values = self.head_rows(Head::Critic, &input, &masks, 1);
+        let (log_probs, values) = (log_probs.data(), values.data());
+        let rows =
+            log_probs.chunks_exact(actions).map(|row| Tensor::from_vec(1, actions, row.to_vec()));
+        Ok(rows.zip(values.iter().map(|&v| Tensor::from_vec(1, 1, vec![v]))).collect())
+    }
 
-        // Mean-pool each block and append its aux vector: the stacked
-        // (K, pooled + AUX_LEN) input both MLP heads consume at once.
-        let pooled = embedded.out_dim;
-        let width = pooled + AUX_LEN;
-        let mut input = vec![0.0f32; batch.len() * width];
-        for (i, (obs, _)) in batch.iter().enumerate() {
-            let row = &mut input[i * width..(i + 1) * width];
-            kernels::mean_rows(embedded.block(i), embedded.block_rows(i), pooled, &mut row[..pooled]);
-            row[pooled..].copy_from_slice(&obs.aux);
+    /// One head on stacked rows of pooled embeddings and auxiliary vectors,
+    /// its products split by rows over `threads` threads: the actor's
+    /// log-probabilities under the mask offsets `masks`, or the critic's
+    /// values. Every op is row-local, so each row has the bits a solo
+    /// [`ActorCritic::evaluate`] gives its observation.
+    fn head_rows(&self, head: Head, input: &Tensor, masks: &Tensor, threads: usize) -> Tensor {
+        match head {
+            Head::Actor => self.actor.forward_rows(input, threads).add(masks).log_softmax_rows(),
+            Head::Critic => self.critic.forward_rows(input, threads),
         }
-        let input = Tensor::from_vec(batch.len(), width, input);
-        let logits = self.actor.forward(&input);
-        let values = self.critic.forward(&input);
-
-        // Mask + row log-softmax, K rows at once; the add is elementwise
-        // and the softmax per-row, so each row matches its solo
-        // `masked_log_probs` bit for bit.
-        let mask_rows = mask_offsets(batch.iter().map(|(_, mask)| *mask));
-        let log_probs = logits.add(&mask_rows).log_softmax_rows();
-
-        // Split back into per-item (1, actions) / (1, 1) leaf tensors.
-        let lp = log_probs.data();
-        let vals = values.data();
-        let out = (0..batch.len())
-            .map(|i| {
-                (
-                    Tensor::from_vec(
-                        1,
-                        action_count,
-                        lp[i * action_count..(i + 1) * action_count].to_vec(),
-                    ),
-                    Tensor::from_vec(1, 1, vec![vals[i]]),
-                )
-            })
-            .collect();
-        Ok(out)
     }
 }
 
@@ -243,13 +205,7 @@ impl StackedSteps for StackedObservations<'_> {
     fn forward(&self, head: Head) -> Tensor {
         let pooled = self.net.gcn.pooled_stack(&self.gcn);
         let input = Tensor::concat_cols(&[pooled, self.aux.clone()]);
-        let rows = match head {
-            Head::Actor => {
-                let logits = self.net.actor.forward_rows(&input, self.threads);
-                logits.add(&self.masks).log_softmax_rows()
-            }
-            Head::Critic => self.net.critic.forward_rows(&input, self.threads),
-        };
+        let rows = self.net.head_rows(head, &input, &self.masks, self.threads);
         rows.reverse_rows()
     }
 }
@@ -377,31 +333,36 @@ mod tests {
 
     #[test]
     fn evaluate_many_bit_identical_to_solo_evaluates() {
-        let cfg = toy_config();
-        let net = PolicyNetwork::new(&cfg, 4, 10, 6, 3);
-        // Distinct observations and masks per lane.
-        let mut observations = Vec::new();
-        let mut masks = Vec::new();
-        for lane in 0..5usize {
-            let mut obs = toy_obs(4, 10);
-            obs.features.iter_mut().for_each(|v| *v += lane as f32 * 0.01);
-            observations.push(obs);
-            let mut mask = vec![true; 6];
-            mask[lane % 6] = false;
-            masks.push(mask);
-        }
-        let batch: Vec<(&Observation, &[bool])> = observations
-            .iter()
-            .zip(&masks)
-            .map(|(o, m)| (o, m.as_slice()))
-            .collect();
-        let many = net.try_evaluate_many(&batch).expect("well-shaped batch");
-        assert_eq!(many.len(), 5);
-        for (i, (obs, mask)) in batch.iter().enumerate() {
-            let (solo_lp, solo_v) = net.evaluate(obs, mask);
-            // Bitwise equality with the solo path.
-            assert_eq!(many[i].0.to_vec(), solo_lp.to_vec(), "lane {i} log-probs");
-            assert_eq!(many[i].1.item().to_bits(), solo_v.item().to_bits(), "lane {i} value");
+        let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // GCN-0 (Fig. 5a) and the default two layers.
+        for gcn_layers in [0, 2] {
+            let cfg = PlannerConfig { gcn_layers, ..toy_config() };
+            let net = PolicyNetwork::new(&cfg, 4, 10, 6, 3);
+            // Distinct observations and masks per lane.
+            let mut observations = Vec::new();
+            let mut masks = Vec::new();
+            for lane in 0..5usize {
+                let mut obs = toy_obs(4, 10);
+                obs.features.iter_mut().for_each(|v| *v += lane as f32 * 0.01);
+                observations.push(obs);
+                let mut mask = vec![true; 6];
+                mask[lane % 6] = false;
+                masks.push(mask);
+            }
+            let batch: Vec<(&Observation, &[bool])> = observations
+                .iter()
+                .zip(&masks)
+                .map(|(o, m)| (o, m.as_slice()))
+                .collect();
+            let many = net.try_evaluate_many(&batch).expect("well-shaped batch");
+            assert_eq!(many.len(), 5);
+            for (i, (obs, mask)) in batch.iter().enumerate() {
+                let (solo_lp, solo_v) = net.evaluate(obs, mask);
+                // Bitwise equality with the solo path.
+                let at = format!("{gcn_layers} GCN layers, lane {i}");
+                assert_eq!(bits(&many[i].0), bits(&solo_lp), "{at} log-probs");
+                assert_eq!(bits(&many[i].1), bits(&solo_v), "{at} value");
+            }
         }
     }
 
@@ -419,6 +380,16 @@ mod tests {
         // Wrong node count rejected.
         let small = toy_obs(3, 10);
         assert!(net.try_evaluate_many(&[(&small, good)]).is_err());
+        // An adjacency or features shorter than the node count says are
+        // rejected with the item index, before any kernel reads them.
+        let mut short_ahat = toy_obs(4, 10);
+        short_ahat.ahat.pop();
+        let err = net.try_evaluate_many(&[(&obs, good), (&short_ahat, good)]).unwrap_err();
+        assert!(err.to_string().contains("item 1: adjacency"), "got: {err}");
+        let mut short_features = toy_obs(4, 10);
+        short_features.features.truncate(39);
+        let err = net.try_evaluate_many(&[(&obs, good), (&short_features, good)]).unwrap_err();
+        assert!(err.to_string().contains("item 1: features"), "got: {err}");
         // Empty batch is a no-op.
         assert!(net.try_evaluate_many(&[]).unwrap().is_empty());
     }

@@ -2,18 +2,19 @@
 
 use std::rc::Rc;
 
-use nptsn_tensor::{kernels, BlockDiag, Blocks, Tensor};
+use nptsn_tensor::{gcn_pooled_graphs, BlockDiag, Blocks, Tensor};
 use nptsn_rand::Rng;
 
 use crate::init::xavier_uniform;
 use crate::Module;
 
-/// A shape mismatch rejected by one of this crate's fallible (`try_*`)
-/// entry points. Carries the operation name and a human-readable
-/// description so callers can surface it without panicking a worker.
+/// A shape mismatch rejected by a fallible (`try_*`) entry point, such as
+/// the policy network's batched evaluation in `nptsn`. Carries the
+/// operation name and a human-readable description so callers can surface
+/// it without panicking a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeError {
-    /// The operation that rejected its input (e.g. `"gcn.forward_many"`).
+    /// The operation that rejected its input (e.g. `"evaluate_many"`).
     pub op: &'static str,
     /// What disagreed with what.
     pub detail: String,
@@ -77,56 +78,19 @@ pub fn normalized_adjacency(adjacency: &[f32], n: usize) -> Vec<f32> {
     a_hat
 }
 
-/// One topology's slice of a batched GCN forward: its normalized
-/// adjacency `Â` and node features, both row-major.
+/// One graph of a batched GCN forward ([`Gcn::stack`],
+/// [`Gcn::pooled_many`]): its normalized adjacency `Â` and node features,
+/// both row-major.
 #[derive(Debug, Clone, Copy)]
 pub struct GcnBatchItem<'a> {
     /// Normalized adjacency data (`n x n`), as produced by
     /// [`normalized_adjacency`].
     pub ahat: &'a [f32],
-    /// Node count of this topology.
+    /// Node count of this graph; the same for every item of a batch.
     pub n: usize,
     /// Node features (`n x f`); `f` must match the network's input width
     /// and be the same for every item in the batch.
     pub h: &'a [f32],
-}
-
-/// The stacked result of [`Gcn::try_forward_many`]: all K embeddings in one
-/// row-major buffer, addressed per item through row offsets.
-#[derive(Debug, Clone)]
-pub struct GcnBatchOut {
-    /// Stacked embeddings, `(sum of n_i) x out_dim` row-major.
-    pub data: Vec<f32>,
-    /// `offsets[i]..offsets[i + 1]` is the row range of item `i`
-    /// (`offsets.len() == items + 1`).
-    pub offsets: Vec<usize>,
-    /// Output feature width of every row.
-    pub out_dim: usize,
-}
-
-impl GcnBatchOut {
-    /// The embedding rows of item `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn block(&self, i: usize) -> &[f32] {
-        &self.data[self.offsets[i] * self.out_dim..self.offsets[i + 1] * self.out_dim]
-    }
-
-    /// Number of node rows of item `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    pub fn block_rows(&self, i: usize) -> usize {
-        self.offsets[i + 1] - self.offsets[i]
-    }
-
-    /// Number of items in the batch.
-    pub fn items(&self) -> usize {
-        self.offsets.len() - 1
-    }
 }
 
 /// Graphs of one node count stacked for [`Gcn::pooled_stack`]: their
@@ -197,127 +161,6 @@ impl Gcn {
         out
     }
 
-    /// Fused batched forward: applies the propagation rule to K
-    /// topologies at once and returns their embeddings stacked row-wise.
-    ///
-    /// The batch is the block-diagonal system
-    /// `diag(Â_1 .. Â_K) · stack(H_1 .. H_K) · W` — but the zero blocks
-    /// are never materialized: each `Â_i H_i` product runs on its own
-    /// block (zero blocks contribute nothing), while the shared-weight
-    /// `(Â H) W` multiply runs as one kernel call per cache-sized tile of
-    /// stacked rows (whole blocks, never split) and the relu as one pass.
-    /// Because every output row sees exactly the
-    /// operations, operands and accumulation order of a solo
-    /// [`Gcn::forward`] on its item, the result is bitwise identical to K
-    /// independent forwards (pinned by this crate's equivalence sweep).
-    ///
-    /// The output carries no autograd graph — this is the inference path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShapeError`] naming the first item whose adjacency or
-    /// features do not match its node count and the network's input
-    /// width.
-    pub fn try_forward_many(&self, items: &[GcnBatchItem<'_>]) -> Result<GcnBatchOut, ShapeError> {
-        let _span = nptsn_obs::span("gcn.forward_many");
-        // The shared input width: fixed by layer 0 when there is one,
-        // inferred from the first item for the zero-layer identity GCN.
-        let feat = match self.weights.first() {
-            Some(w) => w.rows(),
-            None => match items.first() {
-                Some(it) if it.n > 0 => it.h.len() / it.n,
-                _ => 0,
-            },
-        };
-        let mut offsets = Vec::with_capacity(items.len() + 1);
-        offsets.push(0usize);
-        for (i, it) in items.iter().enumerate() {
-            if it.ahat.len() != it.n * it.n {
-                return Err(ShapeError {
-                    op: "gcn.forward_many",
-                    detail: format!(
-                        "item {i}: adjacency has {} entries, expected {} x {}",
-                        it.ahat.len(),
-                        it.n,
-                        it.n
-                    ),
-                });
-            }
-            if it.h.len() != it.n * feat {
-                return Err(ShapeError {
-                    op: "gcn.forward_many",
-                    detail: format!(
-                        "item {i}: features have {} entries, expected {} x {feat}",
-                        it.h.len(),
-                        it.n
-                    ),
-                });
-            }
-            offsets.push(offsets[i] + it.n);
-        }
-        let total = *offsets.last().unwrap();
-
-        let out_cols = self.output_dim(feat);
-        let weight_data: Vec<_> = self.weights.iter().map(Tensor::data).collect();
-
-        // Depth-first tiling: a cache-sized group of whole blocks runs
-        // through *all* layers before the next group starts, so every
-        // intermediate buffer is tile-sized — only the final stacked
-        // embedding is batch-sized, and it is written once, streaming.
-        // Blocks are independent (the adjacency is block-diagonal) and a
-        // tile never splits a block, so every output row still sees exactly
-        // the operands and accumulation order of a solo forward — the
-        // tiling cannot perturb the bitwise equivalence.
-        const TILE_ROWS: usize = 512;
-        let mut out_data = vec![0.0f32; total * out_cols];
-        let (mut cur, mut prop, mut next) = (Vec::new(), Vec::new(), Vec::new());
-        let mut tile_start = 0usize;
-        while tile_start < items.len() {
-            // Grow the tile by whole blocks up to the row budget (always at
-            // least one block, however large).
-            let mut tile_end = tile_start + 1;
-            while tile_end < items.len()
-                && offsets[tile_end + 1] - offsets[tile_start] <= TILE_ROWS
-            {
-                tile_end += 1;
-            }
-            let rows = offsets[tile_end] - offsets[tile_start];
-
-            // Stack the tile's feature blocks.
-            cur.clear();
-            for it in &items[tile_start..tile_end] {
-                cur.extend_from_slice(it.h);
-            }
-            let mut cur_cols = feat;
-            for (w, wd) in self.weights.iter().zip(&weight_data) {
-                let (wr, wc) = w.shape();
-                debug_assert_eq!(wr, cur_cols);
-                // Â H, block by block: the only non-zero blocks of the
-                // block-diagonal product.
-                prop.clear();
-                prop.resize(rows * cur_cols, 0.0);
-                for bi in tile_start..tile_end {
-                    let r0 = (offsets[bi] - offsets[tile_start]) * cur_cols;
-                    let r1 = (offsets[bi + 1] - offsets[tile_start]) * cur_cols;
-                    let n = items[bi].n;
-                    kernels::matmul(items[bi].ahat, &cur[r0..r1], &mut prop[r0..r1], n, n, cur_cols);
-                }
-                // (Â H) W + relu: one call each over the tile's stacked rows.
-                next.clear();
-                next.resize(rows * wc, 0.0);
-                kernels::matmul(&prop, wd, &mut next, rows, cur_cols, wc);
-                kernels::relu_in_place(&mut next);
-                std::mem::swap(&mut cur, &mut next);
-                cur_cols = wc;
-            }
-            debug_assert_eq!(cur_cols, out_cols);
-            out_data[offsets[tile_start] * out_cols..offsets[tile_end] * out_cols]
-                .copy_from_slice(&cur);
-            tile_start = tile_end;
-        }
-        Ok(GcnBatchOut { data: out_data, offsets, out_dim: out_cols })
-    }
-
     /// Stacks `items` for [`Gcn::pooled_stack`], whose kernels may run on
     /// `threads` threads.
     ///
@@ -328,29 +171,17 @@ impl Gcn {
     /// network's input width.
     pub fn stack(&self, items: &[GcnBatchItem<'_>], threads: usize) -> GcnStack {
         let _span = nptsn_obs::span("gcn.forward");
-        let n = items.first().expect("a stack needs at least one graph").n;
-        let feat = match self.weights.first() {
-            Some(w) => w.rows(),
-            None => items[0].h.len() / n.max(1),
-        };
+        let (n, feat) = self.batch_shape(items, "gcn.stack");
         let blocks = Blocks { count: items.len(), rows: n, threads };
         let mut ahat = Vec::with_capacity(items.len() * n * n);
         let mut features = Vec::with_capacity(items.len() * n * feat);
-        for (i, it) in items.iter().enumerate() {
-            assert!(
-                it.n == n && it.ahat.len() == n * n && it.h.len() == n * feat,
-                "gcn.stack: item {i} is not a {n}-node graph with {feat} features"
-            );
+        for it in items {
             ahat.extend_from_slice(it.ahat);
             features.extend_from_slice(it.h);
         }
         let adjacency = Rc::new(BlockDiag::new(blocks, ahat));
         let first = if self.weights.is_empty() {
-            let mut pooled = vec![0.0f32; items.len() * feat];
-            for (graph, row) in features.chunks_exact(n * feat).zip(pooled.chunks_exact_mut(feat)) {
-                kernels::mean_rows(graph, n, feat, row);
-            }
-            Tensor::from_vec(items.len(), feat, pooled)
+            gcn_pooled_graphs(&graphs(items), n, feat, &[])
         } else {
             Tensor::from_vec(items.len() * n, feat, adjacency.product(&features, feat))
         };
@@ -373,6 +204,41 @@ impl Gcn {
         }
     }
 
+    /// The inference batch: the mean-pooled embedding of every graph of
+    /// `items`, row `i` `forward(Â_i, H_i).mean_rows()` of item `i`, bit for
+    /// bit, with no autograd graph. The graphs run one after the other on
+    /// the calling thread ([`gcn_pooled_graphs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `items` is empty, the items' node counts differ, or an
+    /// item's adjacency or features do not match its node count and the
+    /// network's input width.
+    pub fn pooled_many(&self, items: &[GcnBatchItem<'_>]) -> Tensor {
+        let _span = nptsn_obs::span("gcn.forward");
+        let (n, feat) = self.batch_shape(items, "gcn.pooled_many");
+        gcn_pooled_graphs(&graphs(items), n, feat, &self.weights)
+    }
+
+    /// The node count and input width of the graphs of a batch, checked.
+    fn batch_shape(&self, items: &[GcnBatchItem<'_>], op: &str) -> (usize, usize) {
+        let Some(first) = items.first() else {
+            panic!("{op}: a batch needs at least one graph");
+        };
+        let n = first.n;
+        let feat = match self.weights.first() {
+            Some(w) => w.rows(),
+            None => first.h.len() / n.max(1),
+        };
+        for (i, it) in items.iter().enumerate() {
+            assert!(
+                it.n == n && it.ahat.len() == n * n && it.h.len() == n * feat,
+                "{op}: item {i} is not a {n}-node graph with {feat} features"
+            );
+        }
+        (n, feat)
+    }
+
     /// Number of convolution layers.
     pub fn layer_count(&self) -> usize {
         self.weights.len()
@@ -382,6 +248,11 @@ impl Gcn {
     pub fn output_dim(&self, input_dim: usize) -> usize {
         self.weights.last().map(Tensor::cols).unwrap_or(input_dim)
     }
+}
+
+/// Each item's `(Â, H)`.
+fn graphs<'a>(items: &[GcnBatchItem<'a>]) -> Vec<(&'a [f32], &'a [f32])> {
+    items.iter().map(|it| (it.ahat, it.h)).collect()
 }
 
 impl Module for Gcn {

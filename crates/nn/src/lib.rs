@@ -53,7 +53,7 @@ pub use checkpoint::{
     checkpoint_shapes, params_from_bytes, params_to_bytes, read_checkpoint, write_checkpoint,
     CheckpointError,
 };
-pub use gcn::{normalized_adjacency, Gcn, GcnBatchItem, GcnBatchOut, GcnStack, ShapeError};
+pub use gcn::{normalized_adjacency, Gcn, GcnBatchItem, GcnStack, ShapeError};
 pub use init::xavier_uniform;
 pub use linear::Linear;
 pub use mlp::{Activation, Mlp};

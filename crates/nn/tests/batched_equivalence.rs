@@ -1,10 +1,9 @@
-//! Seeded equivalence sweep for the fused batched GCN forward: across
-//! random batch sizes, topology sizes and layer stacks, `try_forward_many`
-//! must produce outputs **bitwise identical** to K independent solo
-//! `forward` calls — the contract the serve micro-batcher relies on to
-//! coalesce infer jobs without changing their answers. The stacked
-//! training forward (`Gcn::stack`, `Gcn::pooled_stack`) is pinned the
-//! same way, gradients included.
+//! Seeded equivalence sweep for the batched GCN forwards: across random
+//! batch sizes, graph sizes and layer stacks, the stacked training forward
+//! (`Gcn::stack`, `Gcn::pooled_stack`), gradients included, and the
+//! inference batch (`Gcn::pooled_many`) must give every graph the pooled
+//! rows of a solo `forward`, **bit for bit** — the contract the PPO update
+//! and the serve micro-batcher rely on to batch without changing a result.
 
 use nptsn_nn::{normalized_adjacency, Gcn, GcnBatchItem, Module};
 use nptsn_rand::rngs::StdRng;
@@ -22,82 +21,6 @@ fn random_adjacency(rng: &mut StdRng, n: usize) -> Vec<f32> {
         }
     }
     adj
-}
-
-#[test]
-fn batched_forward_bit_identical_to_solo_forwards() {
-    let mut rng = StdRng::seed_from_u64(0xba7c_4ed0);
-    for case in 0..30 {
-        let feat = rng.gen_range(1usize..8);
-        let layers = rng.gen_range(0usize..3);
-        let mut dims = vec![feat];
-        for _ in 0..layers {
-            dims.push(rng.gen_range(1usize..12));
-        }
-        let gcn = Gcn::new(&mut rng, &dims);
-
-        let batch = rng.gen_range(1usize..7);
-        let mut ahats = Vec::with_capacity(batch);
-        let mut feats = Vec::with_capacity(batch);
-        let mut sizes = Vec::with_capacity(batch);
-        for _ in 0..batch {
-            let n = rng.gen_range(1usize..10);
-            ahats.push(normalized_adjacency(&random_adjacency(&mut rng, n), n));
-            feats.push(
-                (0..n * feat)
-                    .map(|_| rng.gen_range(-2.0f32..2.0))
-                    .collect::<Vec<f32>>(),
-            );
-            sizes.push(n);
-        }
-
-        let items: Vec<GcnBatchItem<'_>> = (0..batch)
-            .map(|i| GcnBatchItem { ahat: &ahats[i], n: sizes[i], h: &feats[i] })
-            .collect();
-        let out = gcn.try_forward_many(&items).expect("well-shaped batch");
-        assert_eq!(out.items(), batch);
-        assert_eq!(out.out_dim, gcn.output_dim(feat));
-
-        for i in 0..batch {
-            let ahat = Tensor::from_vec(sizes[i], sizes[i], ahats[i].clone());
-            let h = Tensor::from_vec(sizes[i], feat, feats[i].clone());
-            let solo = gcn.forward(&ahat, &h).to_vec();
-            // Bitwise equality — not even the last ulp may move.
-            assert_eq!(
-                out.block(i),
-                solo.as_slice(),
-                "case {case}: item {i} (n={}, dims={dims:?}, batch={batch})",
-                sizes[i]
-            );
-            assert_eq!(out.block_rows(i), sizes[i]);
-        }
-    }
-}
-
-#[test]
-fn try_forward_many_rejects_bad_shapes_per_item() {
-    let mut rng = StdRng::seed_from_u64(1);
-    let gcn = Gcn::new(&mut rng, &[3, 4]);
-    let ahat = normalized_adjacency(&[0.0; 4], 2);
-    let good = [0.5f32; 6];
-    let short = [0.5f32; 5];
-    let ok = GcnBatchItem { ahat: &ahat, n: 2, h: &good };
-    assert!(gcn.try_forward_many(&[ok]).is_ok());
-    let bad = GcnBatchItem { ahat: &ahat, n: 2, h: &short };
-    let err = gcn.try_forward_many(&[ok, bad]).unwrap_err();
-    assert!(err.to_string().contains("item 1"), "got: {err}");
-    // Adjacency length mismatch is caught too.
-    let bad_adj = GcnBatchItem { ahat: &ahat[..3], n: 2, h: &good };
-    assert!(gcn.try_forward_many(&[bad_adj]).is_err());
-}
-
-#[test]
-fn empty_batch_is_ok_and_empty() {
-    let mut rng = StdRng::seed_from_u64(2);
-    let gcn = Gcn::new(&mut rng, &[3, 4]);
-    let out = gcn.try_forward_many(&[]).unwrap();
-    assert_eq!(out.items(), 0);
-    assert!(out.data.is_empty());
 }
 
 #[test]
@@ -146,6 +69,14 @@ fn stacked_training_forward_matches_solo_graphs_bit_for_bit() {
             loss(&reference).backward();
         }
         let expected = (reference.to_vec(), grads());
+
+        // The inference batch, in step order.
+        let items: Vec<GcnBatchItem<'_>> =
+            (0..steps).map(|i| GcnBatchItem { ahat: &ahats[i], n, h: &feats[i] }).collect();
+        let inferred = gcn.pooled_many(&items);
+        let at = format!("case {case}: dims {dims:?}, {steps} steps of {n} nodes");
+        assert_eq!(bits(&inferred.to_vec()), bits(&expected.0), "inference, {at}");
+        assert!(!inferred.requires_grad(), "inference keeps no graph, {at}");
 
         // The stack, last step first, on 1, 2 and 3 threads.
         for threads in 1..=3 {

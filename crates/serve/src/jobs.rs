@@ -782,7 +782,7 @@ impl JobQueue {
         claimed
     }
 
-    /// Runs a claimed batch of compatible infer jobs as one fused forward,
+    /// Runs a claimed batch of compatible infer jobs as one batched forward,
     /// splitting per-job results back out. Error isolation mirrors the
     /// solo path exactly: a chaos fault, an in-batch panic, or a lane
     /// failure marks *that* job `failed` while its batch-mates complete,
@@ -1402,9 +1402,9 @@ impl JobQueue {
     pub fn worker_loop(&self, metrics: &ServeMetrics, job_deadline: Option<std::time::Duration>) {
         while let Some((id, kind, cancel, progress, trace)) = self.next_job(true) {
             // Micro-batching: an infer leader scoops compatible queued
-            // infer jobs into one fused forward. Deadline mode stays
+            // infer jobs into one batched forward. Deadline mode stays
             // solo — each job needs its own helper thread and clock.
-            // Batched execution runs untraced by design: one fused
+            // Batched execution runs untraced by design: one batched
             // forward serves many jobs, so per-job span attribution
             // would be fiction.
             if job_deadline.is_none() {

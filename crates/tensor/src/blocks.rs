@@ -10,6 +10,11 @@
 //! order, and a weight shared by the blocks takes one gradient
 //! contribution per block, block 0 first. So no result depends on the
 //! thread count.
+//!
+//! The GCN's forward has one per-graph layer body. [`BlockDiag::gcn_pooled`]
+//! runs it on every block of a training stack and keeps the activations;
+//! [`gcn_pooled_graphs`] runs it on one graph after another for inference,
+//! in one graph's scratch, and keeps nothing.
 
 use std::cell::RefMut;
 use std::ops::Range;
@@ -176,16 +181,8 @@ impl BlockDiag {
             !input.requires_grad(),
             "gcn_pooled: the input is a constant"
         );
-        let mut widths = vec![input.cols()];
-        for w in weights {
-            assert_eq!(
-                w.rows(),
-                widths[widths.len() - 1],
-                "gcn_pooled: layer shapes do not chain"
-            );
-            widths.push(w.cols());
-        }
-        let (rows, runs) = (blocks.rows, blocks.runs());
+        let widths = chain(input.cols(), weights, "gcn_pooled");
+        let rows = blocks.rows;
         let stacked = |width: &usize| recycle::overwritten(blocks.count * rows * width);
         let mut saved = GcnActivations {
             outputs: widths[1..].iter().map(stacked).collect(),
@@ -196,32 +193,31 @@ impl BlockDiag {
         {
             let input = input.data();
             let weights: Vec<_> = weights.iter().map(Tensor::data).collect();
-            let gcn = Gcn {
-                diag: self,
-                input: &input,
-                widths: &widths,
-            };
             let weights: Vec<&[f32]> = weights.iter().map(|w| &w[..]).collect();
-            let mut outputs = pieces(&mut saved.outputs, &widths[1..], rows, &runs);
-            let mut propagated = pieces(&mut saved.propagated, &widths[1..], rows, &runs);
-            let work =
-                cut(&mut pooled, width, &runs)
-                    .into_iter()
-                    .zip(&runs)
-                    .map(|(pooled, run)| {
-                        (
-                            run.clone(),
-                            next_pieces(&mut outputs),
-                            next_pieces(&mut propagated),
-                            pooled,
-                        )
-                    });
-            kernels::on_threads(
-                work.collect(),
-                |(run, mut outputs, mut propagated, pooled)| {
-                    gcn.forward(run, &weights, &mut outputs, &mut propagated, pooled);
-                },
-            );
+            let layers = Layers {
+                rows,
+                widths: &widths,
+                weights: &weights,
+            };
+            let mut outputs = pieces(&mut saved.outputs, &widths[1..], rows);
+            let mut propagated = pieces(&mut saved.propagated, &widths[1..], rows);
+            // Each block's adjacency, input, slots and pooled row, in one
+            // run of blocks per thread.
+            let mut graphs = (self.data.chunks_exact(rows * rows))
+                .zip(input.chunks_exact(rows * widths[0]))
+                .zip(pooled.chunks_exact_mut(width))
+                .map(|(graph, pooled)| {
+                    let slots = (next_pieces(&mut outputs), next_pieces(&mut propagated));
+                    (graph, slots, pooled)
+                });
+            let work = (blocks.runs().into_iter())
+                .map(|run| graphs.by_ref().take(run.len()).collect())
+                .collect();
+            kernels::on_threads(work, |run: Vec<_>| {
+                for ((ahat, x), (mut outputs, mut propagated), pooled) in run {
+                    layers.graph(ahat, x, &mut outputs, &mut propagated, pooled);
+                }
+            });
         }
         let rg = weights.iter().any(Tensor::requires_grad);
         let op = Op::BlockGcn(Rc::clone(self), input.clone(), weights.to_vec(), saved);
@@ -304,25 +300,139 @@ impl BlockDiag {
     }
 }
 
-/// Each stacked buffer cut into one piece per run, in run order.
+/// The GCN of [`BlockDiag::gcn_pooled`] on each graph `(Â_i, H_i)` of
+/// `graphs`, forward only: row `i` of the `(K, width)` result is the row
+/// `gcn_pooled` gives graph `i`, and with no weights the column means of
+/// `H_i`. Every graph has `rows` nodes and `feat` features, row-major.
+/// The graphs run one after the other on the calling thread, each through
+/// the same kernel calls as a block of `gcn_pooled`, in one graph's scratch:
+/// no block-diagonal matrix is built and no activation is kept, so the
+/// result has no gradient.
+///
+/// # Panics
+///
+/// Panics when `graphs` is empty, a graph's `Â` is not `rows × rows` or its
+/// `H` not `rows × feat`, or the weights do not chain from `feat`.
+pub fn gcn_pooled_graphs(
+    graphs: &[(&[f32], &[f32])],
+    rows: usize,
+    feat: usize,
+    weights: &[Tensor],
+) -> Tensor {
+    let widths = chain(feat, weights, "gcn_pooled_graphs");
+    let width = widths[weights.len()];
+    let mut pooled = vec![0.0f32; graphs.len() * width];
+    // One graph's scratch: its `Â · H₀`, each layer's output, and `Â` times
+    // the previous output for each layer after the first.
+    let scratch = |width: &usize| vec![0.0f32; rows * width];
+    let mut input = scratch(&feat);
+    let mut outputs: Vec<Vec<f32>> = widths[1..].iter().map(scratch).collect();
+    let hidden = weights.len().saturating_sub(1);
+    let mut propagated: Vec<Vec<f32>> = widths[1..].iter().take(hidden).map(scratch).collect();
+    let mut outputs: Vec<&mut [f32]> = outputs.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut propagated: Vec<&mut [f32]> = propagated.iter_mut().map(Vec::as_mut_slice).collect();
+    let weights: Vec<_> = weights.iter().map(Tensor::data).collect();
+    let weights: Vec<&[f32]> = weights.iter().map(|w| &w[..]).collect();
+    let layers = Layers {
+        rows,
+        widths: &widths,
+        weights: &weights,
+    };
+    for (&(ahat, h), pooled) in graphs.iter().zip(pooled.chunks_exact_mut(width)) {
+        assert!(
+            ahat.len() == rows * rows && h.len() == rows * feat,
+            "gcn_pooled_graphs: a graph is not {rows} nodes with {feat} features"
+        );
+        if weights.is_empty() {
+            kernels::mean_rows(h, rows, feat, pooled);
+        } else {
+            kernels::matmul(ahat, h, &mut input, rows, rows, feat);
+            layers.graph(ahat, &input, &mut outputs, &mut propagated, pooled);
+        }
+    }
+    Tensor::from_vec(graphs.len(), width, pooled)
+}
+
+/// The input width `feat`, then each layer's output width.
+///
+/// # Panics
+///
+/// Panics when the weights' shapes do not chain from `feat`.
+fn chain(feat: usize, weights: &[Tensor], op: &str) -> Vec<usize> {
+    let mut widths = vec![feat];
+    for w in weights {
+        assert_eq!(
+            w.rows(),
+            widths[widths.len() - 1],
+            "{op}: layer shapes do not chain"
+        );
+        widths.push(w.cols());
+    }
+    widths
+}
+
+/// The shapes and weights of a GCN forward, which its graphs share.
+struct Layers<'a> {
+    /// Nodes per graph.
+    rows: usize,
+    /// The input width, then each layer's output width.
+    widths: &'a [usize],
+    weights: &'a [&'a [f32]],
+}
+
+impl Layers<'_> {
+    /// Every layer of one graph, mean-pooled: the forward body of both GCN
+    /// ops here. `input` is the graph's `Â · H₀`. Layer `l` writes
+    /// `Y_l = relu(X_l · W_l)` into `outputs[l]`, where `X_0` is `input` and
+    /// `X_l = Â · Y_{l−1}` is written into `propagated[l − 1]`; `pooled`
+    /// takes the column means of the last `Y_l`. These are the kernel calls
+    /// of [`Tensor::matmul`], [`Tensor::relu`] and [`Tensor::mean_rows`] on
+    /// that graph alone, in the same order.
+    fn graph(
+        &self,
+        ahat: &[f32],
+        input: &[f32],
+        outputs: &mut [&mut [f32]],
+        propagated: &mut [&mut [f32]],
+        pooled: &mut [f32],
+    ) {
+        let rows = self.rows;
+        for (l, w) in self.weights.iter().enumerate() {
+            let (k, n) = (self.widths[l], self.widths[l + 1]);
+            let (before, after) = outputs.split_at_mut(l);
+            let x: &[f32] = if l == 0 {
+                input
+            } else {
+                let p = &mut *propagated[l - 1];
+                kernels::matmul(ahat, before[l - 1], p, rows, rows, k);
+                p
+            };
+            kernels::matmul(x, w, after[0], rows, k, n);
+            kernels::relu_in_place(after[0]);
+        }
+        let last = self.weights.len();
+        kernels::mean_rows(outputs[last - 1], rows, self.widths[last], pooled);
+    }
+}
+
+/// Each stacked buffer cut into one piece per block, in block order.
 fn pieces<'b>(
     buffers: &'b mut [Vec<f32>],
     widths: &[usize],
     rows: usize,
-    runs: &[Range<usize>],
-) -> Vec<std::vec::IntoIter<&'b mut [f32]>> {
+) -> Vec<std::slice::ChunksExactMut<'b, f32>> {
     buffers
         .iter_mut()
         .zip(widths)
-        .map(|(b, w)| cut(b, rows * w, runs).into_iter())
+        .map(|(b, w)| b.chunks_exact_mut(rows * w))
         .collect()
 }
 
 /// The next piece of every buffer.
-fn next_pieces<'b>(pieces: &mut [std::vec::IntoIter<&'b mut [f32]>]) -> Vec<&'b mut [f32]> {
+fn next_pieces<'b, I: Iterator<Item = &'b mut [f32]>>(pieces: &mut [I]) -> Vec<&'b mut [f32]> {
     pieces
         .iter_mut()
-        .map(|p| p.next().expect("a piece per run"))
+        .map(|p| p.next().expect("a piece for each"))
         .collect()
 }
 
@@ -355,7 +465,7 @@ enum Sink<'b> {
     Skip,
 }
 
-/// The constant inputs of a GCN pass, which its threads share.
+/// The constant inputs of a GCN backward, which its threads share.
 struct Gcn<'a> {
     diag: &'a BlockDiag,
     input: &'a [f32],
@@ -364,41 +474,6 @@ struct Gcn<'a> {
 }
 
 impl Gcn<'_> {
-    /// The forward of the blocks of `run`, whose pieces of each layer's
-    /// stacked buffers are `outputs` and `propagated`, and of the pooled
-    /// rows `pooled`.
-    fn forward(
-        &self,
-        run: Range<usize>,
-        weights: &[&[f32]],
-        outputs: &mut [&mut [f32]],
-        propagated: &mut [&mut [f32]],
-        pooled: &mut [f32],
-    ) {
-        let rows = self.diag.blocks.rows;
-        let last = weights.len() - 1;
-        for (i, b) in run.enumerate() {
-            for (l, w) in weights.iter().enumerate() {
-                let (k, n) = (self.widths[l], self.widths[l + 1]);
-                let (before, after) = outputs.split_at_mut(l);
-                let out = &mut after[0][i * rows * n..(i + 1) * rows * n];
-                let x: &[f32] = if l == 0 {
-                    &self.input[b * rows * k..(b + 1) * rows * k]
-                } else {
-                    let p = &mut propagated[l - 1][i * rows * k..(i + 1) * rows * k];
-                    let previous = &before[l - 1][i * rows * k..(i + 1) * rows * k];
-                    kernels::matmul(self.diag.block(b), previous, p, rows, rows, k);
-                    p
-                };
-                kernels::matmul(x, w, out, rows, k, n);
-                kernels::relu_in_place(out);
-            }
-            let n = self.widths[last + 1];
-            let out = &outputs[last][i * rows * n..(i + 1) * rows * n];
-            kernels::mean_rows(out, rows, n, &mut pooled[i * n..(i + 1) * n]);
-        }
-    }
-
     /// The backward of the blocks of `run`: for each block, from the last
     /// layer to the first, the relu's mask, the weight's contribution
     /// `Pᵀ · dZ` and the gradient `Âᵀ · (dZ · Wᵀ)` of the layer's input.

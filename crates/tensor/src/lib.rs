@@ -15,7 +15,9 @@
 //! only inside [`Tensor::matmul_rows`] and the block ops ([`Blocks`],
 //! [`BlockDiag`]), which evaluate a stack of equal-sized graphs, such as
 //! one GCN per PPO step, as one graph: they split their kernel calls over
-//! threads so that every result is the same bits on any thread count. A loop that builds the same
+//! threads so that every result is the same bits on any thread count.
+//! [`gcn_pooled_graphs`] runs the same GCN layers forward only, graph by
+//! graph on the calling thread, for inference. A loop that builds the same
 //! large graph again and again runs inside [`recycling`], which keeps the
 //! buffers of dropped tensors for the next iteration.
 //!
@@ -43,7 +45,7 @@ mod ops;
 mod recycle;
 mod tensor;
 
-pub use blocks::{BlockDiag, Blocks};
+pub use blocks::{gcn_pooled_graphs, BlockDiag, Blocks};
 pub use recycle::recycling;
 pub use tensor::Tensor;
 

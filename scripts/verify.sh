@@ -30,10 +30,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 # compare batched paths with sequential ones that share the matmul
 # kernel, so a kernel that is wrong the same way on both sides passes
 # them; `nptsn-tensor`'s own tests pin the kernel and the matmul
-# gradients to textbook loops, and they run here too.
+# gradients to textbook loops, and they run here too. The served
+# inference batch runs in release as well: `batched_equivalence` pins it
+# and the stacked training forward to solo GCN forwards at 0, 1, 2 and 4
+# layers.
 cargo test -q --offline --release --test ppo_reference --test analyzer_reference \
     --test replan_reference --test soag_reference
 cargo test -q --offline --release -p nptsn-tensor --lib
+cargo test -q --offline --release -p nptsn-nn --test batched_equivalence
 
 # The end-to-end benchmark is a package of its own: build and test it
 # against the crates as they are. --locked fails if a crate change would
