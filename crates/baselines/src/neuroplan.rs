@@ -1,7 +1,7 @@
 //! NeuroPlan \[16\] adapted to TSSDN planning: static link-level actions.
 
-use nptsn::{FailureAnalyzer, Observation, PlannerConfig, PlanningProblem, PolicyNetwork,
-            Solution, Verdict};
+use nptsn::{add_flow_counts, FailureAnalyzer, Observation, PlannerConfig, PlanningProblem,
+            PolicyNetwork, Solution, Verdict};
 use nptsn_nn::Adam;
 use nptsn_rl::{ppo_update, sample_action, ActorCritic, PpoConfig, RolloutBuffer};
 use nptsn_topo::{Asil, LinkId, NodeId, Topology};
@@ -138,17 +138,7 @@ impl NeuroPlanAgent {
             features[u.index() * f + 1 + v.index()] = cost;
             features[v.index() * f + 1 + u.index()] = cost;
         }
-        for (e, &station) in es.iter().enumerate() {
-            for u in gc.nodes() {
-                if u == station || gc.is_switch(u) {
-                    continue;
-                }
-                let count = self.problem.flows().count_between(u, station) as f32;
-                if count > 0.0 {
-                    features[u.index() * f + 1 + n + e] = count;
-                }
-            }
-        }
+        add_flow_counts(&self.problem, &mut features, f);
         let flows = self.problem.flows();
         let tas = self.problem.tas();
         let aux = vec![

@@ -11,10 +11,13 @@
 //!    (`plan_with_policy_batch`). Measured at batch 1 / 8 / 64 on a
 //!    zonal-controller-scale problem, with every batched outcome checked
 //!    equal to its solo reference.
-//! 2. **Forward path** — `PolicyNetwork::try_evaluate_many` against K solo
-//!    `evaluate` calls on ORION-scale observations, proven **bit-identical**
-//!    before timing, plus the register-strip `nptsn_tensor` matmul kernel
-//!    against a naive triple loop (also bit-for-bit checked) on two left
+//! 2. **Forward path** — `PolicyNetwork::try_evaluate_many`, the
+//!    deployment forward, on 1, 8 and 64 ORION-scale observations per
+//!    call, every batch size timed over the same number of calls. Batch 1
+//!    is the greedy re-plan's step. The log-probs, batched and alone, are
+//!    proven **bit-identical** to solo `evaluate` calls before timing.
+//!    Beside it, the register-strip `nptsn_tensor` matmul kernel against
+//!    a naive triple loop (also bit-for-bit checked) on two left
 //!    operands: a dense 192³ product, and a 46-row `Â`-like block (95%
 //!    zeros, an ORION-sized normalized adjacency) against a 92-wide right
 //!    operand, the GCN's adjacency product. Each is timed as separate
@@ -140,8 +143,8 @@ impl BatchRow {
 
 fn main() {
     let smoke = nptsn_bench::smoke();
-    let (solo_jobs, batch_calls, fwd_warmup, forwards, kernel_samples, dense_dim) =
-        if smoke { (4usize, 2usize, 2usize, 8usize, 3usize, 48usize) } else { (160, 20, 20, 300, 15, 192) };
+    let (solo_jobs, batch_calls, fwd_warmup, fwd_calls, kernel_samples, dense_dim) =
+        if smoke { (4usize, 2usize, 2usize, 15usize, 3usize, 48usize) } else { (160, 20, 20, 100, 15, 192) };
     const ATTEMPTS: usize = 2;
 
     // ---- 1. Job path on the zonal problem (the gated number). ----
@@ -226,21 +229,21 @@ fn main() {
         }
     }
 
-    // Bitwise equivalence: the batched forward must agree with 64 solo
-    // forwards to the last mantissa bit.
+    // Bitwise equivalence: the batched forward's log-probs, and each
+    // sample's alone, must agree with 64 solo `evaluate` calls to the last
+    // mantissa bit.
     let refs: Vec<(&Observation, &[bool])> =
         samples.iter().map(|(o, m)| (o, m.as_slice())).collect();
     let batched = policy.try_evaluate_many(&refs).expect("well-shaped samples");
     assert_eq!(batched.len(), samples.len());
-    for (i, ((obs, mask), (flp, fval))) in samples.iter().zip(&batched).enumerate() {
-        let (slp, sval) = policy.evaluate(obs, mask);
-        let same = slp
-            .to_vec()
-            .iter()
-            .zip(flp.to_vec().iter())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-            && sval.to_vec()[0].to_bits() == fval.to_vec()[0].to_bits();
-        assert!(same, "sample {i}: batched forward is not bit-identical to solo");
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (i, (obs, mask)) in refs.iter().enumerate() {
+        let solo = bits(&policy.evaluate(obs, mask).0.to_vec());
+        let alone = policy.try_evaluate_many(&refs[i..=i]).expect("well-shaped sample");
+        assert!(
+            bits(&batched[i]) == solo && bits(&alone[0]) == solo,
+            "sample {i}: batched forward is not bit-identical to solo"
+        );
     }
     println!("infer_bench: batched forward bit-identical to solo on all {} samples", samples.len());
 
@@ -248,27 +251,16 @@ fn main() {
     for &batch in &[1usize, 8, 64] {
         let mut cursor = 0usize;
         let mut run = |_| {
-            let start = cursor;
-            cursor = (cursor + batch) % samples.len();
-            if batch == 1 {
-                let (obs, mask) = &samples[start % samples.len()];
-                std::hint::black_box(policy.evaluate(obs, mask));
-            } else {
-                let window: Vec<(&Observation, &[bool])> = (0..batch)
-                    .map(|j| {
-                        let (o, m) = &samples[(start + j) % samples.len()];
-                        (o, m.as_slice())
-                    })
-                    .collect();
-                let out = policy.try_evaluate_many(&window).expect("well-shaped window");
-                std::hint::black_box(out);
-            }
+            let window: Vec<(&Observation, &[bool])> =
+                (0..batch).map(|j| refs[(cursor + j) % refs.len()]).collect();
+            cursor = (cursor + batch) % refs.len();
+            let out = policy.try_evaluate_many(&window).expect("well-shaped window");
+            std::hint::black_box(out);
         };
         for i in 0..fwd_warmup {
             run(i);
         }
-        let calls = (forwards / batch).max(4);
-        fwd_rows.push(BatchRow::measure("forward", batch, calls, run));
+        fwd_rows.push(BatchRow::measure("forward", batch, fwd_calls, run));
     }
 
     // ---- 3. Matmul-kernel speedup over the naive triple loop. ----

@@ -2,7 +2,7 @@
 //! actions are folded into the GCN input so training stays stable on the
 //! dynamic action space.
 
-use nptsn_topo::Topology;
+use nptsn_topo::{NodeId, Topology};
 
 use crate::problem::PlanningProblem;
 use crate::soag::{Action, ActionSet};
@@ -95,17 +95,7 @@ pub fn encode_observation(
         features[v.index() * f + 1 + u.index()] = cost;
     }
     // 3. Flow count block.
-    for (e, &station) in es.iter().enumerate() {
-        for u in gc.nodes() {
-            if u == station || gc.is_switch(u) {
-                continue;
-            }
-            let count = problem.flows().count_between(u, station) as f32;
-            if count > 0.0 {
-                features[u.index() * f + 1 + n + e] = count;
-            }
-        }
-    }
+    add_flow_counts(problem, &mut features, f);
     // 4. Dynamic action block.
     let switch_slots = gc.switches().len();
     for (slot, action) in actions.actions().iter().enumerate().skip(switch_slots) {
@@ -141,6 +131,35 @@ pub fn encode_observation(
     debug_assert_eq!(aux.len(), AUX_LEN);
 
     Observation { node_count: n, feature_count: f, ahat, features, aux }
+}
+
+/// Adds the flow-count block, feature category 3 of
+/// [`encode_observation`], to `features`: a row-major buffer of
+/// `feature_count` columns per node of the problem's connection graph,
+/// whose block of `|V_es|` columns starts at column `1 + |V^c|` and is
+/// zero on entry.
+///
+/// Entry `(u, e)` ends as the number of flows between `u` and the `e`-th
+/// end station, in either direction. One pass over the flows builds it:
+/// each flow adds 1 at (source, column of its destination) and at
+/// (destination, column of its source). Every endpoint is an end station
+/// ([`PlanningProblem::new`] checks) and no flow loops
+/// ([`FlowSet::new`](nptsn_sched::FlowSet::new) checks), so rows of
+/// switches and each station's own column stay zero. The counts are small
+/// integers, which `f32` adds exactly.
+pub fn add_flow_counts(problem: &PlanningProblem, features: &mut [f32], feature_count: usize) {
+    let gc = problem.connection_graph();
+    let n = gc.node_count();
+    let mut columns = vec![None; n];
+    for (e, station) in gc.end_stations().iter().enumerate() {
+        columns[station.index()] = Some(1 + n + e);
+    }
+    let column = |node: NodeId| columns[node.index()].expect("an end station");
+    for spec in problem.flows().specs() {
+        let (source, destination) = spec.endpoints();
+        features[source.index() * feature_count + column(destination)] += 1.0;
+        features[destination.index() * feature_count + column(source)] += 1.0;
+    }
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ impl PlanningEnv {
         max_episode_steps: usize,
         rng: &mut impl Rng,
     ) -> PlanningEnv {
-        let topology = problem.connection_graph().empty_topology();
+        let topology = Topology::empty(problem.connection_graph_arc());
         let soag = Soag::new(k_paths);
         let mut env = PlanningEnv {
             problem,
@@ -127,7 +127,7 @@ impl PlanningEnv {
     /// Resets the TSSDN to end stations only and regenerates the action
     /// space from a fresh failure analysis (Algorithm 2 line 3).
     pub fn reset(&mut self, rng: &mut impl Rng) {
-        self.topology = self.problem.connection_graph().empty_topology();
+        self.topology = Topology::empty(self.problem.connection_graph_arc());
         self.last_cost = 0.0;
         self.episode_steps = 0;
         let (failure, errors) = match self.analyze_counted() {

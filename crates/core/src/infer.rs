@@ -170,10 +170,7 @@ pub fn plan_with_policy_batch(
             policy.try_evaluate_many(&batch)
         };
         let actions: Vec<usize> = match evaluated {
-            Ok(outs) => outs
-                .iter()
-                .map(|(logps, _)| nptsn_rl::best_action(&logps.to_vec()).0)
-                .collect(),
+            Ok(rows) => rows.iter().map(|log_probs| nptsn_rl::best_action(log_probs).0).collect(),
             Err(e) => {
                 // Pre-validation makes this unreachable for well-formed
                 // lanes; if it fires anyway, no lane can be stepped.

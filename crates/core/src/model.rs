@@ -94,17 +94,23 @@ impl PolicyNetwork {
         self.node_count
     }
 
-    /// Batched deployment forward: evaluates K `(observation, mask)` pairs
-    /// in one pass and returns each pair's `(log-probs, value)` exactly as
-    /// [`ActorCritic::evaluate`] would.
+    /// The deployment forward: evaluates K `(observation, mask)` pairs in
+    /// one pass and returns each pair's action log-probabilities exactly
+    /// as [`ActorCritic::evaluate`] would. It returns no value: greedy
+    /// planning reads none, so the critic head does not run.
     ///
     /// The K GCNs run graph by graph on the calling thread, pooled, with
-    /// no autograd graph ([`Gcn::pooled_many`]); the actor and critic MLPs
-    /// each run once on the K stacked pooled embeddings (their layers are
-    /// row-independent) and the mask/log-softmax applies row-wise — every
-    /// step reuses the solo path's kernels on the same per-row data, so the
-    /// outputs are **bitwise identical** to K solo `evaluate` calls (pinned
-    /// by this crate's equivalence tests). This is the inference path.
+    /// no autograd graph ([`Gcn::pooled_many`]); the actor MLP runs once on
+    /// the K stacked pooled embeddings (its layers are row-independent)
+    /// and the mask/log-softmax applies row-wise — every step reuses the
+    /// solo path's kernels on the same per-row data, so the log-probs are
+    /// **bitwise identical** to K solo `evaluate` calls (pinned by this
+    /// crate's equivalence tests). This is the inference path: the solo
+    /// re-plan ([`Planner::plan_with_policy`], one item per call) and the
+    /// served batch ([`plan_with_policy_batch`]) both evaluate here.
+    ///
+    /// [`Planner::plan_with_policy`]: crate::Planner::plan_with_policy
+    /// [`plan_with_policy_batch`]: crate::plan_with_policy_batch
     ///
     /// # Errors
     ///
@@ -115,7 +121,7 @@ impl PolicyNetwork {
     pub fn try_evaluate_many(
         &self,
         batch: &[(&Observation, &[bool])],
-    ) -> Result<Vec<(Tensor, Tensor)>, NptsnError> {
+    ) -> Result<Vec<Vec<f32>>, NptsnError> {
         let Some((_, mask)) = batch.first() else {
             return Ok(Vec::new());
         };
@@ -149,11 +155,8 @@ impl PolicyNetwork {
         let input = Tensor::concat_cols(&[self.gcn.pooled_many(&items), aux]);
         let masks = mask_offsets(batch.iter().map(|(_, mask)| *mask));
         let log_probs = self.head_rows(Head::Actor, &input, &masks, 1);
-        let values = self.head_rows(Head::Critic, &input, &masks, 1);
-        let (log_probs, values) = (log_probs.data(), values.data());
-        let rows =
-            log_probs.chunks_exact(actions).map(|row| Tensor::from_vec(1, actions, row.to_vec()));
-        Ok(rows.zip(values.iter().map(|&v| Tensor::from_vec(1, 1, vec![v]))).collect())
+        let rows = log_probs.data().chunks_exact(actions).map(<[f32]>::to_vec).collect();
+        Ok(rows)
     }
 
     /// One head on stacked rows of pooled embeddings and auxiliary vectors,
@@ -333,7 +336,7 @@ mod tests {
 
     #[test]
     fn evaluate_many_bit_identical_to_solo_evaluates() {
-        let bits = |t: &Tensor| t.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         // GCN-0 (Fig. 5a) and the default two layers.
         for gcn_layers in [0, 2] {
             let cfg = PlannerConfig { gcn_layers, ..toy_config() };
@@ -357,11 +360,13 @@ mod tests {
             let many = net.try_evaluate_many(&batch).expect("well-shaped batch");
             assert_eq!(many.len(), 5);
             for (i, (obs, mask)) in batch.iter().enumerate() {
-                let (solo_lp, solo_v) = net.evaluate(obs, mask);
-                // Bitwise equality with the solo path.
+                let solo = bits(&net.evaluate(obs, mask).0.to_vec());
+                // Bitwise equality with the solo path, alone in its call
+                // (the greedy re-plan's call) and in the batch.
+                let alone = net.try_evaluate_many(&batch[i..=i]).expect("well-shaped item");
                 let at = format!("{gcn_layers} GCN layers, lane {i}");
-                assert_eq!(bits(&many[i].0), bits(&solo_lp), "{at} log-probs");
-                assert_eq!(bits(&many[i].1), bits(&solo_v), "{at} value");
+                assert_eq!(bits(&many[i]), solo, "{at}: in the batch");
+                assert_eq!(bits(&alone[0]), solo, "{at}: alone");
             }
         }
     }

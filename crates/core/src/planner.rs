@@ -238,12 +238,20 @@ impl Planner {
 
     /// One greedy episode: the policy's most probable valid action at every
     /// step, until the episode ends or no action is valid. Returns the plan
-    /// it verified, if any; a plan always ends an episode.
+    /// it verified, if any; a plan always ends an episode. Each step runs
+    /// the inference forward on one item, as a lane of the batched path
+    /// does: the GCN builds no autograd graph and the critic does not run.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `policy` does not have this planner's dimensions.
     fn attempt(&self, policy: &PolicyNetwork, seed: u64, attempt: usize) -> Option<Solution> {
         let (mut rng, mut env) = self.start_attempt(seed, attempt);
         while env.mask().iter().any(|&m| m) {
-            let (logps, _) = policy.evaluate(env.observation(), env.mask());
-            let (action, _) = nptsn_rl::best_action(&logps.to_vec());
+            let log_probs = policy
+                .try_evaluate_many(&[(env.observation(), env.mask())])
+                .expect("the policy has this planner's dimensions");
+            let (action, _) = nptsn_rl::best_action(&log_probs[0]);
             let outcome = env.step(action, &mut rng);
             if outcome.done {
                 return outcome.solution;

@@ -144,17 +144,6 @@ impl FlowSet {
     pub fn specs(&self) -> &[FlowSpec] {
         &self.flows
     }
-
-    /// Number of flows between the (unordered) endpoints `u` and `v`;
-    /// used by the flow-feature encoding (Section IV-C).
-    pub fn count_between(&self, u: NodeId, v: NodeId) -> usize {
-        self.flows
-            .iter()
-            .filter(|f| {
-                (f.source == u && f.destination == v) || (f.source == v && f.destination == u)
-            })
-            .count()
-    }
 }
 
 /// The error message `ER` produced by a Network Behavior Function: the
@@ -240,21 +229,6 @@ mod tests {
         let ok = FlowSet::new(vec![FlowSpec::new(a, b, 500, 64)]).unwrap();
         assert_eq!(ok.len(), 1);
         assert!(!ok.is_empty());
-    }
-
-    #[test]
-    fn count_between_is_direction_insensitive() {
-        let (a, b, c) = nodes();
-        let fs = FlowSet::new(vec![
-            FlowSpec::new(a, b, 500, 64),
-            FlowSpec::new(b, a, 500, 64),
-            FlowSpec::new(a, c, 500, 64),
-        ])
-        .unwrap();
-        assert_eq!(fs.count_between(a, b), 2);
-        assert_eq!(fs.count_between(b, a), 2);
-        assert_eq!(fs.count_between(a, c), 1);
-        assert_eq!(fs.count_between(b, c), 0);
     }
 
     #[test]

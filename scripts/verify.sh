@@ -33,11 +33,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 # gradients to textbook loops, and they run here too. The served
 # inference batch runs in release as well: `batched_equivalence` pins it
 # and the stacked training forward to solo GCN forwards at 0, 1, 2 and 4
-# layers.
+# layers, and `model::tests` pin its log-probs, batched and one item
+# alone (the greedy re-plan step), to `evaluate` at 0 and 2 GCN layers.
 cargo test -q --offline --release --test ppo_reference --test analyzer_reference \
     --test replan_reference --test soag_reference
 cargo test -q --offline --release -p nptsn-tensor --lib
 cargo test -q --offline --release -p nptsn-nn --test batched_equivalence
+cargo test -q --offline --release -p nptsn --lib model::tests
 
 # The end-to-end benchmark is a package of its own: build and test it
 # against the crates as they are. --locked fails if a crate change would
