@@ -1,6 +1,6 @@
 //! NeuroPlan \[16\] adapted to TSSDN planning: static link-level actions.
 
-use nptsn::{add_flow_counts, FailureAnalyzer, Observation, PlannerConfig, PlanningProblem,
+use nptsn::{encode_graph, FailureAnalyzer, Observation, PlannerConfig, PlanningProblem,
             PolicyNetwork, Solution, Verdict};
 use nptsn_nn::Adam;
 use nptsn_rl::{ppo_update, sample_action, ActorCritic, PpoConfig, RolloutBuffer};
@@ -113,32 +113,7 @@ impl NeuroPlanAgent {
         let n = gc.node_count();
         let es = gc.end_stations();
         let f = 1 + n + es.len();
-        let lib = self.problem.library();
-        let cost_norm = lib
-            .switch_cost(lib.max_switch_degree(), Asil::D)
-            .unwrap_or(1.0)
-            .max(1.0) as f32;
-        let mut adjacency = vec![0.0f32; n * n];
-        for link in topology.links() {
-            let (u, v) = gc.link_endpoints(link);
-            adjacency[u.index() * n + v.index()] = 1.0;
-            adjacency[v.index() * n + u.index()] = 1.0;
-        }
-        let ahat = nptsn_nn::normalized_adjacency(&adjacency, n);
-        let mut features = vec![0.0f32; n * f];
-        for &sw in topology.selected_switches() {
-            let asil = topology.switch_asil(sw).expect("selected");
-            features[sw.index() * f] =
-                lib.switch_cost(topology.degree(sw), asil).expect("degree ok") as f32 / cost_norm;
-        }
-        for link in topology.links() {
-            let (u, v) = gc.link_endpoints(link);
-            let cost =
-                lib.link_cost(topology.link_asil(link), gc.link_length(link)) as f32 / cost_norm;
-            features[u.index() * f + 1 + v.index()] = cost;
-            features[v.index() * f + 1 + u.index()] = cost;
-        }
-        add_flow_counts(&self.problem, &mut features, f);
+        let (ahat, features) = encode_graph(&self.problem, topology, f);
         let flows = self.problem.flows();
         let tas = self.problem.tas();
         let aux = vec![

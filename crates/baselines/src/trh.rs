@@ -127,14 +127,13 @@ impl Trh {
     ) -> bool {
         let gc = topology.connection_graph();
         let mut table = nptsn_sched::ScheduleTable::new(gc, problem.tas());
-        for ((flow, spec), paths) in problem.flows().iter().zip(embedded) {
+        for (spec, paths) in problem.flows().specs().iter().zip(embedded) {
             let Some(paths) = paths else { continue };
             for path in paths {
                 match nptsn_sched::schedule_flow_on_path(
                     &mut table,
                     gc,
                     problem.tas(),
-                    flow,
                     spec,
                     path,
                 ) {

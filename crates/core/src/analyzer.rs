@@ -130,12 +130,24 @@ pub struct AnalysisReport {
 /// to the empty failure (nominal schedulability), skipping subsets of
 /// scenarios that already survived.
 ///
-/// Soundness of checking switches only: any non-safe fault containing link
-/// failures maps (Eq. 6) to the switch-only fault obtained by replacing
-/// each failed link with its lower-ASIL endpoint; since link ASIL equals
-/// the minimum endpoint ASIL, the mapped fault is at least as probable, and
-/// its residual network is a subgraph — so surviving it implies surviving
-/// the original.
+/// Checking switches only: any non-safe fault containing link failures
+/// maps (Eq. 6) to the switch-only fault obtained by replacing each failed
+/// link with its lower-ASIL endpoint; since link ASIL equals the minimum
+/// endpoint ASIL, the mapped fault is at least as probable, and its
+/// residual network is a subgraph of the original's. A skipped subset of
+/// a surviving scenario likewise leaves a residual network that contains
+/// the survivor's.
+///
+/// What this makes sound: the flow state the NBF returned for a survivor
+/// uses only components alive under every fault the survivor covers (its
+/// subsets, and the link faults that map into them), so that stored
+/// state replays under each of those faults. It does not make a rerun of
+/// the NBF on a covered fault succeed. The greedy
+/// [`ShortestPathRecovery`](nptsn_sched::ShortestPathRecovery) can fail
+/// with more of the network alive: one flow takes a shorter path and
+/// uses the slots a later flow needed. ROADMAP.md item 1 gives three
+/// seeded cases. A RELIABLE verdict is thus a guarantee for a recovery
+/// that applies the stored schedule, not for one that reruns the NBF.
 ///
 /// # Examples
 ///

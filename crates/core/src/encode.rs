@@ -62,40 +62,9 @@ pub fn encode_observation(
     let es = gc.end_stations();
     let k = actions.len() - gc.switches().len();
     let f = 1 + n + es.len() + k;
-    let lib = problem.library();
-    let cost_norm = lib
-        .switch_cost(lib.max_switch_degree(), nptsn_topo::Asil::D)
-        .unwrap_or(1.0)
-        .max(1.0) as f32;
 
-    // Â from the symmetric 0/1 adjacency of the topology's links.
-    let mut adjacency = vec![0.0f32; n * n];
-    for link in topology.links() {
-        let (u, v) = gc.link_endpoints(link);
-        adjacency[u.index() * n + v.index()] = 1.0;
-        adjacency[v.index() * n + u.index()] = 1.0;
-    }
-    let ahat = nptsn_nn::normalized_adjacency(&adjacency, n);
-
-    let mut features = vec![0.0f32; n * f];
-    // 1. Switch cost column.
-    for &sw in topology.selected_switches() {
-        let asil = topology.switch_asil(sw).expect("selected");
-        let cost = lib
-            .switch_cost(topology.degree(sw), asil)
-            .expect("degree constraint holds") as f32;
-        features[sw.index() * f] = cost / cost_norm;
-    }
-    // 2. Link cost block.
-    for link in topology.links() {
-        let (u, v) = gc.link_endpoints(link);
-        let cost =
-            lib.link_cost(topology.link_asil(link), gc.link_length(link)) as f32 / cost_norm;
-        features[u.index() * f + 1 + v.index()] = cost;
-        features[v.index() * f + 1 + u.index()] = cost;
-    }
-    // 3. Flow count block.
-    add_flow_counts(problem, &mut features, f);
+    // Â and feature categories 1–3.
+    let (ahat, mut features) = encode_graph(problem, topology, f);
     // 4. Dynamic action block.
     let switch_slots = gc.switches().len();
     for (slot, action) in actions.actions().iter().enumerate().skip(switch_slots) {
@@ -131,6 +100,60 @@ pub fn encode_observation(
     debug_assert_eq!(aux.len(), AUX_LEN);
 
     Observation { node_count: n, feature_count: f, ahat, features, aux }
+}
+
+/// Â and feature categories 1–3 of [`encode_observation`], which depend
+/// on the topology and the flows but not on the actions: returns the
+/// row-major `n x n` normalized adjacency and a row-major buffer of
+/// `feature_count` columns per node holding the switch-cost column, the
+/// link-cost block and the flow-count block ([`add_flow_counts`]), with
+/// every column after them zero. `feature_count` must be at least
+/// `1 + |V^c| + |V_es|`. [`encode_observation`] adds the dynamic-action
+/// block after it; the NeuroPlan baseline, which has no dynamic actions,
+/// takes its graph input from it unchanged.
+pub fn encode_graph(
+    problem: &PlanningProblem,
+    topology: &Topology,
+    feature_count: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let gc = problem.connection_graph();
+    let n = gc.node_count();
+    let f = feature_count;
+    let lib = problem.library();
+    let cost_norm = lib
+        .switch_cost(lib.max_switch_degree(), nptsn_topo::Asil::D)
+        .unwrap_or(1.0)
+        .max(1.0) as f32;
+
+    // Â from the symmetric 0/1 adjacency of the topology's links.
+    let mut adjacency = vec![0.0f32; n * n];
+    for link in topology.links() {
+        let (u, v) = gc.link_endpoints(link);
+        adjacency[u.index() * n + v.index()] = 1.0;
+        adjacency[v.index() * n + u.index()] = 1.0;
+    }
+    let ahat = nptsn_nn::normalized_adjacency(&adjacency, n);
+
+    let mut features = vec![0.0f32; n * f];
+    // 1. Switch cost column.
+    for &sw in topology.selected_switches() {
+        let asil = topology.switch_asil(sw).expect("selected");
+        let cost = lib
+            .switch_cost(topology.degree(sw), asil)
+            .expect("degree constraint holds") as f32;
+        features[sw.index() * f] = cost / cost_norm;
+    }
+    // 2. Link cost block.
+    for link in topology.links() {
+        let (u, v) = gc.link_endpoints(link);
+        let cost =
+            lib.link_cost(topology.link_asil(link), gc.link_length(link)) as f32 / cost_norm;
+        features[u.index() * f + 1 + v.index()] = cost;
+        features[v.index() * f + 1 + u.index()] = cost;
+    }
+    // 3. Flow count block.
+    add_flow_counts(problem, &mut features, f);
+    (ahat, features)
 }
 
 /// Adds the flow-count block, feature category 3 of

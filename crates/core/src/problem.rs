@@ -10,9 +10,12 @@ use crate::path_memo::{PathMemo, PathMemoStats};
 
 /// The most schedule-table cells a problem may need: 2 directions × the
 /// candidate links of `Gc` × the TAS slots. Every NBF call allocates a
-/// table of that many `Option<FlowId>` cells, 16 bytes each, so the cap
-/// bounds that allocation at 16 MiB. At ORION's 200 candidate links it
-/// admits up to 2 621 slots per base period; the paper uses 20.
+/// table of one bit per cell, each directed link's row rounded up to
+/// whole 64-bit words: 128 KiB of bits at the cap, plus at most one
+/// padding word per directed link. The cap bounds that allocation and
+/// the time to clear and scan it, which every call repeats. At ORION's
+/// 200 candidate links it admits up to 2 621 slots per base period; the
+/// paper uses 20.
 pub const MAX_SCHEDULE_CELLS: u64 = 1 << 20;
 
 /// Checks that a schedule table for `gc` under `tas` stays within

@@ -12,6 +12,12 @@ use crate::Result;
 pub struct FlowId(pub(crate) usize);
 
 impl FlowId {
+    /// Builds a flow id from a raw index. Intended for doc examples and
+    /// tools; regular code receives ids from [`FlowSet::iter`].
+    pub fn from_index(index: usize) -> FlowId {
+        FlowId(index)
+    }
+
     /// The dense index of this flow (`0 .. flow_set.len()`).
     pub fn index(self) -> usize {
         self.0

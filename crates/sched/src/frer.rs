@@ -72,7 +72,7 @@ pub fn schedule_frer(
         let mut assignments = Vec::with_capacity(replicas);
         let mut ok = true;
         for path in &paths {
-            match schedule_flow_on_path(&mut scratch, gc, tas, flow, spec, path) {
+            match schedule_flow_on_path(&mut scratch, gc, tas, spec, path) {
                 Ok(Some(assignment)) => assignments.push(assignment),
                 _ => {
                     ok = false;

@@ -70,6 +70,11 @@ pub trait NetworkBehavior: Send + Sync {
 /// are reported in `ER` and the remaining flows still get scheduled —
 /// recovery degrades per flow, not wholesale.
 ///
+/// A call builds one [`ScheduleTable`] and one path search
+/// ([`nptsn_topo::ShortestPaths`]), which it restarts for each flow so
+/// that every search reuses the same buffers. Both are dropped when the
+/// call returns: the mechanism keeps no state from one call to the next.
+///
 /// # Examples
 ///
 /// ```
@@ -137,11 +142,16 @@ impl NetworkBehavior for ShortestPathRecovery {
         let mut table = ScheduleTable::new(gc, tas);
         let mut state = FlowState::unassigned(flows.len());
         let mut errors = ErrorReport::empty();
+        // One path search for the call: built for the first flow and
+        // restarted for each, so every flow's searches reuse its buffers.
+        let mut paths = None;
         for (flow, spec) in flows.iter() {
-            let candidates = shortest_paths(&adj, spec.source(), spec.destination());
+            let (source, destination) = spec.endpoints();
+            let candidates = paths.get_or_insert_with(|| shortest_paths(&adj, source, destination));
+            candidates.restart(source, destination);
             let mut recovered = false;
             for path in candidates.take(self.path_attempts) {
-                match schedule_flow_on_path(&mut table, gc, tas, flow, spec, &path) {
+                match schedule_flow_on_path(&mut table, gc, tas, spec, &path) {
                     Ok(Some(assignment)) => {
                         state.assign(flow, assignment);
                         recovered = true;
@@ -218,7 +228,7 @@ impl NetworkBehavior for LoadBalancedRecovery {
             let mut recovered = false;
             if let Some(p) = path {
                 if let Ok(Some(assignment)) =
-                    schedule_flow_on_path(&mut table, gc, tas, flow, spec, &p)
+                    schedule_flow_on_path(&mut table, gc, tas, spec, &p)
                 {
                     state.assign(flow, assignment);
                     recovered = true;

@@ -101,7 +101,7 @@ impl NetworkBehavior for RedundantRecovery {
             let mut established = 0;
             for path in &instances {
                 if let Ok(Some(assignment)) =
-                    schedule_flow_on_path(&mut table, gc, tas, flow, spec, path)
+                    schedule_flow_on_path(&mut table, gc, tas, spec, path)
                 {
                     if established == 0 {
                         state.assign(flow, assignment);

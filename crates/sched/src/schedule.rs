@@ -3,7 +3,7 @@
 use nptsn_topo::{ConnectionGraph, Path};
 
 use crate::error::SchedError;
-use crate::flow::{FlowId, FlowSpec};
+use crate::flow::FlowSpec;
 use crate::state::FlowAssignment;
 use crate::table::ScheduleTable;
 use crate::tas::TasConfig;
@@ -33,7 +33,7 @@ use crate::Result;
 /// # Examples
 ///
 /// ```
-/// use nptsn_sched::{schedule_flow_on_path, FlowId, FlowSpec, ScheduleTable, TasConfig};
+/// use nptsn_sched::{schedule_flow_on_path, FlowSpec, ScheduleTable, TasConfig};
 /// use nptsn_topo::{ConnectionGraph, Path};
 ///
 /// let mut gc = ConnectionGraph::new();
@@ -48,7 +48,7 @@ use crate::Result;
 /// let flow = FlowSpec::new(a, b, 500, 128);
 /// let path = Path::new(vec![a, s, b]);
 /// let assignment = schedule_flow_on_path(
-///     &mut table, &gc, &tas, FlowId::from_index(0), &flow, &path,
+///     &mut table, &gc, &tas, &flow, &path,
 /// ).unwrap().expect("schedulable");
 /// assert_eq!(assignment.slots(), &[vec![0, 1]]);
 /// ```
@@ -56,7 +56,6 @@ pub fn schedule_flow_on_path(
     table: &mut ScheduleTable,
     gc: &ConnectionGraph,
     tas: &TasConfig,
-    flow: FlowId,
     spec: &FlowSpec,
     path: &Path,
 ) -> Result<Option<FlowAssignment>> {
@@ -84,8 +83,7 @@ pub fn schedule_flow_on_path(
         let mut row = Vec::with_capacity(hops.len());
         let mut next_min = lo;
         for &(from, link) in &hops {
-            let slot = (next_min..hi).find(|&t| table.is_free(from, link, t));
-            match slot {
+            match table.first_free(from, link, next_min, hi) {
                 Some(t) => {
                     row.push(t);
                     next_min = t + 1;
@@ -96,10 +94,9 @@ pub fn schedule_flow_on_path(
         all_slots.push(row);
     }
     // Second pass: commit.
-    for (r, row) in all_slots.iter().enumerate() {
-        let _ = r;
+    for row in &all_slots {
         for (&slot, &(from, link)) in row.iter().zip(hops.iter()) {
-            table.occupy(from, link, slot, flow);
+            table.occupy(from, link, slot);
         }
     }
     Ok(Some(FlowAssignment::new(path.clone(), all_slots)))
@@ -127,12 +124,12 @@ mod tests {
         let mut table = ScheduleTable::new(&gc, &tas);
         let spec = FlowSpec::new(a, b, 500, 128);
         let path = Path::new(vec![a, s, b]);
-        let a0 = schedule_flow_on_path(&mut table, &gc, &tas, FlowId::from_index(0), &spec, &path)
+        let a0 = schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
             .unwrap()
             .unwrap();
         assert_eq!(a0.slots(), &[vec![0, 1]]);
         // A second identical flow shifts by one slot on the shared links.
-        let a1 = schedule_flow_on_path(&mut table, &gc, &tas, FlowId::from_index(1), &spec, &path)
+        let a1 = schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
             .unwrap()
             .unwrap();
         assert_eq!(a1.slots(), &[vec![1, 2]]);
@@ -148,14 +145,14 @@ mod tests {
         let spec = FlowSpec::new(a, b, 500, 128);
         let path = Path::new(vec![a, s, b]);
         assert!(
-            schedule_flow_on_path(&mut table, &gc, &tas, FlowId::from_index(0), &spec, &path)
+            schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
                 .unwrap()
                 .is_some()
         );
         let before_used: usize =
             gc.links().map(|l| table.used_slots_bidirectional(l)).sum();
         assert!(
-            schedule_flow_on_path(&mut table, &gc, &tas, FlowId::from_index(1), &spec, &path)
+            schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
                 .unwrap()
                 .is_none()
         );
@@ -171,7 +168,7 @@ mod tests {
         // Period 250 us = 2 repetitions, windows [0, 10) and [10, 20).
         let spec = FlowSpec::new(a, b, 250, 128);
         let path = Path::new(vec![a, s, b]);
-        let asg = schedule_flow_on_path(&mut table, &gc, &tas, FlowId::from_index(0), &spec, &path)
+        let asg = schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
             .unwrap()
             .unwrap();
         assert_eq!(asg.slots().len(), 2);
@@ -187,7 +184,7 @@ mod tests {
         let spec = FlowSpec::new(a, b, 500, 1_000_000);
         let path = Path::new(vec![a, s, b]);
         assert!(matches!(
-            schedule_flow_on_path(&mut table, &gc, &tas, FlowId::from_index(0), &spec, &path),
+            schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path),
             Err(SchedError::FrameTooLarge { .. })
         ));
     }
@@ -210,7 +207,7 @@ mod tests {
         let spec = FlowSpec::new(a, b, 300, 64);
         let path = Path::new(vec![a, s0, s1, s2, b]);
         assert!(
-            schedule_flow_on_path(&mut table, &gc, &tas, FlowId::from_index(0), &spec, &path)
+            schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
                 .unwrap()
                 .is_none()
         );

@@ -160,7 +160,7 @@ pub fn simulate(
                         "{flow} rep {rep} hop {h}: directed slot {slot} on {link} double-booked"
                     )));
                 }
-                table.occupy(u, link, slot, flow);
+                table.occupy(u, link, slot);
                 // The frame is available at v from the next slot on.
                 holder_since = slot + 1;
                 route.push(v);

@@ -185,7 +185,7 @@ impl FlowState {
                             "{flow} collides on {link} slot {slot}"
                         )));
                     }
-                    table.occupy(u, link, slot, flow);
+                    table.occupy(u, link, slot);
                 }
             }
         }

@@ -95,7 +95,7 @@ impl StatefulBehavior for IncrementalRecovery {
                     for row in asg.slots() {
                         for (&slot, (u, v)) in row.iter().zip(asg.path().edges()) {
                             let link = gc.link_between(u, v).expect("kept path is live");
-                            table.occupy(u, link, slot, flow);
+                            table.occupy(u, link, slot);
                         }
                     }
                     state.assign(flow, asg.clone());
@@ -108,7 +108,7 @@ impl StatefulBehavior for IncrementalRecovery {
             let path = dijkstra_shortest_path(&adj, spec.source(), spec.destination());
             let mut recovered = false;
             if let Some(p) = path {
-                if let Ok(Some(asg)) = schedule_flow_on_path(&mut table, gc, tas, flow, &spec, &p)
+                if let Ok(Some(asg)) = schedule_flow_on_path(&mut table, gc, tas, &spec, &p)
                 {
                     state.assign(flow, asg);
                     recovered = true;

@@ -8,21 +8,29 @@
 //! single-switch fault and some switch pairs, with `path_attempts` 1–4,
 //! both must return equal `RecoveryOutcome`s. The TAS configurations have
 //! 2–5 or 20 slots, so congested flows fall back to their 2nd or 3rd
-//! path, and some flows have frames larger than a slot or periods the
-//! cycle cannot hold, which stop at the first path with an error. Every
-//! recovered flow state is replayed through the frame-level simulator.
+//! path, and 100 or 128, so windows cross the 64-bit words of the
+//! schedule table. Some flows have frames larger than a slot or periods
+//! the cycle cannot hold, which stop at the first path with an error.
+//! Every recovered flow state is replayed through the frame-level
+//! simulator.
+//!
+//! The eager NBF shares neither the schedule table nor
+//! `schedule_flow_on_path` with the lazy one: it keeps a `Vec<bool>` of
+//! slots per directed link and finds each hop's slot by trying the slots
+//! of the window in order. The simulator would accept a later free slot
+//! too, so only this comparison shows that the table finds the earliest.
 
 use std::sync::Arc;
 
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::{Rng, SeedableRng};
 use nptsn_sched::{
-    schedule_flow_on_path, simulate, ErrorReport, FlowSet, FlowSpec, FlowState, NetworkBehavior,
-    RecoveryOutcome, ScheduleTable, ShortestPathRecovery, TasConfig,
+    simulate, ErrorReport, FlowAssignment, FlowSet, FlowSpec, FlowState, NetworkBehavior,
+    RecoveryOutcome, ShortestPathRecovery, TasConfig,
 };
 use nptsn_topo::{
     dijkstra_shortest_path, k_shortest_paths, Asil, ConnectionGraph, FailureScenario, NodeId,
-    Topology,
+    Path, Topology,
 };
 
 const SEED: u64 = 0x4e42_4600;
@@ -39,6 +47,50 @@ struct Tally {
     unrecovered: usize,
 }
 
+/// Earliest-slot scheduling of `spec` along `path`, slot by slot:
+/// `busy[2 * link + dir]` holds the taken slots of a directed link, `dir`
+/// 0 when sending from the link's lower-indexed endpoint. `None` when a
+/// hop has no free slot left in its window, `Err` for a frame over the
+/// slot capacity or a period the cycle cannot hold.
+fn schedule_slot_by_slot(
+    busy: &mut [Vec<bool>],
+    topology: &Topology,
+    tas: &TasConfig,
+    spec: &FlowSpec,
+    path: &Path,
+) -> Result<Option<FlowAssignment>, ()> {
+    if spec.frame_bytes() > tas.slot_capacity_bytes() {
+        return Err(());
+    }
+    let reps = tas.repetitions(spec.period_us()).map_err(|_| ())?;
+    let window = tas.slots() / reps;
+    let gc = topology.connection_graph();
+    let mut rows = Vec::new();
+    for (u, v) in path.edges() {
+        let Some(link) = gc.link_between(u, v) else { return Ok(None) };
+        rows.push(2 * link.index() + usize::from(u.index() > v.index()));
+    }
+    let mut slots = Vec::new();
+    for r in 0..reps {
+        let mut hops = Vec::new();
+        let mut earliest = r * window;
+        for &row in &rows {
+            let Some(t) = (earliest..(r + 1) * window).find(|&t| !busy[row][t]) else {
+                return Ok(None);
+            };
+            hops.push(t);
+            earliest = t + 1;
+        }
+        slots.push(hops);
+    }
+    for hops in &slots {
+        for (&t, &row) in hops.iter().zip(&rows) {
+            busy[row][t] = true;
+        }
+    }
+    Ok(Some(FlowAssignment::new(path.clone(), slots)))
+}
+
 /// The former `ShortestPathRecovery::recover`, with all paths built first.
 fn eager_recover(
     path_attempts: usize,
@@ -49,9 +101,9 @@ fn eager_recover(
     tally: &mut Tally,
 ) -> RecoveryOutcome {
     let path_attempts = path_attempts.max(1);
-    let gc = topology.connection_graph();
     let adj = topology.residual_adjacency(failure);
-    let mut table = ScheduleTable::new(gc, tas);
+    let directed = 2 * topology.connection_graph().candidate_link_count();
+    let mut busy = vec![vec![false; tas.slots()]; directed];
     let mut state = FlowState::unassigned(flows.len());
     let mut errors = ErrorReport::empty();
     for (flow, spec) in flows.iter() {
@@ -62,7 +114,7 @@ fn eager_recover(
         };
         let mut recovered = false;
         for (attempt, path) in candidates.iter().enumerate() {
-            match schedule_flow_on_path(&mut table, gc, tas, flow, spec, path) {
+            match schedule_slot_by_slot(&mut busy, topology, tas, spec, path) {
                 Ok(Some(assignment)) => {
                     state.assign(flow, assignment);
                     recovered = true;
@@ -162,6 +214,8 @@ fn lazy_recovery_equals_eager_recovery() {
         TasConfig::new(600, 3, 1000),
         TasConfig::new(500, 4, 1000),
         TasConfig::new(500, 5, 1000),
+        TasConfig::new(500, 100, 10_000),
+        TasConfig::new(640, 128, 10_000),
     ];
     let mut tally = Tally::default();
     let mut calls = 0;

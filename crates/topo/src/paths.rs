@@ -115,7 +115,7 @@ impl Path {
 
 /// Min-heap entry ordered by (distance, node index) for deterministic
 /// tie-breaking.
-#[derive(PartialEq)]
+#[derive(Debug, PartialEq)]
 struct HeapEntry {
     dist: f64,
     node: usize,
@@ -181,13 +181,24 @@ pub fn bfs_distances(adj: &Adjacency, source: NodeId) -> Vec<Option<usize>> {
 /// Dijkstra shortest path from `source` to `target` by total link length;
 /// `None` when unreachable. Ties break deterministically by node index.
 pub fn dijkstra_shortest_path(adj: &Adjacency, source: NodeId, target: NodeId) -> Option<Path> {
-    dijkstra_filtered(adj, source, target, |_| true, |_, _| true)
+    dijkstra_filtered(adj, &mut Search::default(), source, target, |_| true, |_, _| true)
+}
+
+/// The working memory of one Dijkstra search. A caller that runs many
+/// searches keeps one and passes it to each, so they reuse its buffers.
+#[derive(Debug, Default)]
+pub(crate) struct Search {
+    dist: Vec<f64>,
+    prev: Vec<Option<NodeId>>,
+    heap: BinaryHeap<HeapEntry>,
 }
 
 /// Dijkstra restricted to nodes passing `node_ok` and edges passing
-/// `edge_ok(from, to)`. The source and target are always allowed.
+/// `edge_ok(from, to)`. The source and target are always allowed. The
+/// search runs in `search`'s buffers; what they held before is ignored.
 pub(crate) fn dijkstra_filtered(
     adj: &Adjacency,
+    search: &mut Search,
     source: NodeId,
     target: NodeId,
     node_ok: impl Fn(NodeId) -> bool,
@@ -200,9 +211,12 @@ pub(crate) fn dijkstra_filtered(
     if source == target {
         return Some(Path::new(vec![source]));
     }
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
+    let Search { dist, prev, heap } = search;
+    dist.clear();
+    dist.resize(n, f64::INFINITY);
+    prev.clear();
+    prev.resize(n, None);
+    heap.clear();
     dist[source.index()] = 0.0;
     heap.push(HeapEntry { dist: 0.0, node: source.index() });
     while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
@@ -290,6 +304,12 @@ pub fn k_shortest_paths(adj: &Adjacency, source: NodeId, target: NodeId, k: usiz
 /// a caller that stops after `n` paths pays for `n` rounds and no path is
 /// computed twice. It ends when no candidate is left.
 ///
+/// Every search of the enumeration, the first and each spur search, runs
+/// in one set of Dijkstra buffers that the iterator owns.
+/// [`ShortestPaths::restart`] starts the enumeration for another pair on
+/// the same adjacency and keeps those buffers, so a caller that searches
+/// for many pairs allocates them once.
+///
 /// Equal-length paths are not ordered by node sequence overall. A round
 /// yields the candidate with the smallest (length, node sequence) among
 /// those found so far; a later round can still find a path of the same
@@ -336,6 +356,7 @@ pub fn shortest_paths(adj: &Adjacency, source: NodeId, target: NodeId) -> Shorte
         candidates: Vec::new(),
         banned_next: Vec::new(),
         banned: Vec::new(),
+        search: Search::default(),
         exhausted: false,
     }
 }
@@ -355,15 +376,31 @@ pub struct ShortestPaths<'a> {
     banned_next: Vec<bool>,
     /// The nodes set in `banned_next`, to clear it after the search.
     banned: Vec<NodeId>,
+    /// The buffers every Dijkstra search of the enumeration runs in.
+    search: Search,
     /// No further path exists.
     exhausted: bool,
 }
 
 impl ShortestPaths<'_> {
+    /// Restarts the enumeration for the pair `source`, `target` on the
+    /// same adjacency: the next `next()` yields that pair's shortest path,
+    /// exactly as a fresh [`shortest_paths`] iterator would, however far
+    /// the previous enumeration got. The yielded paths and candidates are
+    /// dropped; every buffer is kept.
+    pub fn restart(&mut self, source: NodeId, target: NodeId) {
+        self.source = source;
+        self.target = target;
+        self.result.clear();
+        self.candidates.clear();
+        self.exhausted = false;
+    }
+
     /// One Yen round from the last path yielded: spur searches from each of
     /// its nodes, then the best candidate, removed from the candidate set.
     fn next_round(&mut self) -> Option<Path> {
-        let ShortestPaths { adj, target, result, candidates, banned_next, banned, .. } = self;
+        let ShortestPaths { adj, target, result, candidates, banned_next, banned, search, .. } =
+            self;
         let last = result.last().expect("a round follows a yielded path");
         banned_next.resize(adj.len(), false);
         for i in 0..last.hop_count() {
@@ -385,7 +422,7 @@ impl ShortestPaths<'_> {
 
             let node_ok = |n: NodeId| !banned_nodes.contains(&n);
             let edge_ok = |from: NodeId, to: NodeId| from != spur_node || !banned_next[to.index()];
-            let spur = dijkstra_filtered(adj, spur_node, *target, node_ok, edge_ok);
+            let spur = dijkstra_filtered(adj, search, spur_node, *target, node_ok, edge_ok);
             for n in banned.drain(..) {
                 banned_next[n.index()] = false;
             }
@@ -429,7 +466,8 @@ impl Iterator for ShortestPaths<'_> {
             return None;
         }
         let path = if self.result.is_empty() {
-            dijkstra_shortest_path(self.adj, self.source, self.target)
+            let ShortestPaths { adj, source, target, search, .. } = self;
+            dijkstra_filtered(adj, search, *source, *target, |_| true, |_, _| true)
         } else {
             self.next_round()
         };
@@ -460,9 +498,10 @@ pub fn node_disjoint_paths(
 ) -> Option<Vec<Path>> {
     let mut used = vec![false; adj.len()];
     let mut paths = Vec::with_capacity(count);
+    let mut search = Search::default();
     for _ in 0..count {
         let node_ok = |n: NodeId| !used[n.index()];
-        let path = dijkstra_filtered(adj, source, target, node_ok, |_, _| true)?;
+        let path = dijkstra_filtered(adj, &mut search, source, target, node_ok, |_, _| true)?;
         for &n in path.nodes() {
             if n != source && n != target {
                 used[n.index()] = true;
@@ -479,6 +518,8 @@ mod tests {
     use crate::asil::Asil;
     use crate::graph::ConnectionGraph;
     use crate::topology::Topology;
+    use nptsn_rand::rngs::StdRng;
+    use nptsn_rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     /// Two parallel 2-hop routes a-s0-b and a-s1-b plus a chord s0-s1.
@@ -636,5 +677,58 @@ mod tests {
         let p1 = k_shortest_paths(&adj, a, b, 4);
         let p2 = k_shortest_paths(&adj, a, b, 4);
         assert_eq!(p1, p2);
+    }
+
+    /// 4–7 switches, each pair linked with probability 1/2, lengths 1–3.
+    fn random_mesh(rng: &mut StdRng) -> Adjacency {
+        let mut gc = ConnectionGraph::new();
+        let nodes: Vec<NodeId> =
+            (0..rng.gen_range(4usize..8)).map(|i| gc.add_switch(format!("sw{i}"))).collect();
+        for (i, &u) in nodes.iter().enumerate() {
+            for &v in &nodes[i + 1..] {
+                if rng.gen_range(0..2u32) == 0 {
+                    gc.add_candidate_link(u, v, rng.gen_range(1..=3u32) as f64).unwrap();
+                }
+            }
+        }
+        let gc = Arc::new(gc);
+        let mut topo = Topology::empty(Arc::clone(&gc));
+        for &s in &nodes {
+            topo.add_switch(s, Asil::A).unwrap();
+        }
+        for link in gc.links() {
+            let (u, v) = gc.link_endpoints(link);
+            topo.add_link(u, v).unwrap();
+        }
+        topo.adjacency()
+    }
+
+    /// One iterator, restarted for each of a run of seeded pairs, yields
+    /// what a fresh iterator yields for the pair, whether the enumeration
+    /// before the restart stopped part way, yielded every path or ran out.
+    #[test]
+    fn restarted_search_equals_fresh_iterators() {
+        let (mut partial, mut consumed, mut ran_out) = (0, 0, 0);
+        for case in 0..40 {
+            let mut rng = StdRng::seed_from_u64(0x5245_5354 + case);
+            let adj = random_mesh(&mut rng);
+            let node = |rng: &mut StdRng| NodeId(rng.gen_range(0..adj.len()));
+            let mut restarted = shortest_paths(&adj, node(&mut rng), node(&mut rng));
+            for _ in 0..12 {
+                let (s, d) = (node(&mut rng), node(&mut rng));
+                restarted.restart(s, d);
+                let fresh: Vec<Path> = shortest_paths(&adj, s, d).collect();
+                // Up to one more than there are: that `next()` runs out.
+                let take = rng.gen_range(0..=fresh.len() + 1);
+                let got: Vec<Path> = restarted.by_ref().take(take).collect();
+                assert_eq!(got, fresh[..take.min(fresh.len())], "case {case}: {s} -> {d}");
+                match take.cmp(&fresh.len()) {
+                    Ordering::Less => partial += 1,
+                    Ordering::Equal => consumed += 1,
+                    Ordering::Greater => ran_out += 1,
+                }
+            }
+        }
+        assert!(partial > 0 && consumed > 0 && ran_out > 0, "{partial} {consumed} {ran_out}");
     }
 }

@@ -35,8 +35,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 # and the stacked training forward to solo GCN forwards at 0, 1, 2 and 4
 # layers, and `model::tests` pin its log-probs, batched and one item
 # alone (the greedy re-plan step), to `evaluate` at 0 and 2 GCN layers.
+# `nptsn-sched` and `nptsn-topo` run whole: the bitset schedule table
+# against a `Vec<bool>` model, the NBF against an eager one that shares
+# neither the table nor the path search, and Yen's iterator, restarted
+# or fresh, against the eager Yen.
 cargo test -q --offline --release --test ppo_reference --test analyzer_reference \
     --test replan_reference --test soag_reference
+cargo test -q --offline --release -p nptsn-sched -p nptsn-topo
 cargo test -q --offline --release -p nptsn-tensor --lib
 cargo test -q --offline --release -p nptsn-nn --test batched_equivalence
 cargo test -q --offline --release -p nptsn --lib model::tests

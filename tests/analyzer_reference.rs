@@ -68,7 +68,7 @@ impl NetworkBehavior for EagerRecovery {
             let candidates = k_shortest_paths(&adj, source, destination, PATH_ATTEMPTS);
             let mut recovered = false;
             for (attempt, path) in candidates.iter().enumerate() {
-                match schedule_flow_on_path(&mut table, gc, tas, flow, spec, path) {
+                match schedule_flow_on_path(&mut table, gc, tas, spec, path) {
                     Ok(Some(assignment)) => {
                         state.assign(flow, assignment);
                         recovered = true;
