@@ -92,7 +92,6 @@ USAGE:
     nptsn serve [--addr HOST:PORT] [--serve-workers N] [--queue-depth N]
                 [--io-timeout-ms N] [--job-deadline-ms N]
                 [--data-dir PATH] [--job-retention N] [--job-ttl-secs N]
-                [--infer-batch-max N] [--infer-batch-window-us N]
                 [--shard-name NAME]
         Run the HTTP planning service (job queue + worker pool; see
         DESIGN.md §9). Stops on POST /shutdown after draining the queue.
@@ -103,12 +102,13 @@ USAGE:
         restarted server recovers finished results and re-enqueues the
         jobs a crash interrupted. --job-retention caps retained terminal
         jobs (default 1024; 0 = unbounded) and --job-ttl-secs expires
-        them after N seconds (default 0 = never). --infer-batch-max caps
-        how many compatible queued infer jobs a worker fuses into one
-        batched forward (DESIGN.md §13; default 8, 1 = off) and
-        --infer-batch-window-us is the brief wait for batchmates when a
-        worker claims a lone infer job (default 200, 0 = no wait);
-        batching never changes results — outputs stay bit-identical.
+        them after N seconds (default 0 = never). A worker that claims an
+        infer job also claims up to 7 compatible queued ones, waiting
+        200µs once for a straggler (DESIGN.md §13): a lone job plans its
+        attempts on plan_with_policy's threads, a coalesced batch in
+        lockstep on one thread, and --job-deadline-ms runs every job
+        alone. Batching never changes results — outputs stay
+        bit-identical.
     nptsn router --shards HOST:PORT[,...] [--names NAME[,...]]
                  [--data-dirs PATH[,...]] [--addr HOST:PORT] [--vnodes N]
                  [--health-interval-ms N] [--health-failures N]
@@ -678,16 +678,6 @@ fn cmd_serve(args: &[String], out: &mut impl std::io::Write) -> Result<(), CliEr
             }
             "--job-ttl-secs" => {
                 config.job_ttl_secs = parse_flag(iter.next(), "--job-ttl-secs")?;
-            }
-            "--infer-batch-max" => {
-                config.infer_batch_max = parse_flag(iter.next(), "--infer-batch-max")?;
-                if config.infer_batch_max == 0 {
-                    return Err(CliError::msg("--infer-batch-max must be at least 1".into()));
-                }
-            }
-            "--infer-batch-window-us" => {
-                config.infer_batch_window_us =
-                    parse_flag(iter.next(), "--infer-batch-window-us")?;
             }
             "--shard-name" => {
                 config.shard_name = Some(

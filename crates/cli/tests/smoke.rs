@@ -474,7 +474,7 @@ fn infer_coalesces() {
     let smoke = Smoke::new("infer");
     let mut serve = smoke.start(
         "serve",
-        &["serve", "--serve-workers", "1", "--queue-depth", "16", "--infer-batch-max", "8"],
+        &["serve", "--serve-workers", "1", "--queue-depth", "16"],
     );
     let mut client = serve.client();
     let put = client.put("/checkpoints/smoke", &checkpoint()).expect("PUT checkpoint");

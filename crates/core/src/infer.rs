@@ -12,7 +12,6 @@
 //! one lane while its batch-mates run to completion.
 
 use nptsn_rand::rngs::StdRng;
-use nptsn_rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::encode::Observation;
@@ -37,8 +36,9 @@ pub struct InferLane<'a> {
 struct LaneState<'a> {
     lane: &'a InferLane<'a>,
     attempt: usize,
-    rng: StdRng,
-    env: Option<PlanningEnv>,
+    /// The live attempt's RNG stream and environment, as
+    /// [`Planner::start_attempt`] starts them; `None` between attempts.
+    episode: Option<(StdRng, PlanningEnv)>,
     best: Option<Solution>,
     outcome: Option<Result<Option<Solution>, String>>,
 }
@@ -82,8 +82,7 @@ pub fn plan_with_policy_batch(
         .map(|lane| LaneState {
             lane,
             attempt: 0,
-            rng: StdRng::seed_from_u64(lane.seed),
-            env: None,
+            episode: None,
             best: None,
             outcome: None,
         })
@@ -120,7 +119,7 @@ pub fn plan_with_policy_batch(
         // already all-false ends that attempt immediately, exactly like
         // the solo loop's leading mask check.
         for state in &mut states {
-            if state.outcome.is_some() || state.env.is_some() {
+            if state.outcome.is_some() || state.episode.is_some() {
                 continue;
             }
             loop {
@@ -143,8 +142,7 @@ pub fn plan_with_policy_batch(
                     state.attempt += 1;
                     continue;
                 }
-                state.rng = rng;
-                state.env = Some(env);
+                state.episode = Some((rng, env));
                 break;
             }
         }
@@ -153,7 +151,7 @@ pub fn plan_with_policy_batch(
         let active: Vec<usize> = states
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.outcome.is_none() && s.env.is_some())
+            .filter(|(_, s)| s.outcome.is_none() && s.episode.is_some())
             .map(|(i, _)| i)
             .collect();
         if active.is_empty() {
@@ -163,7 +161,10 @@ pub fn plan_with_policy_batch(
             let batch: Vec<(&Observation, &[bool])> = active
                 .iter()
                 .map(|&i| {
-                    let env = states[i].env.as_ref().expect("active lane has an env");
+                    let (_, env) = states[i]
+                        .episode
+                        .as_ref()
+                        .expect("active lane has an episode");
                     (env.observation(), env.mask())
                 })
                 .collect();
@@ -184,26 +185,20 @@ pub fn plan_with_policy_batch(
         // Step each lane with its own RNG stream, isolating panics.
         for (&i, &action) in active.iter().zip(&actions) {
             let state = &mut states[i];
-            let env = state.env.as_mut().expect("active lane has an env");
-            let stepped =
-                catch_unwind(AssertUnwindSafe(|| env.step(action, &mut state.rng)));
+            let (rng, env) = state.episode.as_mut().expect("active lane has an episode");
+            let stepped = catch_unwind(AssertUnwindSafe(|| env.step(action, rng)));
             match stepped {
                 Ok(outcome) => {
                     if let Some(sol) = outcome.solution {
                         keep_best(&mut state.best, sol);
                     }
-                    let episode_over = outcome.done
-                        || state
-                            .env
-                            .as_ref()
-                            .is_some_and(|e| e.mask().iter().all(|&m| !m));
-                    if episode_over {
-                        state.env = None;
+                    if outcome.done || env.mask().iter().all(|&m| !m) {
+                        state.episode = None;
                         state.attempt += 1;
                     }
                 }
                 Err(payload) => {
-                    state.env = None;
+                    state.episode = None;
                     state.outcome = Some(Err(panic_message(payload)));
                 }
             }

@@ -106,13 +106,7 @@ impl Planner {
     /// The `(node_count, feature_count, action_count)` dimensions of the
     /// policy network for this problem.
     pub fn network_dims(&self) -> (usize, usize, usize) {
-        let gc = self.problem.connection_graph();
-        let n = gc.node_count();
-        (
-            n,
-            1 + n + gc.end_stations().len() + self.config.k_paths,
-            gc.switches().len() + self.config.k_paths,
-        )
+        self.problem.network_dims(self.config.k_paths)
     }
 
     /// Constructs an untrained policy network of the right dimensions;

@@ -161,6 +161,19 @@ impl PlanningProblem {
     pub(crate) fn path_memo(&self) -> &PathMemo {
         &self.paths
     }
+
+    /// The `(node_count, feature_count, action_count)` dimensions of a
+    /// policy network for this problem with `k_paths` path actions: what
+    /// [`Planner::network_dims`](crate::Planner::network_dims) gives a
+    /// planner, without building one.
+    pub fn network_dims(&self, k_paths: usize) -> (usize, usize, usize) {
+        let n = self.gc.node_count();
+        (
+            n,
+            1 + n + self.gc.end_stations().len() + k_paths,
+            self.gc.switches().len() + k_paths,
+        )
+    }
 }
 
 // `Debug` by hand because `dyn NetworkBehavior` is not `Debug`; shows the

@@ -33,9 +33,9 @@
 //! the store, so sustained traffic cannot leak either.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use nptsn::{
     plan_with_policy_batch, EpochStats, FailureAnalyzer, GreedyPlanner, InferLane, Planner,
@@ -55,6 +55,13 @@ use crate::persist::{
 use crate::registry::CheckpointRegistry;
 use crate::server::ServeMetrics;
 
+/// Most infer jobs one worker coalesces into one lockstep batch.
+const INFER_BATCH_MAX: usize = 8;
+
+/// How long an infer leader that found no batchmate waits, once, for a
+/// straggler before it runs alone.
+const INFER_BATCH_WINDOW: Duration = Duration::from_micros(200);
+
 /// Telemetry for the infer micro-batching path, registered once on the
 /// process-wide registry so `/metrics` (which merges it) exposes the
 /// series whether infer runs through a batch or solo.
@@ -63,7 +70,7 @@ struct InferMetrics {
     batch_size: Arc<Histogram>,
     /// Executions that fused two or more jobs into one batched forward.
     batched_forwards: Arc<Counter>,
-    /// Infer jobs executed alone (batching off, deadline mode, no mates).
+    /// Infer jobs executed alone (deadline mode, `run_one`, no mates).
     solo_forwards: Arc<Counter>,
     /// Total infer jobs served through a batched forward.
     batch_jobs: Arc<Counter>,
@@ -492,12 +499,6 @@ pub struct JobQueue {
     registry: CheckpointRegistry,
     retention: RetentionConfig,
     evicted: AtomicU64,
-    /// Most infer jobs one worker pass may fuse into a batched forward;
-    /// `<= 1` disables micro-batching entirely.
-    infer_batch_max: AtomicUsize,
-    /// How long a leader with no batch-mates waits (once) for stragglers
-    /// before running solo, in microseconds.
-    infer_batch_window_us: AtomicU64,
     /// The shard name stamped into persisted trace timelines (first set
     /// wins; empty until the server configures it).
     shard_label: OnceLock<String>,
@@ -531,8 +532,6 @@ impl JobQueue {
             registry,
             retention,
             evicted: AtomicU64::new(0),
-            infer_batch_max: AtomicUsize::new(1),
-            infer_batch_window_us: AtomicU64::new(0),
             shard_label: OnceLock::new(),
         };
         let mut report = RecoveryReport::default();
@@ -646,23 +645,6 @@ impl JobQueue {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Configures infer micro-batching: fuse up to `batch_max` compatible
-    /// queued infer jobs into one batched forward, waiting up to
-    /// `window_us` microseconds (once, only when a leader finds no mates)
-    /// for stragglers. `batch_max <= 1` disables batching.
-    pub fn set_infer_batching(&self, batch_max: usize, window_us: u64) {
-        self.infer_batch_max.store(batch_max.max(1), Ordering::Relaxed);
-        self.infer_batch_window_us.store(window_us, Ordering::Relaxed);
-    }
-
-    /// The configured `(batch_max, window_us)` pair.
-    pub fn infer_batching(&self) -> (usize, u64) {
-        (
-            self.infer_batch_max.load(Ordering::Relaxed),
-            self.infer_batch_window_us.load(Ordering::Relaxed),
-        )
-    }
-
     /// Names this queue's shard in persisted trace timelines (first call
     /// wins; later calls are ignored).
     pub fn set_shard_label(&self, name: &str) {
@@ -735,24 +717,23 @@ impl JobQueue {
         self.store.put_relaxed(&trace_key(id), bytes).map_err(|_| IngestError::Storage)
     }
 
-    /// Claims up to `limit` queued infer jobs compatible with `leader` —
-    /// same checkpoint source and same policy-network dimensions, so one
-    /// restored policy serves the whole batch — marking each running
-    /// (persisted) exactly like [`JobQueue::next_job`] would.
+    /// Claims up to `INFER_BATCH_MAX - 1` queued infer jobs compatible with
+    /// `leader` — same checkpoint source and same policy-network
+    /// dimensions, so one restored policy serves the whole batch — marking
+    /// each running (persisted) exactly like [`JobQueue::next_job`] would.
     fn claim_infer_batchmates(
         &self,
         leader: &InferRequest,
-        limit: usize,
     ) -> Vec<(JobId, InferRequest, Arc<AtomicBool>)> {
-        if limit == 0 {
-            return Vec::new();
-        }
-        let leader_dims = infer_dims(leader);
+        // The dims `Planner::network_dims` gives a job's planner, without
+        // building one under the lock.
+        let k_paths = service_config(1, 1, leader.seed).k_paths;
+        let leader_dims = leader.parsed.problem.network_dims(k_paths);
         let mut state = self.lock();
         let mut claimed = Vec::new();
         let ids: Vec<JobId> = state.queue.iter().copied().collect();
         for id in ids {
-            if claimed.len() >= limit {
+            if claimed.len() + 1 >= INFER_BATCH_MAX {
                 break;
             }
             let taken = {
@@ -761,7 +742,7 @@ impl JobQueue {
                     &entry.pending,
                     Some(JobKind::Infer(req))
                         if same_checkpoint(&req.checkpoint, &leader.checkpoint)
-                            && infer_dims(req) == leader_dims
+                            && req.parsed.problem.network_dims(k_paths) == leader_dims
                 );
                 if !compatible {
                     None
@@ -782,11 +763,11 @@ impl JobQueue {
         claimed
     }
 
-    /// Runs a claimed batch of compatible infer jobs as one batched forward,
-    /// splitting per-job results back out. Error isolation mirrors the
-    /// solo path exactly: a chaos fault, an in-batch panic, or a lane
-    /// failure marks *that* job `failed` while its batch-mates complete,
-    /// and every message matches what the solo path would have produced.
+    /// Runs a claimed batch of compatible infer jobs through [`run_infer`]
+    /// in lockstep, splitting per-job results back out. Error isolation
+    /// mirrors a lone job: a chaos fault at `serve.job` or a lane failure
+    /// marks *that* job `failed` while its batch-mates complete, with the
+    /// message a lone job would have had.
     fn run_infer_batch(
         &self,
         jobs: Vec<(JobId, InferRequest, Arc<AtomicBool>)>,
@@ -801,101 +782,29 @@ impl JobQueue {
         metrics.jobs_running.add(size as i64);
         metrics.jobs_queued.set(self.queued() as i64);
 
-        let mut results: Vec<Option<Result<JobOutcome, String>>> = (0..size).map(|_| None).collect();
-
-        // Per-job chaos gate, same site as the solo execute path: an
+        // Per-job chaos gate, the site `execute` passes for a lone job: an
         // injected error (or panic) fails one job, not the batch.
-        for slot in results.iter_mut() {
-            match std::panic::catch_unwind(|| nptsn_chaos::point("serve.job")) {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => *slot = Some(Err(e.to_string())),
-                Err(_) => *slot = Some(Err("job panicked".to_string())),
-            }
-        }
-
-        // Resolve the shared checkpoint once — the compatibility key
-        // guarantees every job in the batch names the same source.
-        let bytes = match &jobs[0].1.checkpoint {
-            CheckpointSource::Inline(bytes) => Ok(bytes.clone()),
-            CheckpointSource::Named(name) => match self.registry.get(name) {
-                Ok(Some((_version, bytes))) => Ok(bytes),
-                Ok(None) => Err(format!("checkpoint '{name}' is not registered")),
-                Err(e) => Err(format!("checkpoint '{name}' unavailable: {e}")),
-            },
-        };
-        match bytes {
-            Err(message) => {
-                for slot in results.iter_mut().filter(|s| s.is_none()) {
-                    *slot = Some(Err(message.clone()));
-                }
-            }
-            Ok(bytes) => {
-                let live: Vec<usize> = (0..size).filter(|&i| results[i].is_none()).collect();
-                if !live.is_empty() {
-                    self.run_live_lanes(&jobs, &live, &bytes, &mut results);
-                }
-            }
-        }
+        let gates: Vec<Result<(), String>> = jobs
+            .iter()
+            .map(
+                |_| match std::panic::catch_unwind(|| nptsn_chaos::point("serve.job")) {
+                    Ok(gate) => gate.map_err(|e| e.to_string()),
+                    Err(_) => Err("job panicked".to_string()),
+                },
+            )
+            .collect();
+        let live: Vec<&InferRequest> = jobs
+            .iter()
+            .zip(&gates)
+            .filter(|(_, gate)| gate.is_ok())
+            .map(|((_, req, _), _)| req)
+            .collect();
+        let mut planned = run_infer(&self.registry, &live, true).into_iter();
 
         metrics.jobs_running.sub(size as i64);
-        for ((id, _req, cancel), result) in jobs.into_iter().zip(results) {
-            let result = result.expect("every batched job resolved a result");
+        for ((id, _req, cancel), gate) in jobs.into_iter().zip(gates) {
+            let result = gate.and_then(|()| planned.next().expect("one result per live job"));
             self.finish_job(id, result, false, &cancel, metrics);
-        }
-    }
-
-    /// Restores the shared policy and plans the not-yet-failed jobs of a
-    /// batch through [`plan_with_policy_batch`], writing per-job results.
-    fn run_live_lanes(
-        &self,
-        jobs: &[(JobId, InferRequest, Arc<AtomicBool>)],
-        live: &[usize],
-        bytes: &[u8],
-        results: &mut [Option<Result<JobOutcome, String>>],
-    ) {
-        let planners: Vec<Planner> = live
-            .iter()
-            .map(|&i| {
-                let req = &jobs[i].1;
-                Planner::new(req.parsed.problem.clone(), service_config(1, 1, req.seed))
-            })
-            .collect();
-        let policy = planners[0].build_policy();
-        if let Err(e) = nptsn_nn::params_from_bytes(&nptsn_nn::Module::parameters(&policy), bytes)
-        {
-            let message = format!("checkpoint rejected: {e}");
-            for &i in live {
-                results[i] = Some(Err(message.clone()));
-            }
-            return;
-        }
-        let lanes: Vec<InferLane<'_>> = live
-            .iter()
-            .zip(&planners)
-            .map(|(&i, planner)| InferLane {
-                planner,
-                attempts: jobs[i].1.attempts,
-                seed: jobs[i].1.seed,
-            })
-            .collect();
-        let outcomes = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan_with_policy_batch(&policy, &lanes)
-        }));
-        match outcomes {
-            Err(_) => {
-                for &i in live {
-                    results[i] = Some(Err("job panicked".to_string()));
-                }
-            }
-            Ok(outcomes) => {
-                for (&i, outcome) in live.iter().zip(outcomes) {
-                    results[i] = Some(match outcome {
-                        Ok(Some(solution)) => Ok(plan_outcome(solution, None)),
-                        Ok(None) => Err("the restored policy found no valid plan".to_string()),
-                        Err(message) => Err(message),
-                    });
-                }
-            }
         }
     }
 
@@ -1399,50 +1308,30 @@ impl JobQueue {
     /// `failed`, the worker moves straight on to the next job, and the
     /// orphaned computation gets its cancel flag set so it winds down at
     /// its next cancellation point. Its late result is discarded.
-    pub fn worker_loop(&self, metrics: &ServeMetrics, job_deadline: Option<std::time::Duration>) {
-        while let Some((id, kind, cancel, progress, trace)) = self.next_job(true) {
+    pub fn worker_loop(&self, metrics: &ServeMetrics, job_deadline: Option<Duration>) {
+        while let Some(job) = self.next_job(true) {
             // Micro-batching: an infer leader scoops compatible queued
-            // infer jobs into one batched forward. Deadline mode stays
-            // solo — each job needs its own helper thread and clock.
+            // infer jobs into one lockstep batch. Deadline mode runs every
+            // job alone — each job needs its own helper thread and clock.
             // Batched execution runs untraced by design: one batched
             // forward serves many jobs, so per-job span attribution
             // would be fiction.
             if job_deadline.is_none() {
-                if let JobKind::Infer(req) = &kind {
-                    let (batch_max, window_us) = self.infer_batching();
-                    if batch_max > 1 {
-                        let mut mates = self.claim_infer_batchmates(req, batch_max - 1);
-                        if mates.is_empty() && window_us > 0 {
-                            // One bounded wait for stragglers, then solo.
-                            std::thread::sleep(std::time::Duration::from_micros(window_us));
-                            mates = self.claim_infer_batchmates(req, batch_max - 1);
-                        }
-                        if !mates.is_empty() {
-                            let mut jobs = vec![(id, req.clone(), Arc::clone(&cancel))];
-                            jobs.append(&mut mates);
-                            self.run_infer_batch(jobs, metrics);
-                            continue;
-                        }
+                if let (id, JobKind::Infer(req), cancel, ..) = &job {
+                    let mut batch = self.claim_infer_batchmates(req);
+                    if batch.is_empty() {
+                        // One bounded wait for stragglers, then alone.
+                        std::thread::sleep(INFER_BATCH_WINDOW);
+                        batch = self.claim_infer_batchmates(req);
+                    }
+                    if !batch.is_empty() {
+                        batch.insert(0, (*id, req.clone(), Arc::clone(cancel)));
+                        self.run_infer_batch(batch, metrics);
+                        continue;
                     }
                 }
             }
-            metrics.jobs_running.add(1);
-            metrics.jobs_queued.set(self.queued() as i64);
-            let (result, timed_out) = {
-                // The worker adopts the submission's trace context, so
-                // `job.run` and the spans beneath it carry the trace id
-                // minted at the router.
-                let _trace = nptsn_obs::with_trace(trace);
-                match job_deadline {
-                    None => (run_caught(&kind, &cancel, &progress, &self.registry), false),
-                    Some(limit) => {
-                        run_with_deadline(&kind, &cancel, &progress, &self.registry, limit)
-                    }
-                }
-            };
-            metrics.jobs_running.sub(1);
-            self.finish_job(id, result, timed_out, &cancel, metrics);
-            self.persist_trace(id, trace);
+            self.run_claimed(job, metrics, job_deadline);
         }
     }
 
@@ -1453,16 +1342,35 @@ impl JobQueue {
     /// drain (every transition is already durable), reopen, and the replay
     /// is exact.
     pub fn run_one(&self, metrics: &ServeMetrics) -> Option<JobId> {
-        let (id, kind, cancel, progress, trace) = self.next_job(false)?;
+        let job = self.next_job(false)?;
+        let id = job.0;
+        self.run_claimed(job, metrics, None);
+        Some(id)
+    }
+
+    /// Runs one claimed job alone — on the calling thread, or on a helper
+    /// thread under `job_deadline` — and records its result and its trace.
+    fn run_claimed(
+        &self,
+        (id, kind, cancel, progress, trace): ClaimedJob,
+        metrics: &ServeMetrics,
+        job_deadline: Option<Duration>,
+    ) {
         metrics.jobs_running.add(1);
-        let result = {
+        metrics.jobs_queued.set(self.queued() as i64);
+        let (result, timed_out) = {
+            // The worker adopts the submission's trace context, so
+            // `job.run` and the spans beneath it carry the trace id
+            // minted at the router.
             let _trace = nptsn_obs::with_trace(trace);
-            run_caught(&kind, &cancel, &progress, &self.registry)
+            match job_deadline {
+                None => (run_caught(&kind, &cancel, &progress, &self.registry), false),
+                Some(limit) => run_with_deadline(&kind, &cancel, &progress, &self.registry, limit),
+            }
         };
         metrics.jobs_running.sub(1);
-        self.finish_job(id, result, false, &cancel, metrics);
+        self.finish_job(id, result, timed_out, &cancel, metrics);
         self.persist_trace(id, trace);
-        Some(id)
     }
 }
 
@@ -1472,20 +1380,14 @@ type ClaimedJob =
     (JobId, JobKind, Arc<AtomicBool>, Arc<Progress>, Option<nptsn_obs::TraceContext>);
 
 /// Whether two infer jobs restore the same checkpoint — half of the
-/// batching compatibility key (the other half is [`infer_dims`]).
+/// batching compatibility key (the other half is the policy network's
+/// dimensions, [`nptsn::PlanningProblem::network_dims`]).
 fn same_checkpoint(a: &CheckpointSource, b: &CheckpointSource) -> bool {
     match (a, b) {
         (CheckpointSource::Named(x), CheckpointSource::Named(y)) => x == y,
         (CheckpointSource::Inline(x), CheckpointSource::Inline(y)) => x == y,
         _ => false,
     }
-}
-
-/// The policy-network dimensions an infer job's restored checkpoint must
-/// fit. Two jobs with equal dims (and the same checkpoint) can share one
-/// restored policy in a batched forward.
-fn infer_dims(req: &InferRequest) -> (usize, usize, usize) {
-    Planner::new(req.parsed.problem.clone(), service_config(1, 1, req.seed)).network_dims()
 }
 
 /// How a record reached [`rebuild`]; its recovered-failure errors say so.
@@ -1668,32 +1570,9 @@ fn execute(
             let json = analysis_report_json(&req.parsed.problem, &report, Some(cost));
             Ok(JobOutcome::Verify { json, reliable })
         }
-        JobKind::Infer(req) => {
-            // Named checkpoints resolve at execution time, so a recovered
-            // or delayed infer job uses the registry's current version.
-            let bytes = match &req.checkpoint {
-                CheckpointSource::Inline(bytes) => bytes.clone(),
-                CheckpointSource::Named(name) => match registry.get(name) {
-                    Ok(Some((_version, bytes))) => bytes,
-                    Ok(None) => return Err(format!("checkpoint '{name}' is not registered")),
-                    Err(e) => return Err(format!("checkpoint '{name}' unavailable: {e}")),
-                },
-            };
-            let im = infer_metrics();
-            im.solo_forwards.inc();
-            im.batch_size.observe(1.0);
-            // `quick()`'s 4 workers: the attempts run on as many threads
-            // as a plan job's PPO update, up to the cores.
-            let config = service_config(1, 1, req.seed);
-            let planner = Planner::new(req.parsed.problem.clone(), config);
-            let policy = planner.build_policy();
-            nptsn_nn::params_from_bytes(&nptsn_nn::Module::parameters(&policy), &bytes)
-                .map_err(|e| format!("checkpoint rejected: {e}"))?;
-            match planner.plan_with_policy(&policy, req.attempts, req.seed) {
-                Some(solution) => Ok(plan_outcome(solution, None)),
-                None => Err("the restored policy found no valid plan".to_string()),
-            }
-        }
+        JobKind::Infer(req) => run_infer(registry, &[req], false)
+            .pop()
+            .expect("one result per infer job"),
         JobKind::Burn { millis } => {
             // Sleep in slices so cancellation stays responsive.
             let mut remaining = *millis;
@@ -1705,6 +1584,83 @@ fn execute(
             Ok(JobOutcome::Burn)
         }
     }
+}
+
+/// The infer job body, one for a lone job ([`execute`]) and a coalesced
+/// batch ([`JobQueue::run_infer_batch`]): resolves the jobs' one
+/// checkpoint, restores the policy once and maps each job's plan to its
+/// result, in job order. A lone job plans through
+/// [`Planner::plan_with_policy`], on its threads, and a panic there
+/// unwinds to [`run_caught`], which dumps the flight recorder. A
+/// `coalesced` batch plans through [`plan_with_policy_batch`], in
+/// lockstep on this thread, and a panic there fails every job of it.
+fn run_infer(
+    registry: &CheckpointRegistry,
+    reqs: &[&InferRequest],
+    coalesced: bool,
+) -> Vec<Result<JobOutcome, String>> {
+    let Some(leader) = reqs.first() else {
+        return Vec::new();
+    };
+    let failed =
+        |message: String| -> Vec<Result<JobOutcome, String>> { vec![Err(message); reqs.len()] };
+    // Named checkpoints resolve at execution time, so a recovered or
+    // delayed infer job uses the registry's current version. Batchmates
+    // name the leader's checkpoint (`same_checkpoint`).
+    let bytes = match &leader.checkpoint {
+        CheckpointSource::Inline(bytes) => bytes.clone(),
+        CheckpointSource::Named(name) => match registry.get(name) {
+            Ok(Some((_version, bytes))) => bytes,
+            Ok(None) => return failed(format!("checkpoint '{name}' is not registered")),
+            Err(e) => return failed(format!("checkpoint '{name}' unavailable: {e}")),
+        },
+    };
+    // A batch records its series in `run_infer_batch`; a lone job counts
+    // once its checkpoint resolves.
+    if !coalesced {
+        let im = infer_metrics();
+        im.solo_forwards.inc();
+        im.batch_size.observe(1.0);
+    }
+    let planners: Vec<Planner> = reqs
+        .iter()
+        .map(|req| Planner::new(req.parsed.problem.clone(), service_config(1, 1, req.seed)))
+        .collect();
+    let policy = planners[0].build_policy();
+    if let Err(e) = nptsn_nn::params_from_bytes(&nptsn_nn::Module::parameters(&policy), &bytes) {
+        return failed(format!("checkpoint rejected: {e}"));
+    }
+    let plans = if coalesced {
+        let lanes: Vec<InferLane<'_>> = reqs
+            .iter()
+            .zip(&planners)
+            .map(|(req, planner)| InferLane {
+                planner,
+                attempts: req.attempts,
+                seed: req.seed,
+            })
+            .collect();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            plan_with_policy_batch(&policy, &lanes)
+        }))
+        .unwrap_or_else(|_| vec![Err("job panicked".to_string()); reqs.len()])
+    } else {
+        // `quick()`'s 4 workers: the attempts run on as many threads as a
+        // plan job's PPO update, up to the cores.
+        vec![Ok(planners[0].plan_with_policy(
+            &policy,
+            leader.attempts,
+            leader.seed,
+        ))]
+    };
+    plans
+        .into_iter()
+        .map(|plan| match plan {
+            Ok(Some(solution)) => Ok(plan_outcome(solution, None)),
+            Ok(None) => Err("the restored policy found no valid plan".to_string()),
+            Err(message) => Err(message),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1960,7 +1916,6 @@ mod tests {
     fn worker_batches_compatible_infer_jobs_with_solo_identical_results() {
         let metrics = ServeMetrics::new();
         let queue = JobQueue::new(16);
-        queue.set_infer_batching(8, 0);
         let parsed = nptsn_format::parse_problem(INFER_DOC).expect("valid problem");
 
         // A structurally valid checkpoint for this problem's architecture.
@@ -2045,6 +2000,114 @@ mod tests {
             "{:?}",
             named_snap.error
         );
+    }
+
+    /// Eight dual-homed end stations on a four-switch mesh with six flows:
+    /// large enough that an infer job's plan depends on its seed.
+    const SEEDED_DOC: &str = concat!(
+        "[nodes]\nes e0\nes e1\nes e2\nes e3\nes e4\nes e5\nes e6\nes e7\n",
+        "sw s0\nsw s1\nsw s2\nsw s3\n",
+        "[links]\ne0 s0\ne0 s2\ne1 s1\ne1 s3\ne2 s0\ne2 s2\ne3 s1\ne3 s3\n",
+        "e4 s0\ne4 s2\ne5 s1\ne5 s3\ne6 s0\ne6 s2\ne7 s1\ne7 s3\n",
+        "s0 s1\ns0 s2\ns0 s3\ns1 s2\ns1 s3\ns2 s3\n",
+        "[flows]\ne0 e4 500 256\ne1 e5 500 256\ne2 e6 500 256\ne3 e7 500 256\n",
+        "e7 e0 500 256\ne6 e1 500 256\n",
+    );
+
+    /// One infer request through every entry point that runs one: alone
+    /// through `worker_loop`, under a job deadline, through `run_one`, and
+    /// coalesced with a batchmate. Each plan is byte-equal to
+    /// `Planner::plan_with_policy`'s, and an unregistered or a rejected
+    /// checkpoint fails with one message alone and coalesced.
+    #[test]
+    fn every_infer_entry_point_runs_one_body() {
+        let parsed = nptsn_format::parse_problem(SEEDED_DOC).expect("valid problem");
+        let (attempts, seed) = (2, 0);
+        let bytes = nptsn_nn::params_to_bytes(&nptsn_nn::Module::parameters(
+            &Planner::new(parsed.problem.clone(), service_config(1, 1, 7)).build_policy(),
+        ));
+        // The reference: the checkpoint restored and planned as one
+        // worker would, with no queue.
+        let planner = Planner::new(parsed.problem.clone(), service_config(1, 1, seed));
+        let policy = planner.build_policy();
+        nptsn_nn::params_from_bytes(&nptsn_nn::Module::parameters(&policy), &bytes)
+            .expect("the checkpoint restores");
+        let plan = |seed| -> Result<(String, f64), String> {
+            let solution = planner.plan_with_policy(&policy, attempts, seed).expect("a plan");
+            Ok((write_plan(&solution.topology), solution.cost))
+        };
+        let planned = plan(seed);
+        assert_ne!(planned, plan(seed + 1), "the plan must depend on the seed");
+        // A checkpoint of another architecture: it decodes, but this
+        // problem's policy rejects it.
+        let other = nptsn_format::parse_problem(INFER_DOC).expect("valid problem");
+        let other = Planner::new(other.problem, service_config(1, 1, seed)).build_policy();
+        let foreign = nptsn_nn::params_to_bytes(&nptsn_nn::Module::parameters(&other));
+        let rejected = nptsn_nn::params_from_bytes(&nptsn_nn::Module::parameters(&policy), &foreign)
+            .expect_err("a foreign architecture is rejected");
+        let cases = [
+            (CheckpointSource::Inline(bytes), planned),
+            (
+                CheckpointSource::Named("missing".to_string()),
+                Err("checkpoint 'missing' is not registered".to_string()),
+            ),
+            (CheckpointSource::Inline(foreign), Err(format!("checkpoint rejected: {rejected}"))),
+        ];
+        // (entry point, copies of the request submitted, how the queue runs)
+        type Run = fn(&JobQueue, &ServeMetrics);
+        let entries: [(&str, usize, Run); 4] = [
+            ("alone", 1, |queue, metrics| queue.worker_loop(metrics, None)),
+            ("deadline", 1, |queue, metrics| {
+                queue.worker_loop(metrics, Some(Duration::from_secs(600)))
+            }),
+            ("run_one", 1, |queue, metrics| while queue.run_one(metrics).is_some() {}),
+            ("coalesced", 2, |queue, metrics| queue.worker_loop(metrics, None)),
+        ];
+        for (checkpoint, expected) in &cases {
+            for (entry, copies, run) in entries {
+                let before = infer_metrics().batched_forwards.get();
+                let queue = JobQueue::new(8);
+                let ids: Vec<JobId> = (0..copies)
+                    .map(|_| {
+                        let req = InferRequest {
+                            parsed: parsed.clone(),
+                            checkpoint: checkpoint.clone(),
+                            attempts,
+                            seed,
+                        };
+                        queue.submit(JobKind::Infer(req)).expect("submit")
+                    })
+                    .collect();
+                queue.close();
+                run(&queue, &ServeMetrics::new());
+                if copies > 1 {
+                    assert!(infer_metrics().batched_forwards.get() > before, "{entry}: no batch");
+                }
+                for id in ids {
+                    let job = queue.snapshot(id).expect("job tracked");
+                    let got = match (job.state, job.outcome, job.error) {
+                        (JobState::Done, Some(JobOutcome::Plan { planfile, cost, .. }), None) => {
+                            Ok((planfile, cost))
+                        }
+                        (JobState::Failed, None, Some(error)) => Err(error),
+                        other => panic!("{entry}: job {id} ended {other:?}"),
+                    };
+                    assert_eq!(&got, expected, "{entry}: job {id}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_one_refreshes_the_queued_gauge() {
+        let metrics = ServeMetrics::new();
+        let queue = JobQueue::new(4);
+        for _ in 0..3 {
+            queue.submit(burn(0)).unwrap();
+        }
+        assert!(queue.run_one(&metrics).is_some());
+        assert_eq!(queue.queued(), 2);
+        assert_eq!(metrics.jobs_queued.get(), queue.queued() as i64);
     }
 
     #[test]

@@ -89,15 +89,6 @@ pub struct ServeConfig {
     /// Evict terminal jobs this many seconds after they finish (`0`
     /// disables). The clock restarts at recovery.
     pub job_ttl_secs: u64,
-    /// Most infer jobs one worker coalesces into a single batched policy
-    /// forward (`<= 1` disables micro-batching). Batched results are
-    /// bitwise identical to solo runs, so this trades nothing but is
-    /// ignored when a `job_deadline_ms` is set (deadline jobs run solo on
-    /// helper threads).
-    pub infer_batch_max: usize,
-    /// How long an infer leader with no batch-mates waits (once) for
-    /// stragglers before running solo, in microseconds.
-    pub infer_batch_window_us: u64,
     /// The shard name this process answers to in a routed fleet, reported
     /// by `GET /readyz`. Purely informational — routing is by address.
     pub shard_name: Option<String>,
@@ -117,8 +108,6 @@ impl Default for ServeConfig {
             data_dir: None,
             job_retention: 1024,
             job_ttl_secs: 0,
-            infer_batch_max: 8,
-            infer_batch_window_us: 200,
             shard_name: None,
         }
     }
@@ -236,7 +225,6 @@ impl Server {
         };
         let (queue, recovered) =
             JobQueue::open(config.queue_depth, store, retention).map_err(store_io_error)?;
-        queue.set_infer_batching(config.infer_batch_max, config.infer_batch_window_us);
         if let Some(name) = &config.shard_name {
             queue.set_shard_label(name);
         }

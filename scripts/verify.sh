@@ -33,8 +33,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 # gradients to textbook loops, and they run here too. The served
 # inference batch runs in release as well: `batched_equivalence` pins it
 # and the stacked training forward to solo GCN forwards at 0, 1, 2 and 4
-# layers, and `model::tests` pin its log-probs, batched and one item
-# alone (the greedy re-plan step), to `evaluate` at 0 and 2 GCN layers.
+# layers, `model::tests` pin its log-probs, batched and one item alone
+# (the greedy re-plan step), to `evaluate` at 0 and 2 GCN layers, and
+# `infer::tests` pin every lockstep lane's plan, which every coalesced
+# served infer job returns, to `plan_with_policy`'s.
 # `nptsn-sched` and `nptsn-topo` run whole: the bitset schedule table
 # against a `Vec<bool>` model, the NBF against an eager one that shares
 # neither the table nor the path search, and Yen's iterator, restarted
@@ -44,7 +46,7 @@ cargo test -q --offline --release --test ppo_reference --test analyzer_reference
 cargo test -q --offline --release -p nptsn-sched -p nptsn-topo
 cargo test -q --offline --release -p nptsn-tensor --lib
 cargo test -q --offline --release -p nptsn-nn --test batched_equivalence
-cargo test -q --offline --release -p nptsn --lib model::tests
+cargo test -q --offline --release -p nptsn --lib -- model::tests infer::tests
 
 # The end-to-end benchmark is a package of its own: build and test it
 # against the crates as they are. --locked fails if a crate change would
