@@ -7,12 +7,15 @@
 //! * scenarios are [`ScenarioBits`] bitsets and survivors live in an
 //!   order-bucketed [`SupersetMemo`], so the superset-pruning test is a
 //!   few word operations instead of a linear element-wise scan;
+//! * a [`RecoveryMemo`] passed to [`FailureAnalyzer::try_analyze_with`]
+//!   answers a check whose links, present and alive, an earlier check of
+//!   the episode already recovered: the planning environment's path,
+//!   where about two thirds of the checks of an ORION re-plan hit;
 //! * an optional [`ScenarioCache`] keyed by `(topology fingerprint,
 //!   scenario)` ([`FailureAnalyzer::with_shared_cache`]) answers a
 //!   scenario the NBF already judged on the same topology — sound because
-//!   the NBF is stateless. No planning path attaches one: one analysis
-//!   visits each scenario once, and across the analyses of training 0.7%
-//!   of lookups hit.
+//!   the NBF is stateless. Only the verify path attaches one, fresh per
+//!   call: one analysis visits each scenario once, so it never hits.
 //!
 //! The enumeration is one sequential loop on the calling thread. The
 //! planner's rollout workers, which each run their own analyses, are the
@@ -25,6 +28,7 @@ use nptsn_topo::{FailureScenario, NodeId, Topology};
 
 use crate::error::NptsnError;
 use crate::problem::PlanningProblem;
+use crate::recovery_memo::RecoveryMemo;
 use crate::scenario_cache::{ScenarioBits, ScenarioCache, SupersetMemo};
 
 /// Which nodes the analyzer injects failures into.
@@ -72,8 +76,9 @@ impl Verdict {
 }
 
 /// A deterministic work budget for [`FailureAnalyzer::analyze`], measured
-/// in failure scenarios injected (NBF invocations) — not wall-clock time,
-/// so budgeted runs stay reproducible.
+/// in failure scenarios checked (each one NBF invocation, or a cache or
+/// memo answer) — not wall-clock time, so budgeted runs stay
+/// reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisBudget(Option<u64>);
 
@@ -108,9 +113,10 @@ pub struct AnalysisReport {
     /// out).
     pub verdict: Verdict,
     /// How many failure scenarios were injected. Scenarios answered from
-    /// a cache count too — the scenario was *checked*, the NBF work was
-    /// just already paid for — so this figure is identical with and
-    /// without a cache, and the budget stays configuration-independent.
+    /// a cache or a [`RecoveryMemo`] count too — the scenario was
+    /// *checked*, the NBF work was just already paid for — so this figure
+    /// is identical with and without them, and the budget stays
+    /// configuration-independent.
     pub scenarios_checked: u64,
     /// Whether the enumeration ran to completion. `true` means the verdict
     /// is exactly what the unbounded analyzer would have produced; `false`
@@ -256,8 +262,39 @@ impl FailureAnalyzer {
         problem: &PlanningProblem,
         topology: &Topology,
     ) -> Result<AnalysisReport, NptsnError> {
+        self.try_analyze_recorded(problem, topology, None)
+    }
+
+    /// [`try_analyze`](FailureAnalyzer::try_analyze) with the NBF behind
+    /// `memo`: a check whose links the memo holds (those present and those
+    /// alive under the scenario, [`Topology::live_links`]) takes the
+    /// recorded errors, and the NBF's outcome of every other check is
+    /// recorded. The report is the one `try_analyze`
+    /// returns; a check the memo answers counts in `scenarios_checked`
+    /// and against the budget like any other. `memo` must only ever see
+    /// this problem.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_analyze`](FailureAnalyzer::try_analyze).
+    pub fn try_analyze_with(
+        &self,
+        problem: &PlanningProblem,
+        topology: &Topology,
+        memo: &mut RecoveryMemo,
+    ) -> Result<AnalysisReport, NptsnError> {
+        self.try_analyze_recorded(problem, topology, Some(memo))
+    }
+
+    /// One analysis in its span, recorded in the process-wide telemetry.
+    fn try_analyze_recorded(
+        &self,
+        problem: &PlanningProblem,
+        topology: &Topology,
+        memo: Option<&mut RecoveryMemo>,
+    ) -> Result<AnalysisReport, NptsnError> {
         let _span = nptsn_obs::span("analyzer.analyze");
-        let report = self.try_analyze_inner(problem, topology)?;
+        let report = self.try_analyze_inner(problem, topology, memo)?;
         let telemetry = nptsn_obs::telemetry();
         telemetry.analyzer_scenarios_checked.add(report.scenarios_checked);
         telemetry.analyzer_cache_hits.add(report.cache_hits);
@@ -303,6 +340,7 @@ impl FailureAnalyzer {
         &self,
         problem: &PlanningProblem,
         topology: &Topology,
+        mut recoveries: Option<&mut RecoveryMemo>,
     ) -> Result<AnalysisReport, NptsnError> {
         let candidates = Candidates::new(self.scope, problem, topology)?;
         // Lines 2-14: check subsets from maxord down to the empty failure.
@@ -338,6 +376,7 @@ impl FailureAnalyzer {
                         topology,
                         &candidates,
                         cache,
+                        recoveries.as_deref_mut(),
                         &bits,
                         &mut report,
                     );
@@ -422,12 +461,14 @@ impl Candidates {
     }
 }
 
-/// One scenario check: cache lookup first, NBF invocation on a miss.
+/// One scenario check: cache lookup first, then the memo, NBF invocation
+/// on a miss.
 fn evaluate_scenario(
     problem: &PlanningProblem,
     topology: &Topology,
     candidates: &Candidates,
     cache: Option<(&ScenarioCache, u128)>,
+    recoveries: Option<&mut RecoveryMemo>,
     bits: &ScenarioBits,
     report: &mut AnalysisReport,
 ) -> ErrorReport {
@@ -438,12 +479,17 @@ fn evaluate_scenario(
         }
     }
     let failure = candidates.scenario(bits.iter());
-    let outcome = problem.nbf().recover(topology, &failure, problem.tas(), problem.flows());
+    let recover =
+        || problem.nbf().recover(topology, &failure, problem.tas(), problem.flows()).errors;
+    let errors = match recoveries {
+        Some(memo) => memo.errors(topology, &failure, recover),
+        None => recover(),
+    };
     if let Some((cache, fingerprint)) = cache {
         report.cache_misses += 1;
-        cache.insert(fingerprint, bits.clone(), outcome.errors.clone());
+        cache.insert(fingerprint, bits.clone(), errors.clone());
     }
-    outcome.errors
+    errors
 }
 
 impl Default for FailureAnalyzer {

@@ -7,6 +7,7 @@ use nptsn_rand::Rng;
 use crate::analyzer::{FailureAnalyzer, Verdict};
 use crate::encode::{encode_observation, Observation};
 use crate::problem::PlanningProblem;
+use crate::recovery_memo::RecoveryMemo;
 use crate::soag::{apply_action, ActionSet, Soag};
 use crate::solution::Solution;
 
@@ -32,6 +33,12 @@ pub struct StepOutcome {
 /// regenerates actions (Fig. 2). Episodes start from the empty TSSDN (end
 /// stations only) and end when the reliability requirement is met, when
 /// every action is masked (dead end, −1 penalty), or at the step cap.
+///
+/// Each analysis goes through the episode's [`RecoveryMemo`], which
+/// [`reset`](PlanningEnv::reset) clears: a scenario check whose links,
+/// present and alive, an earlier check of the episode recovered takes
+/// that outcome without calling the NBF. Verdicts and scenario counts are those of a plain
+/// [`FailureAnalyzer::try_analyze`].
 ///
 /// # Examples
 ///
@@ -71,6 +78,7 @@ pub struct PlanningEnv {
     last_cost: f64,
     episode_steps: usize,
     scenarios_checked: u64,
+    recoveries: RecoveryMemo,
 }
 
 impl PlanningEnv {
@@ -102,6 +110,7 @@ impl PlanningEnv {
             last_cost: 0.0,
             episode_steps: 0,
             scenarios_checked: 0,
+            recoveries: RecoveryMemo::new(),
         };
         env.reset(rng);
         env
@@ -112,7 +121,7 @@ impl PlanningEnv {
     /// process-wide telemetry).
     fn analyze_counted(&mut self) -> Verdict {
         let report = FailureAnalyzer::new()
-            .try_analyze(&self.problem, &self.topology)
+            .try_analyze_with(&self.problem, &self.topology, &mut self.recoveries)
             .expect("environment topologies are consistent by construction");
         self.scenarios_checked += report.scenarios_checked;
         report.verdict
@@ -124,10 +133,12 @@ impl PlanningEnv {
         self.scenarios_checked
     }
 
-    /// Resets the TSSDN to end stations only and regenerates the action
-    /// space from a fresh failure analysis (Algorithm 2 line 3).
+    /// Resets the TSSDN to end stations only, clears the episode's
+    /// [`RecoveryMemo`] and regenerates the action space from a fresh
+    /// failure analysis (Algorithm 2 line 3).
     pub fn reset(&mut self, rng: &mut impl Rng) {
         self.topology = Topology::empty(self.problem.connection_graph_arc());
+        self.recoveries.clear();
         self.last_cost = 0.0;
         self.episode_steps = 0;
         let (failure, errors) = match self.analyze_counted() {

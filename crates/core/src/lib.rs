@@ -13,9 +13,11 @@
 //!
 //! * [`FailureAnalyzer`] — the failure-injection check of Algorithm 3 with
 //!   the switch-only reduction (Eq. 6) and bitset superset memoization
-//!   ([`SupersetMemo`]), verdict-preserving. An NBF-outcome cache
-//!   ([`ScenarioCache`]) can be attached; only `nptsn verify` and the
-//!   serve verify job do, and planning runs without one.
+//!   ([`SupersetMemo`]), verdict-preserving. Planning analyzes through
+//!   an episode's [`RecoveryMemo`] of NBF outcomes, keyed by the links
+//!   present and those alive under each scenario; `nptsn verify` and the
+//!   serve verify job attach a fresh NBF-outcome cache ([`ScenarioCache`])
+//!   instead.
 //! * [`Soag`] — the Survival-Oriented Action Generator of Algorithm 1:
 //!   a dynamic action space of switch upgrades and K shortest-path
 //!   additions targeting the last non-recoverable failure, with validity
@@ -76,6 +78,7 @@ mod model;
 mod path_memo;
 mod planner;
 mod problem;
+mod recovery_memo;
 mod scenario_cache;
 mod soag;
 mod solution;
@@ -91,6 +94,7 @@ pub use model::PolicyNetwork;
 pub use path_memo::{PathMemoStats, PATH_MEMO_CAPACITY};
 pub use planner::{EpochStats, Planner, PlannerReport};
 pub use problem::{check_schedule_table, PlanningProblem, MAX_SCHEDULE_CELLS};
+pub use recovery_memo::RecoveryMemo;
 pub use scenario_cache::{ScenarioBits, ScenarioCache, SupersetMemo};
 pub use soag::{Action, ActionSet, Soag};
 pub use solution::{asil_label, Solution};

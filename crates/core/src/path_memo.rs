@@ -1,18 +1,21 @@
 //! The SOAG's memo of candidate-path lists, one per planning problem.
 //!
 //! Algorithm 1 line 5 runs Yen's K shortest paths between the drawn
-//! endpoint pair on `Gc` minus the failed switches, the failed links and
-//! the unselected switches. That graph is a function of the problem's
-//! `Gc`, the selected switch set and the failure scenario alone, so the
-//! path list is a function of those, the pair and `K` ([`PathKey`]). The
-//! topology's links and ASILs, the flows and the NBF do not enter it.
-//! Training and re-planning keep meeting the same keys: the same failure
-//! stays the first unrecoverable one while an episode adds links, and the
-//! episodes of a problem revisit the same switch sets. So each list is
-//! computed once and shared by every clone of the problem: every
-//! environment, rollout worker and re-plan thread a planner starts. The
-//! mask, which does depend on the topology, the SOAG recomputes at every
-//! call.
+//! endpoint pair on `Gc` minus the failed nodes, the failed links and
+//! the unselected switches. [`PathKey`] is that search graph, named by
+//! what `Gc` loses: the switches it keeps (selected and not failed), the
+//! failed nodes that are not switches, and the failed links; with the
+//! pair and `K` it fixes the path list. The topology's links and ASILs,
+//! the flows and the NBF do not enter it, and neither does how a switch
+//! came to be left out: a failed switch and an unselected one block the
+//! same paths. Training and re-planning keep meeting the same keys: the
+//! same failure stays the first unrecoverable one while an episode adds
+//! links, a problem's episodes revisit the same switch sets, and a
+//! selected set under a switch failure searches the graph of the set
+//! without that switch. So each list is computed once and shared by
+//! every clone of the problem: every environment, rollout worker and
+//! re-plan thread a planner starts. The mask, which does depend on the
+//! topology, the SOAG recomputes at every call.
 //!
 //! Hit/miss counters are registered on the process-wide telemetry
 //! registry as `nptsn_soag_path_memo_{hits,misses}_total`, so `/metrics`
@@ -23,27 +26,52 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use nptsn_obs::metrics::Counter;
-use nptsn_topo::{FailureScenario, NodeId, Path};
+use nptsn_topo::{ConnectionGraph, FailureScenario, LinkId, NodeId, Path};
 
 /// The path lists one problem's memo holds before it resets wholesale,
 /// like [`ScenarioCache`](crate::ScenarioCache). A list of 16 ORION paths
 /// with its key takes about 2 KB, so a full memo holds about 8 MB. An
-/// ORION-40 problem holds 500–650 lists after six re-plans, and about
+/// ORION-40 problem holds 320–430 lists after six re-plans, and about
 /// 2 000 after ten training epochs.
 pub const PATH_MEMO_CAPACITY: usize = 4096;
 
-/// Everything a SOAG path list depends on besides the problem's `Gc`.
+/// Everything a SOAG path list depends on besides the problem's `Gc`:
+/// the graph Yen searches, K and the pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PathKey {
     /// The number of paths K.
     pub(crate) k: usize,
-    /// The selected switches, ascending.
+    /// The switches a path may cross: selected and not failed, ascending.
     pub(crate) switches: Vec<NodeId>,
-    /// The failure the paths must survive (sorted and deduplicated).
-    pub(crate) failure: FailureScenario,
+    /// The failed nodes that are not switches, ascending.
+    pub(crate) stations: Vec<NodeId>,
+    /// The failed links, ascending.
+    pub(crate) links: Vec<LinkId>,
     /// The endpoint pair drawn from the error report, in order.
     pub(crate) source: NodeId,
     pub(crate) target: NodeId,
+}
+
+impl PathKey {
+    /// The key of K paths from `source` to `target` that survive `failure`
+    /// and cross only `selected` switches, on `gc`.
+    pub(crate) fn new(
+        k: usize,
+        gc: &ConnectionGraph,
+        selected: &[NodeId],
+        failure: &FailureScenario,
+        (source, target): (NodeId, NodeId),
+    ) -> PathKey {
+        let failed = failure.failed_switches();
+        PathKey {
+            k,
+            switches: selected.iter().copied().filter(|&s| !failure.contains_switch(s)).collect(),
+            stations: failed.iter().copied().filter(|&x| !gc.is_switch(x)).collect(),
+            links: failure.failed_links().to_vec(),
+            source,
+            target,
+        }
+    }
 }
 
 /// Cumulative counters of one problem's SOAG path memo.
@@ -137,13 +165,13 @@ fn telemetry_counters() -> &'static MemoCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nptsn_topo::ConnectionGraph;
 
     fn key(k: usize, source: usize) -> PathKey {
         PathKey {
             k,
             switches: Vec::new(),
-            failure: FailureScenario::none(),
+            stations: Vec::new(),
+            links: Vec::new(),
             source: NodeId::from_dense_index(source),
             target: NodeId::from_dense_index(0),
         }

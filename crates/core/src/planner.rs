@@ -45,8 +45,9 @@ pub struct EpochStats {
     /// error-handling policy in `DESIGN.md`).
     pub poisoned_workers: usize,
     /// Failure scenarios the analyzer checked across this epoch's rollouts:
-    /// one NBF call each. A seeded run reproduces it, like every other
-    /// field.
+    /// one check each, answered by the NBF or by the episode's
+    /// [`RecoveryMemo`](crate::RecoveryMemo). A seeded run reproduces it,
+    /// like every other field.
     pub scenarios_checked: u64,
     /// 1 when this epoch's PPO update produced a non-finite loss or
     /// parameter and was rolled back to the pre-update snapshot (both Adam

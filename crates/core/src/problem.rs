@@ -151,8 +151,9 @@ impl PlanningProblem {
     }
 
     /// The counters of the SOAG's path memo: the K-shortest-path lists
-    /// this problem and every clone of it computed, keyed by K, the
-    /// selected switch set, the failure and the endpoint pair. At most
+    /// this problem and every clone of it computed, keyed by the graph Yen
+    /// searches (the selected switches that did not fail, the failed end
+    /// stations and the failed links), K and the endpoint pair. At most
     /// [`PATH_MEMO_CAPACITY`](crate::PATH_MEMO_CAPACITY) lists are kept.
     pub fn path_memo_stats(&self) -> PathMemoStats {
         self.paths.stats()

@@ -18,8 +18,10 @@
 //!   [`Topology::fingerprint`], so a topology mutation implicitly
 //!   invalidates every stale entry — it can simply never be looked up
 //!   again. Only `nptsn verify` and the serve verify job attach one, fresh
-//!   per call, for the hit/miss counts of their reports; planning runs
-//!   without: across the analyses of a training epoch 0.7% of lookups hit.
+//!   per call, for the hit/miss counts of their reports. Planning uses the
+//!   episode's [`RecoveryMemo`](crate::RecoveryMemo) instead: every step
+//!   changes the fingerprint, so across the analyses of a training epoch
+//!   0.7% of fingerprint lookups hit.
 //!
 //! [`Topology::fingerprint`]: nptsn_topo::Topology::fingerprint
 

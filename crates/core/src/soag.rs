@@ -1,4 +1,8 @@
 //! The Survival-Oriented Action Generator (Algorithm 1, Section IV-B).
+//!
+//! Its K shortest paths come from the problem's path memo, keyed by the
+//! graph Yen searches (see `path_memo.rs`): a selected set under a switch
+//! failure and the same set without that switch share one list.
 
 use nptsn_sched::ErrorReport;
 use nptsn_topo::{k_shortest_paths, ConnectionGraph, FailureScenario, NodeId, Path, Topology};
@@ -93,8 +97,9 @@ impl ActionSet {
 ///   and paths whose links are all already present, are masked
 ///   (lines 6–12).
 ///
-/// The path list depends on the selected switch set, the failure, the
-/// pair and `K` only, so the problem memoizes it (see
+/// The path list depends on the graph Yen searches (the selected switches
+/// that did not fail, the failed end stations and the failed links), the
+/// pair and `K` only, so the problem memoizes it under that graph (see
 /// [`PlanningProblem::path_memo_stats`]); the mask is computed against
 /// the topology at every call.
 #[derive(Debug, Clone)]
@@ -144,14 +149,8 @@ impl Soag {
 
         // Path addition actions for one endpoint pair from ER.
         let drawn = (!errors.is_empty()).then(|| {
-            let (source, target) = errors.pairs()[rng.gen_range(0..errors.len())];
-            let key = PathKey {
-                k: self.k,
-                switches: topology.selected_switches().to_vec(),
-                failure: failure.clone(),
-                source,
-                target,
-            };
+            let pair = errors.pairs()[rng.gen_range(0..errors.len())];
+            let key = PathKey::new(self.k, gc, topology.selected_switches(), failure, pair);
             problem.path_memo().paths(key, |key| candidate_paths(gc, key))
         });
         let paths: &[Path] = drawn.as_deref().unwrap_or(&[]);
@@ -176,22 +175,25 @@ impl Soag {
 }
 
 /// Algorithm 1 lines 2–5: the K shortest paths between the key's pair on
-/// `gc` minus the failed links, the failed switches and the unselected
-/// switches, so that paths only traverse previously added switches. A
-/// function of `gc` and `key` alone, which is what lets the problem
-/// memoize it.
+/// `gc` minus the failed links, the failed nodes and the unselected
+/// switches, so that paths only traverse previously added switches that
+/// did not fail. A function of `gc` and `key` alone, which is what lets
+/// the problem memoize it.
 fn candidate_paths(gc: &ConnectionGraph, key: &PathKey) -> Vec<Path> {
     let blocked: Vec<bool> = gc
         .nodes()
         .map(|x| {
-            key.failure.contains_switch(x)
-                || (gc.is_switch(x) && key.switches.binary_search(&x).is_err())
+            if gc.is_switch(x) {
+                key.switches.binary_search(&x).is_err()
+            } else {
+                key.stations.binary_search(&x).is_ok()
+            }
         })
         .collect();
     let mut adj: Vec<Vec<(NodeId, nptsn_topo::LinkId, f64)>> = vec![Vec::new(); gc.node_count()];
     for link in gc.links() {
         let (u, v) = gc.link_endpoints(link);
-        if key.failure.contains_link(link) || blocked[u.index()] || blocked[v.index()] {
+        if key.links.binary_search(&link).is_ok() || blocked[u.index()] || blocked[v.index()] {
             continue;
         }
         let len = gc.link_length(link);

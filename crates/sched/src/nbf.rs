@@ -38,6 +38,18 @@ impl RecoveryOutcome {
 /// Implementations must be deterministic. NPTSN treats the NBF as a black
 /// box obtained from the selected TSSDN controller; this trait is the seam
 /// where new recovery mechanisms plug in.
+///
+/// An outcome depends on the topology only through its links: the links
+/// present and those alive under the failure ([`Topology::live_links`],
+/// the links of [`Topology::residual_adjacency`]). ASILs, a selected
+/// switch without links and a failed node without live links do not
+/// change it. The planner's episode memo of NBF outcomes, keyed by those
+/// two link sets, relies on it. The direct NBFs of this crate read the
+/// topology only through `residual_adjacency(failure)`; the
+/// [`Stateless`](crate::Stateless) adapter over
+/// [`IncrementalRecovery`](crate::IncrementalRecovery) first recovers the
+/// nominal state on every present link. `tests/nbf_contract.rs` pins
+/// them.
 pub trait NetworkBehavior: Send + Sync {
     /// Re-establishes all flows on the residual network of
     /// `topology - failure`.

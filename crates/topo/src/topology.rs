@@ -410,20 +410,30 @@ impl Topology {
         self.residual_adjacency(&FailureScenario::none())
     }
 
-    /// Adjacency of the residual network after removing the failed switches
-    /// and links of `failure` (a failed switch disables every link attached
-    /// to it, Section II-A).
+    /// The links alive under `failure`, ascending: present in the topology,
+    /// not failed, and without a failed endpoint (a failed node disables
+    /// every link attached to it, Section II-A). They are the links of
+    /// [`residual_adjacency`](Topology::residual_adjacency).
+    pub fn live_links<'a>(
+        &'a self,
+        failure: &'a FailureScenario,
+    ) -> impl Iterator<Item = LinkId> + 'a {
+        self.links().filter(move |&link| {
+            let (u, v) = self.gc.link_endpoints(link);
+            !failure.contains_link(link)
+                && !failure.contains_switch(u)
+                && !failure.contains_switch(v)
+        })
+    }
+
+    /// Adjacency of the residual network under `failure`: its
+    /// [`live_links`](Topology::live_links), in that order, so topologies
+    /// with the same live links give the same adjacency.
     pub fn residual_adjacency(&self, failure: &FailureScenario) -> Adjacency {
         let n = self.gc.node_count();
         let mut adj: Adjacency = vec![Vec::new(); n];
-        for link in self.links() {
-            if failure.contains_link(link) {
-                continue;
-            }
+        for link in self.live_links(failure) {
             let (u, v) = self.gc.link_endpoints(link);
-            if failure.contains_switch(u) || failure.contains_switch(v) {
-                continue;
-            }
             let len = self.gc.link_length(link);
             adj[u.index()].push((v, link, len));
             adj[v.index()].push((u, link, len));

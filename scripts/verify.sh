@@ -21,8 +21,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 
 # The bit-identity pins again, in the release profile the benchmark
 # measures: the batched, threaded PPO update and the threaded re-plan
-# against their sequential references, the analyzer and the lazy NBF
-# against the textbook ones, and the memoized SOAG against the
+# against their sequential references, the analyzer, its episode memo of
+# NBF outcomes and the lazy NBF against the textbook ones, the NBF
+# contract that memo rests on (outcomes depend only on the present and
+# live links),
+# and the memoized SOAG, keyed on its search graph, against the
 # unmemoized generator. The release build is other machine code (no
 # debug assertions, other inlining) and its threads interleave on other
 # timings, so a pass in the dev profile alone does not show that the
@@ -42,7 +45,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 # neither the table nor the path search, and Yen's iterator, restarted
 # or fresh, against the eager Yen.
 cargo test -q --offline --release --test ppo_reference --test analyzer_reference \
-    --test replan_reference --test soag_reference
+    --test nbf_contract --test replan_reference --test soag_reference
 cargo test -q --offline --release -p nptsn-sched -p nptsn-topo
 cargo test -q --offline --release -p nptsn-tensor --lib
 cargo test -q --offline --release -p nptsn-nn --test batched_equivalence

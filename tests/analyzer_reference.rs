@@ -19,22 +19,35 @@
 //! and the serve verify job run one, reports no hit and one miss per
 //! checked scenario on every topology of the sweeps: one analysis checks
 //! each scenario once, so a per-call cache only counts.
+//!
+//! The episode memo ([`RecoveryMemo`], keyed by the links present and
+//! those alive under a scenario) is pinned on seeded episodes of random
+//! valid actions, one memo per episode, as [`PlanningEnv`] keeps it, over
+//! the shortest-path NBF and over the stateless adapter: after every
+//! step, [`FailureAnalyzer::try_analyze_with`] must match the textbook
+//! Algorithm 3, unbounded and under a budget, and every check must be
+//! one hit or one miss. The sweep must reach hits right after an ASIL
+//! upgrade and right after a switch is added. A hand-built episode of
+//! the adapter has two states with the same live links and different
+//! errors. A key of the present links alone, of the live links alone, a
+//! key that keeps a failed switch's links, or a hit left out of
+//! `scenarios_checked` fails them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nptsn::{
-    AnalysisBudget, AnalysisReport, FailureAnalyzer, NetworkBehavior, PlanningEnv,
-    PlanningProblem, ScenarioCache, Verdict,
+    Action, AnalysisBudget, AnalysisReport, FailureAnalyzer, NetworkBehavior, PlanningEnv,
+    PlanningProblem, RecoveryMemo, ScenarioCache, Verdict,
 };
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::{Rng, RngCore, SeedableRng};
 use nptsn_sched::{
-    schedule_flow_on_path, ErrorReport, FlowSet, FlowSpec, FlowState, RecoveryOutcome,
-    ScheduleTable, ShortestPathRecovery, TasConfig,
+    schedule_flow_on_path, ErrorReport, FlowSet, FlowSpec, FlowState, IncrementalRecovery,
+    RecoveryOutcome, ScheduleTable, ShortestPathRecovery, Stateless, TasConfig,
 };
 use nptsn_topo::{
-    k_shortest_paths, ComponentLibrary, ConnectionGraph, FailureScenario, NodeId, Topology,
+    k_shortest_paths, Asil, ComponentLibrary, ConnectionGraph, FailureScenario, NodeId, Topology,
 };
 
 /// The path attempts of `ShortestPathRecovery::new()`, which the random
@@ -375,4 +388,185 @@ fn every_budget_matches_textbook_algorithm_3() {
             }
         }
     }
+}
+
+/// The kind of action a step applied.
+#[derive(Clone, Copy)]
+enum Step {
+    Upgrade,
+    NewSwitch,
+    AddPath,
+}
+
+/// What the episode sweep reached: memo hits in the analysis after each
+/// kind of step.
+#[derive(Debug, Default)]
+struct MemoCoverage {
+    analyses: usize,
+    hits: u64,
+    misses: u64,
+    hits_after_upgrade: u64,
+    hits_after_new_switch: u64,
+    hits_after_path: u64,
+}
+
+/// One analysis of an episode through its memo, unbounded against the
+/// reference, and under a random budget through a copy of the memo.
+fn assert_memo_agrees(
+    problem: &PlanningProblem,
+    eager: &PlanningProblem,
+    topology: &Topology,
+    memo: &mut RecoveryMemo,
+    rng: &mut StdRng,
+    label: &str,
+) -> u64 {
+    let expected = reference(eager, topology, None);
+    let mut budgeted_memo = memo.clone();
+    let before = memo.hits() + memo.misses();
+    let hits = memo.hits();
+    let report = FailureAnalyzer::new().try_analyze_with(problem, topology, memo).unwrap();
+    assert_agrees(&expected, &report, label);
+    assert_eq!(
+        memo.hits() + memo.misses() - before,
+        report.scenarios_checked,
+        "{label}: every check is one hit or one miss"
+    );
+    let budget = rng.gen_range(0..=expected.1 + 1);
+    let budgeted = FailureAnalyzer::new()
+        .with_budget(AnalysisBudget::scenarios(budget))
+        .try_analyze_with(problem, topology, &mut budgeted_memo)
+        .unwrap();
+    let expected = reference(eager, topology, Some(budget));
+    assert_agrees(&expected, &budgeted, &format!("{label} budget {budget}"));
+    memo.hits() - hits
+}
+
+/// `problem` with the stateless adapter over `IncrementalRecovery` as
+/// its NBF, which recovers relative to the nominal flow state.
+fn adapter_twin(problem: &PlanningProblem) -> PlanningProblem {
+    PlanningProblem::new(
+        problem.connection_graph_arc(),
+        problem.library().clone(),
+        *problem.tas(),
+        problem.flows().clone(),
+        problem.reliability_goal(),
+        Arc::new(Stateless::new(IncrementalRecovery::new())),
+    )
+    .unwrap()
+}
+
+#[test]
+fn episode_memo_matches_textbook_algorithm_3() {
+    let mut coverage = MemoCoverage::default();
+    for case in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(0x3e30_0000 + case);
+        let goal = [1e-6, 1e-9, 1e-12][case as usize % 3];
+        let problem = random_problem(&mut rng, goal);
+        let (eager, _) = eager_twin(&problem);
+        let adapter = adapter_twin(&problem);
+        let seed = rng.next_u64();
+        run_episode(&problem, &eager, seed, &format!("case {case}"), &mut coverage);
+        run_episode(&adapter, &adapter, seed, &format!("case {case} adapter"), &mut coverage);
+    }
+    assert!(
+        coverage.hits_after_upgrade > 0 && coverage.hits_after_new_switch > 0,
+        "the sweep must reach hits after an ASIL upgrade and after a new switch: {coverage:?}"
+    );
+    eprintln!("{coverage:?}");
+}
+
+/// Two states of one episode under the stateless adapter, the second
+/// with the link s0 – b, which the failure of s0 kills. Flow 0 (a → b)
+/// and flow 1 (c → b) fit the 2-slot cycle only on different switches.
+/// Without the link, flow 0 takes s1 first and flow 1 fails; with it,
+/// the nominal state puts flow 0 on s0, so under the failure of s0 flow
+/// 0 is re-routed after flow 1 kept its slot, and flow 0 fails. The live
+/// links under that failure are the same, the errors are not: the memo
+/// must answer the second analysis from the NBF.
+#[test]
+fn episode_memo_keys_on_the_present_links_too() {
+    let mut gc = ConnectionGraph::new();
+    let [a, b, c] = ["a", "b", "c"].map(|name| gc.add_end_station(name));
+    let [s0, s1] = ["s0", "s1"].map(|name| gc.add_switch(name));
+    for (u, v, length) in [(a, s0, 1.0), (s0, b, 1.0), (a, s1, 2.0), (s1, b, 2.0), (c, s1, 1.0)] {
+        gc.add_candidate_link(u, v, length).unwrap();
+    }
+    let flows = vec![FlowSpec::new(a, b, 500, 128), FlowSpec::new(c, b, 500, 128)];
+    let problem = PlanningProblem::new(
+        Arc::new(gc),
+        ComponentLibrary::automotive(),
+        TasConfig::new(500, 2, 1000),
+        FlowSet::new(flows).unwrap(),
+        1e-6,
+        Arc::new(Stateless::new(IncrementalRecovery::new())),
+    )
+    .unwrap();
+    let mut topology = problem.connection_graph().empty_topology();
+    for s in [s0, s1] {
+        topology.add_switch(s, Asil::A).unwrap();
+    }
+    for (u, v) in [(a, s0), (a, s1), (s1, b), (c, s1)] {
+        topology.add_link(u, v).unwrap();
+    }
+    let mut grown = topology.clone();
+    grown.add_link(s0, b).unwrap();
+    let mut memo = RecoveryMemo::new();
+    let mut errors = Vec::new();
+    for (state, topology) in [("without s0 - b", &topology), ("with s0 - b", &grown)] {
+        let expected = reference(&problem, topology, None);
+        let report = FailureAnalyzer::new().try_analyze_with(&problem, topology, &mut memo);
+        assert_agrees(&expected, &report.unwrap(), state);
+        match expected.0 {
+            Verdict::Unreliable { failure, errors: pairs } => {
+                assert_eq!(failure, FailureScenario::switches(vec![s0]), "{state}");
+                errors.push(pairs);
+            }
+            other => panic!("{state}: the failure of s0 must be the counterexample: {other:?}"),
+        }
+    }
+    assert_ne!(errors[0], errors[1], "the same live links, other errors");
+}
+
+/// One episode of random valid actions from `seed`, one memo for it: the
+/// analysis after every step through the memo against the textbook
+/// Algorithm 3 over `reference`'s NBF.
+fn run_episode(
+    problem: &PlanningProblem,
+    reference: &PlanningProblem,
+    seed: u64,
+    case: &str,
+    coverage: &mut MemoCoverage,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut env = PlanningEnv::new(problem.clone(), 6, 1e3, 64, &mut rng);
+    let mut memo = RecoveryMemo::new();
+    let label = format!("{case} reset");
+    assert_memo_agrees(problem, reference, env.topology(), &mut memo, &mut rng, &label);
+    for step in 0..64 {
+        let valid: Vec<usize> = (0..env.action_count()).filter(|&i| env.mask()[i]).collect();
+        if valid.is_empty() {
+            break;
+        }
+        let idx = valid[rng.gen_range(0..valid.len())];
+        let kind = match env.actions().valid_action(idx) {
+            Some(Action::UpgradeSwitch(s)) if env.topology().contains_switch(*s) => Step::Upgrade,
+            Some(Action::UpgradeSwitch(_)) => Step::NewSwitch,
+            _ => Step::AddPath,
+        };
+        let done = env.step(idx, &mut rng).done;
+        let label = format!("{case} step {step}");
+        let topology = env.topology();
+        let hits = assert_memo_agrees(problem, reference, topology, &mut memo, &mut rng, &label);
+        coverage.analyses += 1;
+        match kind {
+            Step::Upgrade => coverage.hits_after_upgrade += hits,
+            Step::NewSwitch => coverage.hits_after_new_switch += hits,
+            Step::AddPath => coverage.hits_after_path += hits,
+        }
+        if done {
+            break;
+        }
+    }
+    coverage.hits += memo.hits();
+    coverage.misses += memo.misses();
 }

@@ -1,21 +1,28 @@
 //! Pins the memoized SOAG to the generator it was before the memo.
 //!
 //! `Soag::generate` takes its K shortest paths from the problem's path
-//! memo, keyed by K, the selected switch set, the failure and the drawn
-//! endpoint pair, and computes the mask against the topology at every
-//! call. [`reference`] below is the former `generate`: the filtered
+//! memo, keyed by the graph Yen searches (the selected switches that did
+//! not fail, the failed end stations and the failed links), K and the
+//! drawn endpoint pair, and computes the mask against the topology at
+//! every call. [`reference`] below is the former `generate`: the filtered
 //! candidate adjacency and Yen at every call, no memo. On ORION and ADS,
 //! for random switch subsets, ASILs and link sets, under no failure,
-//! switch failures, link failures and both, with K in {1, 4, 16}, both
-//! must return the same actions and mask and leave the RNG in the same
-//! state, on the call that fills an entry and on the hits that follow.
+//! switch failures, link failures, end-station failures (the
+//! counterexamples of an `AllNodes` analysis carry them) and mixes, with
+//! K in {1, 4, 16}, both must return the same actions and mask and leave
+//! the RNG in the same state, on the call that fills an entry and on the
+//! hits that follow.
 //!
-//! A model of the memo (every key filled since the last reset, with the
-//! links and ASILs of the topology that filled it) checks that a call hits
-//! exactly when its key was filled before. The sweep must reach hits from
-//! a topology whose links differ from the filler's, hits whose ASILs
-//! differ, and a capacity reset: a key that left out the failed links or
-//! the switch set, or a memoized mask, fails it.
+//! A model of the memo (every search graph filled since the last reset,
+//! with the links, ASILs, selected switches and failure of the call that
+//! filled it) checks that a call hits exactly when its graph was filled
+//! before. Each switch set also runs on a topology without one of its
+//! switches, so that the set under that switch's failure and the smaller
+//! set search one graph. The sweep must reach hits from a topology whose
+//! links differ from the filler's, hits whose ASILs differ, hits whose
+//! selected switches and failure differ but whose graph is the same, and
+//! a capacity reset: a key that left out the failed links, the switch set
+//! or the failed stations, or a memoized mask, fails it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,9 +42,9 @@ const KS: [usize; 3] = [1, 4, 16];
 /// Topologies per switch set: the same keys under other links and ASILs.
 const TOPOLOGIES: usize = 3;
 const ORION_STATES: usize = 24;
-/// ADS switch sets: each adds about 27 keys to the memo, so this many
+/// ADS switch sets: each adds about 39 keys to the memo, so this many
 /// fill it past its capacity once (the test asserts the reset).
-const ADS_STATES: usize = 2 * PATH_MEMO_CAPACITY / 27;
+const ADS_STATES: usize = 2 * PATH_MEMO_CAPACITY / 39;
 
 /// The former `Soag::generate`, with its result as plain vectors and the
 /// pair it drew.
@@ -98,13 +105,35 @@ fn reference(
     (actions, mask, pair)
 }
 
-type Key = (usize, Vec<NodeId>, FailureScenario, (NodeId, NodeId));
-/// A topology's links and switch ASILs.
-type Selection = (Vec<LinkId>, Vec<Option<Asil>>);
+/// The graph Yen searches (K, the selected switches that did not fail,
+/// the failed end stations, the failed links) and the pair.
+type Key = (usize, Vec<NodeId>, Vec<NodeId>, Vec<LinkId>, (NodeId, NodeId));
 
-fn selection(topology: &Topology) -> Selection {
+fn key(k: usize, topology: &Topology, failure: &FailureScenario, pair: (NodeId, NodeId)) -> Key {
     let gc = topology.connection_graph();
-    (topology.links().collect(), gc.switches().iter().map(|&s| topology.switch_asil(s)).collect())
+    let switches = topology.selected_switches().iter().copied();
+    let failed = failure.failed_switches().iter().copied();
+    (
+        k,
+        switches.filter(|&s| !failure.contains_switch(s)).collect(),
+        failed.filter(|&x| gc.is_end_station(x)).collect(),
+        failure.failed_links().to_vec(),
+        pair,
+    )
+}
+
+/// A call's links and switch ASILs, and its selected switches and
+/// failure.
+type Selection = (Vec<LinkId>, Vec<Option<Asil>>, Vec<NodeId>, FailureScenario);
+
+fn selection(topology: &Topology, failure: &FailureScenario) -> Selection {
+    let gc = topology.connection_graph();
+    (
+        topology.links().collect(),
+        gc.switches().iter().map(|&s| topology.switch_asil(s)).collect(),
+        topology.selected_switches().to_vec(),
+        failure.clone(),
+    )
 }
 
 /// What the sweep reached.
@@ -114,7 +143,10 @@ struct Coverage {
     hits: usize,
     hits_other_links: usize,
     hits_other_asils: usize,
+    /// Hits whose selected switches or failure differ from the filler's.
+    hits_same_graph: usize,
     link_failures: usize,
+    station_failures: usize,
     resets: usize,
 }
 
@@ -129,7 +161,7 @@ impl Model {
     fn record(
         &mut self,
         key: Option<Key>,
-        topology: &Topology,
+        current: Selection,
         before: PathMemoStats,
         after: PathMemoStats,
         coverage: &mut Coverage,
@@ -142,7 +174,6 @@ impl Model {
             self.filled.clear();
             coverage.resets += 1;
         }
-        let current = selection(topology);
         if after.hits == before.hits + 1 {
             assert_eq!(after.misses, before.misses);
             let filler = self
@@ -152,6 +183,8 @@ impl Model {
             coverage.hits += 1;
             coverage.hits_other_links += usize::from(filler.0 != current.0);
             coverage.hits_other_asils += usize::from(filler.1 != current.1);
+            coverage.hits_same_graph +=
+                usize::from((&filler.2, &filler.3) != (&current.2, &current.3));
         } else {
             assert_eq!((after.hits, after.misses), (before.hits, before.misses + 1));
             assert!(self.filled.insert(key, current).is_none(), "a miss on a key filled before");
@@ -194,7 +227,9 @@ fn topology(scenario: &Scenario, switches: &[NodeId], rng: &mut StdRng) -> Topol
 }
 
 /// No failure, one switch, one link at an error endpoint (so it tends to
-/// lie on the paths), a switch and a link, and two links.
+/// lie on the paths), a switch and a link, two links, an error endpoint
+/// (an `AllNodes` counterexample that fails a flow's own station), and a
+/// switch and any end station.
 fn failures(
     scenario: &Scenario,
     switches: &[NodeId],
@@ -204,8 +239,12 @@ fn failures(
     let gc = &scenario.graph;
     let pool = if switches.is_empty() { gc.switches() } else { switches };
     let mut switch = || pool[rng.gen_range(0..pool.len())];
-    let (a, b) = (switch(), switch());
+    let (a, b, c) = (switch(), switch(), switch());
+    let stations = gc.end_stations();
     let ends: Vec<NodeId> = errors.pairs().iter().flat_map(|&(s, d)| [s, d]).collect();
+    let end = if ends.is_empty() { stations } else { &ends[..] };
+    let (e1, e2) =
+        (end[rng.gen_range(0..end.len())], stations[rng.gen_range(0..stations.len())]);
     let near: Vec<LinkId> = gc
         .links()
         .filter(|&l| {
@@ -223,6 +262,8 @@ fn failures(
         FailureScenario::links(vec![l1]),
         FailureScenario::new(vec![b], vec![l2]),
         FailureScenario::links(vec![l3, l4]),
+        FailureScenario::switches(vec![e1]),
+        FailureScenario::switches(vec![c, e2]),
     ]
 }
 
@@ -245,7 +286,8 @@ fn error_report(scenario: &Scenario, rng: &mut StdRng) -> ErrorReport {
 }
 
 /// Runs `states` switch sets on one problem: for each, every topology ×
-/// failure × K in a shuffled order, on the problem or a clone of it.
+/// failure × K in a shuffled order, on the problem or a clone of it. The
+/// last topology leaves out the switch the second failure fails.
 fn sweep(scenario: &Scenario, states: usize, rng: &mut StdRng, coverage: &mut Coverage) {
     let problems = {
         let problem = problem(scenario, rng);
@@ -258,9 +300,12 @@ fn sweep(scenario: &Scenario, states: usize, rng: &mut StdRng, coverage: &mut Co
             scenario.graph.switches().iter().copied().filter(|_| rng.gen_bool(keep)).collect();
         let errors = error_report(scenario, rng);
         let failures = failures(scenario, &switches, &errors, rng);
-        let topologies: Vec<Topology> =
+        let mut topologies: Vec<Topology> =
             (0..TOPOLOGIES).map(|_| topology(scenario, &switches, rng)).collect();
-        let mut calls: Vec<(usize, usize, usize)> = (0..TOPOLOGIES)
+        let fewer: Vec<NodeId> =
+            switches.iter().copied().filter(|&s| !failures[1].contains_switch(s)).collect();
+        topologies.push(topology(scenario, &fewer, rng));
+        let mut calls: Vec<(usize, usize, usize)> = (0..topologies.len())
             .flat_map(|t| (0..failures.len()).flat_map(move |f| KS.map(|k| (t, f, k))))
             .collect();
         for i in (1..calls.len()).rev() {
@@ -282,11 +327,13 @@ fn sweep(scenario: &Scenario, states: usize, rng: &mut StdRng, coverage: &mut Co
             assert_eq!(set.actions(), &actions[..], "actions: {what}");
             assert_eq!(set.mask(), &mask[..], "mask: {what}");
             assert_eq!(memo_rng.next_u64(), ref_rng.next_u64(), "rng state: {what}");
-            let key =
-                pair.map(|pair| (k, topology.selected_switches().to_vec(), failure.clone(), pair));
-            model.record(key, topology, before, after, coverage);
+            let key = pair.map(|pair| key(k, topology, failure, pair));
+            model.record(key, selection(topology, failure), before, after, coverage);
             coverage.calls += 1;
             coverage.link_failures += usize::from(!failure.failed_links().is_empty());
+            let failed = failure.failed_switches();
+            coverage.station_failures +=
+                usize::from(failed.iter().any(|&x| scenario.graph.is_end_station(x)));
         }
     }
 }
@@ -305,10 +352,12 @@ fn memoized_soag_matches_the_unmemoized_generator() {
         coverage.hits > 0
             && coverage.hits_other_links > 0
             && coverage.hits_other_asils > 0
+            && coverage.hits_same_graph > 0
             && coverage.link_failures > 0
+            && coverage.station_failures > 0
             && coverage.resets > 0,
-        "the sweep must reach hits under other links and ASILs, link failures and a reset: \
-         {coverage:?}"
+        "the sweep must reach hits under other links and ASILs, hits on the same graph from \
+         another switch set or failure, link and station failures, and a reset: {coverage:?}"
     );
     eprintln!("{coverage:?} ({ads_calls} on ADS) in {:?}", started.elapsed());
 }
