@@ -54,7 +54,8 @@ impl CoverageReport {
 /// Runs every switch-failure scenario with probability ≥ R (the non-safe
 /// faults of Algorithm 3, nominal case included, as
 /// [`FailureAnalyzer::non_safe_faults`] lists them) and records the
-/// recovery outcome and simulated latency for each.
+/// recovery outcome and simulated latency for each. The faults share one
+/// NBF session ([`NetworkBehavior::session`](nptsn::NetworkBehavior::session)).
 ///
 /// # Panics
 ///
@@ -74,15 +75,11 @@ pub fn coverage_report(problem: &PlanningProblem, topology: &Topology) -> Covera
             .then_with(|| a.failed_switches().cmp(b.failed_switches()))
     });
 
+    let mut session = problem.nbf().session(topology, problem.tas(), problem.flows());
     let rows = scenarios
         .into_iter()
         .map(|failure| {
-            let outcome = problem.nbf().recover(
-                topology,
-                &failure,
-                problem.tas(),
-                problem.flows(),
-            );
+            let outcome = session.recover(&failure);
             let worst = if outcome.errors.is_empty() {
                 simulate(topology, &failure, problem.tas(), problem.flows(), &outcome.state)
                     .map(|rep| rep.worst_latency_slots())

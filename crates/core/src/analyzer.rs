@@ -10,7 +10,11 @@
 //! * a [`RecoveryMemo`] passed to [`FailureAnalyzer::try_analyze_with`]
 //!   answers a check whose links, present and alive, an earlier check of
 //!   the episode already recovered: the planning environment's path,
-//!   where about two thirds of the checks of an ORION re-plan hit;
+//!   where about two thirds of the checks of an ORION re-plan hit. Its
+//!   key is built from the present links, found once per analysis;
+//! * the NBF checks the rest through one [`RecoverySession`] per
+//!   analysis, opened at its first NBF call, which shares work between
+//!   the failures of the topology;
 //! * an optional [`ScenarioCache`] keyed by `(topology fingerprint,
 //!   scenario)` ([`FailureAnalyzer::with_shared_cache`]) answers a
 //!   scenario the NBF already judged on the same topology — sound because
@@ -23,12 +27,12 @@
 
 use std::sync::Arc;
 
-use nptsn_sched::ErrorReport;
+use nptsn_sched::{ErrorReport, RecoverySession};
 use nptsn_topo::{FailureScenario, NodeId, Topology};
 
 use crate::error::NptsnError;
 use crate::problem::PlanningProblem;
-use crate::recovery_memo::RecoveryMemo;
+use crate::recovery_memo::{LinkKey, RecoveryMemo};
 use crate::scenario_cache::{ScenarioBits, ScenarioCache, SupersetMemo};
 
 /// Which nodes the analyzer injects failures into.
@@ -154,6 +158,15 @@ pub struct AnalysisReport {
 /// uses the slots a later flow needed. ROADMAP.md item 1 gives three
 /// seeded cases. A RELIABLE verdict is thus a guarantee for a recovery
 /// that applies the stored schedule, not for one that reruns the NBF.
+///
+/// One analysis recovers its scenarios through one NBF session
+/// ([`NetworkBehavior::session`](nptsn_sched::NetworkBehavior::session)),
+/// opened at its first NBF call, behind the cache and the memo: an
+/// analysis they answer whole opens none. A session returns what
+/// `recover` returns for each failure, so the verdict is the one
+/// per-call recovery gives; the shortest-path NBF's session shares its
+/// path searches between the analysis's failures. It is dropped when
+/// the analysis returns.
 ///
 /// # Examples
 ///
@@ -340,14 +353,21 @@ impl FailureAnalyzer {
         &self,
         problem: &PlanningProblem,
         topology: &Topology,
-        mut recoveries: Option<&mut RecoveryMemo>,
+        recoveries: Option<&mut RecoveryMemo>,
     ) -> Result<AnalysisReport, NptsnError> {
         let candidates = Candidates::new(self.scope, problem, topology)?;
         // Lines 2-14: check subsets from maxord down to the empty failure.
         // The budget caps the number of scenario checks; safe faults and
         // superset-pruned subsets are free (no recovery is attempted).
         let limit = self.budget.limit().unwrap_or(u64::MAX);
-        let cache = self.cache.as_deref().map(|cache| (cache, topology.fingerprint()));
+        let mut checks = Checks {
+            problem,
+            topology,
+            candidates: &candidates,
+            cache: self.cache.as_deref().map(|cache| (cache, topology.fingerprint())),
+            memo: recoveries.map(|memo| (memo, LinkKey::new(topology))),
+            session: None,
+        };
         let mut report = AnalysisReport {
             verdict: Verdict::Reliable,
             scenarios_checked: 0,
@@ -371,15 +391,7 @@ impl FailureAnalyzer {
                         return Ok(report);
                     }
                     report.scenarios_checked += 1;
-                    let errors = evaluate_scenario(
-                        problem,
-                        topology,
-                        &candidates,
-                        cache,
-                        recoveries.as_deref_mut(),
-                        &bits,
-                        &mut report,
-                    );
+                    let errors = checks.errors(&bits, &mut report);
                     if !errors.is_empty() {
                         let failure = candidates.scenario(bits.iter());
                         report.verdict = Verdict::Unreliable { failure, errors };
@@ -461,35 +473,50 @@ impl Candidates {
     }
 }
 
-/// One scenario check: cache lookup first, then the memo, NBF invocation
-/// on a miss.
-fn evaluate_scenario(
-    problem: &PlanningProblem,
-    topology: &Topology,
-    candidates: &Candidates,
-    cache: Option<(&ScenarioCache, u128)>,
-    recoveries: Option<&mut RecoveryMemo>,
-    bits: &ScenarioBits,
-    report: &mut AnalysisReport,
-) -> ErrorReport {
-    if let Some((cache, fingerprint)) = cache {
-        if let Some(errors) = cache.lookup(fingerprint, bits) {
-            report.cache_hits += 1;
-            return errors;
+/// How one analysis checks its scenarios: the cache first, then the
+/// memo, then the NBF through the analysis's session, opened at its first
+/// NBF call.
+struct Checks<'a> {
+    problem: &'a PlanningProblem,
+    topology: &'a Topology,
+    candidates: &'a Candidates,
+    cache: Option<(&'a ScenarioCache, u128)>,
+    /// The episode memo with the key of the scenario being checked.
+    memo: Option<(&'a mut RecoveryMemo, LinkKey)>,
+    session: Option<Box<dyn RecoverySession + 'a>>,
+}
+
+impl Checks<'_> {
+    /// The NBF's errors under the scenario of candidate indices `bits`.
+    /// Only an NBF call materializes its `FailureScenario`.
+    fn errors(&mut self, bits: &ScenarioBits, report: &mut AnalysisReport) -> ErrorReport {
+        let Checks { problem, topology, candidates, cache, memo, session } = self;
+        if let Some((cache, fingerprint)) = *cache {
+            if let Some(errors) = cache.lookup(fingerprint, bits) {
+                report.cache_hits += 1;
+                return errors;
+            }
         }
+        let mut recover = || {
+            let session = session.get_or_insert_with(|| {
+                problem.nbf().session(topology, problem.tas(), problem.flows())
+            });
+            session.recover(&candidates.scenario(bits.iter())).errors
+        };
+        let errors = match memo {
+            Some((memo, key)) => {
+                let failed = bits.iter().map(|i| candidates.nodes[i].0);
+                key.fail(topology.connection_graph(), failed, &[]);
+                memo.errors(key, recover)
+            }
+            None => recover(),
+        };
+        if let Some((cache, fingerprint)) = *cache {
+            report.cache_misses += 1;
+            cache.insert(fingerprint, bits.clone(), errors.clone());
+        }
+        errors
     }
-    let failure = candidates.scenario(bits.iter());
-    let recover =
-        || problem.nbf().recover(topology, &failure, problem.tas(), problem.flows()).errors;
-    let errors = match recoveries {
-        Some(memo) => memo.errors(topology, &failure, recover),
-        None => recover(),
-    };
-    if let Some((cache, fingerprint)) = cache {
-        report.cache_misses += 1;
-        cache.insert(fingerprint, bits.clone(), errors.clone());
-    }
-    errors
 }
 
 impl Default for FailureAnalyzer {

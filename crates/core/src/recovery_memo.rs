@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use nptsn_sched::ErrorReport;
-use nptsn_topo::{FailureScenario, Topology};
+use nptsn_topo::{ConnectionGraph, LinkId, NodeId, Topology};
 
 /// The error reports of the scenario checks one planning problem's NBF
 /// answered, keyed by two bitsets over the candidate links: the links
@@ -39,8 +39,6 @@ use nptsn_topo::{FailureScenario, Topology};
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryMemo {
     outcomes: HashMap<Box<[u64]>, ErrorReport>,
-    /// The key of the scenario being checked, built in place.
-    key: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -67,40 +65,83 @@ impl RecoveryMemo {
         self.misses
     }
 
-    /// The errors recorded for the links of `topology` and those alive
-    /// under `failure`, or `recover()`'s, which are recorded. `recover`
-    /// must run the memo's problem's NBF on `topology` and `failure`.
+    /// The errors recorded for `key`, or `recover()`'s, which are
+    /// recorded. `recover` must run the memo's problem's NBF on the
+    /// topology and the failure `key` was built from.
     pub(crate) fn errors(
         &mut self,
-        topology: &Topology,
-        failure: &FailureScenario,
+        key: &LinkKey,
         recover: impl FnOnce() -> ErrorReport,
     ) -> ErrorReport {
-        let words = topology.connection_graph().candidate_link_count().div_ceil(64);
-        self.key.clear();
-        self.key.resize(2 * words, 0);
-        let (present, live) = self.key.split_at_mut(words);
-        for link in topology.links() {
-            present[link.index() / 64] |= 1 << (link.index() % 64);
-        }
-        for link in topology.live_links(failure) {
-            live[link.index() / 64] |= 1 << (link.index() % 64);
-        }
-        if let Some(errors) = self.outcomes.get(self.key.as_slice()) {
+        if let Some(errors) = self.outcomes.get(key.words.as_slice()) {
             self.hits += 1;
             return errors.clone();
         }
         self.misses += 1;
         let errors = recover();
-        self.outcomes.insert(self.key.as_slice().into(), errors.clone());
+        self.outcomes.insert(key.words.as_slice().into(), errors.clone());
         errors
+    }
+}
+
+/// A [`RecoveryMemo`] key for the scenarios of one topology: its present
+/// links, then the links alive under the scenario, as bits over the
+/// candidate links. The present half is built once; each scenario
+/// rebuilds the live half from it.
+#[derive(Debug, Clone)]
+pub(crate) struct LinkKey {
+    words: Vec<u64>,
+}
+
+impl LinkKey {
+    /// The key of `topology` under no failure: every present link alive.
+    pub(crate) fn new(topology: &Topology) -> LinkKey {
+        let half = topology.connection_graph().candidate_link_count().div_ceil(64);
+        let mut words = vec![0; 2 * half];
+        for link in topology.links() {
+            words[link.index() / 64] |= 1 << (link.index() % 64);
+        }
+        words.copy_within(..half, half);
+        LinkKey { words }
+    }
+
+    /// Re-keys to the failure of `nodes` and `links`: alive are the
+    /// present links that failed neither themselves nor at an endpoint
+    /// ([`Topology::live_links`]).
+    pub(crate) fn fail(
+        &mut self,
+        gc: &ConnectionGraph,
+        nodes: impl IntoIterator<Item = NodeId>,
+        links: &[LinkId],
+    ) {
+        let half = self.words.len() / 2;
+        let (present, live) = self.words.split_at_mut(half);
+        live.copy_from_slice(present);
+        let incident = nodes.into_iter().flat_map(|node| gc.neighbors(node).iter().map(|&(_, l)| l));
+        for link in incident.chain(links.iter().copied()) {
+            live[link.index() / 64] &= !(1 << (link.index() % 64));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nptsn_topo::{Asil, ConnectionGraph};
+    use nptsn_topo::{Asil, FailureScenario};
+
+    /// The present links of `topology`, then those alive under `failure`,
+    /// as bits over the candidate links.
+    fn words(topology: &Topology, failure: &FailureScenario) -> Vec<u64> {
+        let half = topology.connection_graph().candidate_link_count().div_ceil(64);
+        let mut words = vec![0u64; 2 * half];
+        for link in topology.links() {
+            words[link.index() / 64] |= 1 << (link.index() % 64);
+        }
+        for link in topology.live_links(failure) {
+            words[half + link.index() / 64] |= 1 << (link.index() % 64);
+        }
+        words
+    }
 
     #[test]
     fn keys_are_the_present_and_live_links() {
@@ -124,7 +165,11 @@ mod tests {
         let mut memo = RecoveryMemo::new();
         let mut calls = 0;
         let mut check = |memo: &mut RecoveryMemo, topo: &Topology, failure: FailureScenario| {
-            memo.errors(topo, &failure, || {
+            let mut key = LinkKey::new(topo);
+            let nodes = failure.failed_switches().iter().copied();
+            key.fail(topo.connection_graph(), nodes, failure.failed_links());
+            assert_eq!(key.words, words(topo, &failure), "{failure}");
+            memo.errors(&key, || {
                 calls += 1;
                 ErrorReport::empty()
             });

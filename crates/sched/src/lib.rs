@@ -14,7 +14,9 @@
 //! * [`NetworkBehavior`] — the stateless Network Behavior Function (NBF)
 //!   `Φ : (Gt, Gf, B, FS) → (FI', ER)` abstraction, with two built-in
 //!   recovery mechanisms: [`ShortestPathRecovery`] (the heuristic of \[9\],
-//!   made stateless) and [`LoadBalancedRecovery`].
+//!   made stateless) and [`LoadBalancedRecovery`]. A [`RecoverySession`]
+//!   binds an NBF to one topology and recovers many of its failures, each
+//!   as `recover` would.
 //! * [`schedule_frer`] — static dual-path FRER scheduling used by the TRH
 //!   baseline \[4\].
 //!
@@ -59,7 +61,9 @@ mod tas;
 pub use error::SchedError;
 pub use flow::{ErrorReport, FlowId, FlowSet, FlowSpec};
 pub use frer::schedule_frer;
-pub use nbf::{LoadBalancedRecovery, NetworkBehavior, RecoveryOutcome, ShortestPathRecovery};
+pub use nbf::{
+    LoadBalancedRecovery, NetworkBehavior, RecoveryOutcome, RecoverySession, ShortestPathRecovery,
+};
 pub use redundant::RedundantRecovery;
 pub use sim::{simulate, FrameRecord, SimulationReport};
 pub use stateful::{IncrementalRecovery, Stateless, StatefulBehavior};

@@ -1,6 +1,8 @@
 //! Stateless Network Behavior Functions (NBF) — the recovery abstraction.
 
-use nptsn_topo::{dijkstra_shortest_path, shortest_paths, FailureScenario, Topology};
+use nptsn_topo::{
+    dijkstra_shortest_path, ConnectionGraph, FailureScenario, Path, ShortestPaths, Topology,
+};
 
 use crate::flow::{ErrorReport, FlowSet};
 use crate::schedule::schedule_flow_on_path;
@@ -45,11 +47,32 @@ impl RecoveryOutcome {
 /// switch without links and a failed node without live links do not
 /// change it. The planner's episode memo of NBF outcomes, keyed by those
 /// two link sets, relies on it. The direct NBFs of this crate read the
-/// topology only through `residual_adjacency(failure)`; the
-/// [`Stateless`](crate::Stateless) adapter over
+/// topology only through its present links and the links the failure
+/// kills; the [`Stateless`](crate::Stateless) adapter over
 /// [`IncrementalRecovery`](crate::IncrementalRecovery) first recovers the
 /// nominal state on every present link. `tests/nbf_contract.rs` pins
 /// them.
+///
+/// # Sessions
+///
+/// Algorithm 3 recovers many failures of one topology.
+/// [`session`](NetworkBehavior::session) binds the NBF to that topology,
+/// TAS and flow set and returns a [`RecoverySession`]. Its outcome for a
+/// failure is the one `recover` returns for it, bit for bit, whatever
+/// failures the session recovered before and in whatever order. A
+/// session may share work between its failures. It holds nothing past
+/// its analysis: it borrows the topology and dies with the caller's
+/// analysis, so the NBF itself stays stateless. The default session calls
+/// `recover` for each failure; `tests/nbf_session.rs` pins the shipped
+/// NBFs' sessions to it.
+///
+/// [`ShortestPathRecovery`]'s session rests on a property of the
+/// Dijkstra search it shares with Yen's algorithm, whose ties break by
+/// distance, then node index, and whose node predecessor changes only on
+/// a strictly shorter distance: deleting nodes or links that are off the
+/// path it returns leaves that path the one it returns. So a flow's
+/// shortest path on every present link is its shortest path under every
+/// failure that kills none of its links.
 pub trait NetworkBehavior: Send + Sync {
     /// Re-establishes all flows on the residual network of
     /// `topology - failure`.
@@ -64,9 +87,44 @@ pub trait NetworkBehavior: Send + Sync {
         flows: &FlowSet,
     ) -> RecoveryOutcome;
 
+    /// A recoverer for many failures of `topology`, each with the outcome
+    /// of `recover(topology, failure, tas, flows)` (see
+    /// [Sessions](NetworkBehavior#sessions)). The default calls `recover`
+    /// for each failure.
+    fn session<'a>(
+        &'a self,
+        topology: &'a Topology,
+        tas: &'a TasConfig,
+        flows: &'a FlowSet,
+    ) -> Box<dyn RecoverySession + 'a> {
+        Box::new(PerCall { nbf: self, topology, tas, flows })
+    }
+
     /// A short human-readable name for reports and benches.
     fn name(&self) -> &str {
         "nbf"
+    }
+}
+
+/// An NBF bound to one topology, TAS and flow set by
+/// [`NetworkBehavior::session`].
+pub trait RecoverySession {
+    /// The outcome the session's NBF returns for the session's topology,
+    /// TAS and flows under `failure`.
+    fn recover(&mut self, failure: &FailureScenario) -> RecoveryOutcome;
+}
+
+/// The default session: every failure through `recover`.
+struct PerCall<'a, N: ?Sized> {
+    nbf: &'a N,
+    topology: &'a Topology,
+    tas: &'a TasConfig,
+    flows: &'a FlowSet,
+}
+
+impl<N: NetworkBehavior + ?Sized> RecoverySession for PerCall<'_, N> {
+    fn recover(&mut self, failure: &FailureScenario) -> RecoveryOutcome {
+        self.nbf.recover(self.topology, failure, self.tas, self.flows)
     }
 }
 
@@ -82,10 +140,16 @@ pub trait NetworkBehavior: Send + Sync {
 /// are reported in `ER` and the remaining flows still get scheduled —
 /// recovery degrades per flow, not wholesale.
 ///
-/// A call builds one [`ScheduleTable`] and one path search
-/// ([`nptsn_topo::ShortestPaths`]), which it restarts for each flow so
-/// that every search reuses the same buffers. Both are dropped when the
-/// call returns: the mechanism keeps no state from one call to the next.
+/// A [session](NetworkBehavior#sessions) builds the adjacency of the
+/// present links once, with one path search over it
+/// ([`nptsn_topo::ShortestPaths`]). The search is restarted for every
+/// flow of every recovery with the failure's dead links excluded, so
+/// every search reuses its buffers. From its second recovery on, the
+/// session keeps each flow's nominal path, its first path on every
+/// present link, and a flow whose nominal path the failure spares takes
+/// it without a search. Each recovery schedules into a table of its own.
+/// `recover` is a session of one failure, and the mechanism keeps no
+/// state from one call or session to the next.
 ///
 /// # Examples
 ///
@@ -149,43 +213,126 @@ impl NetworkBehavior for ShortestPathRecovery {
         tas: &TasConfig,
         flows: &FlowSet,
     ) -> RecoveryOutcome {
-        let gc = topology.connection_graph();
-        let adj = topology.residual_adjacency(failure);
-        let mut table = ScheduleTable::new(gc, tas);
-        let mut state = FlowState::unassigned(flows.len());
-        let mut errors = ErrorReport::empty();
-        // One path search for the call: built for the first flow and
-        // restarted for each, so every flow's searches reuse its buffers.
-        let mut paths = None;
-        for (flow, spec) in flows.iter() {
-            let (source, destination) = spec.endpoints();
-            let candidates = paths.get_or_insert_with(|| shortest_paths(&adj, source, destination));
-            candidates.restart(source, destination);
-            let mut recovered = false;
-            for path in candidates.take(self.path_attempts) {
-                match schedule_flow_on_path(&mut table, gc, tas, spec, &path) {
-                    Ok(Some(assignment)) => {
-                        state.assign(flow, assignment);
-                        recovered = true;
-                        break;
-                    }
-                    Ok(None) => continue,
-                    // Specification-level failures (oversized frame,
-                    // incompatible period) make the flow unrecoverable on
-                    // any path.
-                    Err(_) => break,
-                }
-            }
-            if !recovered {
-                errors.record(spec.source(), spec.destination());
-            }
-        }
-        RecoveryOutcome { state, errors }
+        ShortestPathSession::new(self, topology, tas, flows).recover(failure)
+    }
+
+    fn session<'a>(
+        &'a self,
+        topology: &'a Topology,
+        tas: &'a TasConfig,
+        flows: &'a FlowSet,
+    ) -> Box<dyn RecoverySession + 'a> {
+        Box::new(ShortestPathSession::new(self, topology, tas, flows))
     }
 
     fn name(&self) -> &str {
         "shortest-path"
     }
+}
+
+/// [`ShortestPathRecovery`] bound to one topology.
+struct ShortestPathSession<'a> {
+    path_attempts: usize,
+    topology: &'a Topology,
+    tas: &'a TasConfig,
+    flows: &'a FlowSet,
+    /// Yen's enumeration over the present links.
+    paths: ShortestPaths<'static>,
+    /// Each flow's first path on every present link, `None` for a flow
+    /// without one; found at the second recovery.
+    nominal: Option<Vec<Option<Path>>>,
+    /// Whether the session has recovered a failure.
+    started: bool,
+}
+
+impl<'a> ShortestPathSession<'a> {
+    fn new(
+        nbf: &ShortestPathRecovery,
+        topology: &'a Topology,
+        tas: &'a TasConfig,
+        flows: &'a FlowSet,
+    ) -> ShortestPathSession<'a> {
+        ShortestPathSession {
+            path_attempts: nbf.path_attempts,
+            topology,
+            tas,
+            flows,
+            paths: ShortestPaths::over(topology.adjacency()),
+            nominal: None,
+            started: false,
+        }
+    }
+
+    /// Each flow's first path on every present link.
+    fn nominal_paths(&mut self) -> Vec<Option<Path>> {
+        self.paths.exclude_links([]);
+        let paths = &mut self.paths;
+        self.flows
+            .iter()
+            .map(|(_, spec)| {
+                let (source, destination) = spec.endpoints();
+                paths.restart(source, destination);
+                paths.next()
+            })
+            .collect()
+    }
+}
+
+impl RecoverySession for ShortestPathSession<'_> {
+    fn recover(&mut self, failure: &FailureScenario) -> RecoveryOutcome {
+        if self.started && self.nominal.is_none() {
+            self.nominal = Some(self.nominal_paths());
+        }
+        self.started = true;
+        let (topology, tas, flows) = (self.topology, self.tas, self.flows);
+        let gc = topology.connection_graph();
+        self.paths.exclude_links(topology.dead_links(failure));
+        let mut table = ScheduleTable::new(gc, tas);
+        let mut state = FlowState::unassigned(flows.len());
+        let mut errors = ErrorReport::empty();
+        for (flow, spec) in flows.iter() {
+            let mut schedule = |path: &Path| schedule_flow_on_path(&mut table, gc, tas, spec, path);
+            let spared = self
+                .nominal
+                .as_ref()
+                .and_then(|nominal| nominal[flow.index()].as_ref())
+                .filter(|path| spares(gc, failure, path));
+            // A spared nominal path is the flow's first path: it is tried
+            // without a search, and skipped if Yen's later paths are needed.
+            let scheduled = match spared.map(&mut schedule) {
+                Some(Ok(None)) | None => {
+                    let (source, destination) = spec.endpoints();
+                    self.paths.restart(source, destination);
+                    let paths = self.paths.by_ref().take(self.path_attempts);
+                    // The first path that takes the flow; a
+                    // specification-level error stops the search.
+                    paths
+                        .skip(usize::from(spared.is_some()))
+                        .find_map(|path| schedule(&path).transpose())
+                        .transpose()
+                }
+                Some(scheduled) => scheduled,
+            };
+            match scheduled {
+                Ok(Some(assignment)) => state.assign(flow, assignment),
+                // No path took the flow, or a specification-level failure
+                // (oversized frame, incompatible period) makes it
+                // unrecoverable on any path.
+                Ok(None) | Err(_) => errors.record(spec.source(), spec.destination()),
+            }
+        }
+        RecoveryOutcome { state, errors }
+    }
+}
+
+/// Whether `failure` kills none of `path`'s links: no node of the path
+/// failed, and no failed link joins two consecutive nodes of it.
+fn spares(gc: &ConnectionGraph, failure: &FailureScenario, path: &Path) -> bool {
+    !path.nodes().iter().any(|&node| failure.contains_switch(node))
+        && !failure.failed_links().iter().any(|&link| {
+            let (u, v) = gc.link_endpoints(link);
+            path.edges().any(|hop| hop == (u, v) || hop == (v, u))
+        })
 }
 
 /// A load-balanced stateless recovery mechanism: routes each flow over the

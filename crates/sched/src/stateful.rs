@@ -16,7 +16,7 @@
 use nptsn_topo::{dijkstra_shortest_path, FailureScenario, Topology};
 
 use crate::flow::{ErrorReport, FlowSet};
-use crate::nbf::{NetworkBehavior, RecoveryOutcome};
+use crate::nbf::{NetworkBehavior, RecoveryOutcome, RecoverySession};
 use crate::schedule::schedule_flow_on_path;
 use crate::state::FlowState;
 use crate::table::ScheduleTable;
@@ -134,6 +134,10 @@ impl StatefulBehavior for IncrementalRecovery {
 /// may re-configure more flows than a truly incremental controller would,
 /// which is the price the paper accepts for tractable verification.
 ///
+/// A [session](NetworkBehavior#sessions) derives `FI_0` once, at its
+/// first recovery, and recovers every later failure relative to it;
+/// `recover` is a session of one failure.
+///
 /// # Examples
 ///
 /// ```
@@ -188,24 +192,57 @@ impl<S: StatefulBehavior> NetworkBehavior for Stateless<S> {
         tas: &TasConfig,
         flows: &FlowSet,
     ) -> RecoveryOutcome {
-        // FI_0: the initial state, derived from nothing.
-        let empty = FlowState::unassigned(flows.len());
-        let initial = self.inner.recover_from(
-            topology,
-            &FailureScenario::none(),
-            tas,
-            flows,
-            &empty,
-        );
-        if failure.is_empty() {
-            return initial;
-        }
-        // Recover relative to FI_0, never the current state.
-        self.inner.recover_from(topology, failure, tas, flows, &initial.state)
+        StatelessSession::new(&self.inner, topology, tas, flows).recover(failure)
+    }
+
+    fn session<'a>(
+        &'a self,
+        topology: &'a Topology,
+        tas: &'a TasConfig,
+        flows: &'a FlowSet,
+    ) -> Box<dyn RecoverySession + 'a> {
+        Box::new(StatelessSession::new(&self.inner, topology, tas, flows))
     }
 
     fn name(&self) -> &str {
         "stateless-adapter"
+    }
+}
+
+/// [`Stateless`] bound to one topology: `FI_0` is derived once, at the
+/// session's first recovery.
+struct StatelessSession<'a, S> {
+    inner: &'a S,
+    topology: &'a Topology,
+    tas: &'a TasConfig,
+    flows: &'a FlowSet,
+    initial: Option<RecoveryOutcome>,
+}
+
+impl<'a, S: StatefulBehavior> StatelessSession<'a, S> {
+    fn new(
+        inner: &'a S,
+        topology: &'a Topology,
+        tas: &'a TasConfig,
+        flows: &'a FlowSet,
+    ) -> StatelessSession<'a, S> {
+        StatelessSession { inner, topology, tas, flows, initial: None }
+    }
+}
+
+impl<S: StatefulBehavior> RecoverySession for StatelessSession<'_, S> {
+    fn recover(&mut self, failure: &FailureScenario) -> RecoveryOutcome {
+        let StatelessSession { inner, topology, tas, flows, .. } = *self;
+        // FI_0: the initial state, derived from nothing.
+        let initial = self.initial.get_or_insert_with(|| {
+            let empty = FlowState::unassigned(flows.len());
+            inner.recover_from(topology, &FailureScenario::none(), tas, flows, &empty)
+        });
+        if failure.is_empty() {
+            return initial.clone();
+        }
+        // Recover relative to FI_0, never the current state.
+        inner.recover_from(topology, failure, tas, flows, &initial.state)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Path types and graph search: BFS, Dijkstra, Yen's K-shortest paths and
 //! node-disjoint path search.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -181,7 +182,7 @@ pub fn bfs_distances(adj: &Adjacency, source: NodeId) -> Vec<Option<usize>> {
 /// Dijkstra shortest path from `source` to `target` by total link length;
 /// `None` when unreachable. Ties break deterministically by node index.
 pub fn dijkstra_shortest_path(adj: &Adjacency, source: NodeId, target: NodeId) -> Option<Path> {
-    dijkstra_filtered(adj, &mut Search::default(), source, target, |_| true, |_, _| true)
+    dijkstra_filtered(adj, &mut Search::default(), source, target, |_| true, |_, _, _| true)
 }
 
 /// The working memory of one Dijkstra search. A caller that runs many
@@ -194,15 +195,16 @@ pub(crate) struct Search {
 }
 
 /// Dijkstra restricted to nodes passing `node_ok` and edges passing
-/// `edge_ok(from, to)`. The source and target are always allowed. The
-/// search runs in `search`'s buffers; what they held before is ignored.
+/// `edge_ok(from, to, link)`. The source and target always pass
+/// `node_ok`; an edge filter can still cut them off. The search runs in
+/// `search`'s buffers; what they held before is ignored.
 pub(crate) fn dijkstra_filtered(
     adj: &Adjacency,
     search: &mut Search,
     source: NodeId,
     target: NodeId,
     node_ok: impl Fn(NodeId) -> bool,
-    edge_ok: impl Fn(NodeId, NodeId) -> bool,
+    edge_ok: impl Fn(NodeId, NodeId, LinkId) -> bool,
 ) -> Option<Path> {
     let n = adj.len();
     if source.index() >= n || target.index() >= n {
@@ -226,11 +228,11 @@ pub(crate) fn dijkstra_filtered(
         if u == target.index() {
             break;
         }
-        for &(v, _, w) in &adj[u] {
+        for &(v, link, w) in &adj[u] {
             if v != target && v != source && !node_ok(v) {
                 continue;
             }
-            if !edge_ok(NodeId(u), v) {
+            if !edge_ok(NodeId(u), v, link) {
                 continue;
             }
             let nd = d + w;
@@ -310,6 +312,11 @@ pub fn k_shortest_paths(adj: &Adjacency, source: NodeId, target: NodeId, k: usiz
 /// the same adjacency and keeps those buffers, so a caller that searches
 /// for many pairs allocates them once.
 ///
+/// [`ShortestPaths::exclude_links`] takes links out of every search, so
+/// one adjacency serves as many subgraphs of itself: the enumeration over
+/// `adj` without links `L` is the enumeration over the adjacency that
+/// lacks them, path for path, because the rows keep their order.
+///
 /// Equal-length paths are not ordered by node sequence overall. A round
 /// yields the candidate with the smallest (length, node sequence) among
 /// those found so far; a later round can still find a path of the same
@@ -348,23 +355,15 @@ pub fn k_shortest_paths(adj: &Adjacency, source: NodeId, target: NodeId, k: usiz
 /// assert_eq!(rest, k_shortest_paths(&adj, a, b, 4)[1..]);
 /// ```
 pub fn shortest_paths(adj: &Adjacency, source: NodeId, target: NodeId) -> ShortestPaths<'_> {
-    ShortestPaths {
-        adj,
-        source,
-        target,
-        result: Vec::new(),
-        candidates: Vec::new(),
-        banned_next: Vec::new(),
-        banned: Vec::new(),
-        search: Search::default(),
-        exhausted: false,
-    }
+    ShortestPaths::new(Cow::Borrowed(adj), source, target)
 }
 
-/// The iterator returned by [`shortest_paths`].
+/// The iterator returned by [`shortest_paths`] and [`ShortestPaths::over`].
 #[derive(Debug)]
 pub struct ShortestPaths<'a> {
-    adj: &'a Adjacency,
+    adj: Cow<'a, Adjacency>,
+    /// Bits of the links no search may use, by link index.
+    excluded: Vec<u64>,
     source: NodeId,
     target: NodeId,
     /// The paths yielded so far, in order (Yen's list A).
@@ -382,7 +381,33 @@ pub struct ShortestPaths<'a> {
     exhausted: bool,
 }
 
-impl ShortestPaths<'_> {
+impl ShortestPaths<'static> {
+    /// An enumeration over an adjacency it owns, for a caller that keeps
+    /// the adjacency and the search buffers together. It has no pair yet:
+    /// `next()` yields nothing before a restart.
+    pub fn over(adj: Adjacency) -> ShortestPaths<'static> {
+        let mut paths = ShortestPaths::new(Cow::Owned(adj), NodeId(0), NodeId(0));
+        paths.exhausted = true;
+        paths
+    }
+}
+
+impl<'a> ShortestPaths<'a> {
+    fn new(adj: Cow<'a, Adjacency>, source: NodeId, target: NodeId) -> ShortestPaths<'a> {
+        ShortestPaths {
+            adj,
+            excluded: Vec::new(),
+            source,
+            target,
+            result: Vec::new(),
+            candidates: Vec::new(),
+            banned_next: Vec::new(),
+            banned: Vec::new(),
+            search: Search::default(),
+            exhausted: false,
+        }
+    }
+
     /// Restarts the enumeration for the pair `source`, `target` on the
     /// same adjacency: the next `next()` yields that pair's shortest path,
     /// exactly as a fresh [`shortest_paths`] iterator would, however far
@@ -396,11 +421,29 @@ impl ShortestPaths<'_> {
         self.exhausted = false;
     }
 
+    /// Takes `links` out of every search from now on, in place of the
+    /// links taken out before; a link missing from the adjacency may be
+    /// among them. The current enumeration ends: `next()` yields nothing
+    /// before a restart.
+    pub fn exclude_links(&mut self, links: impl IntoIterator<Item = LinkId>) {
+        self.excluded.fill(0);
+        for link in links {
+            let word = link.index() / 64;
+            if word >= self.excluded.len() {
+                self.excluded.resize(word + 1, 0);
+            }
+            self.excluded[word] |= 1 << (link.index() % 64);
+        }
+        self.exhausted = true;
+    }
+
     /// One Yen round from the last path yielded: spur searches from each of
     /// its nodes, then the best candidate, removed from the candidate set.
     fn next_round(&mut self) -> Option<Path> {
-        let ShortestPaths { adj, target, result, candidates, banned_next, banned, search, .. } =
-            self;
+        let ShortestPaths {
+            adj, excluded, target, result, candidates, banned_next, banned, search, ..
+        } = self;
+        let adj: &Adjacency = adj;
         let last = result.last().expect("a round follows a yielded path");
         banned_next.resize(adj.len(), false);
         for i in 0..last.hop_count() {
@@ -421,7 +464,9 @@ impl ShortestPaths<'_> {
             let banned_nodes = &root[..i];
 
             let node_ok = |n: NodeId| !banned_nodes.contains(&n);
-            let edge_ok = |from: NodeId, to: NodeId| from != spur_node || !banned_next[to.index()];
+            let edge_ok = |from: NodeId, to: NodeId, link: LinkId| {
+                !is_excluded(excluded, link) && (from != spur_node || !banned_next[to.index()])
+            };
             let spur = dijkstra_filtered(adj, search, spur_node, *target, node_ok, edge_ok);
             for n in banned.drain(..) {
                 banned_next[n.index()] = false;
@@ -466,8 +511,9 @@ impl Iterator for ShortestPaths<'_> {
             return None;
         }
         let path = if self.result.is_empty() {
-            let ShortestPaths { adj, source, target, search, .. } = self;
-            dijkstra_filtered(adj, search, *source, *target, |_| true, |_, _| true)
+            let ShortestPaths { adj, excluded, source, target, search, .. } = self;
+            let edge_ok = |_, _, link| !is_excluded(excluded, link);
+            dijkstra_filtered(adj, search, *source, *target, |_| true, edge_ok)
         } else {
             self.next_round()
         };
@@ -482,6 +528,11 @@ impl Iterator for ShortestPaths<'_> {
             }
         }
     }
+}
+
+/// Whether the bit of `link` is set in `excluded`.
+fn is_excluded(excluded: &[u64], link: LinkId) -> bool {
+    excluded.get(link.index() / 64).is_some_and(|word| word >> (link.index() % 64) & 1 == 1)
 }
 
 /// Greedily finds up to `count` mutually node-disjoint paths (sharing only
@@ -501,7 +552,7 @@ pub fn node_disjoint_paths(
     let mut search = Search::default();
     for _ in 0..count {
         let node_ok = |n: NodeId| !used[n.index()];
-        let path = dijkstra_filtered(adj, &mut search, source, target, node_ok, |_, _| true)?;
+        let path = dijkstra_filtered(adj, &mut search, source, target, node_ok, |_, _, _| true)?;
         for &n in path.nodes() {
             if n != source && n != target {
                 used[n.index()] = true;
@@ -730,5 +781,37 @@ mod tests {
             }
         }
         assert!(partial > 0 && consumed > 0 && ran_out > 0, "{partial} {consumed} {ran_out}");
+    }
+
+    /// One owning iterator, with a random set of links excluded before
+    /// each pair, yields what a fresh iterator over the adjacency without
+    /// those links yields.
+    #[test]
+    fn excluded_links_equal_the_adjacency_without_them() {
+        let mut cut = 0;
+        for case in 0..40 {
+            let mut rng = StdRng::seed_from_u64(0x4558_434c + case);
+            let adj = random_mesh(&mut rng);
+            let links: Vec<LinkId> = adj.iter().flatten().map(|&(_, link, _)| link).collect();
+            let mut owning = ShortestPaths::over(adj.clone());
+            for _ in 0..12 {
+                let excluded: Vec<LinkId> =
+                    links.iter().copied().filter(|_| rng.gen_range(0..4u32) == 0).collect();
+                let without: Adjacency = adj
+                    .iter()
+                    .map(|row| row.iter().copied().filter(|e| !excluded.contains(&e.1)).collect())
+                    .collect();
+                let node = |rng: &mut StdRng| NodeId(rng.gen_range(0..adj.len()));
+                let (s, d) = (node(&mut rng), node(&mut rng));
+                let fresh: Vec<Path> = shortest_paths(&without, s, d).collect();
+                owning.exclude_links(excluded.iter().copied());
+                assert_eq!(owning.next(), None, "case {case}: excluding links ends the enumeration");
+                owning.restart(s, d);
+                let got: Vec<Path> = owning.by_ref().collect();
+                assert_eq!(got, fresh, "case {case}: {s} -> {d} without {excluded:?}");
+                cut += usize::from(shortest_paths(&adj, s, d).collect::<Vec<_>>() != fresh);
+            }
+        }
+        assert!(cut > 0, "no exclusion changed an enumeration");
     }
 }

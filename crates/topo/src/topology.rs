@@ -418,12 +418,23 @@ impl Topology {
         &'a self,
         failure: &'a FailureScenario,
     ) -> impl Iterator<Item = LinkId> + 'a {
-        self.links().filter(move |&link| {
-            let (u, v) = self.gc.link_endpoints(link);
-            !failure.contains_link(link)
-                && !failure.contains_switch(u)
-                && !failure.contains_switch(v)
-        })
+        self.links().filter(move |&link| !self.kills(failure, link))
+    }
+
+    /// The links `failure` kills, ascending: present in the topology, and
+    /// failed or with a failed endpoint. They are the present links that
+    /// are not [`live_links`](Topology::live_links).
+    pub fn dead_links<'a>(
+        &'a self,
+        failure: &'a FailureScenario,
+    ) -> impl Iterator<Item = LinkId> + 'a {
+        self.links().filter(move |&link| self.kills(failure, link))
+    }
+
+    /// Whether `failure` fails `link` or one of its endpoints.
+    fn kills(&self, failure: &FailureScenario, link: LinkId) -> bool {
+        let (u, v) = self.gc.link_endpoints(link);
+        failure.contains_link(link) || failure.contains_switch(u) || failure.contains_switch(v)
     }
 
     /// Adjacency of the residual network under `failure`: its

@@ -24,7 +24,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 # against their sequential references, the analyzer, its episode memo of
 # NBF outcomes and the lazy NBF against the textbook ones, the NBF
 # contract that memo rests on (outcomes depend only on the present and
-# live links),
+# live links), every shipped NBF's session (one per analysis, which
+# reuses a flow's nominal path under every failure that spares it)
+# against a fresh `recover` for each failure of a random sequence,
 # and the memoized SOAG, keyed on its search graph, against the
 # unmemoized generator. The release build is other machine code (no
 # debug assertions, other inlining) and its threads interleave on other
@@ -45,7 +47,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 # neither the table nor the path search, and Yen's iterator, restarted
 # or fresh, against the eager Yen.
 cargo test -q --offline --release --test ppo_reference --test analyzer_reference \
-    --test nbf_contract --test replan_reference --test soag_reference
+    --test nbf_contract --test nbf_session --test replan_reference --test soag_reference
 cargo test -q --offline --release -p nptsn-sched -p nptsn-topo
 cargo test -q --offline --release -p nptsn-tensor --lib
 cargo test -q --offline --release -p nptsn-nn --test batched_equivalence
