@@ -106,7 +106,7 @@ pub fn encode_observation(
 /// on the topology and the flows but not on the actions: returns the
 /// row-major `n x n` normalized adjacency and a row-major buffer of
 /// `feature_count` columns per node holding the switch-cost column, the
-/// link-cost block and the flow-count block ([`add_flow_counts`]), with
+/// link-cost block and the flow-count block (feature category 3), with
 /// every column after them zero. `feature_count` must be at least
 /// `1 + |V^c| + |V_es|`. [`encode_observation`] adds the dynamic-action
 /// block after it; the NeuroPlan baseline, which has no dynamic actions,
@@ -170,7 +170,7 @@ pub fn encode_graph(
 /// ([`FlowSet::new`](nptsn_sched::FlowSet::new) checks), so rows of
 /// switches and each station's own column stay zero. The counts are small
 /// integers, which `f32` adds exactly.
-pub fn add_flow_counts(problem: &PlanningProblem, features: &mut [f32], feature_count: usize) {
+fn add_flow_counts(problem: &PlanningProblem, features: &mut [f32], feature_count: usize) {
     let gc = problem.connection_graph();
     let n = gc.node_count();
     let mut columns = vec![None; n];

@@ -85,7 +85,7 @@ mod solution;
 
 pub use analyzer::{AnalysisBudget, AnalysisReport, FailureAnalyzer, NodeScope, Verdict};
 pub use config::PlannerConfig;
-pub use encode::{add_flow_counts, encode_graph, encode_observation, Observation};
+pub use encode::{encode_graph, encode_observation, Observation};
 pub use env::{PlanningEnv, StepOutcome};
 pub use error::NptsnError;
 pub use greedy::{verify_topology, GreedyPlanner};

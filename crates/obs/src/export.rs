@@ -1,6 +1,6 @@
 //! Exporters for the recorded trace stream: Chrome trace-event JSON
-//! (Perfetto / `chrome://tracing`), a JSONL event log, and an end-of-run
-//! profile table aggregated by span self-time.
+//! (Perfetto / `chrome://tracing`) and an end-of-run profile table
+//! aggregated by span self-time.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -156,40 +156,6 @@ pub fn chrome_trace_json(records: &[Record]) -> String {
     out
 }
 
-/// Renders the stream as one JSON object per line (machine-diffable log).
-pub fn jsonl(records: &[Record]) -> String {
-    let mut out = String::new();
-    for record in records {
-        match record {
-            Record::Span { name, tid, start_ns, dur_ns, self_ns, trace_id } => {
-                out.push_str("{\"type\":\"span\",\"name\":\"");
-                escape_into(&mut out, name);
-                let _ = write!(
-                    out,
-                    "\",\"tid\":{tid},\"start_ns\":{start_ns},\"dur_ns\":{dur_ns},\
-                     \"self_ns\":{self_ns}"
-                );
-                if *trace_id != 0 {
-                    let _ = write!(out, ",\"trace\":\"{trace_id:032x}\"");
-                }
-                out.push_str("}\n");
-            }
-            Record::Event { name, level, tid, ts_ns, message } => {
-                out.push_str("{\"type\":\"event\",\"name\":\"");
-                escape_into(&mut out, name);
-                let _ = write!(
-                    out,
-                    "\",\"level\":\"{}\",\"tid\":{tid},\"ts_ns\":{ts_ns},\"message\":\"",
-                    level.label()
-                );
-                escape_into(&mut out, message);
-                out.push_str("\"}\n");
-            }
-        }
-    }
-    out
-}
-
 /// One span inside a merged multi-process trace — names are owned
 /// strings because merged spans arrive over the wire, not from static
 /// call sites.
@@ -265,11 +231,6 @@ pub fn write_chrome_trace(path: &Path, records: &[Record]) -> io::Result<()> {
     std::fs::write(path, chrome_trace_json(records))
 }
 
-/// Writes [`jsonl`] output to `path`.
-pub fn write_jsonl(path: &Path, records: &[Record]) -> io::Result<()> {
-    std::fs::write(path, jsonl(records))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,15 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_each_parse() {
-        let text = jsonl(&sample_records());
-        for line in text.lines() {
-            let value = crate::json::parse(line).expect("line parses");
-            assert!(value.get("type").is_some(), "{line}");
-        }
-    }
-
-    #[test]
     fn chrome_trace_escapes_messages() {
         let text = chrome_trace_json(&sample_records());
         assert!(text.contains("hello \\\"quoted\\\"\\nline"), "{text}");
@@ -361,11 +313,6 @@ mod tests {
         let trace_hex = format!("{:032x}", 0xabcu128);
         let chrome = chrome_trace_json(&sample_records());
         assert_eq!(chrome.matches(&trace_hex).count(), 1, "{chrome}");
-        let lines = jsonl(&sample_records());
-        assert_eq!(lines.matches(&trace_hex).count(), 1, "{lines}");
-        for line in lines.lines() {
-            assert!(crate::json::parse(line).is_ok(), "{line}");
-        }
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!   instrumentation can sit on the planner/analyzer hot paths
 //!   permanently.
 //! * **Exporters** ([`export`]) — the recorded stream renders either as a
-//!   Chrome trace-event file (loadable in Perfetto / `chrome://tracing`),
-//!   as a JSONL event log, or as an end-of-run profile table aggregated
-//!   by span self-time.
+//!   Chrome trace-event file (loadable in Perfetto / `chrome://tracing`)
+//!   or as an end-of-run profile table aggregated by span self-time.
 //! * **Telemetry** ([`metrics`], [`telemetry`](mod@telemetry)) — the Prometheus-text
 //!   metrics registry (moved here from `nptsn-serve`) plus one
 //!   process-wide [`Telemetry`] instance holding the planner/analyzer
@@ -56,8 +55,8 @@ pub use context::{
     current_trace, set_current_trace, with_trace, TraceContext, TraceScope, TRACE_HEADER,
 };
 pub use export::{
-    chrome_trace_json, chrome_trace_merged, jsonl, profile_table, span_stats, write_chrome_trace,
-    write_jsonl, MergedSpan, ProcessTrace, SpanStat,
+    chrome_trace_json, chrome_trace_merged, profile_table, span_stats, write_chrome_trace,
+    MergedSpan, ProcessTrace, SpanStat,
 };
 pub use flight::{
     flight_armed, flight_capacity, flight_dump, flight_dump_auto, flight_init, flight_json,

@@ -203,11 +203,4 @@ fn chrome_trace_round_trips_through_the_parser() {
             );
         }
     }
-
-    // The JSONL exporter parses line by line too.
-    let log = nptsn_obs::jsonl(&records);
-    assert_eq!(log.lines().count(), 3);
-    for line in log.lines() {
-        nptsn_obs::json::parse(line).expect("JSONL line parses");
-    }
 }

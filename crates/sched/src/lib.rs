@@ -12,13 +12,16 @@
 //! * [`ScheduleTable`] — per-directed-link slot occupancy used while
 //!   constructing schedules.
 //! * [`NetworkBehavior`] — the stateless Network Behavior Function (NBF)
-//!   `Φ : (Gt, Gf, B, FS) → (FI', ER)` abstraction, with two built-in
+//!   `Φ : (Gt, Gf, B, FS) → (FI', ER)` abstraction, with four built-in
 //!   recovery mechanisms: [`ShortestPathRecovery`] (the heuristic of \[9\],
-//!   made stateless) and [`LoadBalancedRecovery`]. A [`RecoverySession`]
-//!   binds an NBF to one topology and recovers many of its failures, each
-//!   as `recover` would.
-//! * [`schedule_frer`] — static dual-path FRER scheduling used by the TRH
-//!   baseline \[4\].
+//!   made stateless), [`LoadBalancedRecovery`], [`RedundantRecovery`]
+//!   (flow-level redundancy, Section V) and [`Stateless`] over the stateful
+//!   [`IncrementalRecovery`] (the adapter of Section II-B). A
+//!   [`RecoverySession`] binds an NBF to one topology and recovers many of
+//!   its failures, each as `recover` would.
+//! * [`simulate`] — the frame-level TAS simulator, the crate's one
+//!   executable check of a flow state ("obtained via network simulation",
+//!   Section II-B).
 //!
 //! # Examples
 //!
@@ -48,7 +51,6 @@
 
 mod error;
 mod flow;
-mod frer;
 mod nbf;
 mod redundant;
 mod schedule;
@@ -60,7 +62,6 @@ mod tas;
 
 pub use error::SchedError;
 pub use flow::{ErrorReport, FlowId, FlowSet, FlowSpec};
-pub use frer::schedule_frer;
 pub use nbf::{
     LoadBalancedRecovery, NetworkBehavior, RecoveryOutcome, RecoverySession, ShortestPathRecovery,
 };

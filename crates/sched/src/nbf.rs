@@ -1,7 +1,8 @@
 //! Stateless Network Behavior Functions (NBF) — the recovery abstraction.
 
 use nptsn_topo::{
-    dijkstra_shortest_path, ConnectionGraph, FailureScenario, Path, ShortestPaths, Topology,
+    dijkstra_shortest_path, ConnectionGraph, FailureScenario, NodeId, Path, ShortestPaths,
+    Topology,
 };
 
 use crate::flow::{ErrorReport, FlowSet};
@@ -327,6 +328,11 @@ impl RecoverySession for ShortestPathSession<'_> {
 
 /// Whether `failure` kills none of `path`'s links: no node of the path
 /// failed, and no failed link joins two consecutive nodes of it.
+///
+/// This is [`Topology::live_link`]'s rule without its presence lookup: the
+/// path comes from the adjacency of the present links, so every hop is
+/// present, and a lookup per hop would land on the verify path's hot loop,
+/// on every flow of every recovery after a session's first.
 fn spares(gc: &ConnectionGraph, failure: &FailureScenario, path: &Path) -> bool {
     !path.nodes().iter().any(|&node| failure.contains_switch(node))
         && !failure.failed_links().iter().any(|&link| {
@@ -376,7 +382,7 @@ impl NetworkBehavior for LoadBalancedRecovery {
                     row.iter()
                         .map(|&(v, link, len)| {
                             let used = table
-                                .used_slots(nth_node(u), link)
+                                .used_slots(NodeId::from_dense_index(u), link)
                                 .min(tas.slots()) as f64;
                             (v, link, len * (1.0 + used / slots))
                         })
@@ -405,19 +411,11 @@ impl NetworkBehavior for LoadBalancedRecovery {
     }
 }
 
-/// Recovers a [`nptsn_topo::NodeId`] from a dense index (adjacency rows are
-/// index-ordered).
-fn nth_node(index: usize) -> nptsn_topo::NodeId {
-    // NodeId construction is crate-private in nptsn-topo; go through a
-    // small helper that relies on the dense-index contract.
-    nptsn_topo::NodeId::from_dense_index(index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::FlowSpec;
-    use nptsn_topo::{Asil, ConnectionGraph, NodeId};
+    use nptsn_topo::Asil;
 
     /// a and b connected through two parallel switches.
     fn redundant() -> (Topology, NodeId, NodeId, NodeId, NodeId) {
@@ -447,7 +445,7 @@ mod tests {
         let out = nbf.recover(&topo, &FailureScenario::none(), &tas, &flows);
         assert!(out.is_success());
         assert_eq!(out.state.assigned_count(), 1);
-        out.state.validate(&topo, &FailureScenario::none(), &tas, &flows).unwrap();
+        crate::sim::simulate(&topo, &FailureScenario::none(), &tas, &flows, &out.state).unwrap();
     }
 
     #[test]
@@ -460,7 +458,7 @@ mod tests {
             let failure = FailureScenario::switches(vec![failed]);
             let out = nbf.recover(&topo, &failure, &tas, &flows);
             assert!(out.is_success(), "failure of {failed} should be recoverable");
-            out.state.validate(&topo, &failure, &tas, &flows).unwrap();
+            crate::sim::simulate(&topo, &failure, &tas, &flows, &out.state).unwrap();
             // The recovered path avoids the failed switch.
             let asg = out.state.assignment(crate::flow::FlowId::from_index(0)).unwrap();
             assert!(!asg.path().contains_node(failed));
@@ -560,7 +558,7 @@ mod tests {
         let nbf = LoadBalancedRecovery::new();
         let out = nbf.recover(&topo, &FailureScenario::none(), &tas, &flows);
         assert!(out.is_success());
-        out.state.validate(&topo, &FailureScenario::none(), &tas, &flows).unwrap();
+        crate::sim::simulate(&topo, &FailureScenario::none(), &tas, &flows, &out.state).unwrap();
         // The two flows take different switches.
         let p0 = out.state.assignment(crate::flow::FlowId::from_index(0)).unwrap().path();
         let p1 = out.state.assignment(crate::flow::FlowId::from_index(1)).unwrap().path();

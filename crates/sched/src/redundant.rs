@@ -156,7 +156,7 @@ mod tests {
         assert!(out.is_success());
         // Both instances occupy slots: 2 paths x 2 hops = 4 directed
         // occupations across the network.
-        out.state.validate(&topo, &FailureScenario::none(), &tas, &flows).unwrap();
+        crate::sim::simulate(&topo, &FailureScenario::none(), &tas, &flows, &out.state).unwrap();
     }
 
     #[test]

@@ -83,14 +83,18 @@ impl SimulationReport {
 /// one hop per reserved slot, and a frame may only be transmitted by a node
 /// that already holds it (store-and-forward causality).
 ///
+/// This is the crate's one executable check of a flow state.
+///
 /// # Errors
 ///
-/// Returns [`SchedError::InvalidState`] when the flow state violates TAS
-/// semantics on this network: a reserved slot on a dead link, two frames
-/// in one directed slot, a transmission scheduled before the frame arrived,
-/// a frame not delivered by the end of its release window, or an endpoint
-/// mismatch. A valid scheduler output never triggers these — this is the
-/// executable cross-check used by the property tests.
+/// Returns [`SchedError::FrameTooLarge`] when an assigned frame exceeds
+/// the slot capacity, and [`SchedError::InvalidState`] when the flow state
+/// violates TAS semantics on this network: an endpoint mismatch or a wrong
+/// repetition count, a hop over a link that is not
+/// [live](Topology::live_link), two frames in one directed slot, a
+/// transmission scheduled before the frame arrived, or a frame not
+/// delivered by the end of its release window. A valid scheduler output
+/// never triggers these.
 pub fn simulate(
     topology: &Topology,
     failure: &FailureScenario,
@@ -98,9 +102,8 @@ pub fn simulate(
     flows: &FlowSet,
     state: &FlowState,
 ) -> Result<SimulationReport> {
-    let gc = topology.connection_graph();
     // Slot-occupancy cross-check (double booking).
-    let mut table = ScheduleTable::new(gc, tas);
+    let mut table = ScheduleTable::new(topology.connection_graph(), tas);
     let mut frames = Vec::new();
     let mut unassigned = 0;
 
@@ -114,6 +117,12 @@ pub fn simulate(
             return Err(SchedError::InvalidState(format!(
                 "{flow}: path endpoints disagree with the specification"
             )));
+        }
+        if spec.frame_bytes() > tas.slot_capacity_bytes() {
+            return Err(SchedError::FrameTooLarge {
+                frame_bytes: spec.frame_bytes(),
+                slot_capacity_bytes: tas.slot_capacity_bytes(),
+            });
         }
         let reps = tas.repetitions(spec.period_us())?;
         if assignment.slots().len() != reps {
@@ -141,20 +150,11 @@ pub fn simulate(
                         "{flow} rep {rep} hop {h}: slot {slot} past the deadline {deadline}"
                     )));
                 }
-                let Some(link) = gc.link_between(u, v) else {
+                let Some(link) = topology.live_link(failure, u, v) else {
                     return Err(SchedError::InvalidState(format!(
-                        "{flow} rep {rep} hop {h}: no candidate link ({u}, {v})"
+                        "{flow} rep {rep} hop {h}: link ({u}, {v}) is absent or dead"
                     )));
                 };
-                if !topology.contains_link(link)
-                    || failure.contains_link(link)
-                    || failure.contains_switch(u)
-                    || failure.contains_switch(v)
-                {
-                    return Err(SchedError::InvalidState(format!(
-                        "{flow} rep {rep} hop {h}: link ({u}, {v}) is dead"
-                    )));
-                }
                 if !table.is_free(u, link, slot) {
                     return Err(SchedError::InvalidState(format!(
                         "{flow} rep {rep} hop {h}: directed slot {slot} on {link} double-booked"
@@ -269,9 +269,77 @@ mod tests {
             FlowId::from_index(0),
             FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![0, 1]]),
         );
-        let failure = FailureScenario::switches(vec![s]);
-        let err = simulate(&topo, &failure, &tas, &flows, &state).unwrap_err();
-        assert!(err.to_string().contains("dead"), "{err}");
+        let link = topo.connection_graph().link_between(s, b).unwrap();
+        for failure in [FailureScenario::switches(vec![s]), FailureScenario::links(vec![link])] {
+            let err = simulate(&topo, &failure, &tas, &flows, &state).unwrap_err();
+            assert!(err.to_string().contains("dead"), "{err}");
+        }
+    }
+
+    /// Stations a and b joined by one candidate link, which the topology
+    /// holds when `present`.
+    fn pair(present: bool) -> (Topology, NodeId, NodeId) {
+        let mut gc = ConnectionGraph::new();
+        let a = gc.add_end_station("a");
+        let b = gc.add_end_station("b");
+        gc.add_candidate_link(a, b, 1.0).unwrap();
+        let mut topo = gc.empty_topology();
+        if present {
+            topo.add_link(a, b).unwrap();
+        }
+        (topo, a, b)
+    }
+
+    #[test]
+    fn absent_links_are_caught() {
+        let (topo, a, b) = pair(false);
+        let tas = TasConfig::default();
+        let flows = FlowSet::new(vec![FlowSpec::new(a, b, 500, 128)]).unwrap();
+        let mut state = FlowState::unassigned(1);
+        state.assign(
+            FlowId::from_index(0),
+            FlowAssignment::new(Path::new(vec![a, b]), vec![vec![0]]),
+        );
+        let err = simulate(&topo, &FailureScenario::none(), &tas, &flows, &state).unwrap_err();
+        assert!(err.to_string().contains("absent"), "{err}");
+    }
+
+    #[test]
+    fn oversized_frames_are_caught() {
+        let (topo, a, b, s) = line();
+        let tas = TasConfig::default();
+        let flows = FlowSet::new(vec![FlowSpec::new(a, b, 500, 1_000_000)]).unwrap();
+        let mut state = FlowState::unassigned(1);
+        state.assign(
+            FlowId::from_index(0),
+            FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![0, 1]]),
+        );
+        assert!(matches!(
+            simulate(&topo, &FailureScenario::none(), &tas, &flows, &state),
+            Err(SchedError::FrameTooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn opposite_directions_share_a_slot() {
+        // Each direction of a link is its own resource: a -> b and b -> a
+        // both transmit in slot 0 of the one link.
+        let (topo, a, b) = pair(true);
+        let tas = TasConfig::default();
+        let flows = FlowSet::new(vec![
+            FlowSpec::new(a, b, 500, 128),
+            FlowSpec::new(b, a, 500, 128),
+        ])
+        .unwrap();
+        let mut state = FlowState::unassigned(2);
+        for (flow, path) in [vec![a, b], vec![b, a]].into_iter().enumerate() {
+            state.assign(
+                FlowId::from_index(flow),
+                FlowAssignment::new(Path::new(path), vec![vec![0]]),
+            );
+        }
+        let report = simulate(&topo, &FailureScenario::none(), &tas, &flows, &state).unwrap();
+        assert_eq!(report.frames.len(), 2);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Randomized tests: every recovery outcome must validate, and
+//! Randomized tests: every recovery outcome must simulate, and
 //! statelessness/determinism must hold across random topologies and
 //! workloads.
 //!
@@ -82,9 +82,9 @@ fn random_flows(stations: &[NodeId], seed: u64, count: usize) -> FlowSet {
     FlowSet::new(flows).unwrap()
 }
 
-/// Whatever the NBF produces must pass full schedule validation:
-/// endpoints, live links, window bounds, slot monotonicity, and no
-/// directed-link collisions.
+/// Whatever the NBF produces must simulate: endpoints, frame sizes, live
+/// links, window bounds, slot monotonicity, and no directed-link
+/// collisions.
 #[test]
 fn recovery_outcomes_always_validate() {
     for case in 0..CASES {
@@ -102,13 +102,6 @@ fn recovery_outcomes_always_validate() {
             &RedundantRecovery::new(2),
         ] {
             let out = nbf.recover(&topo, &failure, &tas, &flows);
-            assert!(
-                out.state.validate(&topo, &failure, &tas, &flows).is_ok(),
-                "case {case}: invalid state from {}",
-                nbf.name()
-            );
-            // The frame-level simulator is an independent executable check
-            // of the same semantics: every recovery output must simulate.
             assert!(
                 simulate(&topo, &failure, &tas, &flows, &out.state).is_ok(),
                 "case {case}: simulation rejected a recovery output of {}",

@@ -70,10 +70,6 @@ pub enum NodeKind {
 struct NodeInfo {
     name: String,
     kind: NodeKind,
-    /// ASIL used when deriving link ASILs; only meaningful for end stations
-    /// (switch ASILs live in the [`Topology`]). End stations default to
-    /// ASIL D because their failures must be safe faults.
-    es_asil: Asil,
 }
 
 #[derive(Debug, Clone)]
@@ -136,23 +132,17 @@ impl ConnectionGraph {
     /// Adds an end station with ASIL D (the default for safety-critical
     /// stations whose failures must be safe faults) and returns its id.
     pub fn add_end_station(&mut self, name: impl Into<String>) -> NodeId {
-        self.add_node(name.into(), NodeKind::EndStation, Asil::D)
-    }
-
-    /// Adds an end station with an explicit ASIL used for link-ASIL
-    /// derivation.
-    pub fn add_end_station_with_asil(&mut self, name: impl Into<String>, asil: Asil) -> NodeId {
-        self.add_node(name.into(), NodeKind::EndStation, asil)
+        self.add_node(name.into(), NodeKind::EndStation)
     }
 
     /// Adds an optional switch and returns its id.
     pub fn add_switch(&mut self, name: impl Into<String>) -> NodeId {
-        self.add_node(name.into(), NodeKind::Switch, Asil::A)
+        self.add_node(name.into(), NodeKind::Switch)
     }
 
-    fn add_node(&mut self, name: String, kind: NodeKind, es_asil: Asil) -> NodeId {
+    fn add_node(&mut self, name: String, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.nodes.push(NodeInfo { name, kind, es_asil });
+        self.nodes.push(NodeInfo { name, kind });
         self.adjacency.push(Vec::new());
         match kind {
             NodeKind::EndStation => self.end_stations.push(id),
@@ -280,12 +270,11 @@ impl ConnectionGraph {
         &self.nodes[node.0].name
     }
 
-    /// ASIL of an end station, used when deriving link ASILs.
-    ///
-    /// For switches this returns the placement default and should not be
-    /// used; switch ASILs are allocated by the [`Topology`].
-    pub fn end_station_asil(&self, node: NodeId) -> Asil {
-        self.nodes[node.0].es_asil
+    /// ASIL of an end station, used when deriving link ASILs: always D,
+    /// because end-station failures must be safe faults (Section II-C).
+    /// Switch ASILs are allocated by the [`Topology`].
+    pub fn end_station_asil(&self, _node: NodeId) -> Asil {
+        Asil::D
     }
 
     /// The id of candidate link `(u, v)` if it exists, in either direction.

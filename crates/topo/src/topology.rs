@@ -153,8 +153,8 @@ impl Topology {
     }
 
     /// ASIL of any node present in the topology: the allocated ASIL for
-    /// selected switches, the fixed application-defined ASIL for end
-    /// stations, `None` for unselected switches.
+    /// selected switches, D for end stations, `None` for unselected
+    /// switches.
     pub fn node_asil(&self, node: NodeId) -> Option<Asil> {
         if self.gc.is_end_station(node) {
             Some(self.gc.end_station_asil(node))
@@ -431,6 +431,14 @@ impl Topology {
         self.links().filter(move |&link| self.kills(failure, link))
     }
 
+    /// The link joining `u` and `v` if it is alive under `failure`: a
+    /// candidate link present in the topology, not failed, and without a
+    /// failed endpoint. It is one of the [`live_links`](Topology::live_links).
+    pub fn live_link(&self, failure: &FailureScenario, u: NodeId, v: NodeId) -> Option<LinkId> {
+        let link = self.gc.link_between(u, v)?;
+        (self.contains_link(link) && !self.kills(failure, link)).then_some(link)
+    }
+
     /// Whether `failure` fails `link` or one of its endpoints.
     fn kills(&self, failure: &FailureScenario, link: LinkId) -> bool {
         let (u, v) = self.gc.link_endpoints(link);
@@ -656,5 +664,39 @@ mod tests {
         let adj = topo.residual_adjacency(&FailureScenario::switches(vec![s0]));
         assert!(adj[a.index()].is_empty(), "links attached to s0 must vanish");
         assert_eq!(adj[s1.index()].len(), 1); // only (s1, b) remains
+    }
+
+    #[test]
+    fn live_link_is_a_present_link_that_the_failure_spares() {
+        let (gc, a, b, s0, s1) = diamondish();
+        let mut topo = Topology::empty(Arc::clone(&gc));
+        topo.add_switch(s0, Asil::A).unwrap();
+        topo.add_switch(s1, Asil::A).unwrap();
+        topo.add_path(&Path::new(vec![a, s0, s1, b])).unwrap();
+        let (a_s0, s1_b) = (gc.link_between(a, s0).unwrap(), gc.link_between(s1, b).unwrap());
+        let none = FailureScenario::none();
+        assert_eq!(topo.live_link(&none, a, s0), Some(a_s0));
+        assert_eq!(topo.live_link(&none, s0, a), Some(a_s0));
+        assert_eq!(topo.live_link(&none, a, s1), None, "a candidate the topology lacks");
+        assert_eq!(topo.live_link(&none, a, b), None, "not a candidate");
+        let failed_s0 = FailureScenario::switches(vec![s0]);
+        assert_eq!(topo.live_link(&failed_s0, s0, s1), None, "a failed endpoint");
+        assert_eq!(topo.live_link(&failed_s0, s1, b), Some(s1_b));
+        assert_eq!(topo.live_link(&FailureScenario::links(vec![s1_b]), b, s1), None);
+        // The same rule as `live_links`, for every failure of one component.
+        let failures = gc
+            .nodes()
+            .map(|n| FailureScenario::switches(vec![n]))
+            .chain(gc.links().map(|l| FailureScenario::links(vec![l])));
+        for failure in failures {
+            let one_by_one: Vec<LinkId> = gc
+                .links()
+                .filter_map(|l| {
+                    let (u, v) = gc.link_endpoints(l);
+                    topo.live_link(&failure, u, v)
+                })
+                .collect();
+            assert_eq!(one_by_one, topo.live_links(&failure).collect::<Vec<_>>(), "{failure}");
+        }
     }
 }
