@@ -1,5 +1,7 @@
 //! The TRH topology-synthesis heuristic for FRER-protected TSN \[4\].
 
+use std::sync::Arc;
+
 use nptsn::{PlanningProblem, Solution};
 
 use nptsn_topo::{node_disjoint_paths, Asil, LinkId, NodeId, Path, Topology};
@@ -62,7 +64,7 @@ impl Trh {
         let gc = problem.connection_graph();
         let mut topology = gc.empty_topology();
         let mut unprotected = 0;
-        let mut embedded: Vec<Option<Vec<Path>>> = Vec::with_capacity(problem.flows().len());
+        let mut embedded: Vec<Option<Vec<Arc<Path>>>> = Vec::with_capacity(problem.flows().len());
 
         for (_, spec) in problem.flows().iter() {
             // Breadth of [4]'s BFS growth: search over the links already
@@ -71,7 +73,7 @@ impl Trh {
             let adj = self.embeddable_adjacency(&topology);
             match node_disjoint_paths(&adj, spec.source(), spec.destination(), self.replicas) {
                 Some(paths) if self.embed_paths(&mut topology, &paths) => {
-                    embedded.push(Some(paths));
+                    embedded.push(Some(paths.into_iter().map(Arc::new).collect()));
                 }
                 _ => {
                     unprotected += 1;
@@ -123,20 +125,14 @@ impl Trh {
         &self,
         problem: &PlanningProblem,
         topology: &Topology,
-        embedded: &[Option<Vec<Path>>],
+        embedded: &[Option<Vec<Arc<Path>>>],
     ) -> bool {
         let gc = topology.connection_graph();
         let mut table = nptsn_sched::ScheduleTable::new(gc, problem.tas());
         for (spec, paths) in problem.flows().specs().iter().zip(embedded) {
             let Some(paths) = paths else { continue };
             for path in paths {
-                match nptsn_sched::schedule_flow_on_path(
-                    &mut table,
-                    gc,
-                    problem.tas(),
-                    spec,
-                    path,
-                ) {
+                match nptsn_sched::schedule_flow_on_path(&mut table, problem.tas(), spec, path) {
                     Ok(Some(_)) => {}
                     _ => return false,
                 }

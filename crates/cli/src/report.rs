@@ -39,8 +39,16 @@ pub struct CoverageReport {
 }
 
 impl CoverageReport {
-    /// Whether every checked scenario recovered — equivalent to the
-    /// analyzer's `Reliable` verdict over the same scenario set.
+    /// Whether the NBF recovered every row's scenario: every non-safe
+    /// switch fault, nominal included, each rerun on its own.
+    ///
+    /// This is not the analyzer's verdict. Algorithm 3 skips every subset
+    /// of a scenario that survived, and the shipped greedy NBF can fail a
+    /// skipped subset (the nominal fault among them) that a superset
+    /// survived, most often at 4–5 TAS slots. On such a plan `report`
+    /// prints UNRELIABLE where `verify` prints RELIABLE. The two verdicts
+    /// can differ until the analyzer's verdict carries its recovery table
+    /// and the report is built from it (ROADMAP item 1).
     pub fn all_recovered(&self) -> bool {
         self.rows.iter().all(|r| r.recovered)
     }
@@ -195,6 +203,10 @@ a b 500 128
         assert!(report.all_recovered());
     }
 
+    /// On the theta plans the report and the analyzer agree. These plans
+    /// run 20 TAS slots, where no rerun of a skipped subset has been seen
+    /// to fail, so they cannot show where the two verdicts differ (see
+    /// `CoverageReport::all_recovered`).
     #[test]
     fn agreement_with_the_analyzer() {
         for asil in [Asil::A, Asil::B, Asil::D] {

@@ -181,7 +181,8 @@ mod tests {
         let mut gc = ConnectionGraph::new();
         let a = gc.add_end_station("a");
         let b = gc.add_end_station("b");
-        vec![Path::new(vec![a, b])]
+        gc.add_candidate_link(a, b, 1.0).unwrap();
+        vec![Path::new(&gc, vec![a, b])]
     }
 
     #[test]

@@ -95,7 +95,9 @@ impl ActionSet {
 ///   graph minus failed nodes, minus unselected switches, minus failed
 ///   links (Algorithm 1 lines 2–5). Paths violating a degree constraint,
 ///   and paths whose links are all already present, are masked
-///   (lines 6–12).
+///   (lines 6–12). Healthy end stations stay in that graph, so a path may
+///   relay through a dual-homed station as an interior node; only failed
+///   stations are blocked.
 ///
 /// The path list depends on the graph Yen searches (the selected switches
 /// that did not fail, the failed end stations and the failed links), the
@@ -160,7 +162,7 @@ impl Soag {
                     // Degree feasibility (lines 6-12), plus: the path must
                     // add at least one new link, otherwise the action would
                     // be a no-op and episodes could loop forever.
-                    let adds_link = path.edges().any(|(u, v)| !topology.contains_link_between(u, v));
+                    let adds_link = path.links().iter().any(|&link| !topology.contains_link(link));
                     mask.push(adds_link && topology.can_add_path(path));
                     actions.push(Action::AddPath(path.clone()));
                 }
@@ -177,7 +179,8 @@ impl Soag {
 /// Algorithm 1 lines 2–5: the K shortest paths between the key's pair on
 /// `gc` minus the failed links, the failed nodes and the unselected
 /// switches, so that paths only traverse previously added switches that
-/// did not fail. A function of `gc` and `key` alone, which is what lets
+/// did not fail. Healthy end stations are not blocked: a path may pass
+/// through one. A function of `gc` and `key` alone, which is what lets
 /// the problem memoize it.
 fn candidate_paths(gc: &ConnectionGraph, key: &PathKey) -> Vec<Path> {
     let blocked: Vec<bool> = gc
@@ -412,8 +415,9 @@ mod tests {
         assert_eq!(topo.switch_asil(s0), Some(Asil::A));
         apply_action(&mut topo, &Action::UpgradeSwitch(s0)).unwrap();
         assert_eq!(topo.switch_asil(s0), Some(Asil::B));
-        apply_action(&mut topo, &Action::AddPath(Path::new(vec![a, s0]))).unwrap();
-        assert!(topo.contains_link_between(a, s0));
+        let gc = problem.connection_graph();
+        apply_action(&mut topo, &Action::AddPath(Path::new(gc, vec![a, s0]))).unwrap();
+        assert!(topo.contains_link(gc.link_between(a, s0).unwrap()));
         assert!(apply_action(&mut topo, &Action::Unavailable).is_err());
     }
 
@@ -437,9 +441,8 @@ mod tests {
             if let Action::AddPath(p) = ac {
                 if set.mask()[i] {
                     // Any valid path must reuse a's existing links.
-                    let first_hop = (p.nodes()[0], p.nodes()[1]);
                     assert!(
-                        topo.contains_link_between(first_hop.0, first_hop.1),
+                        topo.contains_link(p.links()[0]),
                         "valid path must not need a third link at a"
                     );
                 }

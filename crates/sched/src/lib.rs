@@ -8,7 +8,10 @@
 //! * [`FlowSpec`] / [`FlowSet`] — the specification `FS` of the periodic
 //!   time-triggered (TT) flows: source, destination, period, frame size.
 //! * [`FlowState`] — the flow state `FI`: per-flow paths and the time slots
-//!   reserved on each link.
+//!   reserved on each hop. A [`FlowAssignment`] shares its path behind an
+//!   `Arc` and keeps its slots in one flat buffer;
+//!   [`schedule_flow_on_path`] reserves them on the links the path
+//!   carries.
 //! * [`ScheduleTable`] — per-directed-link slot occupancy used while
 //!   constructing schedules.
 //! * [`NetworkBehavior`] — the stateless Network Behavior Function (NBF)

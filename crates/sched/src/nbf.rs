@@ -1,9 +1,8 @@
 //! Stateless Network Behavior Functions (NBF) — the recovery abstraction.
 
-use nptsn_topo::{
-    dijkstra_shortest_path, ConnectionGraph, FailureScenario, NodeId, Path, ShortestPaths,
-    Topology,
-};
+use std::sync::Arc;
+
+use nptsn_topo::{dijkstra_shortest_path, FailureScenario, NodeId, Path, ShortestPaths, Topology};
 
 use crate::flow::{ErrorReport, FlowSet};
 use crate::schedule::schedule_flow_on_path;
@@ -141,14 +140,21 @@ impl<N: NetworkBehavior + ?Sized> RecoverySession for PerCall<'_, N> {
 /// are reported in `ER` and the remaining flows still get scheduled —
 /// recovery degrades per flow, not wholesale.
 ///
+/// Paths run over every link the failure leaves alive, end stations
+/// included: the search bars no healthy end station as an interior node,
+/// so a flow may be relayed through a dual-homed station.
+///
 /// A [session](NetworkBehavior#sessions) builds the adjacency of the
 /// present links once, with one path search over it
 /// ([`nptsn_topo::ShortestPaths`]). The search is restarted for every
 /// flow of every recovery with the failure's dead links excluded, so
 /// every search reuses its buffers. From its second recovery on, the
 /// session keeps each flow's nominal path, its first path on every
-/// present link, and a flow whose nominal path the failure spares takes
-/// it without a search. Each recovery schedules into a table of its own.
+/// present link. A flow whose nominal path the failure spares (none of
+/// its links is among the excluded ones) takes it without a search, and
+/// every recovery that spares it shares that one path: the assignments
+/// hold it, they do not copy it. Every recovery schedules into the
+/// session's one table, cleared first, from the links its paths carry.
 /// `recover` is a session of one failure, and the mechanism keeps no
 /// state from one call or session to the next.
 ///
@@ -241,7 +247,9 @@ struct ShortestPathSession<'a> {
     paths: ShortestPaths<'static>,
     /// Each flow's first path on every present link, `None` for a flow
     /// without one; found at the second recovery.
-    nominal: Option<Vec<Option<Path>>>,
+    nominal: Option<Vec<Option<Arc<Path>>>>,
+    /// The table each recovery schedules into, cleared first.
+    table: ScheduleTable,
     /// Whether the session has recovered a failure.
     started: bool,
 }
@@ -260,12 +268,13 @@ impl<'a> ShortestPathSession<'a> {
             flows,
             paths: ShortestPaths::over(topology.adjacency()),
             nominal: None,
+            table: ScheduleTable::new(topology.connection_graph(), tas),
             started: false,
         }
     }
 
     /// Each flow's first path on every present link.
-    fn nominal_paths(&mut self) -> Vec<Option<Path>> {
+    fn nominal_paths(&mut self) -> Vec<Option<Arc<Path>>> {
         self.paths.exclude_links([]);
         let paths = &mut self.paths;
         self.flows
@@ -273,7 +282,7 @@ impl<'a> ShortestPathSession<'a> {
             .map(|(_, spec)| {
                 let (source, destination) = spec.endpoints();
                 paths.restart(source, destination);
-                paths.next()
+                paths.next().map(Arc::new)
             })
             .collect()
     }
@@ -286,30 +295,33 @@ impl RecoverySession for ShortestPathSession<'_> {
         }
         self.started = true;
         let (topology, tas, flows) = (self.topology, self.tas, self.flows);
-        let gc = topology.connection_graph();
-        self.paths.exclude_links(topology.dead_links(failure));
-        let mut table = ScheduleTable::new(gc, tas);
+        let ShortestPathSession { path_attempts, paths, nominal, table, .. } = self;
+        paths.exclude_links(topology.dead_links(failure));
+        table.clear();
         let mut state = FlowState::unassigned(flows.len());
         let mut errors = ErrorReport::empty();
         for (flow, spec) in flows.iter() {
-            let mut schedule = |path: &Path| schedule_flow_on_path(&mut table, gc, tas, spec, path);
-            let spared = self
-                .nominal
+            let mut schedule = |path: &Arc<Path>| schedule_flow_on_path(table, tas, spec, path);
+            // The failure spares a nominal path when it kills none of its
+            // links. Every link of the path is present, and a flow's path
+            // has a hop, so a failed node of the path kills one of them.
+            let spared = nominal
                 .as_ref()
                 .and_then(|nominal| nominal[flow.index()].as_ref())
-                .filter(|path| spares(gc, failure, path));
+                .filter(|path| !path.links().iter().any(|&link| paths.excludes(link)));
             // A spared nominal path is the flow's first path: it is tried
             // without a search, and skipped if Yen's later paths are needed.
             let scheduled = match spared.map(&mut schedule) {
                 Some(Ok(None)) | None => {
                     let (source, destination) = spec.endpoints();
-                    self.paths.restart(source, destination);
-                    let paths = self.paths.by_ref().take(self.path_attempts);
+                    paths.restart(source, destination);
                     // The first path that takes the flow; a
                     // specification-level error stops the search.
                     paths
+                        .by_ref()
+                        .take(*path_attempts)
                         .skip(usize::from(spared.is_some()))
-                        .find_map(|path| schedule(&path).transpose())
+                        .find_map(|path| schedule(&Arc::new(path)).transpose())
                         .transpose()
                 }
                 Some(scheduled) => scheduled,
@@ -324,21 +336,6 @@ impl RecoverySession for ShortestPathSession<'_> {
         }
         RecoveryOutcome { state, errors }
     }
-}
-
-/// Whether `failure` kills none of `path`'s links: no node of the path
-/// failed, and no failed link joins two consecutive nodes of it.
-///
-/// This is [`Topology::live_link`]'s rule without its presence lookup: the
-/// path comes from the adjacency of the present links, so every hop is
-/// present, and a lookup per hop would land on the verify path's hot loop,
-/// on every flow of every recovery after a session's first.
-fn spares(gc: &ConnectionGraph, failure: &FailureScenario, path: &Path) -> bool {
-    !path.nodes().iter().any(|&node| failure.contains_switch(node))
-        && !failure.failed_links().iter().any(|&link| {
-            let (u, v) = gc.link_endpoints(link);
-            path.edges().any(|hop| hop == (u, v) || hop == (v, u))
-        })
 }
 
 /// A load-balanced stateless recovery mechanism: routes each flow over the
@@ -393,7 +390,7 @@ impl NetworkBehavior for LoadBalancedRecovery {
             let mut recovered = false;
             if let Some(p) = path {
                 if let Ok(Some(assignment)) =
-                    schedule_flow_on_path(&mut table, gc, tas, spec, &p)
+                    schedule_flow_on_path(&mut table, tas, spec, &Arc::new(p))
                 {
                     state.assign(flow, assignment);
                     recovered = true;
@@ -414,8 +411,8 @@ impl NetworkBehavior for LoadBalancedRecovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowSpec;
-    use nptsn_topo::Asil;
+    use crate::flow::{FlowId, FlowSpec};
+    use nptsn_topo::{Asil, ConnectionGraph};
 
     /// a and b connected through two parallel switches.
     fn redundant() -> (Topology, NodeId, NodeId, NodeId, NodeId) {
@@ -463,6 +460,28 @@ mod tests {
             let asg = out.state.assignment(crate::flow::FlowId::from_index(0)).unwrap();
             assert!(!asg.path().contains_node(failed));
         }
+    }
+
+    /// Two recoveries of one session that both spare a flow's nominal path
+    /// hold that one path: neither copies it.
+    #[test]
+    fn recoveries_that_spare_a_nominal_path_share_it() {
+        let (topo, a, b, s0, s1) = redundant();
+        let tas = TasConfig::default();
+        let flows = FlowSet::new(vec![FlowSpec::new(a, b, 500, 128)]).unwrap();
+        let nbf = ShortestPathRecovery::new();
+        let mut session = nbf.session(&topo, &tas, &flows);
+        let mut path = |failure: FailureScenario| {
+            let outcome = session.recover(&failure);
+            Arc::clone(outcome.state.assignment(FlowId::from_index(0)).unwrap().path())
+        };
+        // The session keeps nominal paths from its second recovery on.
+        let searched = path(FailureScenario::none());
+        let spared = [path(FailureScenario::switches(vec![s1])), path(FailureScenario::none())];
+        assert!(Arc::ptr_eq(&spared[0], &spared[1]));
+        assert_eq!(spared[0], searched);
+        assert!(searched.contains_node(s0));
+        assert!(path(FailureScenario::switches(vec![s0])).contains_node(s1));
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! `nptsn` crate (checking end stations too) is the paper's recipe for
 //! planning networks with flow-level redundancy.
 
+use std::sync::Arc;
+
 use nptsn_topo::{node_disjoint_paths, FailureScenario, Topology};
 
 use crate::flow::{ErrorReport, FlowSet};
@@ -99,9 +101,9 @@ impl NetworkBehavior for RedundantRecovery {
                 }
             }
             let mut established = 0;
-            for path in &instances {
+            for path in instances {
                 if let Ok(Some(assignment)) =
-                    schedule_flow_on_path(&mut table, gc, tas, spec, path)
+                    schedule_flow_on_path(&mut table, tas, spec, &Arc::new(path))
                 {
                     if established == 0 {
                         state.assign(flow, assignment);

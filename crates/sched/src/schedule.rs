@@ -1,6 +1,8 @@
 //! Greedy earliest-slot scheduling of a flow along a fixed path.
 
-use nptsn_topo::{ConnectionGraph, Path};
+use std::sync::Arc;
+
+use nptsn_topo::Path;
 
 use crate::error::SchedError;
 use crate::flow::FlowSpec;
@@ -14,10 +16,14 @@ use crate::Result;
 /// repetition's release window).
 ///
 /// On success the reserved slots are recorded in `table` and the resulting
-/// [`FlowAssignment`] is returned. On infeasibility the table is left
-/// untouched and `Ok(None)` is returned — the flow is unschedulable on this
-/// path under the current occupancy, which is a *recovery* failure, not an
-/// input error.
+/// [`FlowAssignment`] is returned; it shares `path`. On infeasibility the
+/// table is left untouched and `Ok(None)` is returned — the flow is
+/// unschedulable on this path under the current occupancy, which is a
+/// *recovery* failure, not an input error.
+///
+/// Each hop is the directed link from `path.nodes()[h]` over
+/// `path.links()[h]`: the links the path carries, which no lookup
+/// resolves again.
 ///
 /// Greedy earliest-slot assignment is optimal for a fixed path: taking the
 /// earliest feasible slot at each hop maximizes the remaining slack of all
@@ -33,6 +39,8 @@ use crate::Result;
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
+///
 /// use nptsn_sched::{schedule_flow_on_path, FlowSpec, ScheduleTable, TasConfig};
 /// use nptsn_topo::{ConnectionGraph, Path};
 ///
@@ -46,18 +54,18 @@ use crate::Result;
 /// let tas = TasConfig::default();
 /// let mut table = ScheduleTable::new(&gc, &tas);
 /// let flow = FlowSpec::new(a, b, 500, 128);
-/// let path = Path::new(vec![a, s, b]);
-/// let assignment = schedule_flow_on_path(
-///     &mut table, &gc, &tas, &flow, &path,
-/// ).unwrap().expect("schedulable");
-/// assert_eq!(assignment.slots(), &[vec![0, 1]]);
+/// let path = Arc::new(Path::new(&gc, vec![a, s, b]));
+/// let assignment = schedule_flow_on_path(&mut table, &tas, &flow, &path)
+///     .unwrap()
+///     .expect("schedulable");
+/// assert_eq!(assignment.rows().collect::<Vec<_>>(), [[0, 1]]);
+/// assert!(Arc::ptr_eq(assignment.path(), &path));
 /// ```
 pub fn schedule_flow_on_path(
     table: &mut ScheduleTable,
-    gc: &ConnectionGraph,
     tas: &TasConfig,
     spec: &FlowSpec,
-    path: &Path,
+    path: &Arc<Path>,
 ) -> Result<Option<FlowAssignment>> {
     if spec.frame_bytes() > tas.slot_capacity_bytes() {
         return Err(SchedError::FrameTooLarge {
@@ -67,45 +75,37 @@ pub fn schedule_flow_on_path(
     }
     let reps = tas.repetitions(spec.period_us())?;
     let window = tas.window_slots(reps);
-    // Resolve path edges to links once.
-    let mut hops = Vec::with_capacity(path.hop_count());
-    for (u, v) in path.edges() {
-        let Some(link) = gc.link_between(u, v) else {
-            // A path over a non-candidate edge can never be scheduled.
-            return Ok(None);
-        };
-        hops.push((u, link));
-    }
+    // Each hop as (sending node, link).
+    let hops = || path.nodes().iter().copied().zip(path.links().iter().copied());
     // First pass: find slots for every repetition without mutating.
-    let mut all_slots = Vec::with_capacity(reps);
+    let mut slots = Vec::with_capacity(reps * path.hop_count());
     for r in 0..reps {
         let (lo, hi) = (r * window, (r + 1) * window);
-        let mut row = Vec::with_capacity(hops.len());
         let mut next_min = lo;
-        for &(from, link) in &hops {
-            match table.first_free(from, link, next_min, hi) {
-                Some(t) => {
-                    row.push(t);
-                    next_min = t + 1;
-                }
-                None => return Ok(None),
-            }
+        for (from, link) in hops() {
+            let Some(t) = table.first_free(from, link, next_min, hi) else {
+                return Ok(None);
+            };
+            slots.push(t);
+            next_min = t + 1;
         }
-        all_slots.push(row);
     }
     // Second pass: commit.
-    for row in &all_slots {
-        for (&slot, &(from, link)) in row.iter().zip(hops.iter()) {
-            table.occupy(from, link, slot);
-        }
+    for (&slot, (from, link)) in slots.iter().zip(hops().cycle()) {
+        table.occupy(from, link, slot);
     }
-    Ok(Some(FlowAssignment::new(path.clone(), all_slots)))
+    Ok(Some(FlowAssignment::from_slots(Arc::clone(path), reps, slots)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nptsn_topo::NodeId;
+    use nptsn_topo::{ConnectionGraph, NodeId};
+
+    /// The rows of `asg`.
+    fn rows(asg: &FlowAssignment) -> Vec<&[usize]> {
+        asg.rows().collect()
+    }
 
     fn line() -> (ConnectionGraph, NodeId, NodeId, NodeId) {
         let mut gc = ConnectionGraph::new();
@@ -123,16 +123,12 @@ mod tests {
         let tas = TasConfig::default();
         let mut table = ScheduleTable::new(&gc, &tas);
         let spec = FlowSpec::new(a, b, 500, 128);
-        let path = Path::new(vec![a, s, b]);
-        let a0 = schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
-            .unwrap()
-            .unwrap();
-        assert_eq!(a0.slots(), &[vec![0, 1]]);
+        let path = Arc::new(Path::new(&gc, vec![a, s, b]));
+        let a0 = schedule_flow_on_path(&mut table, &tas, &spec, &path).unwrap().unwrap();
+        assert_eq!(rows(&a0), [[0, 1]]);
         // A second identical flow shifts by one slot on the shared links.
-        let a1 = schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
-            .unwrap()
-            .unwrap();
-        assert_eq!(a1.slots(), &[vec![1, 2]]);
+        let a1 = schedule_flow_on_path(&mut table, &tas, &spec, &path).unwrap().unwrap();
+        assert_eq!(rows(&a1), [[1, 2]]);
     }
 
     #[test]
@@ -143,19 +139,10 @@ mod tests {
         let tas = TasConfig::new(500, 2, 1000);
         let mut table = ScheduleTable::new(&gc, &tas);
         let spec = FlowSpec::new(a, b, 500, 128);
-        let path = Path::new(vec![a, s, b]);
-        assert!(
-            schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
-                .unwrap()
-                .is_some()
-        );
-        let before_used: usize =
-            gc.links().map(|l| table.used_slots_bidirectional(l)).sum();
-        assert!(
-            schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
-                .unwrap()
-                .is_none()
-        );
+        let path = Arc::new(Path::new(&gc, vec![a, s, b]));
+        assert!(schedule_flow_on_path(&mut table, &tas, &spec, &path).unwrap().is_some());
+        let before_used: usize = gc.links().map(|l| table.used_slots_bidirectional(l)).sum();
+        assert!(schedule_flow_on_path(&mut table, &tas, &spec, &path).unwrap().is_none());
         let after_used: usize = gc.links().map(|l| table.used_slots_bidirectional(l)).sum();
         assert_eq!(before_used, after_used, "failed scheduling must not reserve slots");
     }
@@ -167,13 +154,9 @@ mod tests {
         let mut table = ScheduleTable::new(&gc, &tas);
         // Period 250 us = 2 repetitions, windows [0, 10) and [10, 20).
         let spec = FlowSpec::new(a, b, 250, 128);
-        let path = Path::new(vec![a, s, b]);
-        let asg = schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
-            .unwrap()
-            .unwrap();
-        assert_eq!(asg.slots().len(), 2);
-        assert_eq!(asg.slots()[0], vec![0, 1]);
-        assert_eq!(asg.slots()[1], vec![10, 11]);
+        let path = Arc::new(Path::new(&gc, vec![a, s, b]));
+        let asg = schedule_flow_on_path(&mut table, &tas, &spec, &path).unwrap().unwrap();
+        assert_eq!(rows(&asg), [[0, 1], [10, 11]]);
     }
 
     #[test]
@@ -182,9 +165,9 @@ mod tests {
         let tas = TasConfig::default();
         let mut table = ScheduleTable::new(&gc, &tas);
         let spec = FlowSpec::new(a, b, 500, 1_000_000);
-        let path = Path::new(vec![a, s, b]);
+        let path = Arc::new(Path::new(&gc, vec![a, s, b]));
         assert!(matches!(
-            schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path),
+            schedule_flow_on_path(&mut table, &tas, &spec, &path),
             Err(SchedError::FrameTooLarge { .. })
         ));
     }
@@ -205,11 +188,7 @@ mod tests {
         let tas = TasConfig::new(300, 3, 1000);
         let mut table = ScheduleTable::new(&gc, &tas);
         let spec = FlowSpec::new(a, b, 300, 64);
-        let path = Path::new(vec![a, s0, s1, s2, b]);
-        assert!(
-            schedule_flow_on_path(&mut table, &gc, &tas, &spec, &path)
-                .unwrap()
-                .is_none()
-        );
+        let path = Arc::new(Path::new(&gc, vec![a, s0, s1, s2, b]));
+        assert!(schedule_flow_on_path(&mut table, &tas, &spec, &path).unwrap().is_none());
     }
 }

@@ -125,14 +125,14 @@ pub fn simulate(
             });
         }
         let reps = tas.repetitions(spec.period_us())?;
-        if assignment.slots().len() != reps {
+        if assignment.rows().len() != reps {
             return Err(SchedError::InvalidState(format!(
                 "{flow}: {} repetitions scheduled, spec requires {reps}",
-                assignment.slots().len()
+                assignment.rows().len()
             )));
         }
         let window = tas.window_slots(reps);
-        for (rep, slots) in assignment.slots().iter().enumerate() {
+        for (rep, slots) in assignment.rows().enumerate() {
             let release = rep * window;
             let deadline = (rep + 1) * window; // exclusive
             // The frame materializes at the source at its release instant.
@@ -185,6 +185,11 @@ mod tests {
     use crate::state::FlowAssignment;
     use nptsn_topo::{Asil, ConnectionGraph, Path};
 
+    /// The path through `nodes` on `topo`'s connection graph.
+    fn through(topo: &Topology, nodes: Vec<NodeId>) -> Path {
+        Path::new(topo.connection_graph(), nodes)
+    }
+
     fn line() -> (Topology, NodeId, NodeId, NodeId) {
         let mut gc = ConnectionGraph::new();
         let a = gc.add_end_station("a");
@@ -236,7 +241,7 @@ mod tests {
         ])
         .unwrap();
         let mut state = FlowState::unassigned(2);
-        let asg = FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![0, 1]]);
+        let asg = FlowAssignment::new(through(&topo, vec![a, s, b]), vec![vec![0, 1]]);
         state.assign(FlowId::from_index(0), asg.clone());
         state.assign(FlowId::from_index(1), asg);
         let err = simulate(&topo, &FailureScenario::none(), &tas, &flows, &state).unwrap_err();
@@ -253,7 +258,7 @@ mod tests {
         // has not arrived at the switch yet.
         state.assign(
             FlowId::from_index(0),
-            FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![3, 3]]),
+            FlowAssignment::new(through(&topo, vec![a, s, b]), vec![vec![3, 3]]),
         );
         let err = simulate(&topo, &FailureScenario::none(), &tas, &flows, &state).unwrap_err();
         assert!(err.to_string().contains("before the frame is available"), "{err}");
@@ -267,7 +272,7 @@ mod tests {
         let mut state = FlowState::unassigned(1);
         state.assign(
             FlowId::from_index(0),
-            FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![0, 1]]),
+            FlowAssignment::new(through(&topo, vec![a, s, b]), vec![vec![0, 1]]),
         );
         let link = topo.connection_graph().link_between(s, b).unwrap();
         for failure in [FailureScenario::switches(vec![s]), FailureScenario::links(vec![link])] {
@@ -298,7 +303,7 @@ mod tests {
         let mut state = FlowState::unassigned(1);
         state.assign(
             FlowId::from_index(0),
-            FlowAssignment::new(Path::new(vec![a, b]), vec![vec![0]]),
+            FlowAssignment::new(through(&topo, vec![a, b]), vec![vec![0]]),
         );
         let err = simulate(&topo, &FailureScenario::none(), &tas, &flows, &state).unwrap_err();
         assert!(err.to_string().contains("absent"), "{err}");
@@ -312,7 +317,7 @@ mod tests {
         let mut state = FlowState::unassigned(1);
         state.assign(
             FlowId::from_index(0),
-            FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![0, 1]]),
+            FlowAssignment::new(through(&topo, vec![a, s, b]), vec![vec![0, 1]]),
         );
         assert!(matches!(
             simulate(&topo, &FailureScenario::none(), &tas, &flows, &state),
@@ -335,7 +340,7 @@ mod tests {
         for (flow, path) in [vec![a, b], vec![b, a]].into_iter().enumerate() {
             state.assign(
                 FlowId::from_index(flow),
-                FlowAssignment::new(Path::new(path), vec![vec![0]]),
+                FlowAssignment::new(through(&topo, path), vec![vec![0]]),
             );
         }
         let report = simulate(&topo, &FailureScenario::none(), &tas, &flows, &state).unwrap();
@@ -355,7 +360,7 @@ mod tests {
             // causality passes relative to its window? No — rep 1 releases
             // at 10, so slot 9 violates availability; use a past-deadline
             // slot instead for rep 0.
-            FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![8, 12], vec![14, 15]]),
+            FlowAssignment::new(through(&topo, vec![a, s, b]), vec![vec![8, 12], vec![14, 15]]),
         );
         let err = simulate(&topo, &FailureScenario::none(), &tas, &flows, &state).unwrap_err();
         assert!(err.to_string().contains("deadline"), "{err}");
@@ -374,7 +379,7 @@ mod tests {
         let s = topo.selected_switches()[0];
         state.assign(
             FlowId::from_index(0),
-            FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![0, 1]]),
+            FlowAssignment::new(through(&topo, vec![a, s, b]), vec![vec![0, 1]]),
         );
         let report = simulate(&topo, &FailureScenario::none(), &tas, &flows, &state).unwrap();
         assert_eq!(report.frames.len(), 1);

@@ -1,5 +1,7 @@
 //! Flow states `FI`: per-flow paths with reserved time slots.
 
+use std::sync::Arc;
+
 use nptsn_topo::Path;
 
 use crate::flow::FlowId;
@@ -7,42 +9,63 @@ use crate::flow::FlowId;
 /// The schedule of one flow: its path and the time slots reserved on each
 /// hop, per repetition within the base period.
 ///
-/// `slots[r][h]` is the slot in which repetition `r` of the flow is
-/// transmitted over hop `h` of the path.
+/// The path is shared: assignments that route a flow the same way can
+/// hold one path, as every recovery of a
+/// [`ShortestPathRecovery`](crate::ShortestPathRecovery) session that
+/// spares a flow's nominal path does. The slots are one flat buffer,
+/// repetition-major: [`rows`](FlowAssignment::rows) yields one row per
+/// repetition, and slot `h` of row `r` is the slot in which repetition `r`
+/// of the flow is transmitted over hop `h` of the path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowAssignment {
-    path: Path,
-    slots: Vec<Vec<usize>>,
+    path: Arc<Path>,
+    repetitions: usize,
+    /// `slots[r * hop_count + h]`: repetition `r`, hop `h`.
+    slots: Vec<usize>,
 }
 
 impl FlowAssignment {
-    /// Creates an assignment; `slots` must contain one row per repetition,
+    /// Creates an assignment; `rows` must contain one row per repetition,
     /// each with one slot per hop of `path`.
     ///
     /// # Panics
     ///
     /// Panics when a slot row's length differs from the path's hop count.
-    pub fn new(path: Path, slots: Vec<Vec<usize>>) -> FlowAssignment {
-        for row in &slots {
+    pub fn new(path: impl Into<Arc<Path>>, rows: Vec<Vec<usize>>) -> FlowAssignment {
+        let path = path.into();
+        for row in &rows {
             assert_eq!(row.len(), path.hop_count(), "one slot per hop");
         }
-        FlowAssignment { path, slots }
+        FlowAssignment::from_slots(path, rows.len(), rows.concat())
+    }
+
+    /// An assignment of `repetitions` rows whose `slots` are laid out flat,
+    /// repetition-major.
+    pub(crate) fn from_slots(
+        path: Arc<Path>,
+        repetitions: usize,
+        slots: Vec<usize>,
+    ) -> FlowAssignment {
+        debug_assert_eq!(slots.len(), repetitions * path.hop_count());
+        FlowAssignment { path, repetitions, slots }
     }
 
     /// The flow's path.
-    pub fn path(&self) -> &Path {
+    pub fn path(&self) -> &Arc<Path> {
         &self.path
     }
 
-    /// Reserved slots, repetition-major.
-    pub fn slots(&self) -> &[Vec<usize>] {
-        &self.slots
+    /// The reserved slots, one row per repetition, each with one slot per
+    /// hop.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        let hops = self.path.hop_count();
+        (0..self.repetitions).map(move |r| &self.slots[r * hops..(r + 1) * hops])
     }
 
     /// End-to-end latency of the first repetition in slots (arrival slot −
     /// departure slot + 1).
     pub fn latency_slots(&self) -> usize {
-        match self.slots.first() {
+        match self.rows().next() {
             Some(row) if !row.is_empty() => row[row.len() - 1] - row[0] + 1,
             _ => 0,
         }
@@ -103,19 +126,22 @@ mod tests {
     use super::*;
     use nptsn_topo::{ConnectionGraph, NodeId};
 
-    /// Stations a and b and a switch s.
-    fn nodes() -> (NodeId, NodeId, NodeId) {
+    /// Stations a and b linked through a switch s.
+    fn line() -> (ConnectionGraph, NodeId, NodeId, NodeId) {
         let mut gc = ConnectionGraph::new();
-        (gc.add_end_station("a"), gc.add_end_station("b"), gc.add_switch("s"))
+        let (a, b, s) = (gc.add_end_station("a"), gc.add_end_station("b"), gc.add_switch("s"));
+        gc.add_candidate_link(a, s, 1.0).unwrap();
+        gc.add_candidate_link(s, b, 1.0).unwrap();
+        (gc, a, b, s)
     }
 
     #[test]
     fn assigned_flows_are_counted_and_timed() {
-        let (a, b, s) = nodes();
+        let (gc, a, b, s) = line();
         let mut state = FlowState::unassigned(2);
         state.assign(
             FlowId::from_index(0),
-            FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![0, 1]]),
+            FlowAssignment::new(Path::new(&gc, vec![a, s, b]), vec![vec![0, 1]]),
         );
         assert_eq!(state.len(), 2);
         assert_eq!(state.assigned_count(), 1);
@@ -123,10 +149,29 @@ mod tests {
         assert!(state.assignment(FlowId::from_index(1)).is_none());
     }
 
+    /// The rows given to `new` come back from `rows`, however many
+    /// repetitions there are and however many hops, none included.
+    #[test]
+    fn rows_are_the_rows_given() {
+        let (gc, a, b, s) = line();
+        let cases = [
+            (vec![a, s, b], vec![vec![3, 4]]),
+            (vec![a, s, b], vec![vec![0, 2], vec![10, 11]]),
+            (vec![a, s], vec![vec![7]]),
+            (vec![a], vec![vec![]]),
+            (vec![b], vec![vec![], vec![]]),
+        ];
+        for (nodes, rows) in cases {
+            let asg = FlowAssignment::new(Path::new(&gc, nodes), rows.clone());
+            assert_eq!(asg.rows().len(), rows.len());
+            assert_eq!(asg.rows().collect::<Vec<_>>(), rows, "{:?}", asg.path().nodes());
+        }
+    }
+
     #[test]
     #[should_panic(expected = "one slot per hop")]
     fn assignment_shape_checked() {
-        let (a, b, s) = nodes();
-        let _ = FlowAssignment::new(Path::new(vec![a, s, b]), vec![vec![0]]);
+        let (gc, a, b, s) = line();
+        let _ = FlowAssignment::new(Path::new(&gc, vec![a, s, b]), vec![vec![0]]);
     }
 }

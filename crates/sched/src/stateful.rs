@@ -13,6 +13,8 @@
 //! failure, then always recovers relative to `FI_0`, yielding a
 //! [`NetworkBehavior`] the failure analyzer can use.
 
+use std::sync::Arc;
+
 use nptsn_topo::{dijkstra_shortest_path, FailureScenario, Topology};
 
 use crate::flow::{ErrorReport, FlowSet};
@@ -77,23 +79,17 @@ impl StatefulBehavior for IncrementalRecovery {
         // Pass 1: keep every undisrupted assignment, re-reserving its
         // slots (cheap, and no re-scheduling for untouched flows).
         let mut disrupted = Vec::new();
-        // The live link of each hop of the assignment under test.
-        let mut links = Vec::new();
         for (flow, spec) in flows.iter() {
             let kept = previous.assignment(flow).filter(|asg| {
-                links.clear();
-                asg.path().edges().all(|(u, v)| {
-                    topology.live_link(failure, u, v).inspect(|&l| links.push(l)).is_some()
-                })
+                asg.path().edges().all(|(u, v)| topology.live_link(failure, u, v).is_some())
             });
             match kept {
                 Some(asg) => {
                     // Re-reserve the kept slots so re-routed flows schedule
                     // around them.
-                    for row in asg.slots() {
-                        for ((&slot, &link), (u, _)) in
-                            row.iter().zip(&links).zip(asg.path().edges())
-                        {
+                    let path = asg.path();
+                    for row in asg.rows() {
+                        for ((&slot, &link), &u) in row.iter().zip(path.links()).zip(path.nodes()) {
                             table.occupy(u, link, slot);
                         }
                     }
@@ -107,8 +103,7 @@ impl StatefulBehavior for IncrementalRecovery {
             let path = dijkstra_shortest_path(&adj, spec.source(), spec.destination());
             let mut recovered = false;
             if let Some(p) = path {
-                if let Ok(Some(asg)) = schedule_flow_on_path(&mut table, gc, tas, &spec, &p)
-                {
+                if let Ok(Some(asg)) = schedule_flow_on_path(&mut table, tas, &spec, &Arc::new(p)) {
                     state.assign(flow, asg);
                     recovered = true;
                 }

@@ -8,7 +8,8 @@ use crate::tas::TasConfig;
 ///
 /// TAS reserves time slots per egress port, i.e. per *directed* link; the
 /// two directions of an undirected link are independent resources
-/// (Section II-A). The table is rebuilt for every (stateless) recovery run.
+/// (Section II-A). Every (stateless) recovery run starts from an empty
+/// table: a new one, or the one of its session, cleared.
 ///
 /// It records which slots are taken, not by whom: one bit per slot in a
 /// single `Vec<u64>`, each directed link's slots rounded up to whole
@@ -143,6 +144,11 @@ impl ScheduleTable {
         let (word, mask) = self.bit(from, link, slot);
         assert!(self.bits[word] & mask == 0, "slot {slot} on {link} already occupied");
         self.bits[word] |= mask;
+    }
+
+    /// Frees every slot of every directed link.
+    pub(crate) fn clear(&mut self) {
+        self.bits.fill(0);
     }
 
     /// Number of occupied slots on the directed link starting at `from`.
@@ -284,6 +290,11 @@ mod tests {
                 for (slot, &taken) in model[row].iter().enumerate() {
                     assert_eq!(table.is_free(from, link, slot), !taken);
                 }
+            }
+            table.clear();
+            for &(from, link) in &directed {
+                assert_eq!(table.first_free(from, link, 0, slots), Some(0), "{slots} slots");
+                assert_eq!(table.used_slots(from, link), 0, "{slots} slots");
             }
         }
     }

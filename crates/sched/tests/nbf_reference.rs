@@ -19,6 +19,10 @@
 //! slots per directed link and finds each hop's slot by trying the slots
 //! of the window in order. The simulator would accept a later free slot
 //! too, so only this comparison shows that the table finds the earliest.
+//! Nor does it read the links its paths carry: it resolves every hop
+//! through `ConnectionGraph::link_between`, and its assignments hold paths
+//! rebuilt from their nodes, so the links a search records are pinned
+//! too.
 
 use std::sync::Arc;
 
@@ -88,7 +92,7 @@ fn schedule_slot_by_slot(
             busy[row][t] = true;
         }
     }
-    Ok(Some(FlowAssignment::new(path.clone(), slots)))
+    Ok(Some(FlowAssignment::new(Path::new(gc, path.nodes().to_vec()), slots)))
 }
 
 /// The former `ShortestPathRecovery::recover`, with all paths built first.

@@ -16,7 +16,11 @@
 //! * [`FailureScenario`] — a failure `Gf` (failed switches and links).
 //! * Path algorithms — BFS, Dijkstra, Yen's K-shortest paths and
 //!   node-disjoint path search, used by the SOAG action generator, the
-//!   recovery scheduler and the TRH baseline.
+//!   recovery scheduler and the TRH baseline. Every [`Path`] carries the
+//!   [`LinkId`] of each hop: a search records it from the adjacency rows
+//!   it walks, and a node sequence from outside a search is resolved
+//!   against the connection graph once ([`Path::new`]). So the scheduler,
+//!   the SOAG mask and [`Topology::add_path`] never look a hop up again.
 //!
 //! # Examples
 //!

@@ -6,7 +6,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::error::TopoError;
-use crate::graph::{LinkId, NodeId};
+use crate::graph::{ConnectionGraph, LinkId, NodeId};
 
 /// Adjacency representation used by all search routines: for every node
 /// index, its `(neighbor, link, length)` triples.
@@ -16,10 +16,17 @@ use crate::graph::{LinkId, NodeId};
 /// shape, as do the filtered candidate-graph views built by the SOAG.
 pub type Adjacency = Vec<Vec<(NodeId, LinkId, f64)>>;
 
-/// A loopless path through the network: an ordered node sequence.
+/// A loopless path through the network: an ordered node sequence and the
+/// link of each hop.
 ///
 /// Paths are the granularity of NPTSN's addition actions — "the minimum
 /// connectivity from the perspective of the flows" (Section IV-B).
+///
+/// Every path knows its links: `links()[h]` joins `nodes()[h]` and
+/// `nodes()[h + 1]`. A search records each link as it finds the path, from
+/// the adjacency rows it walks, so no consumer looks a hop up again. A node
+/// sequence from outside a search is resolved against the connection
+/// graph once, by [`Path::new`] or [`Path::try_new`].
 ///
 /// # Examples
 ///
@@ -30,26 +37,33 @@ pub type Adjacency = Vec<Vec<(NodeId, LinkId, f64)>>;
 /// let a = gc.add_end_station("a");
 /// let s = gc.add_switch("s");
 /// let b = gc.add_end_station("b");
-/// let p = Path::new(vec![a, s, b]);
+/// let a_s = gc.add_candidate_link(a, s, 1.0).unwrap();
+/// let s_b = gc.add_candidate_link(s, b, 1.0).unwrap();
+/// let p = Path::new(&gc, vec![a, s, b]);
 /// assert_eq!(p.hop_count(), 2);
 /// assert_eq!(p.source(), a);
 /// assert_eq!(p.destination(), b);
+/// assert_eq!(p.links(), &[a_s, s_b]);
 /// assert_eq!(p.edges().count(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     nodes: Vec<NodeId>,
+    /// `links[h]` joins `nodes[h]` and `nodes[h + 1]`.
+    links: Vec<LinkId>,
 }
 
 impl Path {
-    /// Creates a path from an ordered node sequence.
+    /// Creates a path from an ordered node sequence, resolving each hop to
+    /// its candidate link in `gc`.
     ///
     /// # Panics
     ///
-    /// Panics when `nodes` is empty or revisits a node (paths are loopless).
+    /// Panics when [`Path::try_new`] fails: `nodes` is empty, revisits a
+    /// node (paths are loopless) or has a hop that is not a candidate link.
     /// Use [`Path::try_new`] to validate untrusted sequences instead.
-    pub fn new(nodes: Vec<NodeId>) -> Path {
-        Path::try_new(nodes).unwrap_or_else(|e| panic!("{e}"))
+    pub fn new(gc: &ConnectionGraph, nodes: Vec<NodeId>) -> Path {
+        Path::try_new(gc, nodes).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible counterpart of [`Path::new`] for node sequences that come
@@ -59,8 +73,10 @@ impl Path {
     /// # Errors
     ///
     /// [`TopoError::EmptyPath`] for an empty sequence,
-    /// [`TopoError::RepeatedNode`] when a node appears twice.
-    pub fn try_new(nodes: Vec<NodeId>) -> Result<Path, TopoError> {
+    /// [`TopoError::RepeatedNode`] when a node appears twice,
+    /// [`TopoError::UnknownLink`] for the first hop that is not a
+    /// candidate link of `gc`.
+    pub fn try_new(gc: &ConnectionGraph, nodes: Vec<NodeId>) -> Result<Path, TopoError> {
         if nodes.is_empty() {
             return Err(TopoError::EmptyPath);
         }
@@ -69,7 +85,18 @@ impl Path {
                 return Err(TopoError::RepeatedNode(*n));
             }
         }
-        Ok(Path { nodes })
+        let links = nodes
+            .windows(2)
+            .map(|w| gc.link_between(w[0], w[1]).ok_or(TopoError::UnknownLink(w[0], w[1])))
+            .collect::<Result<_, _>>()?;
+        Ok(Path { nodes, links })
+    }
+
+    /// The path a search found: `links[h]` joins `nodes[h]` and
+    /// `nodes[h + 1]`, and no node repeats.
+    fn found(nodes: Vec<NodeId>, links: Vec<LinkId>) -> Path {
+        debug_assert_eq!(nodes.len(), links.len() + 1);
+        Path { nodes, links }
     }
 
     /// The ordered node sequence.
@@ -77,9 +104,14 @@ impl Path {
         &self.nodes
     }
 
+    /// The link of each hop, in path order.
+    pub fn links(&self) -> &[LinkId] {
+        &self.links
+    }
+
     /// Number of hops (edges).
     pub fn hop_count(&self) -> usize {
-        self.nodes.len() - 1
+        self.links.len()
     }
 
     /// First node.
@@ -190,7 +222,9 @@ pub fn dijkstra_shortest_path(adj: &Adjacency, source: NodeId, target: NodeId) -
 #[derive(Debug, Default)]
 pub(crate) struct Search {
     dist: Vec<f64>,
-    prev: Vec<Option<NodeId>>,
+    /// The node before each reached node on its best route so far, and the
+    /// link between them.
+    prev: Vec<Option<(NodeId, LinkId)>>,
     heap: BinaryHeap<HeapEntry>,
 }
 
@@ -211,7 +245,7 @@ pub(crate) fn dijkstra_filtered(
         return None;
     }
     if source == target {
-        return Some(Path::new(vec![source]));
+        return Some(Path::found(vec![source], Vec::new()));
     }
     let Search { dist, prev, heap } = search;
     dist.clear();
@@ -241,7 +275,7 @@ pub(crate) fn dijkstra_filtered(
             // predecessor.
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
-                prev[v.index()] = Some(NodeId(u));
+                prev[v.index()] = Some((NodeId(u), link));
                 heap.push(HeapEntry { dist: nd, node: v.index() });
             }
         }
@@ -249,15 +283,20 @@ pub(crate) fn dijkstra_filtered(
     if dist[target.index()].is_infinite() {
         return None;
     }
-    let mut nodes = vec![target];
+    let hops = std::iter::successors(prev[target.index()], |&(p, _)| prev[p.index()]).count();
+    let mut nodes = Vec::with_capacity(hops + 1);
+    let mut links = Vec::with_capacity(hops);
+    nodes.push(target);
     let mut cur = target;
-    while let Some(p) = prev[cur.index()] {
+    while let Some((p, link)) = prev[cur.index()] {
         nodes.push(p);
+        links.push(link);
         cur = p;
     }
     nodes.reverse();
+    links.reverse();
     debug_assert_eq!(nodes[0], source);
-    Some(Path::new(nodes))
+    Some(Path::found(nodes, links))
 }
 
 /// Yen's algorithm: up to `k` loopless shortest paths from `source` to
@@ -437,6 +476,12 @@ impl<'a> ShortestPaths<'a> {
         self.exhausted = true;
     }
 
+    /// Whether every search leaves `link` out: it was among the links of
+    /// the last [`exclude_links`](ShortestPaths::exclude_links).
+    pub fn excludes(&self, link: LinkId) -> bool {
+        is_excluded(&self.excluded, link)
+    }
+
     /// One Yen round from the last path yielded: spur searches from each of
     /// its nodes, then the best candidate, removed from the candidate set.
     fn next_round(&mut self) -> Option<Path> {
@@ -472,13 +517,18 @@ impl<'a> ShortestPaths<'a> {
                 banned_next[n.index()] = false;
             }
             if let Some(spur) = spur {
-                let mut nodes = banned_nodes.to_vec();
+                let mut nodes = Vec::with_capacity(i + spur.nodes().len());
+                nodes.extend_from_slice(banned_nodes);
                 nodes.extend_from_slice(spur.nodes());
                 // The concatenation can revisit a root node through the spur
                 // path only if the spur path loops back, which banned_nodes
                 // prevents; still, guard against duplicates defensively.
                 if nodes.iter().enumerate().all(|(j, n)| !nodes[..j].contains(n)) {
-                    let candidate = Path::new(nodes);
+                    // The root's links, then the spur's.
+                    let mut links = Vec::with_capacity(nodes.len() - 1);
+                    links.extend_from_slice(&last.links()[..i]);
+                    links.extend_from_slice(spur.links());
+                    let candidate = Path::found(nodes, links);
                     let cost = candidate
                         .length_in(adj)
                         .expect("candidate uses existing edges");
@@ -573,8 +623,8 @@ mod tests {
     use nptsn_rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
-    /// Two parallel 2-hop routes a-s0-b and a-s1-b plus a chord s0-s1.
-    fn theta() -> (Adjacency, NodeId, NodeId, NodeId, NodeId) {
+    /// The candidate graph of [`theta`].
+    fn theta_graph() -> (ConnectionGraph, NodeId, NodeId, NodeId, NodeId) {
         let mut gc = ConnectionGraph::new();
         let a = gc.add_end_station("a");
         let b = gc.add_end_station("b");
@@ -583,6 +633,12 @@ mod tests {
         for (u, v) in [(a, s0), (a, s1), (s0, b), (s1, b), (s0, s1)] {
             gc.add_candidate_link(u, v, 1.0).unwrap();
         }
+        (gc, a, b, s0, s1)
+    }
+
+    /// Two parallel 2-hop routes a-s0-b and a-s1-b plus a chord s0-s1.
+    fn theta() -> (Adjacency, NodeId, NodeId, NodeId, NodeId) {
+        let (gc, a, b, s0, s1) = theta_graph();
         let mut topo = Topology::empty(Arc::new(gc));
         topo.add_switch(s0, Asil::A).unwrap();
         topo.add_switch(s1, Asil::A).unwrap();
@@ -594,19 +650,23 @@ mod tests {
 
     #[test]
     fn try_new_rejects_invalid_sequences() {
-        let (_, a, b, s0, _) = theta();
-        assert_eq!(Path::try_new(vec![]), Err(TopoError::EmptyPath));
-        assert_eq!(Path::try_new(vec![a, s0, a]), Err(TopoError::RepeatedNode(a)));
-        assert_eq!(
-            Path::try_new(vec![a, s0, b]).map(|p| p.hop_count()),
-            Ok(2)
-        );
+        let (gc, a, b, s0, s1) = theta_graph();
+        assert_eq!(Path::try_new(&gc, vec![]), Err(TopoError::EmptyPath));
+        assert_eq!(Path::try_new(&gc, vec![a, s0, a]), Err(TopoError::RepeatedNode(a)));
+        assert_eq!(Path::try_new(&gc, vec![a, s0, s1, a]), Err(TopoError::RepeatedNode(a)));
+        assert_eq!(Path::try_new(&gc, vec![s0, a, b]), Err(TopoError::UnknownLink(a, b)));
+        let path = Path::try_new(&gc, vec![a, s0, b]).unwrap();
+        assert_eq!(path.hop_count(), 2);
+        assert_eq!(path.links(), &[gc.link_between(a, s0).unwrap(), gc.link_between(s0, b).unwrap()]);
+        let alone = Path::try_new(&gc, vec![b]).unwrap();
+        assert_eq!((alone.hop_count(), alone.links()), (0, &[][..]));
     }
 
     #[test]
     #[should_panic(expected = "loopless")]
     fn paths_reject_revisits() {
-        let _ = Path::new(vec![NodeId(0), NodeId(1), NodeId(0)]);
+        let (gc, a, _, s0, _) = theta_graph();
+        let _ = Path::new(&gc, vec![a, s0, a]);
     }
 
     #[test]

@@ -179,6 +179,12 @@ impl Topology {
     /// violated.
     pub fn add_link(&mut self, u: NodeId, v: NodeId) -> Result<LinkId> {
         let link = self.gc.link_between(u, v).ok_or(TopoError::UnknownLink(u, v))?;
+        self.add_hop(u, v, link)
+    }
+
+    /// [`add_link`](Topology::add_link) for `link`, the candidate link
+    /// joining `u` and `v`.
+    fn add_hop(&mut self, u: NodeId, v: NodeId, link: LinkId) -> Result<LinkId> {
         for endpoint in [u, v] {
             if self.gc.is_switch(endpoint) && !self.contains_switch(endpoint) {
                 return Err(TopoError::EndpointNotSelected(endpoint));
@@ -203,11 +209,6 @@ impl Topology {
     /// Whether the candidate link is part of the topology.
     pub fn contains_link(&self, link: LinkId) -> bool {
         self.link_present.get(link.index()).copied().unwrap_or(false)
-    }
-
-    /// Whether the link between `u` and `v` is part of the topology.
-    pub fn contains_link_between(&self, u: NodeId, v: NodeId) -> bool {
-        self.gc.link_between(u, v).map(|l| self.contains_link(l)).unwrap_or(false)
     }
 
     /// Degree of `node` in the topology.
@@ -274,14 +275,10 @@ impl Topology {
                 delta.push((node, 1));
             }
         };
-        for (u, v) in path.edges() {
-            match self.gc.link_between(u, v) {
-                Some(link) if self.link_present[link.index()] => {}
-                Some(_) => {
-                    bump(u, &mut delta);
-                    bump(v, &mut delta);
-                }
-                None => return false,
+        for ((u, v), &link) in path.edges().zip(path.links()) {
+            if !self.link_present[link.index()] {
+                bump(u, &mut delta);
+                bump(v, &mut delta);
             }
         }
         delta
@@ -301,10 +298,9 @@ impl Topology {
     /// this for RL actions).
     pub fn add_path(&mut self, path: &Path) -> Result<usize> {
         let mut added = 0;
-        for (u, v) in path.edges() {
-            let link = self.gc.link_between(u, v).ok_or(TopoError::UnknownLink(u, v))?;
+        for ((u, v), &link) in path.edges().zip(path.links()) {
             if !self.link_present[link.index()] {
-                self.add_link(u, v)?;
+                self.add_hop(u, v, link)?;
                 added += 1;
             }
         }
@@ -504,8 +500,8 @@ mod tests {
         let mut topo = Topology::empty(gc);
         assert_eq!(topo.add_link(a, s0), Err(TopoError::EndpointNotSelected(s0)));
         topo.add_switch(s0, Asil::A).unwrap();
-        topo.add_link(a, s0).unwrap();
-        assert!(topo.contains_link_between(a, s0));
+        let link = topo.add_link(a, s0).unwrap();
+        assert!(topo.contains_link(link));
     }
 
     #[test]
@@ -578,11 +574,11 @@ mod tests {
     #[test]
     fn path_addition_respects_existing_links() {
         let (gc, a, b, s0, s1) = diamondish();
-        let mut topo = Topology::empty(gc);
+        let mut topo = Topology::empty(Arc::clone(&gc));
         topo.add_switch(s0, Asil::A).unwrap();
         topo.add_switch(s1, Asil::A).unwrap();
         topo.add_link(a, s0).unwrap();
-        let path = Path::new(vec![a, s0, s1, b]);
+        let path = Path::new(&gc, vec![a, s0, s1, b]);
         assert!(topo.can_add_path(&path));
         let added = topo.add_path(&path).unwrap();
         assert_eq!(added, 2); // (a, s0) already present
@@ -594,13 +590,13 @@ mod tests {
     #[test]
     fn path_through_unselected_switch_is_not_addable() {
         let (gc, a, b, _, s1) = diamondish();
-        let mut topo = Topology::empty(gc);
+        let mut topo = Topology::empty(Arc::clone(&gc));
         topo.add_switch(s1, Asil::A).unwrap();
         // Path through s0, which is unselected.
-        let through_s0 = Path::new(vec![a, NodeId(2), s1, b]);
+        let through_s0 = Path::new(&gc, vec![a, NodeId(2), s1, b]);
         assert!(!topo.can_add_path(&through_s0));
         // Direct path via the chord is fine.
-        let direct = Path::new(vec![a, s1, b]);
+        let direct = Path::new(&gc, vec![a, s1, b]);
         assert!(topo.can_add_path(&direct));
     }
 
@@ -656,10 +652,10 @@ mod tests {
     #[test]
     fn residual_adjacency_removes_failed_switch_links() {
         let (gc, a, b, s0, s1) = diamondish();
-        let mut topo = Topology::empty(gc);
+        let mut topo = Topology::empty(Arc::clone(&gc));
         topo.add_switch(s0, Asil::A).unwrap();
         topo.add_switch(s1, Asil::A).unwrap();
-        topo.add_path(&Path::new(vec![a, s0, s1, b])).unwrap();
+        topo.add_path(&Path::new(&gc, vec![a, s0, s1, b])).unwrap();
 
         let adj = topo.residual_adjacency(&FailureScenario::switches(vec![s0]));
         assert!(adj[a.index()].is_empty(), "links attached to s0 must vanish");
@@ -672,7 +668,7 @@ mod tests {
         let mut topo = Topology::empty(Arc::clone(&gc));
         topo.add_switch(s0, Asil::A).unwrap();
         topo.add_switch(s1, Asil::A).unwrap();
-        topo.add_path(&Path::new(vec![a, s0, s1, b])).unwrap();
+        topo.add_path(&Path::new(&gc, vec![a, s0, s1, b])).unwrap();
         let (a_s0, s1_b) = (gc.link_between(a, s0).unwrap(), gc.link_between(s1, b).unwrap());
         let none = FailureScenario::none();
         assert_eq!(topo.live_link(&none, a, s0), Some(a_s0));

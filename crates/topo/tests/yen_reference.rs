@@ -6,7 +6,9 @@
 //! On seeded meshes with integer lengths 1–3, where paths of equal length
 //! are common, `k_shortest_paths` and every prefix of one
 //! `shortest_paths` iterator must equal it path for path, for every k in
-//! 0..=16, and an iterator that ran out must stay out.
+//! 0..=16, and an iterator that ran out must stay out. The reference
+//! resolves each path's links through `ConnectionGraph::link_between`, so
+//! the links a search records are pinned too.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -50,6 +52,7 @@ impl PartialOrd for HeapEntry {
 }
 
 fn reference_dijkstra(
+    gc: &ConnectionGraph,
     adj: &Adjacency,
     source: NodeId,
     target: NodeId,
@@ -61,7 +64,7 @@ fn reference_dijkstra(
         return None;
     }
     if source == target {
-        return Some(Path::new(vec![source]));
+        return Some(Path::new(gc, vec![source]));
     }
     let mut dist = vec![f64::INFINITY; n];
     let mut prev: Vec<Option<NodeId>> = vec![None; n];
@@ -100,11 +103,12 @@ fn reference_dijkstra(
         cur = p;
     }
     nodes.reverse();
-    Some(Path::new(nodes))
+    Some(Path::new(gc, nodes))
 }
 
 /// The eager Yen: all `k` paths, built before any is returned.
 fn reference_k_shortest_paths(
+    gc: &ConnectionGraph,
     adj: &Adjacency,
     source: NodeId,
     target: NodeId,
@@ -113,7 +117,7 @@ fn reference_k_shortest_paths(
     if k == 0 {
         return Vec::new();
     }
-    let Some(first) = reference_dijkstra(adj, source, target, &|_| true, &|_, _| true) else {
+    let Some(first) = reference_dijkstra(gc, adj, source, target, &|_| true, &|_, _| true) else {
         return Vec::new();
     };
     let mut result = vec![first];
@@ -136,11 +140,11 @@ fn reference_k_shortest_paths(
                     from == u && adj[u.index()].iter().any(|&(nb, l, _)| l == link && nb == v)
                 })
             };
-            if let Some(spur) = reference_dijkstra(adj, spur_node, target, &node_ok, &edge_ok) {
+            if let Some(spur) = reference_dijkstra(gc, adj, spur_node, target, &node_ok, &edge_ok) {
                 let mut nodes = root[..i].to_vec();
                 nodes.extend_from_slice(spur.nodes());
                 if nodes.iter().enumerate().all(|(j, n)| !nodes[..j].contains(n)) {
-                    let candidate = Path::new(nodes);
+                    let candidate = Path::new(gc, nodes);
                     let cost = candidate.length_in(adj).expect("candidate uses existing edges");
                     if !result.contains(&candidate)
                         && !candidates.iter().any(|(_, p)| p == &candidate)
@@ -167,7 +171,7 @@ fn reference_k_shortest_paths(
 /// A random mesh: 2–4 end stations and 3–7 switches, every switch pair and
 /// switch–station pair linked with probability 0.6, lengths 1–3, degree
 /// limits lifted so every link is in the topology.
-fn random_mesh(rng: &mut StdRng) -> (Adjacency, Vec<NodeId>) {
+fn random_mesh(rng: &mut StdRng) -> (Arc<ConnectionGraph>, Adjacency, Vec<NodeId>) {
     let mut gc = ConnectionGraph::new();
     let stations: Vec<NodeId> =
         (0..rng.gen_range(2usize..5)).map(|i| gc.add_end_station(format!("es{i}"))).collect();
@@ -193,7 +197,7 @@ fn random_mesh(rng: &mut StdRng) -> (Adjacency, Vec<NodeId>) {
     }
     let mut endpoints = stations;
     endpoints.push(switches[0]);
-    (topo.adjacency(), endpoints)
+    (gc, topo.adjacency(), endpoints)
 }
 
 #[test]
@@ -203,7 +207,7 @@ fn iterator_prefixes_equal_the_eager_yen_for_every_k() {
     for case in 0..CASES {
         let seed = SEED + case;
         let mut rng = StdRng::seed_from_u64(seed);
-        let (adj, endpoints) = random_mesh(&mut rng);
+        let (gc, adj, endpoints) = random_mesh(&mut rng);
         for &s in &endpoints {
             for &d in &endpoints {
                 let mut paths = shortest_paths(&adj, s, d);
@@ -212,7 +216,7 @@ fn iterator_prefixes_equal_the_eager_yen_for_every_k() {
                     assert_eq!(paths.next(), None, "seed {seed:#x}: resumed past the end");
                 }
                 for k in 0..=MAX_K {
-                    let reference = reference_k_shortest_paths(&adj, s, d, k);
+                    let reference = reference_k_shortest_paths(&gc, &adj, s, d, k);
                     assert_eq!(
                         k_shortest_paths(&adj, s, d, k),
                         reference,

@@ -44,11 +44,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --lib
 # served infer job returns, to `plan_with_policy`'s.
 # `nptsn-sched` and `nptsn-topo` run whole: the bitset schedule table
 # against a `Vec<bool>` model, the NBF against an eager one that shares
-# neither the table nor the path search, and Yen's iterator, restarted
-# or fresh, against the eager Yen.
+# neither the table nor the path search, Yen's iterator, restarted or
+# fresh, against the eager Yen, and the link sweep (`path_links`): every
+# path of every search carries, at each hop, the link `link_between`
+# resolves. `nptsn-baselines` runs whole too: TRH schedules its replica
+# paths through the same `schedule_flow_on_path`, from their links.
 cargo test -q --offline --release --test ppo_reference --test analyzer_reference \
     --test nbf_contract --test nbf_session --test replan_reference --test soag_reference
-cargo test -q --offline --release -p nptsn-sched -p nptsn-topo
+cargo test -q --offline --release -p nptsn-sched -p nptsn-topo -p nptsn-baselines
 cargo test -q --offline --release -p nptsn-tensor --lib
 cargo test -q --offline --release -p nptsn-nn --test batched_equivalence
 cargo test -q --offline --release -p nptsn --lib -- model::tests infer::tests

@@ -47,7 +47,8 @@ use nptsn_sched::{
     RecoveryOutcome, ScheduleTable, ShortestPathRecovery, Stateless, TasConfig,
 };
 use nptsn_topo::{
-    k_shortest_paths, Asil, ComponentLibrary, ConnectionGraph, FailureScenario, NodeId, Topology,
+    k_shortest_paths, Asil, ComponentLibrary, ConnectionGraph, FailureScenario, NodeId, Path,
+    Topology,
 };
 
 /// The path attempts of `ShortestPathRecovery::new()`, which the random
@@ -55,9 +56,11 @@ use nptsn_topo::{
 const PATH_ATTEMPTS: usize = 3;
 
 /// The former `ShortestPathRecovery::recover`: a flow's `PATH_ATTEMPTS`
-/// shortest paths are all built first, then tried in order. It counts
-/// the flows that scheduled on a later path, so a sweep can show it
-/// reached them.
+/// shortest paths are all built first, then tried in order. Each path is
+/// rebuilt from its nodes, its links resolved through
+/// `ConnectionGraph::link_between`, so the links a search records are
+/// pinned too. It counts the flows that scheduled on a later path, so a
+/// sweep can show it reached them.
 #[derive(Default)]
 struct EagerRecovery {
     fallbacks: AtomicUsize,
@@ -81,7 +84,8 @@ impl NetworkBehavior for EagerRecovery {
             let candidates = k_shortest_paths(&adj, source, destination, PATH_ATTEMPTS);
             let mut recovered = false;
             for (attempt, path) in candidates.iter().enumerate() {
-                match schedule_flow_on_path(&mut table, gc, tas, spec, path) {
+                let path = Arc::new(Path::new(gc, path.nodes().to_vec()));
+                match schedule_flow_on_path(&mut table, tas, spec, &path) {
                     Ok(Some(assignment)) => {
                         state.assign(flow, assignment);
                         recovered = true;

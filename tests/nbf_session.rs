@@ -33,6 +33,8 @@
 //! an earlier non-nominal recovery found, a schedule table kept between
 //! recoveries, and a node filter in place of the link filter.
 
+use std::sync::Arc;
+
 use nptsn_rand::rngs::StdRng;
 use nptsn_rand::{Rng, SeedableRng};
 use nptsn_sched::{
@@ -42,7 +44,7 @@ use nptsn_sched::{
 };
 use nptsn_topo::{
     dijkstra_shortest_path, k_shortest_paths, Asil, ConnectionGraph, FailureScenario, LinkId,
-    NodeId, Topology,
+    NodeId, Path, Topology,
 };
 
 const SEED: u64 = 0x5e55_1000;
@@ -64,6 +66,9 @@ fn nbfs() -> Vec<(Box<dyn NetworkBehavior>, Option<Reference>)> {
 
 /// The former `ShortestPathRecovery::recover`: on the residual adjacency,
 /// a flow's three shortest paths are built first, then tried in order.
+/// Each path is rebuilt from its nodes, its links resolved through
+/// `ConnectionGraph::link_between`, so the links a search records are
+/// pinned too.
 fn eager_shortest_path(case: &Case, failure: &FailureScenario) -> RecoveryOutcome {
     let (topology, tas) = (&case.topology, &case.tas);
     let gc = topology.connection_graph();
@@ -74,7 +79,8 @@ fn eager_shortest_path(case: &Case, failure: &FailureScenario) -> RecoveryOutcom
     for (flow, spec) in case.flows.iter() {
         let mut recovered = false;
         for path in k_shortest_paths(&adj, spec.source(), spec.destination(), 3) {
-            match schedule_flow_on_path(&mut table, gc, tas, spec, &path) {
+            let path = Arc::new(Path::new(gc, path.nodes().to_vec()));
+            match schedule_flow_on_path(&mut table, tas, spec, &path) {
                 Ok(Some(assignment)) => {
                     state.assign(flow, assignment);
                     recovered = true;
@@ -229,7 +235,7 @@ fn tally(
         let (source, destination) = spec.endpoints();
         let nominal = dijkstra_shortest_path(&present, source, destination);
         let first = dijkstra_shortest_path(&residual, source, destination);
-        let assigned = outcome.state.assignment(flow).map(|a| a.path());
+        let assigned = outcome.state.assignment(flow).map(|a| &**a.path());
         reached.unreachable += usize::from(nominal.is_none());
         reached.failed_endpoints +=
             usize::from(failure.contains_switch(source) || failure.contains_switch(destination));

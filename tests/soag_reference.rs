@@ -92,7 +92,9 @@ fn reference(
     for i in 0..k {
         match paths.get(i) {
             Some(path) => {
-                let adds_link = path.edges().any(|(u, v)| !topology.contains_link_between(u, v));
+                let present =
+                    |(u, v)| gc.link_between(u, v).is_some_and(|l| topology.contains_link(l));
+                let adds_link = !path.edges().all(present);
                 mask.push(adds_link && topology.can_add_path(path));
                 actions.push(Action::AddPath(path.clone()));
             }
